@@ -1,6 +1,6 @@
 //! Generational leg arena: flat storage for per-request work units.
 //!
-//! The fault and resilience engines grow one leg record per dispatch,
+//! The fault-aware open loop grows one leg record per dispatch,
 //! and a request can be re-dispatched several times (crash re-queues,
 //! retries). Storing those legs as a `Vec` inside every request makes
 //! each request a separate heap allocation that reallocates as legs

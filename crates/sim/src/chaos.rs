@@ -1,8 +1,9 @@
-//! Deterministic chaos/soak harness for the fault engines.
+//! Deterministic chaos/soak harness for the fault-aware open loop.
 //!
 //! Each chaos run derives a fresh synthetic workload, allocation and
-//! layered fault schedule from a ChaCha8 seed, drives both fault
-//! engines through it, and asserts the robustness invariants the
+//! layered fault schedule from a ChaCha8 seed, drives the loop through
+//! it with the resilience layers off ([`run_open_faults`]) and on
+//! ([`run_open_resilient`]), and asserts the robustness invariants the
 //! simulator promises under *every* schedule:
 //!
 //! 1. **Conservation** — every offered request reaches exactly one
@@ -247,7 +248,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             }
         };
 
-        // Invariant 1+2 on the fault engine.
+        // Invariant 1+2 with the resilience layers off.
         let fr = run_open_faults(
             &alloc,
             &sc.cls,
@@ -283,7 +284,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             violate(&mut report, "post-repair k-safety violated".to_string());
         }
 
-        // Invariant 1 on the resilience engine.
+        // Invariant 1 with the resilience layers on.
         let rr = run_open_resilient(
             &alloc,
             &sc.cls,

@@ -424,14 +424,13 @@ pub fn run_open_traced(
         warmup_backlog,
         cfg,
         tracer,
-        QueueKind::from_env(),
+        QueueKind::Calendar,
     )
 }
 
-/// [`run_open_traced`] with an explicit event-queue implementation,
-/// bypassing the `QCPA_SIM_QUEUE` knob — the entry point the
-/// differential suite uses to pit the implementations against each
-/// other without touching process environment.
+/// [`run_open_traced`] with an explicit event-queue implementation —
+/// the entry point the differential suite uses to pit the calendar
+/// queue every other entry point runs on against the reference heap.
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_with(
     alloc: &Allocation,

@@ -1,13 +1,20 @@
 //! Deterministic in-simulation fault injection.
 //!
 //! A [`FaultPlan`] is a validated, time-ordered schedule of backend
-//! crashes and recoveries that [`run_open_faults`] interleaves with the
-//! open-loop arrival stream — the FoundationDB-style discipline of
-//! making fault timelines a first-class, seed-reproducible simulator
-//! input rather than an ambient source of nondeterminism. Everything
-//! downstream of the plan is deterministic: the same `(workload seed,
-//! fault seed)` pair replays the exact run, bit for bit, at any
-//! `QCPA_THREADS` setting.
+//! crashes and recoveries that the fault-aware open loop
+//! ([`crate::resilience`]) interleaves with the arrival stream — the
+//! FoundationDB-style discipline of making fault timelines a
+//! first-class, seed-reproducible simulator input rather than an
+//! ambient source of nondeterminism. Everything downstream of the plan
+//! is deterministic: the same `(workload seed, fault seed)` pair
+//! replays the exact run, bit for bit, at any `QCPA_THREADS` setting.
+//!
+//! This module owns the plan (events, validation, seeded generators),
+//! the online-repair rerouting the loop calls on every routing change,
+//! and [`run_open_faults`]: the loop run with every resilience
+//! mechanism off ([`ResilienceConfig::default`]) and projected onto a
+//! [`FaultReport`] — completed requests become `responses`, a request
+//! that found no capable backend is `lost`.
 //!
 //! Semantics of a crash at time `T` on backend `d`:
 //!
@@ -56,18 +63,16 @@ use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
-use qcpa_core::journal::QueryKind;
-use qcpa_core::{ksafety, BackendId, ClassId};
+use qcpa_core::{ksafety, BackendId};
 use qcpa_matching::physical::{move_cost, EtlCostModel};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::arena::{LegArena, LegList, LegRef};
-use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
+use crate::engine::{nearest_rank, SimConfig};
 use crate::request::Request;
+use crate::resilience::{resilient_core, FaultRun, RCore, RFinal, ResilienceConfig};
 use crate::scheduler::Scheduler;
-use crate::service::ServiceProfile;
 
 /// One entry of a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -899,8 +904,8 @@ impl RepairTally {
 
 /// Rebuilds routing for the current reachability (`routable[b]` = alive
 /// and not partitioned away), repairing the allocation online when a
-/// weighted class lost its last routable replica. Shared between
-/// [`run_open_faults`] and [`crate::resilience::run_open_resilient`].
+/// weighted class lost its last routable replica. Called by the
+/// fault-aware loop after every event that changes reachability.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reroute(
     at: f64,
@@ -983,30 +988,6 @@ pub(crate) fn reroute(
     }
 }
 
-/// One per-backend work unit of a request (the backend it runs on is
-/// keyed by the per-backend in-flight lists).
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    backend: usize,
-    end: f64,
-    svc: f64,
-    voided: bool,
-    primary: bool,
-}
-
-/// A request's lifetime across dispatches and re-dispatches. Legs live
-/// in the run's shared [`LegArena`]; the request holds only the chain
-/// head.
-#[derive(Debug, Clone, Copy)]
-struct OpenReq {
-    arrival: f64,
-    class: ClassId,
-    kind: QueryKind,
-    service: f64,
-    legs: LegList,
-    redispatches: u32,
-}
-
 /// Result of an open-loop run under a fault plan.
 #[derive(Debug, Clone)]
 pub struct FaultReport {
@@ -1073,11 +1054,10 @@ impl FaultReport {
     }
 }
 
-/// Event-level statistics of a fault-driven run — everything the event
-/// arms accumulate, shared by the fault and resilience engines. Under a
-/// sharded run every component applies the full event schedule, so
-/// these are identical across components (except `redispatched`, which
-/// is request-driven and sums).
+/// Event-level statistics of a fault-driven run — everything applying
+/// the plan's events accumulates. Under a sharded run every component
+/// applies the full event schedule, so these are identical across
+/// components.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultStats {
     pub crashes: usize,
@@ -1085,7 +1065,6 @@ pub(crate) struct FaultStats {
     pub gray_windows: usize,
     pub partitions: usize,
     pub heals: usize,
-    pub redispatched: usize,
     pub tally: RepairTally,
     pub availability: Vec<(f64, usize)>,
 }
@@ -1098,69 +1077,10 @@ impl FaultStats {
             gray_windows: 0,
             partitions: 0,
             heals: 0,
-            redispatched: 0,
             tally: RepairTally::new(publish),
             availability: vec![(0.0, n)],
         }
     }
-}
-
-/// Raw outcome of [`fault_core`]: per-request completions in arrival
-/// order plus per-backend busy time and the event statistics — exactly
-/// what the sharded merge needs to rebuild the unsharded report.
-pub(crate) struct FaultCore {
-    /// `(arrival, completion time)` per request, in arrival order;
-    /// `None` marks a lost request.
-    pub completions: Vec<(f64, Option<f64>)>,
-    pub busy: Vec<f64>,
-    pub stats: FaultStats,
-}
-
-/// Records a sampled request's lifetime from the fault-run arena: a
-/// `request` root spanning arrival → completion (arrival only, if
-/// lost), one `leg` child per dispatch on that leg's backend track,
-/// with voided legs and the re-dispatch count annotated.
-fn trace_fault_request(
-    tr: &mut qcpa_obs::Tracer,
-    req: u64,
-    r: &OpenReq,
-    leg_arena: &LegArena<Leg>,
-    completion: Option<f64>,
-    fault_track: u32,
-) {
-    let name = match r.kind {
-        QueryKind::Read => "read",
-        QueryKind::Update => "update",
-    };
-    let track = leg_arena
-        .iter(r.legs)
-        .next()
-        .map_or(fault_track, |l| l.backend as u32);
-    let root = tr
-        .tree
-        .begin(tr.span_id(req, 0), None, "request", name, track, r.arrival);
-    tr.tree.arg(root, "request", req);
-    tr.tree.arg(root, "class", r.class.0);
-    tr.tree.arg(root, "redispatches", r.redispatches);
-    if completion.is_none() {
-        tr.tree.arg(root, "lost", "true");
-    }
-    for (i, leg) in leg_arena.iter(r.legs).enumerate() {
-        let s = tr.tree.begin(
-            tr.span_id(req, 1 + i as u64),
-            Some(root),
-            "service",
-            "leg",
-            leg.backend as u32,
-            leg.end - leg.svc,
-        );
-        tr.tree.arg(s, "backend", leg.backend);
-        if leg.voided {
-            tr.tree.arg(s, "voided", "true");
-        }
-        tr.tree.end(s, leg.end);
-    }
-    tr.tree.end(root, completion.unwrap_or(r.arrival));
 }
 
 /// Runs timed arrivals through the scheduler while applying `plan`'s
@@ -1195,11 +1115,12 @@ pub fn run_open_faults(
     )
 }
 
-/// [`run_open_faults`] with causal tracing. Sampled requests (by
-/// arrival index) record a `request` root with one `leg` span per
-/// dispatch (voided legs and re-dispatches annotated); crash/recover
-/// events and re-dispatches become instant marks on a dedicated
-/// `faults` track (`tid` = cluster size).
+/// [`run_open_faults`] with causal tracing: the tracer records the
+/// resilient core's span shape (see
+/// [`crate::resilience::run_open_resilient_traced`]) — a `request` root
+/// per sampled request with one `leg` span per dispatch, and fault
+/// events and re-dispatches as instant marks on a dedicated track
+/// (`tid` = cluster size).
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_faults_traced(
     alloc: &Allocation,
@@ -1213,604 +1134,49 @@ pub fn run_open_faults_traced(
     fcfg: &FaultConfig,
     tracer: Option<&mut qcpa_obs::Tracer>,
 ) -> FaultReport {
-    let core = fault_core(
+    let _span = qcpa_obs::span("sim", "run_open_faults");
+    let run = FaultRun {
         alloc,
         cls,
         cluster,
         catalog,
-        requests,
         warmup_backlog,
         cfg,
         plan,
         fcfg,
-        tracer,
-        true,
-    );
-    assemble_fault_report(requests, core)
-}
-
-/// The fault engine proper: replays arrivals against the layered event
-/// schedule and returns raw per-request completions plus event
-/// statistics. `publish = false` suppresses obs event emission — the
-/// sharded driver runs one core per backend component and publishes
-/// once from the merged result.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fault_core(
-    alloc: &Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    catalog: &Catalog,
-    requests: &[Request],
-    warmup_backlog: f64,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    fcfg: &FaultConfig,
-    mut tracer: Option<&mut qcpa_obs::Tracer>,
-    publish: bool,
-) -> FaultCore {
-    let _span = qcpa_obs::span("sim", "run_open_faults");
-    let n = cluster.len();
-    let fault_track = n as u32;
-    if let Some(tr) = tracer.as_deref_mut() {
-        if tr.enabled() {
-            for b in 0..n {
-                tr.tree.name_track(b as u32, format!("backend {b}"));
-            }
-            tr.tree.name_track(fault_track, "faults");
-        }
-    }
-    assert_eq!(
-        plan.n_backends(),
-        n,
-        "fault plan validated for a different cluster size"
-    );
-
-    let mut current = alloc.clone();
-    let mut alive = vec![true; n];
-    // Gray-failure service multiplier per backend; 1.0 when healthy.
-    // Applied at dispatch, so `x * 1.0` keeps healthy runs bit-exact.
-    let mut slow = vec![1.0f64; n];
-    // Backends cut off by an active partition: alive, but unroutable.
-    let mut cut = vec![false; n];
-    let mut free_at = vec![warmup_backlog.max(0.0); n];
-    let mut busy = vec![0.0f64; n];
-    let mut arena: Vec<OpenReq> = Vec::with_capacity(requests.len());
-    let mut leg_arena: LegArena<Leg> = LegArena::with_capacity(requests.len() * 2);
-    let mut inflight: Vec<Vec<(usize, LegRef)>> = vec![Vec::new(); n];
-    let mut scheduler = Scheduler::new(&current, cls);
-    let mut profile = ServiceProfile::new(&current, cluster, catalog, cfg.locality);
-
-    let mut stats = FaultStats::new(n, publish);
-
-    fn routable_of(alive: &[bool], cut: &[bool]) -> Vec<bool> {
-        alive
-            .iter()
-            .zip(cut.iter())
-            .map(|(&a, &c)| a && !c)
-            .collect()
-    }
-
-    // Dispatches request `idx` at time `t`, appending its legs. Returns
-    // false if no backend could serve it.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_one(
-        idx: usize,
-        t: f64,
-        scheduler: &Scheduler,
-        profile: &ServiceProfile,
-        cfg: &SimConfig,
-        arena: &mut [OpenReq],
-        leg_arena: &mut LegArena<Leg>,
-        inflight: &mut [Vec<(usize, LegRef)>],
-        free_at: &mut [f64],
-        busy: &mut [f64],
-        slow: &[f64],
-    ) -> bool {
-        let (class, kind, service) = {
-            let r = &arena[idx];
-            (r.class, r.kind, r.service)
-        };
-        match kind {
-            QueryKind::Read => {
-                let routed = scheduler.route_read_with(class, |b| (free_at[b] - t).max(0.0));
-                let Some(b) = routed else { return false };
-                let svc = profile.effective(b, service) * slow[b];
-                let end = free_at[b].max(t) + svc;
-                free_at[b] = end;
-                busy[b] += svc;
-                let lref = leg_arena.push(
-                    &mut arena[idx].legs,
-                    Leg {
-                        backend: b,
-                        end,
-                        svc,
-                        voided: false,
-                        primary: true,
-                    },
-                );
-                inflight[b].push((idx, lref));
-                true
-            }
-            QueryKind::Update => {
-                let targets = scheduler.route_update(class).to_vec();
-                if targets.is_empty() {
-                    return false;
-                }
-                let sync = match cfg.propagation {
-                    UpdatePropagation::Rowa => {
-                        1.0 + cfg.rowa_overhead * (targets.len() as f64 - 1.0)
-                    }
-                    _ => 1.0,
-                };
-                for (i, &b) in targets.iter().enumerate() {
-                    let mult = match cfg.propagation {
-                        UpdatePropagation::Lazy { batching_discount } if i > 0 => batching_discount,
-                        _ => sync,
-                    };
-                    let svc = profile.effective(b, service) * mult * slow[b];
-                    let end = free_at[b].max(t) + svc;
-                    free_at[b] = end;
-                    busy[b] += svc;
-                    let lref = leg_arena.push(
-                        &mut arena[idx].legs,
-                        Leg {
-                            backend: b,
-                            end,
-                            svc,
-                            voided: false,
-                            primary: i == 0,
-                        },
-                    );
-                    inflight[b].push((idx, lref));
-                }
-                true
-            }
-        }
-    }
-
-    let events = plan.events();
-    let mut ev_i = 0usize;
-    let mut apply_event = |e: &FaultEvent,
-                           arena: &mut Vec<OpenReq>,
-                           leg_arena: &mut LegArena<Leg>,
-                           inflight: &mut Vec<Vec<(usize, LegRef)>>,
-                           free_at: &mut Vec<f64>,
-                           busy: &mut Vec<f64>,
-                           alive: &mut Vec<bool>,
-                           slow: &mut Vec<f64>,
-                           current: &mut Allocation,
-                           scheduler: &mut Scheduler,
-                           profile: &mut ServiceProfile,
-                           tracer: &mut Option<&mut qcpa_obs::Tracer>| {
-        match *e {
-            FaultEvent::Crash { backend, at } => {
-                alive[backend] = false;
-                stats.crashes += 1;
-                // Void the legs still running or queued on the casualty
-                // and refund their unperformed work.
-                let entries = std::mem::take(&mut inflight[backend]);
-                let mut candidates: Vec<usize> = Vec::new();
-                let mut voided = 0usize;
-                for (ri, lref) in entries {
-                    let leg = *leg_arena.get(lref);
-                    if leg.end > at {
-                        leg_arena.get_mut(lref).voided = true;
-                        busy[backend] -= (leg.end - at).min(leg.svc);
-                        candidates.push(ri);
-                        voided += 1;
-                    }
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "crash", {
-                        "backend" => backend,
-                        "at" => at,
-                        "voided_legs" => voided,
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id = tr.span_id(u64::MAX - backend as u64, at.to_bits());
-                        tr.tree.mark(
-                            id,
-                            None,
-                            "fault",
-                            "crash",
-                            fault_track,
-                            at,
-                            vec![("backend", backend.into()), ("voided_legs", voided.into())],
-                        );
-                    }
-                }
-                if let Ok(s) = reroute(
-                    at,
-                    current,
-                    cls,
-                    cluster,
-                    catalog,
-                    &routable_of(alive, &cut),
-                    fcfg,
-                    free_at,
-                    &mut stats.tally,
-                ) {
-                    *scheduler = s;
-                }
-                *profile = ServiceProfile::new(current, cluster, catalog, cfg.locality);
-                // Re-queue the requests the crash voided, in arrival
-                // order, through the post-crash router.
-                for ri in candidates {
-                    let needs = {
-                        let r = &arena[ri];
-                        match (r.kind, cfg.propagation) {
-                            (QueryKind::Read, _) | (QueryKind::Update, UpdatePropagation::Rowa) => {
-                                leg_arena.iter(r.legs).all(|l| l.voided)
-                            }
-                            (QueryKind::Update, _) => leg_arena
-                                .iter(r.legs)
-                                .filter(|l| l.primary)
-                                .last()
-                                .is_none_or(|l| l.voided),
-                        }
-                    };
-                    if !needs {
-                        continue;
-                    }
-                    arena[ri].redispatches += 1;
-                    stats.redispatched += 1;
-                    if let Some(tr) = tracer.as_deref_mut() {
-                        if tr.admit(ri as u64) {
-                            let id =
-                                tr.span_id(ri as u64, 1000 + u64::from(arena[ri].redispatches));
-                            tr.tree.mark(
-                                id,
-                                None,
-                                "fault",
-                                "redispatch",
-                                fault_track,
-                                at,
-                                vec![
-                                    ("request", ri.into()),
-                                    ("attempt", arena[ri].redispatches.into()),
-                                ],
-                            );
-                        }
-                    }
-                    dispatch_one(
-                        ri, at, scheduler, profile, cfg, arena, leg_arena, inflight, free_at, busy,
-                        slow,
-                    );
-                }
-            }
-            FaultEvent::Recover {
-                backend,
-                at,
-                catchup_cost,
-            } => {
-                alive[backend] = true;
-                stats.recoveries += 1;
-                free_at[backend] = at + catchup_cost;
-                inflight[backend].clear();
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "recover", {
-                        "backend" => backend,
-                        "at" => at,
-                        "catchup_secs" => catchup_cost,
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id = tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 1);
-                        tr.tree.mark(
-                            id,
-                            None,
-                            "fault",
-                            "recover",
-                            fault_track,
-                            at,
-                            vec![
-                                ("backend", backend.into()),
-                                ("catchup_secs", catchup_cost.into()),
-                            ],
-                        );
-                    }
-                }
-                if let Ok(s) = reroute(
-                    at,
-                    current,
-                    cls,
-                    cluster,
-                    catalog,
-                    &routable_of(alive, &cut),
-                    fcfg,
-                    free_at,
-                    &mut stats.tally,
-                ) {
-                    *scheduler = s;
-                }
-                *profile = ServiceProfile::new(current, cluster, catalog, cfg.locality);
-            }
-            FaultEvent::Degrade {
-                backend,
-                at,
-                factor,
-            } => {
-                // Gray failure: the backend keeps serving, but every leg
-                // dispatched from now on takes `factor` times as long.
-                // In-flight legs keep their committed service time.
-                slow[backend] = factor;
-                stats.gray_windows += 1;
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "degrade", {
-                        "backend" => backend,
-                        "at" => at,
-                        "factor" => factor,
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id = tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 2);
-                        tr.tree.mark(
-                            id,
-                            None,
-                            "fault",
-                            "degrade",
-                            fault_track,
-                            at,
-                            vec![("backend", backend.into()), ("factor", factor.into())],
-                        );
-                    }
-                }
-            }
-            FaultEvent::Restore { backend, at } => {
-                slow[backend] = 1.0;
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "restore", {
-                        "backend" => backend,
-                        "at" => at,
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id = tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 3);
-                        tr.tree.mark(
-                            id,
-                            None,
-                            "fault",
-                            "restore",
-                            fault_track,
-                            at,
-                            vec![("backend", backend.into())],
-                        );
-                    }
-                }
-            }
-            FaultEvent::Partition { id, at } => {
-                // Link cut, not death: nothing is voided or refunded —
-                // in-flight legs on the cut side still complete, the
-                // side is just excluded from new routing until healed.
-                for &m in plan.partition_side(id) {
-                    cut[m] = true;
-                }
-                stats.partitions += 1;
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "partition", {
-                        "partition" => id,
-                        "at" => at,
-                        "cut" => plan.partition_side(id).len(),
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id_span = tr.span_id(u64::MAX / 2 - u64::from(id), at.to_bits());
-                        tr.tree.mark(
-                            id_span,
-                            None,
-                            "fault",
-                            "partition",
-                            fault_track,
-                            at,
-                            vec![
-                                ("partition", id.into()),
-                                ("cut", plan.partition_side(id).len().into()),
-                            ],
-                        );
-                    }
-                }
-                if let Ok(s) = reroute(
-                    at,
-                    current,
-                    cls,
-                    cluster,
-                    catalog,
-                    &routable_of(alive, &cut),
-                    fcfg,
-                    free_at,
-                    &mut stats.tally,
-                ) {
-                    *scheduler = s;
-                }
-                *profile = ServiceProfile::new(current, cluster, catalog, cfg.locality);
-            }
-            FaultEvent::Heal { id, at } => {
-                for &m in plan.partition_side(id) {
-                    cut[m] = false;
-                }
-                stats.heals += 1;
-                if publish {
-                    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "heal", {
-                        "partition" => id,
-                        "at" => at,
-                    });
-                }
-                if let Some(tr) = tracer.as_deref_mut() {
-                    if tr.enabled() {
-                        let id_span = tr.span_id(u64::MAX / 2 - u64::from(id), at.to_bits() ^ 1);
-                        tr.tree.mark(
-                            id_span,
-                            None,
-                            "fault",
-                            "heal",
-                            fault_track,
-                            at,
-                            vec![("partition", id.into())],
-                        );
-                    }
-                }
-                if let Ok(s) = reroute(
-                    at,
-                    current,
-                    cls,
-                    cluster,
-                    catalog,
-                    &routable_of(alive, &cut),
-                    fcfg,
-                    free_at,
-                    &mut stats.tally,
-                ) {
-                    *scheduler = s;
-                }
-                *profile = ServiceProfile::new(current, cluster, catalog, cfg.locality);
-            }
-        }
-        let routable = alive
-            .iter()
-            .zip(cut.iter())
-            .filter(|&(&a, &c)| a && !c)
-            .count();
-        stats.availability.push((e.at(), routable));
+        rcfg: &ResilienceConfig::default(),
     };
-
-    let mut last_t = 0.0f64;
-    for r in requests {
-        debug_assert!(r.arrival >= last_t, "arrivals must be sorted");
-        last_t = r.arrival;
-        while ev_i < events.len() && events[ev_i].at() <= r.arrival {
-            apply_event(
-                &events[ev_i],
-                &mut arena,
-                &mut leg_arena,
-                &mut inflight,
-                &mut free_at,
-                &mut busy,
-                &mut alive,
-                &mut slow,
-                &mut current,
-                &mut scheduler,
-                &mut profile,
-                &mut tracer,
-            );
-            ev_i += 1;
-        }
-        let idx = arena.len();
-        arena.push(OpenReq {
-            arrival: r.arrival,
-            class: r.class,
-            kind: r.kind,
-            service: r.service,
-            legs: LegList::new(),
-            redispatches: 0,
-        });
-        dispatch_one(
-            idx,
-            r.arrival,
-            &scheduler,
-            &profile,
-            cfg,
-            &mut arena,
-            &mut leg_arena,
-            &mut inflight,
-            &mut free_at,
-            &mut busy,
-            &slow,
-        );
-    }
-    // Crashes scheduled past the last arrival still void queued work.
-    while ev_i < events.len() {
-        apply_event(
-            &events[ev_i],
-            &mut arena,
-            &mut leg_arena,
-            &mut inflight,
-            &mut free_at,
-            &mut busy,
-            &mut alive,
-            &mut slow,
-            &mut current,
-            &mut scheduler,
-            &mut profile,
-            &mut tracer,
-        );
-        ev_i += 1;
-    }
-
-    // Finalize: every non-voided leg ran to completion.
-    let mut completions = Vec::with_capacity(arena.len());
-    for (idx, r) in arena.iter().enumerate() {
-        let completion = completion_of(r, &leg_arena, cfg);
-        if let Some(tr) = tracer.as_deref_mut() {
-            if tr.admit(idx as u64) {
-                trace_fault_request(tr, idx as u64, r, &leg_arena, completion, fault_track);
-            }
-        }
-        completions.push((r.arrival, completion));
-    }
-
-    FaultCore {
-        completions,
-        busy,
-        stats,
-    }
+    assemble_fault_report(
+        requests,
+        resilient_core(&run, requests, None, tracer, true).finish(),
+    )
 }
 
-/// A request's completion time under the response rule of
-/// [`crate::engine::run_open`]: reads complete on their (last
-/// non-voided) leg; ROWA updates when every surviving replica leg ends;
-/// other propagation modes on the primary leg.
-fn completion_of(r: &OpenReq, leg_arena: &LegArena<Leg>, cfg: &SimConfig) -> Option<f64> {
-    match (r.kind, cfg.propagation) {
-        (QueryKind::Read, _) => leg_arena
-            .iter(r.legs)
-            .filter(|l| !l.voided)
-            .last()
-            .map(|l| l.end),
-        (QueryKind::Update, UpdatePropagation::Rowa) => leg_arena
-            .iter(r.legs)
-            .filter(|l| !l.voided)
-            .map(|l| l.end)
-            .fold(None, |acc: Option<f64>, e| {
-                Some(acc.map_or(e, |a| a.max(e)))
-            }),
-        (QueryKind::Update, _) => leg_arena
-            .iter(r.legs)
-            .filter(|l| l.primary && !l.voided)
-            .last()
-            .map(|l| l.end),
-    }
-}
-
-/// Rebuilds the public [`FaultReport`] from a core's raw completions —
-/// the histogram, mean and p95 replay in global arrival order, so a
-/// merge of per-component cores assembles to the unsharded report bit
-/// for bit. Publishes the run's obs counters.
-pub(crate) fn assemble_fault_report(requests: &[Request], core: FaultCore) -> FaultReport {
-    let FaultCore {
-        completions,
+/// Projects a resilient core run with every mechanism off
+/// ([`ResilienceConfig::default`]) onto the public [`FaultReport`]. The
+/// histogram, mean and p95 replay in global arrival order, so a merge
+/// of per-component cores projects to the unsharded report bit for bit.
+/// Publishes the run's `sim.fault.*` counters.
+pub(crate) fn assemble_fault_report(requests: &[Request], core: RCore) -> FaultReport {
+    let RCore {
+        finals,
         busy,
+        tally,
         stats,
+        ..
     } = core;
-    let mut responses = Vec::with_capacity(completions.len());
+    let mut responses = Vec::with_capacity(finals.len());
     let mut resp_hist = qcpa_obs::Histogram::new();
-    let mut lost = 0usize;
-    for &(arrival, completion) in &completions {
-        match completion {
-            Some(end) => {
-                resp_hist.record(end - arrival);
-                responses.push((arrival, end - arrival));
-            }
-            None => lost += 1,
+    for &(arrival, _, fin) in &finals {
+        if let RFinal::Completed(end) = fin {
+            resp_hist.record(end - arrival);
+            responses.push((arrival, end - arrival));
         }
     }
+    // Nothing is shed without a queue bound, and with a zero retry
+    // budget a request times out only by finding no capable backend —
+    // both terminal states are what this report calls lost.
+    let lost = finals.len() - responses.len();
 
     let mut resp: Vec<f64> = responses.iter().map(|&(_, r)| r).collect();
     let mean_response = if resp.is_empty() {
@@ -1826,7 +1192,7 @@ pub(crate) fn assemble_fault_report(requests: &[Request], core: FaultCore) -> Fa
     reg.counter("sim.fault.requests").add(requests.len() as u64);
     reg.counter("sim.fault.lost").add(lost as u64);
     reg.counter("sim.fault.redispatched")
-        .add(stats.redispatched as u64);
+        .add(tally.redispatched as u64);
     reg.counter("sim.fault.crashes").add(stats.crashes as u64);
     reg.counter("sim.fault.recoveries")
         .add(stats.recoveries as u64);
@@ -1844,7 +1210,7 @@ pub(crate) fn assemble_fault_report(requests: &[Request], core: FaultCore) -> Fa
         busy,
         utilization,
         lost,
-        redispatched: stats.redispatched,
+        redispatched: tally.redispatched,
         crashes: stats.crashes,
         recoveries: stats.recoveries,
         repairs: stats.tally.repairs,
@@ -1866,6 +1232,7 @@ mod tests {
     use crate::request::RequestStream;
     use qcpa_core::classify::QueryClass;
     use qcpa_core::greedy;
+    use qcpa_core::journal::QueryKind;
 
     fn workload() -> (Catalog, Classification, RequestStream) {
         let mut cat = Catalog::new();

@@ -18,6 +18,16 @@
 //! * [`engine::run_open`] — open-loop timed arrivals measuring response
 //!   times, used by the autonomic-scaling experiments (Section 5).
 //!
+//! The open-loop model exists as two loops, chosen by entry point:
+//! the healthy hot path behind [`engine::run_open`], and one
+//! fault-aware loop behind [`resilience::run_open_resilient`] that
+//! interleaves a [`fault::FaultPlan`] with the arrivals and layers
+//! deadlines, admission control and circuit breaking on top — all inert
+//! under [`ResilienceConfig::default`]. [`fault::run_open_faults`] is
+//! that loop run with every layer off, reported as a
+//! [`fault::FaultReport`]; [`shard`] runs either loop per independent
+//! backend component and merges bit-identically.
+//!
 //! The optional [`service::LocalityModel`] reproduces the caching
 //! effect the paper observes: backends storing a smaller share of the
 //! database serve queries faster (better cache hit rates, less data to

@@ -26,9 +26,10 @@
 //!   order (with a direct jump to the global minimum when a whole lap
 //!   comes up empty, so sparse far-future events cannot stall a pop).
 //!
-//! [`SimQueue`] is the enum the engines embed (static dispatch — no
-//! `dyn` in the hot loop); [`QueueKind::from_env`] selects the
-//! implementation from the audited `QCPA_SIM_QUEUE` knob.
+//! Every runtime entry point runs on the calendar queue. [`SimQueue`]
+//! is the enum [`crate::engine::run_open_with`] embeds (static dispatch
+//! — no `dyn` in the hot loop) so the differential suite can run the
+//! same loop on the reference heap by passing [`QueueKind::Heap`].
 
 /// One event: `(time_bits, seq)`. See the module docs for the order.
 pub type Event = (u64, u64);
@@ -303,18 +304,6 @@ pub enum QueueKind {
     Calendar,
 }
 
-impl QueueKind {
-    /// Reads `QCPA_SIM_QUEUE`: `heap` selects the reference heap,
-    /// anything else (including unset) the calendar queue.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("QCPA_SIM_QUEUE") {
-            Ok(v) if v == "heap" => QueueKind::Heap,
-            _ => QueueKind::Calendar,
-        }
-    }
-}
-
 /// The statically dispatched queue the engines embed.
 #[derive(Debug)]
 pub enum SimQueue {
@@ -434,9 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_from_env_defaults_to_calendar() {
-        // The env var is not manipulated here (tests run concurrently);
-        // the default is what an unset knob must produce.
+    fn default_kind_is_calendar() {
         assert_eq!(QueueKind::default(), QueueKind::Calendar);
     }
 }

@@ -1,10 +1,13 @@
-//! Resilient open-loop driver: deadlines, deterministic retry/backoff,
+//! The fault-aware open loop: arrivals interleaved with a
+//! [`FaultPlan`], plus deadlines, deterministic retry/backoff,
 //! admission control, circuit breaking, and degraded-mode routing.
 //!
-//! [`run_open_resilient`] extends [`crate::fault::run_open_faults`] with
-//! the failure-handling layer a production CDBS controller needs
-//! (Section 6's architecture assumes backends come and go while the
-//! controller keeps serving):
+//! There is one such loop ([`resilient_core`]). It applies the plan's
+//! events (crash voiding and re-dispatch, recovery catch-up, gray
+//! windows, partitions, online repair — semantics in [`crate::fault`])
+//! and layers on top the failure handling a production CDBS controller
+//! needs (Section 6's architecture assumes backends come and go while
+//! the controller keeps serving):
 //!
 //! * **Deadlines** — a read leg whose completion would exceed
 //!   `dispatch time + deadline` is cancelled *at the deadline*: the work
@@ -35,9 +38,11 @@
 //!   failing the request — shedding is the admission policy's job, not
 //!   the breaker's.
 //!
-//! With [`ResilienceConfig::default`] (everything disabled) the run is
-//! bit-identical to [`crate::fault::run_open_faults`] — pinned by test —
-//! so the resilience layer is a strict, opt-in extension.
+//! Every layer is inert under [`ResilienceConfig::default`] (infinite
+//! deadline, no retries, unbounded queues, breaker off): that run *is*
+//! [`crate::fault::run_open_faults`], which projects it onto a
+//! [`crate::fault::FaultReport`]. `tests/sim_equivalence.rs` pins the
+//! projection to recorded golden reports.
 //!
 //! Every request ends in exactly one terminal state and the engine
 //! guarantees the conservation law
@@ -53,6 +58,7 @@ use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
 use qcpa_core::journal::QueryKind;
 use qcpa_core::{robust, ClassId, EPS};
+use qcpa_obs::trace::FieldValue;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,7 +66,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::arena::{LegArena, LegList, LegRef};
 use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
 use crate::fault::{reroute, FaultConfig, FaultEvent, FaultPlan, FaultStats};
-use crate::queue::{EventQueue, QueueKind, SimQueue};
+use crate::queue::{CalendarQueue, EventQueue};
 use crate::request::Request;
 use crate::scheduler::Scheduler;
 use crate::service::ServiceProfile;
@@ -109,7 +115,7 @@ impl OverloadPolicy {
 
 /// Knobs for [`run_open_resilient`]. [`Default`] disables every
 /// mechanism (infinite deadline, no retries, unbounded queues, breaker
-/// off), reproducing [`crate::fault::run_open_faults`] bit for bit;
+/// off) — the configuration [`crate::fault::run_open_faults`] runs;
 /// [`ResilienceConfig::standard`] is an active preset; environment
 /// variables override either via [`ResilienceConfig::env_overrides`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +124,7 @@ pub struct ResilienceConfig {
     /// the attempt. `f64::INFINITY` disables timeouts.
     pub deadline: f64,
     /// Retry budget per request (timeout- or unroutable-triggered;
-    /// crash re-dispatches are budget-free, as in the fault engine).
+    /// crash re-dispatches are budget-free).
     pub max_retries: u32,
     /// Base backoff delay in seconds for the first retry.
     pub backoff_base: f64,
@@ -639,7 +645,7 @@ pub(crate) struct Tally {
     shed_victims: usize,
     browned_out: usize,
     timed_out: usize,
-    redispatched: usize,
+    pub(crate) redispatched: usize,
     degraded_fallbacks: usize,
     breaker_overrides: usize,
     unroutable: usize,
@@ -704,7 +710,7 @@ pub struct ResilienceReport {
     /// Reads admitted past the bound with discounted service under
     /// [`OverloadPolicy::Brownout`].
     pub browned_out: usize,
-    /// Budget-free crash re-dispatches (as in the fault engine).
+    /// Budget-free crash re-dispatches.
     pub redispatched: usize,
     /// Breaker transitions to open.
     pub breaker_opens: usize,
@@ -758,11 +764,29 @@ impl ResilienceReport {
     }
 }
 
-/// Engine state shared by dispatch, retry, and fault handling.
-struct Engine<'a> {
-    cls: &'a Classification,
-    cfg: &'a SimConfig,
-    rcfg: &'a ResilienceConfig,
+/// Everything a fault-aware run is parameterised by except its request
+/// stream — the arguments of [`run_open_resilient`], bundled so the
+/// core, the sharded driver and the [`crate::fault`] projection hand
+/// one value around.
+#[derive(Clone, Copy)]
+pub(crate) struct FaultRun<'a> {
+    pub alloc: &'a Allocation,
+    pub cls: &'a Classification,
+    pub cluster: &'a ClusterSpec,
+    pub catalog: &'a Catalog,
+    pub warmup_backlog: f64,
+    pub cfg: &'a SimConfig,
+    pub plan: &'a FaultPlan,
+    pub fcfg: &'a FaultConfig,
+    pub rcfg: &'a ResilienceConfig,
+}
+
+/// Run state of the fault-aware open loop: dispatch, retry and fault
+/// handling all act on it.
+pub(crate) struct Engine<'a> {
+    run: FaultRun<'a>,
+    /// The allocation as online repairs have grown it.
+    current: Allocation,
     scheduler: Scheduler,
     profile: ServiceProfile,
     spare: Vec<f64>,
@@ -774,17 +798,38 @@ struct Engine<'a> {
     cut: Vec<bool>,
     free_at: Vec<f64>,
     busy: Vec<f64>,
+    /// Per backend: the legs still running or waiting, oldest first —
+    /// the only in-flight index (admission bound, shed victims, crash
+    /// voiding). Finished entries are dropped at every push, so it
+    /// stays O(in-flight) however long the run.
     queues: Vec<VecDeque<QEntry>>,
     arena: Vec<RReq>,
     leg_arena: LegArena<RLeg>,
     breakers: Breakers,
-    retries: SimQueue,
+    retries: CalendarQueue,
     retry_seq: u64,
     tally: Tally,
+    stats: FaultStats,
     tracer: Option<&'a mut qcpa_obs::Tracer>,
 }
 
+/// Drops the finished prefix (`end ≤ t`) of a backend's pending queue.
+/// Entries are in non-decreasing `end` order and dispatch times never
+/// go back, so what is dropped can no longer be voided, shed or
+/// counted against the bound.
+fn drop_finished(q: &mut VecDeque<QEntry>, t: f64) {
+    while q.front().is_some_and(|e| e.end <= t) {
+        q.pop_front();
+    }
+}
+
 impl Engine<'_> {
+    /// Whether new work may be routed to `b`: alive and not cut off by
+    /// an active partition.
+    fn routable(&self, b: usize) -> bool {
+        self.alive[b] && !self.cut[b]
+    }
+
     /// Records an instant mark for request `idx` at `t` on the fault
     /// track when the tracer admits the request. The span id is salted
     /// with the mark name and time, so repeated marks on one request
@@ -836,8 +881,8 @@ impl Engine<'_> {
     fn retry_or_expire(&mut self, idx: usize, from: f64) {
         let attempts = self.arena[idx].attempts + 1;
         self.arena[idx].attempts = attempts;
-        if attempts <= self.rcfg.max_retries {
-            let delay = self.rcfg.backoff(self.arena[idx].gid, attempts);
+        if attempts <= self.run.rcfg.max_retries {
+            let delay = self.run.rcfg.backoff(self.arena[idx].gid, attempts);
             self.retry_seq += 1;
             self.retries
                 .push((from + delay).to_bits(), pack_retry(self.retry_seq, idx));
@@ -891,7 +936,7 @@ impl Engine<'_> {
             .capable_read_targets(class)
             .iter()
             .copied()
-            .filter(|&b| self.alive[b] && !self.cut[b] && !self.breakers.is_blocked(b))
+            .filter(|&b| self.routable(b) && !self.breakers.is_blocked(b))
             .collect();
         let pick = avail
             .iter()
@@ -921,20 +966,19 @@ impl Engine<'_> {
     /// overload policy. Returns the admitted service multiplier, or
     /// `None` when the incoming request was shed.
     fn admit_read(&mut self, idx: usize, class: ClassId, b: usize, t: f64) -> Option<f64> {
+        let rcfg = self.run.rcfg;
         let q = &mut self.queues[b];
-        while q.front().is_some_and(|e| e.end <= t) {
-            q.pop_front();
-        }
-        if self.rcfg.queue_cap == 0 || q.len() < self.rcfg.queue_cap {
+        drop_finished(q, t);
+        if rcfg.queue_cap == 0 || q.len() < rcfg.queue_cap {
             return Some(1.0);
         }
-        match self.rcfg.overload {
+        match rcfg.overload {
             OverloadPolicy::Reject => {
                 self.shed_incoming(idx, t);
                 None
             }
             OverloadPolicy::ShedLowestWeight => {
-                let w_in = self.cls.classes[class.idx()].weight;
+                let w_in = self.run.cls.classes[class.idx()].weight;
                 let victim = q
                     .iter()
                     .enumerate()
@@ -968,13 +1012,13 @@ impl Engine<'_> {
                 }
             }
             OverloadPolicy::Brownout => {
-                if q.len() >= 2 * self.rcfg.queue_cap {
+                if q.len() >= 2 * rcfg.queue_cap {
                     self.shed_incoming(idx, t);
                     None
                 } else {
                     self.tally.browned_out += 1;
                     self.trace_mark(idx, "brownout", t);
-                    Some(self.rcfg.brownout_discount)
+                    Some(rcfg.brownout_discount)
                 }
             }
         }
@@ -984,6 +1028,35 @@ impl Engine<'_> {
         self.arena[idx].outcome = Outcome::Shed;
         self.tally.shed += 1;
         self.trace_mark(idx, "shed", t);
+    }
+
+    /// Books `leg` of request `idx`, dispatched at `t` and starting at
+    /// `start`: charges its work, advances the backend's release time,
+    /// chains it to the request and enters it in the pending queue.
+    /// Only a read leg that will run to completion may later be evicted
+    /// by [`OverloadPolicy::ShedLowestWeight`].
+    fn book(&mut self, idx: usize, t: f64, start: f64, leg: RLeg) {
+        let b = leg.backend;
+        self.free_at[b] = leg.end;
+        self.busy[b] += leg.svc;
+        let r = &mut self.arena[idx];
+        let sheddable = r.kind == QueryKind::Read && !leg.cancelled;
+        let weight = self.run.cls.classes[r.class.idx()].weight;
+        let lref = self.leg_arena.push(&mut r.legs, leg);
+        // A leg cancelled before it started occupies no queue slot.
+        if leg.cancelled && leg.svc <= 0.0 {
+            return;
+        }
+        let q = &mut self.queues[b];
+        drop_finished(q, t);
+        q.push_back(QEntry {
+            end: leg.end,
+            start,
+            req: idx,
+            leg: lref,
+            weight,
+            sheddable,
+        });
     }
 
     /// Dispatches request `idx` at time `t` (arrival, retry, or crash
@@ -1013,114 +1086,405 @@ impl Engine<'_> {
                 let svc = self.profile.effective(b, service) * mult * self.slow[b];
                 let start = self.free_at[b].max(t);
                 let end = start + svc;
-                let deadline = t + self.rcfg.deadline;
+                let deadline = t + self.run.rcfg.deadline;
+                let mut leg = RLeg {
+                    backend: b,
+                    end,
+                    svc,
+                    voided: false,
+                    cancelled: false,
+                    primary: true,
+                };
                 if end > deadline {
                     // Cancel at the deadline: charge only the work
                     // performed. Nothing was queued behind this leg
-                    // yet, so rolling `free_at` back is exact.
+                    // yet, so releasing the backend early is exact.
                     let performed = (deadline - start).clamp(0.0, svc);
-                    self.busy[b] += performed;
-                    self.free_at[b] = start + performed;
-                    let lref = self.leg_arena.push(
-                        &mut self.arena[idx].legs,
-                        RLeg {
-                            backend: b,
-                            end: start + performed,
-                            svc: performed,
-                            voided: false,
-                            cancelled: true,
-                            primary: true,
-                        },
-                    );
-                    if performed > 0.0 {
-                        self.queues[b].push_back(QEntry {
-                            end: start + performed,
-                            start,
-                            req: idx,
-                            leg: lref,
-                            weight: f64::INFINITY,
-                            sheddable: false,
-                        });
-                    }
-                    self.breakers.on_timeout(b, t, performed.max(0.0));
+                    leg.end = start + performed;
+                    leg.svc = performed;
+                    leg.cancelled = true;
+                    self.book(idx, t, start, leg);
+                    self.breakers.on_timeout(b, t, performed);
                     self.tally.timeouts += 1;
                     self.trace_mark(idx, "leg_timeout", deadline);
                     self.retry_or_expire(idx, deadline);
                 } else {
-                    self.free_at[b] = end;
-                    self.busy[b] += svc;
-                    let lref = self.leg_arena.push(
-                        &mut self.arena[idx].legs,
-                        RLeg {
-                            backend: b,
-                            end,
-                            svc,
-                            voided: false,
-                            cancelled: false,
-                            primary: true,
-                        },
-                    );
-                    self.queues[b].push_back(QEntry {
-                        end,
-                        start,
-                        req: idx,
-                        leg: lref,
-                        weight: self.cls.classes[class.idx()].weight,
-                        sheddable: true,
-                    });
+                    self.book(idx, t, start, leg);
                     self.breakers.on_dispatch_ok(b, t, svc, end);
                 }
             }
             QueryKind::Update => {
                 // Replication duty: fans out to every overlapping
-                // replica exactly as in the fault engine — no deadline,
-                // no shedding (a dropped update leg would silently
-                // diverge the replica).
-                let targets = self.scheduler.route_update(class).to_vec();
-                if targets.is_empty() {
+                // replica — no deadline, no shedding (a dropped update
+                // leg would silently diverge the replica).
+                let n_targets = self.scheduler.route_update(class).len();
+                if n_targets == 0 {
                     self.tally.unroutable += 1;
                     self.trace_mark(idx, "unroutable", t);
                     self.retry_or_expire(idx, t);
                     return;
                 }
-                let sync = match self.cfg.propagation {
+                let propagation = self.run.cfg.propagation;
+                let sync = match propagation {
                     UpdatePropagation::Rowa => {
-                        1.0 + self.cfg.rowa_overhead * (targets.len() as f64 - 1.0)
+                        1.0 + self.run.cfg.rowa_overhead * (n_targets as f64 - 1.0)
                     }
                     _ => 1.0,
                 };
-                let weight = self.cls.classes[class.idx()].weight;
-                for (i, &b) in targets.iter().enumerate() {
-                    let mult = match self.cfg.propagation {
+                for i in 0..n_targets {
+                    let b = self.scheduler.route_update(class)[i];
+                    let mult = match propagation {
                         UpdatePropagation::Lazy { batching_discount } if i > 0 => batching_discount,
                         _ => sync,
                     };
                     let svc = self.profile.effective(b, service) * mult * self.slow[b];
                     let start = self.free_at[b].max(t);
-                    let end = start + svc;
-                    self.free_at[b] = end;
-                    self.busy[b] += svc;
-                    let lref = self.leg_arena.push(
-                        &mut self.arena[idx].legs,
-                        RLeg {
-                            backend: b,
-                            end,
-                            svc,
-                            voided: false,
-                            cancelled: false,
-                            primary: i == 0,
-                        },
-                    );
-                    self.queues[b].push_back(QEntry {
-                        end,
-                        start,
-                        req: idx,
-                        leg: lref,
-                        weight,
-                        sheddable: false,
-                    });
+                    let leg = RLeg {
+                        backend: b,
+                        end: start + svc,
+                        svc,
+                        voided: false,
+                        cancelled: false,
+                        primary: i == 0,
+                    };
+                    self.book(idx, t, start, leg);
                 }
             }
+        }
+    }
+
+    /// Publishes one applied fault event: a `sim.fault` obs event
+    /// (suppressed in sharded component replays, whose driver publishes
+    /// once from the merge) and, when tracing, an instant mark on the
+    /// fault track. `subject` is the event's `(key, value, span-id
+    /// base)`; `salt` keeps the marks of one subject at one instant
+    /// distinct; `extra` is the variant's one additional field.
+    fn mark<V>(
+        &mut self,
+        name: &'static str,
+        subject: (&'static str, u64, u64),
+        at: f64,
+        salt: u64,
+        extra: Option<(&'static str, V)>,
+    ) where
+        V: Copy + Into<FieldValue> + Into<qcpa_obs::ArgValue>,
+    {
+        let (key, value, span_base) = subject;
+        if self.stats.tally.publish && qcpa_obs::trace::enabled(qcpa_obs::Level::Info, "sim.fault")
+        {
+            let mut fields = vec![(key, value.into()), ("at", at.into())];
+            fields.extend(extra.map(|(k, v)| (k, v.into())));
+            qcpa_obs::trace::emit(qcpa_obs::Level::Info, "sim.fault", name, fields);
+        }
+        let track = self.free_at.len() as u32;
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            if tr.enabled() {
+                let mut args = vec![(key, value.into())];
+                args.extend(extra.map(|(k, v)| (k, v.into())));
+                let id = tr.span_id(span_base, at.to_bits() ^ salt);
+                tr.tree.mark(id, None, "fault", name, track, at, args);
+            }
+        }
+    }
+
+    /// Voids the legs still running or queued on `backend` at `at`,
+    /// refunding their unperformed work. Returns the affected requests
+    /// in arrival order and the number of legs voided.
+    fn void_pending(&mut self, backend: usize, at: f64) -> (Vec<usize>, usize) {
+        let mut reqs: Vec<usize> = Vec::new();
+        for qe in std::mem::take(&mut self.queues[backend]) {
+            if qe.end > at {
+                let leg = self.leg_arena.get_mut(qe.leg);
+                leg.voided = true;
+                self.busy[backend] -= (leg.end - at).min(leg.svc);
+                reqs.push(qe.req);
+            }
+        }
+        let voided = reqs.len();
+        reqs.sort_unstable();
+        reqs.dedup();
+        (reqs, voided)
+    }
+
+    /// Whether a crash that voided some of `ri`'s legs must re-dispatch
+    /// it: reads and ROWA updates once every live leg is voided, other
+    /// propagation modes once the primary leg is. A request with a
+    /// scheduled retry (which will re-dispatch it) or a terminal state
+    /// stays as it is.
+    fn needs_redispatch(&self, ri: usize) -> bool {
+        let r = &self.arena[ri];
+        if r.outcome != Outcome::Pending || r.retry_pending {
+            return false;
+        }
+        let mut legs = self.leg_arena.iter(r.legs).filter(|l| !l.cancelled);
+        match (r.kind, self.run.cfg.propagation) {
+            (QueryKind::Read, _) | (QueryKind::Update, UpdatePropagation::Rowa) => {
+                legs.all(|l| l.voided)
+            }
+            (QueryKind::Update, _) => legs.filter(|l| l.primary).last().is_none_or(|l| l.voided),
+        }
+    }
+
+    /// Rebuilds routing, the service profile and the spare-capacity
+    /// view for the current reachability, repairing the allocation
+    /// online when a weighted class lost its last routable replica. A
+    /// failed reroute keeps the previous routing table.
+    fn reroute(&mut self, at: f64) {
+        let run = self.run;
+        let routable: Vec<bool> = (0..self.alive.len()).map(|b| self.routable(b)).collect();
+        if let Ok(s) = reroute(
+            at,
+            &mut self.current,
+            run.cls,
+            run.cluster,
+            run.catalog,
+            &routable,
+            run.fcfg,
+            &mut self.free_at,
+            &mut self.stats.tally,
+        ) {
+            self.scheduler = s;
+        }
+        self.profile =
+            ServiceProfile::new(&self.current, run.cluster, run.catalog, run.cfg.locality);
+        self.spare = robust::spare_room(&self.current, run.cluster);
+    }
+
+    /// Applies one fault event to the run state — the only place a
+    /// [`FaultEvent`] changes liveness, reachability, service speed or
+    /// routing.
+    fn apply_fault(&mut self, e: &FaultEvent) {
+        let at = e.at();
+        let subject = match *e {
+            FaultEvent::Crash { backend, .. }
+            | FaultEvent::Recover { backend, .. }
+            | FaultEvent::Degrade { backend, .. }
+            | FaultEvent::Restore { backend, .. } => {
+                ("backend", backend as u64, u64::MAX - backend as u64)
+            }
+            FaultEvent::Partition { id, .. } | FaultEvent::Heal { id, .. } => {
+                ("partition", u64::from(id), u64::MAX / 2 - u64::from(id))
+            }
+        };
+        let mut voided_reqs = Vec::new();
+        let reroutes = match *e {
+            FaultEvent::Crash { backend, .. } => {
+                self.alive[backend] = false;
+                self.stats.crashes += 1;
+                self.breakers.on_crash(backend, at);
+                let voided_legs;
+                (voided_reqs, voided_legs) = self.void_pending(backend, at);
+                self.mark("crash", subject, at, 0, Some(("voided_legs", voided_legs)));
+                true
+            }
+            FaultEvent::Recover {
+                backend,
+                catchup_cost,
+                ..
+            } => {
+                self.alive[backend] = true;
+                self.stats.recoveries += 1;
+                self.free_at[backend] = at + catchup_cost;
+                self.queues[backend].clear();
+                self.breakers.on_recover(backend, at);
+                self.mark(
+                    "recover",
+                    subject,
+                    at,
+                    1,
+                    Some(("catchup_secs", catchup_cost)),
+                );
+                true
+            }
+            FaultEvent::Degrade {
+                backend, factor, ..
+            } => {
+                // Gray failure: the backend keeps serving (and keeps
+                // its breaker state), but every leg dispatched from now
+                // on takes `factor` times as long; legs already
+                // dispatched keep their committed service time. The
+                // breaker EWMA observes the slowdown and may trip on it.
+                self.slow[backend] = factor;
+                self.stats.gray_windows += 1;
+                self.mark("degrade", subject, at, 2, Some(("factor", factor)));
+                false
+            }
+            FaultEvent::Restore { backend, .. } => {
+                self.slow[backend] = 1.0;
+                self.mark("restore", subject, at, 3, None::<(&str, u64)>);
+                false
+            }
+            FaultEvent::Partition { id, .. } => {
+                // Link cut, not death: no voiding, no refund, no
+                // breaker trip — in-flight and queued legs on the cut
+                // side still complete; the side is only excluded from
+                // new routing until healed.
+                let side = self.run.plan.partition_side(id);
+                for &m in side {
+                    self.cut[m] = true;
+                }
+                self.stats.partitions += 1;
+                self.mark("partition", subject, at, 0, Some(("cut", side.len())));
+                true
+            }
+            FaultEvent::Heal { id, .. } => {
+                for &m in self.run.plan.partition_side(id) {
+                    self.cut[m] = false;
+                }
+                self.stats.heals += 1;
+                self.mark("heal", subject, at, 1, None::<(&str, u64)>);
+                true
+            }
+        };
+        if reroutes {
+            self.reroute(at);
+        }
+        // Re-queue what a crash voided, in arrival order, through the
+        // post-crash router; crash re-dispatches are budget-free.
+        for ri in voided_reqs {
+            if self.needs_redispatch(ri) {
+                self.tally.redispatched += 1;
+                self.trace_mark(ri, "redispatch", at);
+                self.dispatch(ri, at);
+            }
+        }
+        let routable = (0..self.alive.len()).filter(|&b| self.routable(b)).count();
+        self.stats.availability.push((at, routable));
+    }
+
+    /// Replays arrivals, retries and the fault schedule in one total
+    /// order: at equal times fault events go first (an event at or
+    /// before an arrival applies to it; events past the last arrival
+    /// still void queued work), then retries, then arrivals. `gids`
+    /// maps each request to its global stream index (`None` = identity)
+    /// so backoff jitter in a sharded component reproduces the
+    /// unsharded draws bit for bit.
+    fn replay(&mut self, requests: &[Request], gids: Option<&[u32]>) {
+        let events = self.run.plan.events();
+        let (mut ev_i, mut req_i) = (0usize, 0usize);
+        loop {
+            let ta = requests.get(req_i).map_or(f64::INFINITY, |r| r.arrival);
+            let te = events.get(ev_i).map_or(f64::INFINITY, FaultEvent::at);
+            // Nothing is ever scheduled while deadlines and retries are
+            // off, and peeking an empty calendar is not free.
+            let tr = if self.retries.is_empty() {
+                f64::INFINITY
+            } else {
+                self.retries
+                    .peek()
+                    .map_or(f64::INFINITY, |(bits, _)| f64::from_bits(bits))
+            };
+            if ta.is_infinite() && te.is_infinite() && tr.is_infinite() {
+                break;
+            }
+            if te <= tr && te <= ta {
+                self.apply_fault(&events[ev_i]);
+                ev_i += 1;
+            } else if tr <= ta {
+                if let Some((bits, packed)) = self.retries.pop() {
+                    self.dispatch((packed & 0xFFFF_FFFF) as usize, f64::from_bits(bits));
+                }
+            } else {
+                let r = &requests[req_i];
+                req_i += 1;
+                debug_assert!(
+                    self.arena.last().is_none_or(|p| p.arrival <= r.arrival),
+                    "arrivals must be sorted"
+                );
+                let idx = self.arena.len();
+                self.arena.push(RReq {
+                    arrival: r.arrival,
+                    class: r.class,
+                    kind: r.kind,
+                    service: r.service,
+                    gid: gids.map_or(idx as u64, |g| u64::from(g[idx])),
+                    legs: LegList::new(),
+                    attempts: 0,
+                    retry_pending: false,
+                    outcome: Outcome::Pending,
+                });
+                self.dispatch(idx, r.arrival);
+            }
+        }
+    }
+
+    /// A pending request's completion time under the response rule of
+    /// [`crate::engine::run_open`], over its live (neither voided nor
+    /// cancelled) legs: reads complete on their last leg, ROWA updates
+    /// when every replica leg has ended, other propagation modes on the
+    /// primary leg. `None` if no live leg answers the request.
+    fn completion_of(&self, r: &RReq) -> Option<f64> {
+        let live = self
+            .leg_arena
+            .iter(r.legs)
+            .filter(|l| !l.voided && !l.cancelled);
+        match (r.kind, self.run.cfg.propagation) {
+            (QueryKind::Read, _) => live.last().map(|l| l.end),
+            (QueryKind::Update, UpdatePropagation::Rowa) => live.map(|l| l.end).reduce(f64::max),
+            (QueryKind::Update, _) => live.filter(|l| l.primary).last().map(|l| l.end),
+        }
+    }
+
+    /// Closes the run: resolves every request to its terminal state
+    /// and, when tracing, records the breaker transition log and the
+    /// sampled per-request trees.
+    pub(crate) fn finish(mut self) -> RCore {
+        let fault_track = self.free_at.len() as u32;
+        let mut tracer = self.tracer.take();
+        if let Some(tr) = tracer.as_deref_mut() {
+            if tr.enabled() {
+                for (i, &(t, b, name)) in self.breakers.log.iter().enumerate() {
+                    tr.tree.mark(
+                        tr.span_id(0x8000_0000_0000_0000 | b as u64, i as u64),
+                        None,
+                        "breaker",
+                        name,
+                        fault_track,
+                        t,
+                        vec![("backend", b.into())],
+                    );
+                }
+            }
+        }
+
+        let mut finals = Vec::with_capacity(self.arena.len());
+        for (idx, r) in self.arena.iter().enumerate() {
+            let fin = match r.outcome {
+                Outcome::Shed => RFinal::Shed,
+                Outcome::TimedOut => RFinal::TimedOut,
+                Outcome::Pending => self
+                    .completion_of(r)
+                    .map_or(RFinal::Lost, RFinal::Completed),
+            };
+            if let Some(tr) = tracer.as_deref_mut() {
+                if tr.admit(idx as u64) {
+                    let outcome = match fin {
+                        RFinal::Completed(_) => "completed",
+                        RFinal::Shed => "shed",
+                        RFinal::TimedOut => "timed_out",
+                        RFinal::Lost => "lost",
+                    };
+                    trace_resilient_request(
+                        tr,
+                        idx as u64,
+                        r,
+                        &self.leg_arena,
+                        outcome,
+                        fault_track,
+                    );
+                }
+            }
+            finals.push((r.arrival, r.class, fin));
+        }
+
+        RCore {
+            finals,
+            busy: self.busy,
+            tally: self.tally,
+            breaker_opens: self.breakers.opens,
+            breaker_half_opens: self.breakers.half_opens,
+            breaker_closes: self.breakers.closes,
+            stats: self.stats,
         }
     }
 }
@@ -1178,9 +1542,10 @@ fn trace_resilient_request(
 }
 
 /// Runs timed arrivals through the scheduler with the resilience layer
-/// active, while applying `plan`'s crashes and recoveries. Requests
-/// must be sorted by arrival time. With [`ResilienceConfig::default`]
-/// the result is bit-identical to [`crate::fault::run_open_faults`].
+/// active, while applying `plan`'s fault events. Requests must be
+/// sorted by arrival time. With [`ResilienceConfig::default`] every
+/// layer is inert and the run is what [`crate::fault::run_open_faults`]
+/// reports.
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_resilient(
     alloc: &Allocation,
@@ -1229,21 +1594,19 @@ pub fn run_open_resilient_traced(
     rcfg: &ResilienceConfig,
     tracer: Option<&mut qcpa_obs::Tracer>,
 ) -> ResilienceReport {
-    let core = resilient_core(
+    let _span = qcpa_obs::span("sim", "run_open_resilient");
+    let run = FaultRun {
         alloc,
         cls,
         cluster,
         catalog,
-        requests,
-        None,
         warmup_backlog,
         cfg,
         plan,
         fcfg,
         rcfg,
-        tracer,
-        true,
-    );
+    };
+    let core = resilient_core(&run, requests, None, tracer, true).finish();
     assemble_resilience_report(requests, cls.len(), core)
 }
 
@@ -1272,519 +1635,61 @@ pub(crate) struct RCore {
     pub stats: FaultStats,
 }
 
-/// The resilience engine proper: replays arrivals, retries, and the
-/// layered fault schedule in one total order and returns raw terminal
-/// states. `gids` maps each request to its global stream index (`None`
-/// = identity) so backoff jitter in a sharded component reproduces the
-/// unsharded draws bit for bit; `publish = false` suppresses obs
-/// emission for per-component replays — the sharded driver publishes
-/// once from the merged result.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resilient_core(
-    alloc: &Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    catalog: &Catalog,
+/// The fault-aware open loop proper: builds the run state and replays
+/// `requests` against `run`'s fault plan (see [`Engine::replay`]);
+/// [`Engine::finish`] then yields the raw terminal states.
+/// `publish = false` suppresses obs emission for per-component replays
+/// — the sharded driver publishes once from the merged result.
+pub(crate) fn resilient_core<'a>(
+    run: &FaultRun<'a>,
     requests: &[Request],
-    gids: Option<&[usize]>,
-    warmup_backlog: f64,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    fcfg: &FaultConfig,
-    rcfg: &ResilienceConfig,
-    mut tracer: Option<&mut qcpa_obs::Tracer>,
+    gids: Option<&[u32]>,
+    mut tracer: Option<&'a mut qcpa_obs::Tracer>,
     publish: bool,
-) -> RCore {
-    let _span = qcpa_obs::span("sim", "run_open_resilient");
-    let n = cluster.len();
+) -> Engine<'a> {
+    let n = run.cluster.len();
     assert_eq!(
-        plan.n_backends(),
+        run.plan.n_backends(),
         n,
         "fault plan validated for a different cluster size"
     );
-    rcfg.validate();
+    run.rcfg.validate();
 
-    let fault_track = n as u32;
     if let Some(tr) = tracer.as_deref_mut() {
         if tr.enabled() {
             for b in 0..n {
                 tr.tree.name_track(b as u32, format!("backend {b}"));
             }
-            tr.tree.name_track(fault_track, "resilience");
+            tr.tree.name_track(n as u32, "resilience");
         }
     }
-    let trace_on = tracer.as_ref().is_some_and(|tr| tr.enabled());
+    let mut breakers = Breakers::new(n, run.rcfg);
+    breakers.log_enabled = tracer.as_ref().is_some_and(|tr| tr.enabled());
+    breakers.publish = publish;
 
-    let mut current = alloc.clone();
     let mut eng = Engine {
-        cls,
-        cfg,
-        rcfg,
-        scheduler: Scheduler::new(&current, cls),
-        profile: ServiceProfile::new(&current, cluster, catalog, cfg.locality),
-        spare: robust::spare_room(&current, cluster),
+        run: *run,
+        current: run.alloc.clone(),
+        scheduler: Scheduler::new(run.alloc, run.cls),
+        profile: ServiceProfile::new(run.alloc, run.cluster, run.catalog, run.cfg.locality),
+        spare: robust::spare_room(run.alloc, run.cluster),
         alive: vec![true; n],
         slow: vec![1.0f64; n],
         cut: vec![false; n],
-        free_at: vec![warmup_backlog.max(0.0); n],
+        free_at: vec![run.warmup_backlog.max(0.0); n],
         busy: vec![0.0; n],
         queues: vec![VecDeque::new(); n],
         arena: Vec::with_capacity(requests.len()),
         leg_arena: LegArena::with_capacity(requests.len() * 2),
-        breakers: Breakers::new(n, rcfg),
-        retries: SimQueue::with_capacity(QueueKind::from_env(), 0),
+        breakers,
+        retries: CalendarQueue::new(),
         retry_seq: 0,
         tally: Tally::default(),
+        stats: FaultStats::new(n, publish),
         tracer,
     };
-    eng.breakers.log_enabled = trace_on;
-    eng.breakers.publish = publish;
-
-    let mut stats = FaultStats::new(n, publish);
-
-    let events = plan.events();
-    let mut ev_i = 0usize;
-    let mut req_i = 0usize;
-
-    // One merged, totally ordered replay: fault events first at equal
-    // times (matching the fault engine's `<=` arrival rule), then
-    // retries, then arrivals.
-    loop {
-        let ta = requests
-            .get(req_i)
-            .map(|r| r.arrival)
-            .unwrap_or(f64::INFINITY);
-        let te = events.get(ev_i).map(|e| e.at()).unwrap_or(f64::INFINITY);
-        let tr = eng
-            .retries
-            .peek()
-            .map(|(bits, _)| f64::from_bits(bits))
-            .unwrap_or(f64::INFINITY);
-        if ta.is_infinite() && te.is_infinite() && tr.is_infinite() {
-            break;
-        }
-        if te <= tr && te <= ta {
-            let e = &events[ev_i];
-            ev_i += 1;
-            match *e {
-                FaultEvent::Crash { backend, at } => {
-                    eng.alive[backend] = false;
-                    stats.crashes += 1;
-                    eng.breakers.on_crash(backend, at);
-                    // Void legs still running or queued on the casualty
-                    // and refund their unperformed work.
-                    let entries = std::mem::take(&mut eng.queues[backend]);
-                    let mut candidates: Vec<usize> = Vec::new();
-                    let mut voided = 0usize;
-                    for qe in entries {
-                        if qe.end > at {
-                            let leg = *eng.leg_arena.get(qe.leg);
-                            eng.leg_arena.get_mut(qe.leg).voided = true;
-                            eng.busy[backend] -= (leg.end - at).min(leg.svc);
-                            candidates.push(qe.req);
-                            voided += 1;
-                        }
-                    }
-                    candidates.sort_unstable();
-                    candidates.dedup();
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "crash", {
-                            "backend" => backend,
-                            "at" => at,
-                            "voided_legs" => voided,
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX - backend as u64, at.to_bits()),
-                                None,
-                                "fault",
-                                "crash",
-                                fault_track,
-                                at,
-                                vec![("backend", backend.into()), ("voided_legs", voided.into())],
-                            );
-                        }
-                    }
-                    let routable: Vec<bool> = eng
-                        .alive
-                        .iter()
-                        .zip(eng.cut.iter())
-                        .map(|(&a, &c)| a && !c)
-                        .collect();
-                    if let Ok(s) = reroute(
-                        at,
-                        &mut current,
-                        cls,
-                        cluster,
-                        catalog,
-                        &routable,
-                        fcfg,
-                        &mut eng.free_at,
-                        &mut stats.tally,
-                    ) {
-                        eng.scheduler = s;
-                    }
-                    eng.profile = ServiceProfile::new(&current, cluster, catalog, cfg.locality);
-                    eng.spare = robust::spare_room(&current, cluster);
-                    // Re-queue the requests the crash voided, in
-                    // arrival order — unless a retry is already
-                    // scheduled (it will re-dispatch them) or they
-                    // reached a terminal state.
-                    for ri in candidates {
-                        let needs = {
-                            let r = &eng.arena[ri];
-                            if r.outcome != Outcome::Pending || r.retry_pending {
-                                false
-                            } else {
-                                match (r.kind, cfg.propagation) {
-                                    (QueryKind::Read, _)
-                                    | (QueryKind::Update, UpdatePropagation::Rowa) => eng
-                                        .leg_arena
-                                        .iter(r.legs)
-                                        .filter(|l| !l.cancelled)
-                                        .all(|l| l.voided),
-                                    (QueryKind::Update, _) => eng
-                                        .leg_arena
-                                        .iter(r.legs)
-                                        .filter(|l| !l.cancelled && l.primary)
-                                        .last()
-                                        .is_none_or(|l| l.voided),
-                                }
-                            }
-                        };
-                        if !needs {
-                            continue;
-                        }
-                        eng.arena[ri].outcome = Outcome::Pending;
-                        eng.tally.redispatched += 1;
-                        eng.trace_mark(ri, "redispatch", at);
-                        eng.dispatch(ri, at);
-                    }
-                }
-                FaultEvent::Recover {
-                    backend,
-                    at,
-                    catchup_cost,
-                } => {
-                    eng.alive[backend] = true;
-                    stats.recoveries += 1;
-                    eng.free_at[backend] = at + catchup_cost;
-                    eng.queues[backend].clear();
-                    eng.breakers.on_recover(backend, at);
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "recover", {
-                            "backend" => backend,
-                            "at" => at,
-                            "catchup_secs" => catchup_cost,
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 1),
-                                None,
-                                "fault",
-                                "recover",
-                                fault_track,
-                                at,
-                                vec![
-                                    ("backend", backend.into()),
-                                    ("catchup_secs", catchup_cost.into()),
-                                ],
-                            );
-                        }
-                    }
-                    let routable: Vec<bool> = eng
-                        .alive
-                        .iter()
-                        .zip(eng.cut.iter())
-                        .map(|(&a, &c)| a && !c)
-                        .collect();
-                    if let Ok(s) = reroute(
-                        at,
-                        &mut current,
-                        cls,
-                        cluster,
-                        catalog,
-                        &routable,
-                        fcfg,
-                        &mut eng.free_at,
-                        &mut stats.tally,
-                    ) {
-                        eng.scheduler = s;
-                    }
-                    eng.profile = ServiceProfile::new(&current, cluster, catalog, cfg.locality);
-                    eng.spare = robust::spare_room(&current, cluster);
-                }
-                FaultEvent::Degrade {
-                    backend,
-                    at,
-                    factor,
-                } => {
-                    // Gray failure: the backend keeps serving (and keeps
-                    // its breaker state), but every leg dispatched from
-                    // now on takes `factor` times as long — the breaker
-                    // EWMA observes the slowdown and may trip on it.
-                    eng.slow[backend] = factor;
-                    stats.gray_windows += 1;
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "degrade", {
-                            "backend" => backend,
-                            "at" => at,
-                            "factor" => factor,
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 2),
-                                None,
-                                "fault",
-                                "degrade",
-                                fault_track,
-                                at,
-                                vec![("backend", backend.into()), ("factor", factor.into())],
-                            );
-                        }
-                    }
-                }
-                FaultEvent::Restore { backend, at } => {
-                    eng.slow[backend] = 1.0;
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "restore", {
-                            "backend" => backend,
-                            "at" => at,
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX - backend as u64, at.to_bits() ^ 3),
-                                None,
-                                "fault",
-                                "restore",
-                                fault_track,
-                                at,
-                                vec![("backend", backend.into())],
-                            );
-                        }
-                    }
-                }
-                FaultEvent::Partition { id, at } => {
-                    // Link cut, not death: no voiding, no breaker trip —
-                    // in-flight and queued legs on the cut side still
-                    // complete; the side is only excluded from new
-                    // routing until healed.
-                    for &m in plan.partition_side(id) {
-                        eng.cut[m] = true;
-                    }
-                    stats.partitions += 1;
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "partition", {
-                            "partition" => id,
-                            "at" => at,
-                            "cut" => plan.partition_side(id).len(),
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX / 2 - u64::from(id), at.to_bits()),
-                                None,
-                                "fault",
-                                "partition",
-                                fault_track,
-                                at,
-                                vec![
-                                    ("partition", id.into()),
-                                    ("cut", plan.partition_side(id).len().into()),
-                                ],
-                            );
-                        }
-                    }
-                    let routable: Vec<bool> = eng
-                        .alive
-                        .iter()
-                        .zip(eng.cut.iter())
-                        .map(|(&a, &c)| a && !c)
-                        .collect();
-                    if let Ok(s) = reroute(
-                        at,
-                        &mut current,
-                        cls,
-                        cluster,
-                        catalog,
-                        &routable,
-                        fcfg,
-                        &mut eng.free_at,
-                        &mut stats.tally,
-                    ) {
-                        eng.scheduler = s;
-                    }
-                    eng.profile = ServiceProfile::new(&current, cluster, catalog, cfg.locality);
-                    eng.spare = robust::spare_room(&current, cluster);
-                }
-                FaultEvent::Heal { id, at } => {
-                    for &m in plan.partition_side(id) {
-                        eng.cut[m] = false;
-                    }
-                    stats.heals += 1;
-                    if publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "heal", {
-                            "partition" => id,
-                            "at" => at,
-                        });
-                    }
-                    if let Some(tr) = eng.tracer.as_deref_mut() {
-                        if tr.enabled() {
-                            tr.tree.mark(
-                                tr.span_id(u64::MAX / 2 - u64::from(id), at.to_bits() ^ 1),
-                                None,
-                                "fault",
-                                "heal",
-                                fault_track,
-                                at,
-                                vec![("partition", id.into())],
-                            );
-                        }
-                    }
-                    let routable: Vec<bool> = eng
-                        .alive
-                        .iter()
-                        .zip(eng.cut.iter())
-                        .map(|(&a, &c)| a && !c)
-                        .collect();
-                    if let Ok(s) = reroute(
-                        at,
-                        &mut current,
-                        cls,
-                        cluster,
-                        catalog,
-                        &routable,
-                        fcfg,
-                        &mut eng.free_at,
-                        &mut stats.tally,
-                    ) {
-                        eng.scheduler = s;
-                    }
-                    eng.profile = ServiceProfile::new(&current, cluster, catalog, cfg.locality);
-                    eng.spare = robust::spare_room(&current, cluster);
-                }
-            }
-            let routable = eng
-                .alive
-                .iter()
-                .zip(eng.cut.iter())
-                .filter(|&(&a, &c)| a && !c)
-                .count();
-            stats.availability.push((e.at(), routable));
-        } else if tr <= ta {
-            if let Some((bits, packed)) = eng.retries.pop() {
-                eng.dispatch((packed & 0xFFFF_FFFF) as usize, f64::from_bits(bits));
-            }
-        } else {
-            let r = &requests[req_i];
-            req_i += 1;
-            debug_assert!(
-                eng.arena.last().is_none_or(|p| p.arrival <= r.arrival),
-                "arrivals must be sorted"
-            );
-            let idx = eng.arena.len();
-            eng.arena.push(RReq {
-                arrival: r.arrival,
-                class: r.class,
-                kind: r.kind,
-                service: r.service,
-                gid: gids.map_or(idx as u64, |g| g[idx] as u64),
-                legs: LegList::new(),
-                attempts: 0,
-                retry_pending: false,
-                outcome: Outcome::Pending,
-            });
-            eng.dispatch(idx, r.arrival);
-        }
-    }
-
-    // Reclaim the tracer: the breaker transition log and the sampled
-    // per-request trees are recorded outside the engine's borrow.
-    let mut tracer = eng.tracer.take();
-    if let Some(tr) = tracer.as_deref_mut() {
-        if tr.enabled() {
-            for (i, &(t, b, name)) in eng.breakers.log.iter().enumerate() {
-                tr.tree.mark(
-                    tr.span_id(0x8000_0000_0000_0000 | b as u64, i as u64),
-                    None,
-                    "breaker",
-                    name,
-                    fault_track,
-                    t,
-                    vec![("backend", b.into())],
-                );
-            }
-        }
-    }
-
-    // Finalize: every non-voided, non-cancelled leg ran to completion.
-    let mut finals = Vec::with_capacity(eng.arena.len());
-    for (idx, r) in eng.arena.iter().enumerate() {
-        let fin = match r.outcome {
-            Outcome::Shed => RFinal::Shed,
-            Outcome::TimedOut => RFinal::TimedOut,
-            Outcome::Pending => {
-                let live = |l: &&RLeg| !l.voided && !l.cancelled;
-                let completion = match (r.kind, cfg.propagation) {
-                    (QueryKind::Read, _) => eng
-                        .leg_arena
-                        .iter(r.legs)
-                        .filter(live)
-                        .last()
-                        .map(|l| l.end),
-                    (QueryKind::Update, UpdatePropagation::Rowa) => eng
-                        .leg_arena
-                        .iter(r.legs)
-                        .filter(live)
-                        .map(|l| l.end)
-                        .fold(None, |acc: Option<f64>, e| {
-                            Some(acc.map_or(e, |a| a.max(e)))
-                        }),
-                    (QueryKind::Update, _) => eng
-                        .leg_arena
-                        .iter(r.legs)
-                        .filter(|l| l.primary && !l.voided && !l.cancelled)
-                        .last()
-                        .map(|l| l.end),
-                };
-                match completion {
-                    Some(end) => RFinal::Completed(end),
-                    None => RFinal::Lost,
-                }
-            }
-        };
-        if let Some(tr) = tracer.as_deref_mut() {
-            if tr.admit(idx as u64) {
-                let outcome = match fin {
-                    RFinal::Completed(_) => "completed",
-                    RFinal::Shed => "shed",
-                    RFinal::TimedOut => "timed_out",
-                    RFinal::Lost => "lost",
-                };
-                trace_resilient_request(tr, idx as u64, r, &eng.leg_arena, outcome, fault_track);
-            }
-        }
-        finals.push((r.arrival, r.class, fin));
-    }
-
-    RCore {
-        finals,
-        busy: eng.busy,
-        tally: eng.tally,
-        breaker_opens: eng.breakers.opens,
-        breaker_half_opens: eng.breakers.half_opens,
-        breaker_closes: eng.breakers.closes,
-        stats,
-    }
+    eng.replay(requests, gids);
+    eng
 }
 
 /// Rebuilds the public [`ResilienceReport`] from raw terminal states —
@@ -2005,6 +1910,58 @@ mod tests {
         assert_eq!(rep.timeouts, 0);
         assert_eq!(rep.retries, 0);
         assert_eq!(rep.breaker_opens, 0);
+    }
+
+    #[test]
+    fn update_only_backend_pending_queue_stays_bounded() {
+        // Backend 1 stores only table B, which only the update class
+        // touches: no read is ever admitted there, so nothing but the
+        // push-time pruning can drain its pending queue.
+        let mut cat = Catalog::new();
+        let a = cat.add_table("A", 4_000);
+        let b = cat.add_table("B", 4_000);
+        let cls = Classification::from_classes(vec![
+            QueryClass::read(0, [a], 0.6),
+            QueryClass::update(1, [b], 0.4),
+        ])
+        .unwrap();
+        let cluster = ClusterSpec::homogeneous(2);
+        let mut alloc = Allocation::empty(2, 2);
+        alloc.fragments[0].insert(a);
+        alloc.fragments[1].insert(b);
+        alloc.assign[0][0] = 0.6;
+        alloc.assign[1][1] = 0.4;
+        // Half-loaded: every leg ends before the next one arrives.
+        let reqs: Vec<Request> = (0..20_000)
+            .map(|i| Request {
+                class: ClassId(1),
+                kind: QueryKind::Update,
+                service: 0.01,
+                arrival: i as f64 * 0.02,
+            })
+            .collect();
+        let run = FaultRun {
+            alloc: &alloc,
+            cls: &cls,
+            cluster: &cluster,
+            catalog: &cat,
+            warmup_backlog: 0.0,
+            cfg: &SimConfig::default(),
+            plan: &FaultPlan::new(Vec::new(), 2).unwrap(),
+            fcfg: &FaultConfig::default(),
+            rcfg: &ResilienceConfig::default(),
+        };
+        let eng = resilient_core(&run, &reqs, None, None, false);
+        assert!(
+            eng.queues[1].len() <= 2,
+            "update-only backend kept {} finished entries",
+            eng.queues[1].len()
+        );
+        let core = eng.finish();
+        assert!(core
+            .finals
+            .iter()
+            .all(|f| matches!(f.2, RFinal::Completed(_))));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Scheduler {
     /// original ids.
     ///
     /// Returns `None` exactly when `fail_backends` does: some positively
-    /// weighted class has no capable survivor — the fault engine then
+    /// weighted class has no capable survivor — the fault-aware loop then
     /// runs an online [`ksafety::repair`] and retries.
     pub fn for_survivors(
         alloc: &Allocation,

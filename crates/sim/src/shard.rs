@@ -31,6 +31,12 @@
 //! eligible on every backend) degenerates to the plain engine run —
 //! sharding never changes results, it only buys wall-clock when the
 //! allocation actually decomposes.
+//!
+//! Faulted runs split the same way, with the fault plan's couplings
+//! welded into the graph ([`fault_components`]): one driver replays
+//! the fault-aware loop of [`crate::resilience`] per component, and
+//! [`run_open_faults_sharded`] / [`run_open_resilient_sharded`] are its
+//! two report views.
 
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
@@ -39,15 +45,12 @@ use qcpa_core::fragment::Catalog;
 use qcpa_core::journal::QueryKind;
 
 use crate::engine::{finish_open_report, open_loop_core, CoreOutcome, OpenReport, SimConfig};
-use crate::fault::{
-    assemble_fault_report, fault_core, run_open_faults, FaultConfig, FaultCore, FaultEvent,
-    FaultPlan, FaultReport,
-};
+use crate::fault::{assemble_fault_report, FaultConfig, FaultEvent, FaultPlan, FaultReport};
 use crate::queue::QueueKind;
 use crate::request::Request;
 use crate::resilience::{
-    assemble_resilience_report, resilient_core, run_open_resilient, RCore, RFinal,
-    ResilienceConfig, ResilienceReport, Tally,
+    assemble_resilience_report, resilient_core, FaultRun, RCore, RFinal, ResilienceConfig,
+    ResilienceReport, Tally,
 };
 use crate::scheduler::Scheduler;
 use crate::service::ServiceProfile;
@@ -100,21 +103,72 @@ impl UnionFind {
 /// backends no class touches each form a singleton.
 #[must_use]
 pub fn backend_components(scheduler: &Scheduler, cls: &Classification, n: usize) -> Vec<usize> {
+    components(scheduler, cls, n, &[], &[])
+}
+
+/// [`backend_components`] with the fault plan welded into the coupling
+/// graph: beyond the class-routing edges, every pair of backends coupled
+/// by a fault event lands in one component — members of a partition
+/// side (they are cut and healed as one routing change) and backends
+/// crashed at the same instant (a correlated zone failure). Repair
+/// source/target coupling is handled separately: plans that can trigger
+/// an online repair mutate the allocation globally, so the sharded
+/// driver detects them with [`plan_may_repair`] and falls back to the
+/// unsharded loop instead of welding everything into one component.
+#[must_use]
+pub fn fault_components(
+    scheduler: &Scheduler,
+    cls: &Classification,
+    n: usize,
+    plan: &FaultPlan,
+) -> Vec<usize> {
+    components(scheduler, cls, n, plan.partition_sides(), plan.events())
+}
+
+/// The component builder behind both public views: class-routing edges
+/// plus the fault couplings of `sides` and `events` (none for a healthy
+/// run).
+fn components(
+    scheduler: &Scheduler,
+    cls: &Classification,
+    n: usize,
+    sides: &[Vec<usize>],
+    events: &[FaultEvent],
+) -> Vec<usize> {
     let mut uf = UnionFind::new(n);
+    let mut weld = |targets: &[usize]| {
+        for w in targets.windows(2) {
+            uf.union(w[0], w[1]);
+        }
+    };
     for c in &cls.classes {
-        let weld = |uf: &mut UnionFind, targets: &[usize]| {
-            for w in targets.windows(2) {
-                uf.union(w[0], w[1]);
-            }
-        };
         match c.kind {
             QueryKind::Read => {
-                weld(&mut uf, scheduler.read_targets(c.id));
+                weld(scheduler.read_targets(c.id));
                 // Degraded routing may fall back to any capable backend;
                 // welding the superset keeps the split conservative.
-                weld(&mut uf, scheduler.capable_read_targets(c.id));
+                weld(scheduler.capable_read_targets(c.id));
             }
-            QueryKind::Update => weld(&mut uf, scheduler.route_update(c.id)),
+            QueryKind::Update => weld(scheduler.route_update(c.id)),
+        }
+    }
+    for side in sides {
+        weld(side);
+    }
+    // Correlated crashes: zone failures draw one instant for every
+    // member, so identical at-bits mark the zone's members.
+    let crashes: Vec<(u64, usize)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            FaultEvent::Crash { backend, at } => Some((at.to_bits(), backend)),
+            _ => None,
+        })
+        .collect();
+    for (i, &(at, b)) in crashes.iter().enumerate() {
+        for &(at2, b2) in &crashes[i + 1..] {
+            if at == at2 {
+                weld(&[b, b2]);
+            }
         }
     }
     let mut component = vec![usize::MAX; n];
@@ -128,6 +182,45 @@ pub fn backend_components(scheduler: &Scheduler, cls: &Classification, n: usize)
         component[b] = component[root];
     }
     component
+}
+
+/// Each class's component: the component of any of its targets (they
+/// are all welded together). `None` marks a class with no routing
+/// targets at all.
+fn class_components(
+    scheduler: &Scheduler,
+    cls: &Classification,
+    component: &[usize],
+) -> Vec<Option<usize>> {
+    cls.classes
+        .iter()
+        .map(|c| {
+            let targets = match c.kind {
+                QueryKind::Read => scheduler.read_targets(c.id),
+                QueryKind::Update => scheduler.route_update(c.id),
+            };
+            targets.first().map(|&b| component[b])
+        })
+        .collect()
+}
+
+/// Partitions the arrival sequence per component, remembering each
+/// request's original index for the merge. Requests of a class with no
+/// targets belong to no component and are left out.
+fn split_requests(
+    class_comp: &[Option<usize>],
+    n_components: usize,
+    requests: &[Request],
+) -> (Vec<Vec<Request>>, Vec<Vec<u32>>) {
+    let mut shard_reqs: Vec<Vec<Request>> = vec![Vec::new(); n_components];
+    let mut shard_orig: Vec<Vec<u32>> = vec![Vec::new(); n_components];
+    for (i, r) in requests.iter().enumerate() {
+        if let Some(j) = class_comp.get(r.class.idx()).copied().flatten() {
+            shard_reqs[j].push(*r);
+            shard_orig[j].push(i as u32);
+        }
+    }
+    (shard_reqs, shard_orig)
 }
 
 /// [`crate::engine::run_open`] over backend components on up to
@@ -150,68 +243,39 @@ pub fn run_open_sharded(
     let scheduler = Scheduler::new(alloc, cls);
     let profile = ServiceProfile::new(alloc, cluster, catalog, cfg.locality);
     let n = cluster.len();
-    let kind = QueueKind::from_env();
+    let core = |reqs: &[Request]| {
+        open_loop_core(
+            &scheduler,
+            &profile,
+            n,
+            reqs,
+            warmup_backlog,
+            cfg,
+            QueueKind::Calendar,
+            None,
+        )
+    };
 
     let component = backend_components(&scheduler, cls, n);
     let n_components = component.iter().copied().max().map_or(0, |m| m + 1);
 
     // One component (or a degenerate cluster): the split buys nothing.
     if n_components <= 1 {
-        let (outcomes, busy) = open_loop_core(
-            &scheduler,
-            &profile,
-            n,
-            requests,
-            warmup_backlog,
-            cfg,
-            kind,
-            None,
-        );
+        let (outcomes, busy) = core(requests);
         return finish_open_report(requests, &outcomes, busy);
     }
 
-    // A class's component is the component of any of its targets (they
-    // are all welded together). Classes with no targets at all route
-    // nowhere in the engine, so their requests are dropped the same way
-    // the unsharded loop drops them: no outcome, no state change.
-    let class_comp: Vec<Option<usize>> = cls
-        .classes
-        .iter()
-        .map(|c| {
-            let targets = match c.kind {
-                QueryKind::Read => scheduler.read_targets(c.id),
-                QueryKind::Update => scheduler.route_update(c.id),
-            };
-            targets.first().map(|&b| component[b])
-        })
-        .collect();
-
-    // Partition the arrival sequence per component, remembering each
-    // request's original index for the merge.
-    let mut shard_reqs: Vec<Vec<Request>> = vec![Vec::new(); n_components];
-    let mut shard_orig: Vec<Vec<u32>> = vec![Vec::new(); n_components];
-    for (i, r) in requests.iter().enumerate() {
-        if let Some(j) = class_comp.get(r.class.idx()).copied().flatten() {
-            shard_reqs[j].push(*r);
-            shard_orig[j].push(i as u32);
-        }
-    }
+    // Classes with no targets at all route nowhere in the engine, so
+    // the split drops their requests the same way the unsharded loop
+    // does: no outcome, no state change.
+    let class_comp = class_components(&scheduler, cls, &component);
+    let (shard_reqs, shard_orig) = split_requests(&class_comp, n_components, requests);
 
     // Simulate each component independently. Results are slotted by
     // component index, so the outcome is identical at any worker count.
     let pool = qcpa_par::Pool::with_workers(shards.max(1).min(n_components));
-    let per_shard: Vec<(Vec<CoreOutcome>, Vec<f64>)> = pool.map(n_components, |j| {
-        open_loop_core(
-            &scheduler,
-            &profile,
-            n,
-            &shard_reqs[j],
-            warmup_backlog,
-            cfg,
-            kind,
-            None,
-        )
-    });
+    let per_shard: Vec<(Vec<CoreOutcome>, Vec<f64>)> =
+        pool.map(n_components, |j| core(&shard_reqs[j]));
 
     // Merge outcomes back into global arrival order and re-key them by
     // original request index; merge busy from each backend's owning
@@ -232,80 +296,14 @@ pub fn run_open_sharded(
     finish_open_report(requests, &merged, busy)
 }
 
-/// [`backend_components`] with the fault plan welded into the coupling
-/// graph: beyond the class-routing edges, every pair of backends coupled
-/// by a fault event lands in one component — members of a partition
-/// side (they are cut and healed as one routing change) and backends
-/// crashed at the same instant (a correlated zone failure). Repair
-/// source/target coupling is handled separately: plans that can trigger
-/// an online repair mutate the allocation globally, so the sharded
-/// drivers detect them with [`plan_may_repair`] and fall back to the
-/// unsharded engine instead of welding everything into one component.
-#[must_use]
-pub fn fault_components(
-    scheduler: &Scheduler,
-    cls: &Classification,
-    n: usize,
-    plan: &FaultPlan,
-) -> Vec<usize> {
-    let mut uf = UnionFind::new(n);
-    for c in &cls.classes {
-        let weld = |uf: &mut UnionFind, targets: &[usize]| {
-            for w in targets.windows(2) {
-                uf.union(w[0], w[1]);
-            }
-        };
-        match c.kind {
-            QueryKind::Read => {
-                weld(&mut uf, scheduler.read_targets(c.id));
-                weld(&mut uf, scheduler.capable_read_targets(c.id));
-            }
-            QueryKind::Update => weld(&mut uf, scheduler.route_update(c.id)),
-        }
-    }
-    for side in plan.partition_sides() {
-        for w in side.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-    }
-    // Correlated crashes: zone failures draw one instant for every
-    // member, so identical at-bits mark the zone's members.
-    let crashes: Vec<(u64, usize)> = plan
-        .events()
-        .iter()
-        .filter_map(|e| match *e {
-            FaultEvent::Crash { backend, at } => Some((at.to_bits(), backend)),
-            _ => None,
-        })
-        .collect();
-    for (i, &(at, b)) in crashes.iter().enumerate() {
-        for &(at2, b2) in &crashes[i + 1..] {
-            if at == at2 {
-                uf.union(b, b2);
-            }
-        }
-    }
-    let mut component = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for b in 0..n {
-        let root = uf.find(b);
-        if component[root] == usize::MAX {
-            component[root] = next;
-            next += 1;
-        }
-        component[b] = component[root];
-    }
-    component
-}
-
 /// Whether replaying `plan` against the pristine allocation could ever
 /// trigger an online k-safety repair (or an outright reroute failure).
-/// Until the first repair the fault engines never mutate the
+/// Until the first repair the fault-aware loop never mutates the
 /// allocation, so the pre-check is exact: after each routing-changing
 /// event the routable set either still serves every weighted class
-/// ([`Scheduler::for_survivors`] is `Some`) or the engine would repair.
+/// ([`Scheduler::for_survivors`] is `Some`) or the loop would repair.
 /// Repairs couple every surviving backend through the re-replicated
-/// fragments, so the sharded drivers fall back to the unsharded engine
+/// fragments, so the sharded driver falls back to the unsharded loop
 /// when this returns true.
 #[must_use]
 pub fn plan_may_repair(
@@ -355,47 +353,73 @@ pub fn plan_may_repair(
     false
 }
 
-/// Per-component request split shared by the fault-aware drivers:
-/// `(class → component, per-component requests, original indices)`.
-/// `None` in the class map marks a class with no routing targets.
-type RequestSplit = (Vec<Option<usize>>, Vec<Vec<Request>>, Vec<Vec<u32>>);
-
-fn split_requests(
-    scheduler: &Scheduler,
-    cls: &Classification,
-    component: &[usize],
-    n_components: usize,
-    requests: &[Request],
-) -> RequestSplit {
-    let class_comp: Vec<Option<usize>> = cls
-        .classes
-        .iter()
-        .map(|c| {
-            let targets = match c.kind {
-                QueryKind::Read => scheduler.read_targets(c.id),
-                QueryKind::Update => scheduler.route_update(c.id),
-            };
-            targets.first().map(|&b| component[b])
-        })
-        .collect();
-    let mut shard_reqs: Vec<Vec<Request>> = vec![Vec::new(); n_components];
-    let mut shard_orig: Vec<Vec<u32>> = vec![Vec::new(); n_components];
-    for (i, r) in requests.iter().enumerate() {
-        if let Some(j) = class_comp.get(r.class.idx()).copied().flatten() {
-            shard_reqs[j].push(*r);
-            shard_orig[j].push(i as u32);
-        }
-    }
-    (class_comp, shard_reqs, shard_orig)
-}
-
-/// [`run_open_faults`] over fault-welded backend components on up to
-/// `shards` [`qcpa_par`] workers — bit-identical to the unsharded run.
+/// The one fault-aware sharded driver: [`resilient_core`] over
+/// fault-welded backend components on up to `shards` [`qcpa_par`]
+/// workers, merged to the raw core of the unsharded run bit for bit.
 /// Every component replays the *full* event schedule (events are cheap
 /// and keep the per-component alive/cut/slow trajectories exactly the
-/// unsharded ones) but only its own arrivals. Falls back to the
-/// unsharded engine when the plan could trigger an online repair, when
-/// some class routes nowhere, or when the graph is one component.
+/// unsharded ones) but only its own arrivals. Backend-local breaker
+/// state is exact in the component that owns the backend (it sees all
+/// fault events plus every dispatch to it), retry jitter is keyed on
+/// global request ids, and the per-request tallies sum. Falls back to
+/// the unsharded loop — before any request is copied — when the graph
+/// is one component, when some class routes nowhere, or when the plan
+/// could trigger an online repair.
+fn sharded_core(run: &FaultRun<'_>, requests: &[Request], shards: usize) -> RCore {
+    let n = run.cluster.len();
+    let scheduler = Scheduler::new(run.alloc, run.cls);
+    let component = fault_components(&scheduler, run.cls, n, run.plan);
+    let n_components = component.iter().copied().max().map_or(0, |m| m + 1);
+    let class_comp = class_components(&scheduler, run.cls, &component);
+    if n_components <= 1
+        || class_comp.iter().any(Option::is_none)
+        || plan_may_repair(run.alloc, run.cls, run.cluster, run.plan)
+    {
+        return resilient_core(run, requests, None, None, true).finish();
+    }
+
+    let (shard_reqs, shard_orig) = split_requests(&class_comp, n_components, requests);
+    let pool = qcpa_par::Pool::with_workers(shards.max(1).min(n_components));
+    let per_shard: Vec<RCore> = pool.map(n_components, |j| {
+        resilient_core(run, &shard_reqs[j], Some(&shard_orig[j]), None, false).finish()
+    });
+
+    // Merge: terminal states re-keyed by original index (every request
+    // is in exactly one component, so the placeholder is always
+    // overwritten); busy and breaker columns from each backend's owner;
+    // request-driven tallies sum; event stats from component 0
+    // (identical everywhere).
+    let mut finals: Vec<_> = requests
+        .iter()
+        .map(|r| (r.arrival, r.class, RFinal::Lost))
+        .collect();
+    let mut tally = Tally::default();
+    for (j, core) in per_shard.iter().enumerate() {
+        for (k, &f) in core.finals.iter().enumerate() {
+            finals[shard_orig[j][k] as usize] = f;
+        }
+        tally.absorb(&core.tally);
+        debug_assert_eq!(
+            core.stats.tally.repairs, 0,
+            "plans that may repair must fall back to the unsharded loop"
+        );
+    }
+    let owner = |b: usize| &per_shard[component[b]];
+    RCore {
+        finals,
+        busy: (0..n).map(|b| owner(b).busy[b]).collect(),
+        tally,
+        breaker_opens: (0..n).map(|b| owner(b).breaker_opens[b]).collect(),
+        breaker_half_opens: (0..n).map(|b| owner(b).breaker_half_opens[b]).collect(),
+        breaker_closes: (0..n).map(|b| owner(b).breaker_closes[b]).collect(),
+        stats: per_shard[0].stats.clone(),
+    }
+}
+
+/// [`crate::fault::run_open_faults`] over fault-welded backend
+/// components — the same projection of the resilient core, taken from
+/// [`run_open_resilient_sharded`]'s driver with every mechanism off,
+/// and bit-identical to the unsharded report.
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_faults_sharded(
     alloc: &Allocation,
@@ -410,86 +434,23 @@ pub fn run_open_faults_sharded(
     shards: usize,
 ) -> FaultReport {
     let _span = qcpa_obs::span("sim", "run_open_faults_sharded");
-    let n = cluster.len();
-    let scheduler = Scheduler::new(alloc, cls);
-    let component = fault_components(&scheduler, cls, n, plan);
-    let n_components = component.iter().copied().max().map_or(0, |m| m + 1);
-    let (class_comp, shard_reqs, shard_orig) =
-        split_requests(&scheduler, cls, &component, n_components.max(1), requests);
-    if n_components <= 1
-        || class_comp.iter().any(|c| c.is_none())
-        || plan_may_repair(alloc, cls, cluster, plan)
-    {
-        return run_open_faults(
-            alloc,
-            cls,
-            cluster,
-            catalog,
-            requests,
-            warmup_backlog,
-            cfg,
-            plan,
-            fcfg,
-        );
-    }
-
-    let pool = qcpa_par::Pool::with_workers(shards.max(1).min(n_components));
-    let per_shard: Vec<FaultCore> = pool.map(n_components, |j| {
-        fault_core(
-            alloc,
-            cls,
-            cluster,
-            catalog,
-            &shard_reqs[j],
-            warmup_backlog,
-            cfg,
-            plan,
-            fcfg,
-            None,
-            false,
-        )
-    });
-
-    // Merge: completions re-keyed by original arrival index; busy from
-    // each backend's owning component; event stats from component 0
-    // (identical everywhere) with the request-driven re-dispatch count
-    // summed.
-    let mut completions: Vec<(f64, Option<f64>)> =
-        requests.iter().map(|r| (r.arrival, None)).collect();
-    let mut redispatched = 0usize;
-    for (j, core) in per_shard.iter().enumerate() {
-        for (k, &c) in core.completions.iter().enumerate() {
-            completions[shard_orig[j][k] as usize] = c;
-        }
-        redispatched += core.stats.redispatched;
-        debug_assert_eq!(
-            core.stats.tally.repairs, 0,
-            "plans that may repair must fall back to the unsharded engine"
-        );
-    }
-    let mut busy = vec![0.0f64; n];
-    for (b, busy_b) in busy.iter_mut().enumerate() {
-        *busy_b = per_shard[component[b]].busy[b];
-    }
-    let mut stats = per_shard[0].stats.clone();
-    stats.redispatched = redispatched;
-    assemble_fault_report(
-        requests,
-        FaultCore {
-            completions,
-            busy,
-            stats,
-        },
-    )
+    let run = FaultRun {
+        alloc,
+        cls,
+        cluster,
+        catalog,
+        warmup_backlog,
+        cfg,
+        plan,
+        fcfg,
+        rcfg: &ResilienceConfig::default(),
+    };
+    assemble_fault_report(requests, sharded_core(&run, requests, shards))
 }
 
-/// [`run_open_resilient`] over fault-welded backend components — the
-/// sharded counterpart of [`run_open_faults_sharded`] for the full
-/// resilience runtime. Backend-local breaker state is exact in the
-/// component that owns the backend (it sees all fault events plus
-/// every dispatch to it), retry jitter is keyed on global request ids,
-/// and the per-request tallies sum — so the merge is bit-identical to
-/// the unsharded run. Same fallbacks as the fault driver.
+/// [`crate::resilience::run_open_resilient`] over fault-welded backend
+/// components on up to `shards` workers — bit-identical to the
+/// unsharded run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_resilient_sharded(
     alloc: &Allocation,
@@ -505,91 +466,18 @@ pub fn run_open_resilient_sharded(
     shards: usize,
 ) -> ResilienceReport {
     let _span = qcpa_obs::span("sim", "run_open_resilient_sharded");
-    let n = cluster.len();
-    let scheduler = Scheduler::new(alloc, cls);
-    let component = fault_components(&scheduler, cls, n, plan);
-    let n_components = component.iter().copied().max().map_or(0, |m| m + 1);
-    let (class_comp, shard_reqs, shard_orig) =
-        split_requests(&scheduler, cls, &component, n_components.max(1), requests);
-    if n_components <= 1
-        || class_comp.iter().any(|c| c.is_none())
-        || plan_may_repair(alloc, cls, cluster, plan)
-    {
-        return run_open_resilient(
-            alloc,
-            cls,
-            cluster,
-            catalog,
-            requests,
-            warmup_backlog,
-            cfg,
-            plan,
-            fcfg,
-            rcfg,
-        );
-    }
-
-    let shard_gids: Vec<Vec<usize>> = shard_orig
-        .iter()
-        .map(|orig| orig.iter().map(|&i| i as usize).collect())
-        .collect();
-    let pool = qcpa_par::Pool::with_workers(shards.max(1).min(n_components));
-    let per_shard: Vec<RCore> = pool.map(n_components, |j| {
-        resilient_core(
-            alloc,
-            cls,
-            cluster,
-            catalog,
-            &shard_reqs[j],
-            Some(&shard_gids[j]),
-            warmup_backlog,
-            cfg,
-            plan,
-            fcfg,
-            rcfg,
-            None,
-            false,
-        )
-    });
-
-    // Merge: terminal states re-keyed by original index (every request
-    // is in exactly one component, so the placeholder is always
-    // overwritten); busy and breaker columns from each backend's owner;
-    // request-driven tallies sum; event stats from component 0.
-    let mut finals: Vec<_> = requests
-        .iter()
-        .map(|r| (r.arrival, r.class, RFinal::Lost))
-        .collect();
-    let mut tally = Tally::default();
-    for (j, core) in per_shard.iter().enumerate() {
-        for (k, &f) in core.finals.iter().enumerate() {
-            finals[shard_orig[j][k] as usize] = f;
-        }
-        tally.absorb(&core.tally);
-        debug_assert_eq!(
-            core.stats.tally.repairs, 0,
-            "plans that may repair must fall back to the unsharded engine"
-        );
-    }
-    let owner = |b: usize| &per_shard[component[b]];
-    let busy: Vec<f64> = (0..n).map(|b| owner(b).busy[b]).collect();
-    let breaker_opens: Vec<usize> = (0..n).map(|b| owner(b).breaker_opens[b]).collect();
-    let breaker_half_opens: Vec<usize> = (0..n).map(|b| owner(b).breaker_half_opens[b]).collect();
-    let breaker_closes: Vec<usize> = (0..n).map(|b| owner(b).breaker_closes[b]).collect();
-    let stats = per_shard[0].stats.clone();
-    assemble_resilience_report(
-        requests,
-        cls.len(),
-        RCore {
-            finals,
-            busy,
-            tally,
-            breaker_opens,
-            breaker_half_opens,
-            breaker_closes,
-            stats,
-        },
-    )
+    let run = FaultRun {
+        alloc,
+        cls,
+        cluster,
+        catalog,
+        warmup_backlog,
+        cfg,
+        plan,
+        fcfg,
+        rcfg,
+    };
+    assemble_resilience_report(requests, cls.len(), sharded_core(&run, requests, shards))
 }
 
 #[cfg(test)]

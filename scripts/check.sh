@@ -8,8 +8,9 @@
 #                               # counts, bench)
 #   ./scripts/check.sh --fast   # inner-loop tier: fmt + clippy + audit +
 #                               # lib/unit tests, resilience + multilevel
-#                               # conformance at both thread counts, and
-#                               # the quick bench-matrix corner
+#                               # conformance at both thread counts, the
+#                               # quick bench-matrix corner and the
+#                               # benchmark-crate smoke
 #   ./scripts/check.sh --deep   # fast tier + the test suite under
 #                               # ThreadSanitizer and a Miri pass over
 #                               # the threaded crate (each requires a
@@ -87,6 +88,42 @@ run_miri() {
     QCPA_THREADS=2 cargo +nightly miri test -q -p qcpa-par --lib
 }
 
+# The hot-path rewrite's differential lockdown and the fault goldens
+# must hold on both worker pools and both shard settings. (Both event
+# queues are pitted against each other inside the suite, through
+# `run_open_with`.)
+run_sim_equivalence() {
+    local threads shards
+    for threads in 1 4; do
+        for shards in 1 4; do
+            echo "== sim differential suite (QCPA_THREADS=$threads, QCPA_SIM_SHARDS=$shards) =="
+            QCPA_THREADS=$threads QCPA_SIM_SHARDS=$shards cargo test -q --test sim_equivalence
+        done
+    done
+}
+
+# benchmark/ is its own workspace, so `cargo test` never builds it: a
+# public-signature change in a product crate passes every step above
+# while breaking BENCHMARK.json's command. Build it against the working
+# tree and run each workload at smoke size; a failed end-state check
+# exits non-zero and reports "correct":false.
+run_benchmark_smoke() {
+    local workload out log
+    log=$(mktemp)
+    for workload in tpch_dss tpcapp_oltp scale_alloc sim_cluster; do
+        echo "== benchmark crate smoke ($workload) =="
+        if ! out=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 1 --smoke 2>"$log") ||
+            grep -q '"correct":false' <<<"$out"; then
+            cat "$log" >&2
+            echo "benchmark smoke failed on $workload: ${out##*$'\n'}" >&2
+            rm -f "$log"
+            exit 1
+        fi
+    done
+    rm -f "$log"
+}
+
 if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     echo "== cargo test (fast tier) =="
     cargo test -q --workspace --lib
@@ -98,10 +135,7 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     QCPA_THREADS=1 cargo test -q --test conformance multilevel
     echo "== multilevel conformance (QCPA_THREADS=4) =="
     QCPA_THREADS=4 cargo test -q --test conformance multilevel
-    echo "== sim differential suite (QCPA_THREADS=1, 1 shard, calendar queue) =="
-    QCPA_THREADS=1 QCPA_SIM_SHARDS=1 cargo test -q --test sim_equivalence
-    echo "== sim differential suite (QCPA_THREADS=4, 4 shards, heap queue) =="
-    QCPA_THREADS=4 QCPA_SIM_SHARDS=4 QCPA_SIM_QUEUE=heap cargo test -q --test sim_equivalence
+    run_sim_equivalence
     echo "== allocator bench-matrix corner (quick, small instances) =="
     QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
     echo "== resilience sweep smoke (fails on any lost request) =="
@@ -114,6 +148,7 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_sim
     echo "== bench trajectory gate =="
     cargo run --release -q -p qcpa-bench --bin bench_trend
+    run_benchmark_smoke
     if [[ "$DEEP" == "1" ]]; then
         run_tsan
         run_miri
@@ -138,13 +173,7 @@ QCPA_THREADS=1 cargo test -q --test conformance
 echo "== conformance harness (QCPA_THREADS=4) =="
 QCPA_THREADS=4 cargo test -q --test conformance
 
-# The hot-path rewrite's differential lockdown must hold on both worker
-# pools and under both event-queue implementations (the default run
-# above already covers threads=1/4 × calendar; cross it with the heap).
-echo "== sim differential suite (QCPA_THREADS=1, 1 shard, heap queue) =="
-QCPA_THREADS=1 QCPA_SIM_SHARDS=1 QCPA_SIM_QUEUE=heap cargo test -q --test sim_equivalence
-echo "== sim differential suite (QCPA_THREADS=4, 4 shards, heap queue) =="
-QCPA_THREADS=4 QCPA_SIM_SHARDS=4 QCPA_SIM_QUEUE=heap cargo test -q --test sim_equivalence
+run_sim_equivalence
 
 echo "== allocator speedup bench (quick) =="
 QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
@@ -171,5 +200,7 @@ cargo run --release -q -p qcpa-bench --bin trace_smoke
 
 echo "== bench trajectory gate =="
 cargo run --release -q -p qcpa-bench --bin bench_trend
+
+run_benchmark_smoke
 
 echo "All checks passed."

@@ -14,29 +14,37 @@
 //!   produce the same trace-tree fingerprint as the baseline engine;
 //! * **Sharding** — `run_open_sharded` at 1, 2 and 4 shards must equal
 //!   the unsharded run (the cross-component merge contract, DESIGN.md
-//!   §14.3). check.sh replays this suite under `QCPA_THREADS=1` and
-//!   `4`, and under `QCPA_SIM_QUEUE=heap`, so the worker pool and the
-//!   env-selected queue are exercised on both settings;
+//!   §14.3). check.sh replays this suite under `QCPA_THREADS` and
+//!   `QCPA_SIM_SHARDS` ∈ {1, 4}, so the worker pool is exercised on
+//!   both settings;
 //! * **Degenerate configs collapse** — `run_open_faults` with an empty
-//!   plan equals `run_open`; `run_open_resilient` with the
-//!   all-disabled `ResilienceConfig::default()` equals
-//!   `run_open_faults` under the *same* (possibly crashing) plan, and
-//!   replays itself bit for bit.
+//!   plan equals `run_open`, and faulted runs replay themselves bit
+//!   for bit;
+//! * **Fault goldens** — `run_open_faults` is the fault-aware loop of
+//!   `qcpa::sim::resilience` with every mechanism off. A table of
+//!   report fingerprints, recorded from the separate fault engine that
+//!   loop replaced, pins it (unsharded, sharded, and read off the
+//!   all-disabled `run_open_resilient` report) across six fault
+//!   scenarios × six propagation settings.
 
 use proptest::prelude::*;
-use qcpa::core::classify::Classification;
+use qcpa::core::allocation::Allocation;
+use qcpa::core::classify::{Classification, QueryClass};
 use qcpa::core::cluster::ClusterSpec;
+use qcpa::core::fragment::Catalog;
 use qcpa::core::greedy;
 use qcpa::core::journal::QueryKind;
 use qcpa::sim::baseline::{run_open_baseline, run_open_baseline_traced};
 use qcpa::sim::engine::run_open_with;
 use qcpa::sim::fault::{
-    run_open_faults, FaultConfig, FaultInjectionConfig, FaultPlan, LayeredFaultConfig,
+    run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan, FaultReport,
+    LayeredFaultConfig,
 };
 use qcpa::sim::resilience::run_open_resilient;
 use qcpa::sim::shard::{run_open_faults_sharded, run_open_resilient_sharded, run_open_sharded};
 use qcpa::sim::{
-    OpenReport, QueueKind, Request, RequestStream, ResilienceConfig, SimConfig, UpdatePropagation,
+    OpenReport, QueueKind, Request, RequestStream, ResilienceConfig, ResilienceReport, SimConfig,
+    UpdatePropagation,
 };
 use qcpa_obs::Tracer;
 use rand::SeedableRng;
@@ -190,9 +198,10 @@ proptest! {
     }
 
     /// Degenerate configurations collapse exactly: an empty fault plan
-    /// reproduces `run_open`; the all-disabled resilience default
-    /// reproduces `run_open_faults` under the same crashing plan; and
-    /// both replay themselves bit for bit.
+    /// reproduces `run_open`, and a faulted run replays itself bit for
+    /// bit. (That the all-disabled resilience default reproduces
+    /// `run_open_faults` is pinned against recorded goldens in
+    /// `fault_reports_match_recorded_goldens`.)
     #[test]
     fn degenerate_fault_and_resilience_configs_collapse(
         w in workload_strategy(),
@@ -226,8 +235,8 @@ proptest! {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "empty-plan busy bits");
         }
 
-        // Default resilience ≡ faults under the same *layered* plan
-        // (crash + gray window + partition episode).
+        // Replays under a *layered* plan (crash + gray window +
+        // partition episode) are exact.
         let plan = FaultPlan::from_seed_layered(
             seed,
             n,
@@ -241,24 +250,10 @@ proptest! {
                 ..LayeredFaultConfig::default()
             },
         );
-        let faulted = run_open_faults(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
-            &plan, &FaultConfig::default(),
-        );
         let resilient = run_open_resilient(
             &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
             &plan, &FaultConfig::default(), &ResilienceConfig::default(),
         );
-        prop_assert_eq!(resilient.responses.len(), faulted.responses.len());
-        for (x, y) in resilient.responses.iter().zip(&faulted.responses) {
-            prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "resilient arrival bits");
-            prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "resilient response bits");
-        }
-        for (x, y) in resilient.busy.iter().zip(&faulted.busy) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "resilient busy bits");
-        }
-
-        // Replays are exact.
         let replay = run_open_resilient(
             &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
             &plan, &FaultConfig::default(), &ResilienceConfig::default(),
@@ -351,4 +346,289 @@ proptest! {
             }
         }
     }
+}
+
+/// FNV-1a over every observable of a [`FaultReport`]: the bits of each
+/// `(arrival, response)` pair and `busy` entry, every counter, the
+/// repair account and the availability timeline.
+fn fault_fingerprint(r: &FaultReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(r.responses.len() as u64);
+    for &(arrival, response) in &r.responses {
+        eat(arrival.to_bits());
+        eat(response.to_bits());
+    }
+    for b in &r.busy {
+        eat(b.to_bits());
+    }
+    for n in [
+        r.lost,
+        r.redispatched,
+        r.crashes,
+        r.recoveries,
+        r.repairs,
+        r.gray_windows,
+        r.partitions,
+        r.heals,
+        r.reroute_failures,
+    ] {
+        eat(n as u64);
+    }
+    eat(r.repair_moved_bytes);
+    eat(r.repair_pause_secs.to_bits());
+    eat(u64::from(r.post_repair_safety_ok));
+    for &(t, n) in &r.availability {
+        eat(t.to_bits());
+        eat(n as u64);
+    }
+    h
+}
+
+/// The fixed cluster of the golden scenarios: tables A, B on backends
+/// 0–1 and C, D on backends 2–3 (every weighted class 1-safe, two
+/// backend components), plus a **zero-weight** read class on table E
+/// stored on backend 3 only — the one class no online repair protects,
+/// so crashing backend 3 loses its requests.
+fn golden_cluster() -> (Catalog, Classification, Allocation, Vec<Request>) {
+    let mut cat = Catalog::new();
+    let t: Vec<_> = ["A", "B", "C", "D", "E"]
+        .iter()
+        .map(|name| cat.add_table(*name, 4_000))
+        .collect();
+    let cls = Classification::from_classes(vec![
+        QueryClass::read(0, [t[0]], 0.25),
+        QueryClass::update(1, [t[1]], 0.15),
+        QueryClass::read(2, [t[0], t[1]], 0.10),
+        QueryClass::read(3, [t[2]], 0.25),
+        QueryClass::update(4, [t[3]], 0.15),
+        QueryClass::read(5, [t[2], t[3]], 0.10),
+        QueryClass::read(6, [t[4]], 0.0),
+    ])
+    .expect("golden classes are valid");
+    let mut alloc = Allocation::empty(cls.len(), 4);
+    for b in 0..4 {
+        let (lo, classes) = if b < 2 { (0, 0..3) } else { (2, 3..6) };
+        alloc.fragments[b].extend([t[lo], t[lo + 1]]);
+        for c in classes {
+            let w = cls.classes[c].weight;
+            alloc.assign[c][b] = if cls.classes[c].kind == QueryKind::Read {
+                w / 2.0
+            } else {
+                w
+            };
+        }
+    }
+    alloc.fragments[3].insert(t[4]);
+    // The stream's frequencies are its own: the zero-weight class still
+    // receives 8 % of the arrivals.
+    let freq = vec![22.0, 14.0, 10.0, 22.0, 14.0, 10.0, 8.0];
+    let kinds: Vec<QueryKind> = cls.classes.iter().map(|c| c.kind).collect();
+    let stream = RequestStream::new(freq, kinds, vec![0.02; cls.len()]);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x601D);
+    let reqs = stream.sample_poisson(190.0, 2.0, 0.1, &mut rng);
+    (cat, cls, alloc, reqs)
+}
+
+/// The golden fault scenarios, one plan each.
+fn golden_plans() -> Vec<(&'static str, FaultPlan)> {
+    let crash = |backend, at| FaultEvent::Crash { backend, at };
+    let recover = |backend, at| FaultEvent::Recover {
+        backend,
+        at,
+        catchup_cost: 0.05,
+    };
+    let plan = |events| FaultPlan::new(events, 4).expect("golden plan is valid");
+    vec![
+        (
+            "crash + recover",
+            plan(vec![crash(0, 0.6), recover(0, 1.2)]),
+        ),
+        (
+            "gray window",
+            plan(vec![
+                FaultEvent::Degrade {
+                    backend: 1,
+                    at: 0.5,
+                    factor: 3.0,
+                },
+                FaultEvent::Restore {
+                    backend: 1,
+                    at: 1.3,
+                },
+            ]),
+        ),
+        (
+            "partition + heal",
+            FaultPlan::with_partitions(
+                vec![
+                    FaultEvent::Partition { id: 0, at: 0.5 },
+                    FaultEvent::Heal { id: 0, at: 1.1 },
+                ],
+                4,
+                vec![vec![2]],
+            )
+            .expect("golden plan is valid"),
+        ),
+        (
+            "zone failure",
+            plan(vec![
+                crash(0, 0.7),
+                crash(2, 0.7),
+                recover(0, 1.3),
+                recover(2, 1.3),
+            ]),
+        ),
+        (
+            "crashes forcing an online repair",
+            plan(vec![crash(0, 0.5), crash(1, 0.8), recover(0, 1.5)]),
+        ),
+        (
+            "zero-weight class loses its only replica",
+            plan(vec![crash(3, 0.6), recover(3, 1.4)]),
+        ),
+    ]
+}
+
+/// [`fault_fingerprint`]s for each [`golden_plans`] scenario × the six
+/// `sim_config(0..6)` settings, recorded from the separate fault
+/// engine `run_open_faults` ran on before it became a projection of the
+/// resilient core. They pin the projection to that engine's reports bit
+/// for bit, including the terminal label of unroutable requests
+/// (`lost`).
+const FAULT_GOLDENS: [[u64; 6]; 6] = [
+    [
+        0x90ee1633943f1405,
+        0x4b7ea73ee82a9248,
+        0x74f0ce665e607868,
+        0xb9fd58851e45b52e,
+        0x4b7ea73ee82a9248,
+        0x74f0ce665e607868,
+    ],
+    [
+        0xb09a04abe929fd0b,
+        0xd2bd16d0a1efbd6e,
+        0x484dfd7280fbf9f9,
+        0xee064d6ed1a4f5de,
+        0xd2bd16d0a1efbd6e,
+        0x484dfd7280fbf9f9,
+    ],
+    [
+        0x7e735b2aa121e7d2,
+        0xfe7b67b44e092233,
+        0xfed539b691d30a28,
+        0xf9f7f96188d1175e,
+        0xfe7b67b44e092233,
+        0xfed539b691d30a28,
+    ],
+    [
+        0xe70b8106410aa5f8,
+        0x8736092d7e1d7cba,
+        0xd66b9be0209582c8,
+        0xa12de238429247fe,
+        0x8736092d7e1d7cba,
+        0xd66b9be0209582c8,
+    ],
+    [
+        0x1f6e3cbaca439266,
+        0xf02a201c94ab57d8,
+        0xf6b43269bc26d18b,
+        0xbabf8c0b1b284fd4,
+        0xf02a201c94ab57d8,
+        0xf6b43269bc26d18b,
+    ],
+    [
+        0xcd2ea0dd786c4cdb,
+        0xe46ca69254c34db3,
+        0xa3e2b026b8a83700,
+        0x1a190eeb981d274e,
+        0xe46ca69254c34db3,
+        0xa3e2b026b8a83700,
+    ],
+];
+
+/// The all-disabled resilient report read as a fault report: what no
+/// mechanism could shed or time out except by being unroutable is
+/// `lost`.
+fn as_fault_report(r: ResilienceReport) -> FaultReport {
+    FaultReport {
+        responses: r.responses,
+        mean_response: r.mean_response,
+        p95_response: r.p95_response,
+        busy: r.busy,
+        utilization: r.utilization,
+        completed: r.completed,
+        lost: r.shed + r.timed_out + r.lost,
+        redispatched: r.redispatched,
+        crashes: r.crashes,
+        recoveries: r.recoveries,
+        repairs: r.repairs,
+        repair_pause_secs: r.repair_pause_secs,
+        repair_moved_bytes: r.repair_moved_bytes,
+        gray_windows: r.gray_windows,
+        partitions: r.partitions,
+        heals: r.heals,
+        reroute_failures: r.reroute_failures,
+        post_repair_safety_ok: r.post_repair_safety_ok,
+        availability: r.availability,
+    }
+}
+
+#[test]
+fn fault_reports_match_recorded_goldens() {
+    let (cat, cls, alloc, reqs) = golden_cluster();
+    let cluster = ClusterSpec::homogeneous(4);
+    let fcfg = FaultConfig::default();
+    let mut computed = [[0u64; 6]; 6];
+    for (s, (name, plan)) in golden_plans().iter().enumerate() {
+        for p in 0..6u8 {
+            let cfg = sim_config(p);
+            let rep = run_open_faults(&alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, plan, &fcfg);
+            let fp = fault_fingerprint(&rep);
+            computed[s][usize::from(p)] = fp;
+            for shards in [1usize, 2, 4] {
+                let sharded = run_open_faults_sharded(
+                    &alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, plan, &fcfg, shards,
+                );
+                assert_eq!(
+                    fault_fingerprint(&sharded),
+                    fp,
+                    "{name}, propagation {p}: {shards}-shard merge diverged"
+                );
+            }
+            let resilient = run_open_resilient(
+                &alloc,
+                &cls,
+                &cluster,
+                &cat,
+                &reqs,
+                0.0,
+                &cfg,
+                plan,
+                &fcfg,
+                &ResilienceConfig::default(),
+            );
+            assert!(resilient.conserved(), "{name}: resilient conservation");
+            assert_eq!(
+                fault_fingerprint(&as_fault_report(resilient)),
+                fp,
+                "{name}, propagation {p}: all-disabled resilient report diverged"
+            );
+            assert_eq!(rep.completed + rep.lost, reqs.len(), "{name}: conservation");
+            match s {
+                0 => assert!(rep.redispatched > 0, "{name}: crash must void work"),
+                4 => assert!(rep.repairs > 0, "{name}: must repair online"),
+                5 => assert!(rep.lost > 0, "{name}: must lose requests"),
+                _ => assert_eq!(rep.lost, 0, "{name}: nothing may be lost"),
+            }
+        }
+    }
+    assert_eq!(
+        computed, FAULT_GOLDENS,
+        "fault reports drifted from the recorded goldens; computed table:\n{computed:#018x?}"
+    );
 }
