@@ -9,7 +9,7 @@ use qcpa_core::journal::{Journal, Query};
 use qcpa_core::memetic::{self, MemeticConfig};
 use qcpa_matching::elastic::{scale_in, scale_out};
 use qcpa_storage::engine::{BackendStore, QueryResult, StorageError};
-use qcpa_storage::fragmentation::extract_vertical;
+use qcpa_storage::fragmentation::{extract_full, extract_horizontal, extract_vertical};
 use qcpa_storage::schema::Schema;
 use qcpa_storage::table::Table;
 
@@ -17,10 +17,9 @@ use std::collections::VecDeque;
 
 use crate::layout::{layout_from_allocation, TableLayout};
 use crate::partition::PartitionScheme;
-use crate::request::{referenced_columns, Request, WriteKind, WriteRequest};
+use crate::request::{referenced_columns, write_columns, Request, WriteKind, WriteRequest};
 use crate::resilience::{BackendHealth, ControllerResilience};
 use qcpa_storage::engine::{AggFunc, QueryResult as QR, ScanQuery};
-use qcpa_storage::fragmentation::extract_horizontal;
 use qcpa_storage::types::Value;
 
 /// Errors from the controller.
@@ -223,7 +222,7 @@ impl Cdbs {
                     .insert(def.name.clone(), (0..scheme.n_parts()).collect());
             } else {
                 for store in backends.iter_mut() {
-                    store.bulk_load(qcpa_storage::fragmentation::extract_full(t));
+                    store.bulk_load(extract_full(t));
                 }
                 boot_layout.columns.insert(
                     def.name.clone(),
@@ -693,185 +692,177 @@ impl Cdbs {
     /// [`CdbsError::Internal`] when the layout names a table or
     /// partition scheme missing from the controller state.
     fn load_layout(&mut self, b: usize) -> Result<u64, CdbsError> {
-        let layout = self.layouts[b].clone();
-        let mut moved = 0u64;
-        for (t, parts) in &layout.parts {
-            let scheme = internal(
-                self.partitions.iter().find(|p| &p.table == t),
-                "partition fragments imply a scheme",
-            )?
-            .clone();
-            let mi = internal(
-                self.schema.tables.iter().position(|d| &d.name == t),
-                "layout references a known table",
-            )?;
-            for &p in parts {
-                let frag_name = scheme.fragment_name(p);
-                if self.backends[b].table(&frag_name).is_some() {
-                    continue;
-                }
-                moved += self.backends[b].bulk_load(extract_horizontal(
-                    &self.master[mi],
-                    &scheme.range_predicate(p),
-                    p as u32,
-                ));
-            }
-        }
-        for table_name in layout.columns.keys() {
-            let frag_name = internal(
-                layout.fragment_name(&self.schema, table_name),
-                "column layout names a stored table",
-            )?;
-            if self.backends[b].table(&frag_name).is_some() {
-                continue;
-            }
-            let mi = internal(
-                self.schema
-                    .tables
-                    .iter()
-                    .position(|t| &t.name == table_name),
-                "layout references a known table",
-            )?;
-            let stored = &layout.columns[table_name];
-            let data = if stored.len() == self.schema.tables[mi].columns.len() {
-                qcpa_storage::fragmentation::extract_full(&self.master[mi])
-            } else {
-                let col_refs: Vec<&str> = stored.iter().map(|s| s.as_str()).collect();
-                extract_vertical(&self.master[mi], &col_refs)
-            };
-            moved += self.backends[b].bulk_load(data);
-        }
+        let (moved, _, _) = load_missing(
+            &self.schema,
+            &self.partitions,
+            &self.master,
+            &mut self.backends[b],
+            &self.layouts[b],
+        )?;
         Ok(moved)
     }
 
-    /// Applies one write to backend `b`'s stored fragments — the shared
-    /// kernel of the ROWA fan-out and the staleness-ledger replay on
-    /// recovery. Does *not* touch the master copy, the journal or the
-    /// balance state; returns the rows changed (≥ 1, used as the cost
-    /// contribution by the fan-out), or 0 when `b`'s layout does not
+    /// Applies one write to backend `b`'s stored fragments — the
+    /// staleness-ledger replay on recovery; the ROWA fan-out calls the
+    /// two kernels below directly with what it already worked out. Does
+    /// *not* touch the master copy, the journal or the balance state;
+    /// returns the rows changed (≥ 1), or 0 when `b`'s layout does not
     /// overlap the write at all.
     fn apply_write_to_backend(&mut self, b: usize, w: &WriteRequest) -> Result<f64, CdbsError> {
-        let table_name = w.table.clone();
         let def = self
             .schema
-            .table(&table_name)
-            .ok_or_else(|| CdbsError::UnknownTable(table_name.clone()))?
-            .clone();
-        if let Some(scheme) = self.scheme_for(&table_name).cloned() {
-            let n_columns = def.columns.len();
-            let touched: Vec<usize> = match &w.kind {
-                WriteKind::Insert(row) => {
-                    let idx = internal(
-                        def.column_index(&scheme.column),
-                        "scheme validated at construction",
-                    )?;
-                    match row.get(idx) {
-                        Some(Value::I64(v)) => vec![scheme.part_of(*v)],
-                        _ => (0..scheme.n_parts()).collect(),
+            .table(&w.table)
+            .ok_or_else(|| CdbsError::UnknownTable(w.table.clone()))?;
+        match self.scheme_for(&w.table) {
+            Some(scheme) => {
+                let touched = self.written_parts(scheme, w)?;
+                self.apply_partitioned_write(b, w, &touched)
+            }
+            None => {
+                let cols = write_columns(w, def);
+                self.apply_column_write(b, w, &cols)
+            }
+        }
+    }
+
+    /// The partitions of `scheme`'s table a write touches: the one an
+    /// inserted row's partition key falls in, or those an update's
+    /// predicate can reach.
+    fn written_parts(
+        &self,
+        scheme: &PartitionScheme,
+        w: &WriteRequest,
+    ) -> Result<Vec<usize>, CdbsError> {
+        Ok(match &w.kind {
+            WriteKind::Insert(row) => {
+                let idx = internal(
+                    self.schema
+                        .table(&scheme.table)
+                        .and_then(|d| d.column_index(&scheme.column)),
+                    "scheme validated at construction",
+                )?;
+                match row.get(idx) {
+                    Some(Value::I64(v)) => vec![scheme.part_of(*v)],
+                    _ => (0..scheme.n_parts()).collect(),
+                }
+            }
+            WriteKind::Update { predicate, .. } => scheme.touched(predicate.as_ref()),
+        })
+    }
+
+    /// Backend `b`'s share of a write touching the partitions `touched`
+    /// of a range-partitioned table; returns as
+    /// [`Cdbs::apply_write_to_backend`] does.
+    fn apply_partitioned_write(
+        &mut self,
+        b: usize,
+        w: &WriteRequest,
+        touched: &[usize],
+    ) -> Result<f64, CdbsError> {
+        let table = w.table.as_str();
+        let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
+        if !layout.overlaps_parts(table, touched) {
+            return Ok(0.0);
+        }
+        let n_columns = internal(self.schema.table(table), "write targets a known table")?
+            .columns
+            .len();
+        if !layout.covers_parts(table, touched, n_columns) {
+            return Err(CdbsError::InconsistentLayout {
+                backend: b,
+                table: table.to_string(),
+            });
+        }
+        let scheme = internal(
+            self.partitions.iter().find(|p| p.table == table),
+            "partitioned write implies a scheme",
+        )?;
+        let whole = layout
+            .columns
+            .get(table)
+            .is_some_and(|c| c.len() == n_columns);
+        let mut changed_max = 1.0f64;
+        match &w.kind {
+            WriteKind::Insert(row) if whole => store.insert(table, row.clone())?,
+            WriteKind::Insert(row) => {
+                store.insert(&scheme.fragment_name(touched[0]), row.clone())?;
+            }
+            WriteKind::Update {
+                predicate,
+                column,
+                value,
+            } if whole => {
+                let changed = store.update(table, predicate.as_ref(), column, value.clone())?;
+                changed_max = changed_max.max(changed as f64);
+            }
+            WriteKind::Update {
+                predicate,
+                column,
+                value,
+            } => {
+                for &p in touched {
+                    let frag = scheme.fragment_name(p);
+                    if store.table(&frag).is_none() {
+                        continue;
                     }
-                }
-                WriteKind::Update { predicate, .. } => scheme.touched(predicate.as_ref()),
-            };
-            if !self.layouts[b].overlaps_parts(&table_name, &touched) {
-                return Ok(0.0);
-            }
-            if !self.layouts[b].covers_parts(&table_name, &touched, n_columns) {
-                return Err(CdbsError::InconsistentLayout {
-                    backend: b,
-                    table: table_name,
-                });
-            }
-            let whole = self.layouts[b]
-                .columns
-                .get(&table_name)
-                .map(|c| c.len() == n_columns)
-                .unwrap_or(false);
-            let mut changed_max = 1.0f64;
-            match &w.kind {
-                WriteKind::Insert(row) => {
-                    let frag = if whole {
-                        table_name.clone()
-                    } else {
-                        scheme.fragment_name(touched[0])
-                    };
-                    self.backends[b].insert(&frag, row.clone())?;
-                }
-                WriteKind::Update {
-                    predicate,
-                    column,
-                    value,
-                } => {
-                    if whole {
-                        let changed = self.backends[b].update(
-                            &table_name,
-                            predicate.as_ref(),
-                            column,
-                            value.clone(),
-                        )?;
-                        changed_max = changed_max.max(changed as f64);
-                    } else {
-                        for &p in &touched {
-                            let frag = scheme.fragment_name(p);
-                            if self.backends[b].table(&frag).is_none() {
-                                continue;
-                            }
-                            let changed = self.backends[b].update(
-                                &frag,
-                                predicate.as_ref(),
-                                column,
-                                value.clone(),
-                            )?;
-                            changed_max = changed_max.max(changed as f64);
-                        }
-                    }
-                }
-            }
-            Ok(changed_max)
-        } else {
-            let cols = referenced_columns(&Request::Write(w.clone()), &def);
-            if !self.layouts[b].overlaps(&table_name, &cols) {
-                return Ok(0.0);
-            }
-            if !self.layouts[b].covers(&table_name, &cols) {
-                return Err(CdbsError::InconsistentLayout {
-                    backend: b,
-                    table: table_name,
-                });
-            }
-            let frag_name = internal(
-                self.layouts[b].fragment_name(&self.schema, &table_name),
-                "covering backend stores the table",
-            )?;
-            let mut changed_max = 1.0f64;
-            match &w.kind {
-                WriteKind::Insert(row) => {
-                    // Project the row onto the stored columns.
-                    let stored = &self.layouts[b].columns[&table_name];
-                    let projected: Vec<_> = def
-                        .columns
-                        .iter()
-                        .zip(row.iter())
-                        .filter(|(c, _)| stored.contains(&c.name))
-                        .map(|(_, v)| v.clone())
-                        .collect();
-                    self.backends[b].insert(&frag_name, projected)?;
-                }
-                WriteKind::Update {
-                    predicate,
-                    column,
-                    value,
-                } => {
-                    let changed = self.backends[b].update(
-                        &frag_name,
-                        predicate.as_ref(),
-                        column,
-                        value.clone(),
-                    )?;
+                    let changed = store.update(&frag, predicate.as_ref(), column, value.clone())?;
                     changed_max = changed_max.max(changed as f64);
                 }
             }
-            Ok(changed_max)
         }
+        Ok(changed_max)
+    }
+
+    /// Backend `b`'s share of a write referencing the columns `cols` of
+    /// an unpartitioned table; returns as
+    /// [`Cdbs::apply_write_to_backend`] does.
+    fn apply_column_write(
+        &mut self,
+        b: usize,
+        w: &WriteRequest,
+        cols: &[String],
+    ) -> Result<f64, CdbsError> {
+        let table = w.table.as_str();
+        let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
+        if !layout.overlaps(table, cols) {
+            return Ok(0.0);
+        }
+        if !layout.covers(table, cols) {
+            return Err(CdbsError::InconsistentLayout {
+                backend: b,
+                table: table.to_string(),
+            });
+        }
+        let frag_name = internal(
+            layout.fragment_name(&self.schema, table),
+            "covering backend stores the table",
+        )?;
+        let mut changed_max = 1.0f64;
+        match &w.kind {
+            WriteKind::Insert(row) => {
+                // Project the row onto the stored columns.
+                let def = internal(self.schema.table(table), "write targets a known table")?;
+                let stored = &layout.columns[table];
+                let projected: Vec<_> = def
+                    .columns
+                    .iter()
+                    .zip(row.iter())
+                    .filter(|(c, _)| stored.contains(&c.name))
+                    .map(|(_, v)| v.clone())
+                    .collect();
+                store.insert(&frag_name, projected)?;
+            }
+            WriteKind::Update {
+                predicate,
+                column,
+                value,
+            } => {
+                let changed =
+                    store.update(&frag_name, predicate.as_ref(), column, value.clone())?;
+                changed_max = changed_max.max(changed as f64);
+            }
+        }
+        Ok(changed_max)
     }
 
     fn scheme_for(&self, table: &str) -> Option<&PartitionScheme> {
@@ -935,22 +926,21 @@ impl Cdbs {
     }
 
     fn execute_inner(&mut self, request: &Request) -> Result<ExecOutcome, CdbsError> {
-        let table_name = request.table().to_string();
+        let table_name = request.table();
         let def = self
             .schema
-            .table(&table_name)
-            .ok_or_else(|| CdbsError::UnknownTable(table_name.clone()))?
-            .clone();
-        let cols = referenced_columns(request, &def);
-        if let Some(scheme) = self.scheme_for(&table_name).cloned() {
+            .table(table_name)
+            .ok_or_else(|| CdbsError::UnknownTable(table_name.to_string()))?;
+        let cols = referenced_columns(request, def);
+        if let Some(scheme) = self.scheme_for(table_name).cloned() {
             return self.execute_partitioned(request, &scheme);
         }
-        let frags = self.column_fragments(&table_name, &cols);
+        let frags = self.column_fragments(table_name, &cols);
 
         match request {
             Request::Read(q) => {
                 let capable: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].covers(&table_name, &cols))
+                    .filter(|&b| self.layouts[b].covers(table_name, &cols))
                     .collect();
                 let online: Vec<usize> = capable
                     .iter()
@@ -960,19 +950,19 @@ impl Cdbs {
                 if online.is_empty() {
                     return Err(if capable.is_empty() {
                         CdbsError::NoCapableBackend {
-                            table: table_name.clone(),
+                            table: table_name.to_string(),
                             columns: cols.clone(),
                         }
                     } else {
                         CdbsError::AllReplicasOffline {
-                            table: table_name.clone(),
+                            table: table_name.to_string(),
                             offline: capable,
                         }
                     });
                 }
                 let b = self.pick_read_backend(&online);
                 let frag_name = internal(
-                    self.layouts[b].fragment_name(&self.schema, &table_name),
+                    self.layouts[b].fragment_name(&self.schema, table_name),
                     "capable backend stores the table",
                 )?;
                 let mut translated = q.clone();
@@ -1008,7 +998,7 @@ impl Cdbs {
             }
             Request::Write(w) => {
                 let overlapping: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].overlaps(&table_name, &cols))
+                    .filter(|&b| self.layouts[b].overlaps(table_name, &cols))
                     .collect();
                 let targets: Vec<usize> = overlapping
                     .iter()
@@ -1020,19 +1010,19 @@ impl Cdbs {
                     // than deferring everywhere (zero durability).
                     return Err(if overlapping.is_empty() {
                         CdbsError::NoCapableBackend {
-                            table: table_name.clone(),
+                            table: table_name.to_string(),
                             columns: cols.clone(),
                         }
                     } else {
                         CdbsError::AllReplicasOffline {
-                            table: table_name.clone(),
+                            table: table_name.to_string(),
                             offline: overlapping,
                         }
                     });
                 }
                 let mut cost = 1.0f64;
                 for &b in &targets {
-                    let changed = self.apply_write_to_backend(b, w)?;
+                    let changed = self.apply_column_write(b, w, &cols)?;
                     cost = cost.max(changed);
                     self.cumulative_cost[b] += cost;
                 }
@@ -1090,21 +1080,7 @@ impl Cdbs {
             .len();
         let touched: Vec<usize> = match request {
             Request::Read(q) => scheme.touched(q.predicate.as_ref()),
-            Request::Write(w) => match &w.kind {
-                WriteKind::Insert(row) => {
-                    let idx = internal(
-                        self.schema
-                            .table(&table_name)
-                            .and_then(|d| d.column_index(&scheme.column)),
-                        "scheme validated at construction",
-                    )?;
-                    match row.get(idx) {
-                        Some(Value::I64(v)) => vec![scheme.part_of(*v)],
-                        _ => (0..scheme.n_parts()).collect(),
-                    }
-                }
-                WriteKind::Update { predicate, .. } => scheme.touched(predicate.as_ref()),
-            },
+            Request::Write(w) => self.written_parts(scheme, w)?,
         };
         let frags: Vec<FragmentId> = touched
             .iter()
@@ -1201,7 +1177,7 @@ impl Cdbs {
                 }
                 let mut cost = 1.0f64;
                 for &b in &targets {
-                    let changed = self.apply_write_to_backend(b, w)?;
+                    let changed = self.apply_partitioned_write(b, w, &touched)?;
                     cost = cost.max(changed);
                     self.cumulative_cost[b] += cost;
                 }
@@ -1335,59 +1311,16 @@ impl Cdbs {
             for name in stale {
                 self.backends[b].drop_fragment(&name);
             }
-            // Load missing partition fragments from the master copy.
-            for (t, parts) in &layout.parts {
-                let scheme = internal(
-                    self.partitions.iter().find(|p| &p.table == t),
-                    "partition fragments imply a scheme",
-                )?
-                .clone();
-                let mi = self
-                    .schema
-                    .tables
-                    .iter()
-                    .position(|d| &d.name == t)
-                    .ok_or_else(|| CdbsError::UnknownTable(t.clone()))?;
-                for &p in parts {
-                    let frag_name = scheme.fragment_name(p);
-                    if self.backends[b].table(&frag_name).is_some() {
-                        kept += 1;
-                        continue;
-                    }
-                    moved_bytes += self.backends[b].bulk_load(extract_horizontal(
-                        &self.master[mi],
-                        &scheme.range_predicate(p),
-                        p as u32,
-                    ));
-                    loaded += 1;
-                }
-            }
-            // Load missing fragments from the master copy.
-            for table_name in layout.columns.keys() {
-                let frag_name = internal(
-                    layout.fragment_name(&self.schema, table_name),
-                    "layout references a known table",
-                )?;
-                if self.backends[b].table(&frag_name).is_some() {
-                    kept += 1;
-                    continue;
-                }
-                let mi = self
-                    .schema
-                    .tables
-                    .iter()
-                    .position(|t| &t.name == table_name)
-                    .ok_or_else(|| CdbsError::UnknownTable(table_name.clone()))?;
-                let stored = &layout.columns[table_name];
-                let data = if stored.len() == self.schema.tables[mi].columns.len() {
-                    qcpa_storage::fragmentation::extract_full(&self.master[mi])
-                } else {
-                    let col_refs: Vec<&str> = stored.iter().map(|s| s.as_str()).collect();
-                    extract_vertical(&self.master[mi], &col_refs)
-                };
-                moved_bytes += self.backends[b].bulk_load(data);
-                loaded += 1;
-            }
+            let (moved, new, old) = load_missing(
+                &self.schema,
+                &self.partitions,
+                &self.master,
+                &mut self.backends[b],
+                layout,
+            )?;
+            moved_bytes += moved;
+            loaded += new;
+            kept += old;
         }
 
         let reg = qcpa_obs::global();
@@ -1420,6 +1353,71 @@ impl Cdbs {
     pub fn clear_journal(&mut self) {
         self.journal = Journal::new();
     }
+}
+
+/// Extracts from the master copy and bulk-loads into `store` every
+/// fragment `layout` wants and `store` lacks — the ETL step shared by
+/// reallocation and recovery. Returns `(moved_bytes, loaded, kept)`:
+/// the bytes loaded, and how many wanted fragments were loaded and how
+/// many were already in place.
+///
+/// # Errors
+/// [`CdbsError::Internal`] when the layout names a table or partition
+/// scheme the controller does not know.
+fn load_missing(
+    schema: &Schema,
+    partitions: &[PartitionScheme],
+    master: &[Table],
+    store: &mut BackendStore,
+    layout: &TableLayout,
+) -> Result<(u64, usize, usize), CdbsError> {
+    let master_of = |table: &str| {
+        internal(
+            schema.tables.iter().position(|d| d.name == table),
+            "layout references a known table",
+        )
+        .map(|mi| (&schema.tables[mi], &master[mi]))
+    };
+    let (mut moved, mut loaded, mut kept) = (0u64, 0usize, 0usize);
+    for (t, parts) in &layout.parts {
+        let scheme = internal(
+            partitions.iter().find(|p| &p.table == t),
+            "partition fragments imply a scheme",
+        )?;
+        let (_, source) = master_of(t)?;
+        for &p in parts {
+            if store.table(&scheme.fragment_name(p)).is_some() {
+                kept += 1;
+                continue;
+            }
+            moved += store.bulk_load(extract_horizontal(
+                source,
+                &scheme.range_predicate(p),
+                p as u32,
+            ));
+            loaded += 1;
+        }
+    }
+    for (t, stored) in &layout.columns {
+        let frag_name = internal(
+            layout.fragment_name(schema, t),
+            "layout references a known table",
+        )?;
+        if store.table(&frag_name).is_some() {
+            kept += 1;
+            continue;
+        }
+        let (def, source) = master_of(t)?;
+        let data = if stored.len() == def.columns.len() {
+            extract_full(source)
+        } else {
+            let col_refs: Vec<&str> = stored.iter().map(|s| s.as_str()).collect();
+            extract_vertical(source, &col_refs)
+        };
+        moved += store.bulk_load(data);
+        loaded += 1;
+    }
+    Ok((moved, loaded, kept))
 }
 
 /// Builds the controller's fragment catalog: tables and columns for

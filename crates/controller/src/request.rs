@@ -87,12 +87,9 @@ impl WriteRequest {
 /// projection means "all stored columns", so it references everything;
 /// an insert writes the full row, so it references everything.
 pub fn referenced_columns(request: &Request, table: &TableDef) -> Vec<String> {
-    let all = || -> Vec<String> { table.columns.iter().map(|c| c.name.clone()).collect() };
-    let mut cols: Vec<String> = match request {
+    match request {
+        Request::Read(q) if q.projection.is_empty() => all_columns(table),
         Request::Read(q) => {
-            if q.projection.is_empty() {
-                return all();
-            }
             let mut cols: Vec<String> = q.projection.clone();
             if let Some(p) = &q.predicate {
                 cols.extend(p.columns().iter().map(|s| s.to_string()));
@@ -100,21 +97,33 @@ pub fn referenced_columns(request: &Request, table: &TableDef) -> Vec<String> {
             if let Some((_, c)) = &q.aggregate {
                 cols.push(c.clone());
             }
-            cols
+            with_primary_key(cols, table)
         }
-        Request::Write(w) => match &w.kind {
-            WriteKind::Insert(_) => return all(),
-            WriteKind::Update {
-                predicate, column, ..
-            } => {
-                let mut cols = vec![column.clone()];
-                if let Some(p) = predicate {
-                    cols.extend(p.columns().iter().map(|s| s.to_string()));
-                }
-                cols
+        Request::Write(w) => write_columns(w, table),
+    }
+}
+
+/// [`referenced_columns`] of a write.
+pub(crate) fn write_columns(w: &WriteRequest, table: &TableDef) -> Vec<String> {
+    match &w.kind {
+        WriteKind::Insert(_) => all_columns(table),
+        WriteKind::Update {
+            predicate, column, ..
+        } => {
+            let mut cols = vec![column.clone()];
+            if let Some(p) = predicate {
+                cols.extend(p.columns().iter().map(|s| s.to_string()));
             }
-        },
-    };
+            with_primary_key(cols, table)
+        }
+    }
+}
+
+fn all_columns(table: &TableDef) -> Vec<String> {
+    table.columns.iter().map(|c| c.name.clone()).collect()
+}
+
+fn with_primary_key(mut cols: Vec<String>, table: &TableDef) -> Vec<String> {
     cols.push(table.primary_key().name.clone());
     cols.sort();
     cols.dedup();

@@ -2,15 +2,18 @@
 //!
 //! A [`BackendStore`] plays one backend DBMS of the CDBS: it holds the
 //! tables/fragments the allocation assigned to it, bulk-loads fragment
-//! data, and executes scan queries (selection, projection, aggregation)
-//! and updates. The controller-side code in `qcpa-sim` routes requests
-//! to stores per the allocation.
+//! data by adopting its column vectors, and executes scan queries a
+//! column at a time: the predicate becomes a selection vector
+//! ([`Table::select`]), an aggregate folds the selected rows of one
+//! typed column, a projection materializes them. Updates find their
+//! rows a row at a time ([`Table::update`]). The controller in
+//! `qcpa-controller` routes requests to stores per the allocation.
 
 use std::collections::BTreeMap;
 
 use crate::fragmentation::FragmentData;
 use crate::predicate::Predicate;
-use crate::table::Table;
+use crate::table::{ColumnData, Table};
 use crate::types::Value;
 
 /// Errors from query execution.
@@ -117,6 +120,30 @@ impl QueryResult {
     }
 }
 
+/// The aggregate of `column`'s numeric view (integers and dates as
+/// `f64`, strings as their length) over `rows`, folded in that order.
+fn aggregate_rows(f: AggFunc, column: &ColumnData, rows: &[usize]) -> Option<f64> {
+    match column {
+        ColumnData::I64(c) => aggregate(f, rows.iter().map(|&r| c[r] as f64)),
+        ColumnData::F64(c) => aggregate(f, rows.iter().map(|&r| c[r])),
+        ColumnData::Str(c) => aggregate(f, rows.iter().map(|&r| c[r].len() as f64)),
+        ColumnData::Date(c) => aggregate(f, rows.iter().map(|&r| c[r] as f64)),
+    }
+}
+
+/// `f` over `vals` in iteration order (`None` over an empty input for
+/// Min/Max/Avg).
+fn aggregate(f: AggFunc, vals: impl ExactSizeIterator<Item = f64>) -> Option<f64> {
+    let n = vals.len();
+    match f {
+        AggFunc::Count => Some(n as f64),
+        AggFunc::Sum => Some(vals.sum()),
+        AggFunc::Min => vals.reduce(f64::min),
+        AggFunc::Max => vals.reduce(f64::max),
+        AggFunc::Avg => (n > 0).then(|| vals.sum::<f64>() / n as f64),
+    }
+}
+
 /// One backend's storage: the fragments assigned to it by name.
 #[derive(Debug, Clone, Default)]
 pub struct BackendStore {
@@ -129,12 +156,15 @@ impl BackendStore {
         Self::default()
     }
 
-    /// Bulk-loads fragment data, replacing any same-named fragment.
-    /// Returns the loaded byte count (the quantity the ETL cost model
-    /// prices).
+    /// Bulk-loads fragment data, replacing any same-named fragment: the
+    /// store adopts the fragment's column vectors as they are. Returns
+    /// the loaded byte count (the quantity the ETL cost model prices).
+    ///
+    /// # Panics
+    /// Panics if the columns do not match the fragment's definition in
+    /// number or type, or differ in length.
     pub fn bulk_load(&mut self, fragment: FragmentData) -> u64 {
-        let mut table = Table::new(fragment.def);
-        table.append_rows(fragment.rows);
+        let table = Table::from_columns(fragment.def, fragment.columns);
         let bytes = table.byte_size();
         self.tables.insert(table.def.name.clone(), table);
         bytes
@@ -161,68 +191,50 @@ impl BackendStore {
     }
 
     /// Executes a scan query.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchTable`] if the table is not stored here;
+    /// otherwise [`StorageError::NoSuchColumn`] for the first column the
+    /// fragment lacks, looking at the projection, then the predicate,
+    /// then the aggregate.
     pub fn execute(&self, q: &ScanQuery) -> Result<QueryResult, StorageError> {
         let table = self
             .tables
             .get(&q.table)
             .ok_or_else(|| StorageError::NoSuchTable(q.table.clone()))?;
-        // Validate referenced columns up front.
-        let mut referenced: Vec<&str> = q.projection.iter().map(|s| s.as_str()).collect();
-        if let Some(p) = &q.predicate {
-            referenced.extend(p.columns());
-        }
-        if let Some((_, c)) = &q.aggregate {
-            referenced.push(c);
-        }
-        for c in referenced {
-            if table.def.column_index(c).is_none() {
-                return Err(StorageError::NoSuchColumn {
+        // Resolve every referenced column up front.
+        let resolve = |c: &str| {
+            table
+                .def
+                .column_index(c)
+                .ok_or_else(|| StorageError::NoSuchColumn {
                     table: q.table.clone(),
                     column: c.to_string(),
-                });
-            }
+                })
+        };
+        let projection = q
+            .projection
+            .iter()
+            .map(|c| resolve(c))
+            .collect::<Result<Vec<usize>, _>>()?;
+        for c in q.predicate.iter().flat_map(Predicate::columns) {
+            resolve(c)?;
         }
+        let aggregate = match &q.aggregate {
+            Some((f, c)) => Some((*f, &table.columns()[resolve(c)?])),
+            None => None,
+        };
 
         let rows = table.select(q.predicate.as_ref());
-        if let Some((f, column)) = &q.aggregate {
-            let idx = table.def.column_index(column).expect("validated above");
-            let vals = rows.iter().map(|&r| {
-                table
-                    .column(column)
-                    .expect("validated above")
-                    .get(r)
-                    .as_f64()
-            });
-            let _ = idx;
-            let scalar = match f {
-                AggFunc::Count => Some(rows.len() as f64),
-                AggFunc::Sum => Some(vals.sum()),
-                AggFunc::Min => vals.fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.min(v)))
-                }),
-                AggFunc::Max => vals.fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                }),
-                AggFunc::Avg => {
-                    if rows.is_empty() {
-                        None
-                    } else {
-                        Some(vals.sum::<f64>() / rows.len() as f64)
-                    }
-                }
-            };
-            return Ok(QueryResult::Scalar(scalar));
+        if let Some((f, column)) = aggregate {
+            return Ok(QueryResult::Scalar(aggregate_rows(f, column, &rows)));
         }
-
-        let col_idx: Vec<usize> = if q.projection.is_empty() {
+        let projection = if projection.is_empty() {
             (0..table.def.columns.len()).collect()
         } else {
-            q.projection
-                .iter()
-                .map(|c| table.def.column_index(c).expect("validated above"))
-                .collect()
+            projection
         };
-        Ok(QueryResult::Rows(table.project(&rows, &col_idx)))
+        Ok(QueryResult::Rows(table.project(&rows, &projection)))
     }
 
     /// Inserts a row into a stored fragment.
@@ -287,6 +299,45 @@ mod tests {
         let s = store_with_items();
         assert_eq!(s.byte_size(), 20 * 16);
         assert_eq!(s.fragment_names().collect::<Vec<_>>(), vec!["item"]);
+    }
+
+    #[test]
+    fn bulk_load_adopts_the_columns() {
+        let mut s = store_with_items();
+        let mut f = extract_full(s.table("item").unwrap());
+        f.def.name = "copy".into();
+        assert_eq!(s.bulk_load(f), 20 * 16);
+        let copy = s.table("copy").unwrap();
+        assert!(copy.check());
+        assert_eq!(copy.len(), 20);
+        assert_eq!(copy.value(7, "i_price"), Some(Value::F64(7.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "column length mismatch: item.i_price")]
+    fn bulk_load_rejects_ragged_columns() {
+        let mut s = store_with_items();
+        let mut f = extract_full(s.table("item").unwrap());
+        f.columns[1] = ColumnData::F64(vec![1.0]);
+        s.bulk_load(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "type mismatch: column item.i_price")]
+    fn bulk_load_rejects_mistyped_columns() {
+        let mut s = store_with_items();
+        let mut f = extract_full(s.table("item").unwrap());
+        f.columns[1] = f.columns[0].clone();
+        s.bulk_load(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "column arity mismatch for item")]
+    fn bulk_load_rejects_missing_columns() {
+        let mut s = store_with_items();
+        let mut f = extract_full(s.table("item").unwrap());
+        f.columns.pop();
+        s.bulk_load(f);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Fragment extraction: turning a logical table into the vertical or
 //! horizontal fragments the allocation assigns to backends.
 //!
+//! A fragment travels as it is stored: a definition plus one typed
+//! vector per column. Extracting a vertical fragment (or a whole table)
+//! copies whole column vectors, extracting a horizontal one gathers the
+//! selected rows column by column, and
+//! [`BackendStore::bulk_load`](crate::engine::BackendStore::bulk_load)
+//! adopts the vectors — no value is boxed on the way.
+//!
 //! Vertical fragments always carry the primary key so the full rows can
 //! be losslessly reconstructed, exactly as Section 3.1 requires of
 //! column-based classification.
 
 use crate::predicate::Predicate;
 use crate::schema::TableDef;
-use crate::table::Table;
-use crate::types::Value;
+use crate::table::{ColumnData, Table};
 
 /// Extracted fragment data ready to bulk-load into a backend.
 #[derive(Debug, Clone)]
@@ -16,14 +22,20 @@ pub struct FragmentData {
     /// The fragment's own table definition (a projection and/or
     /// selection of the source).
     pub def: TableDef,
-    /// Materialized rows.
-    pub rows: Vec<Vec<Value>>,
+    /// One column vector per column of `def`, in its order and of its
+    /// type, all of one length.
+    pub columns: Vec<ColumnData>,
 }
 
 impl FragmentData {
+    /// Number of rows in the fragment.
+    pub fn n_rows(&self) -> usize {
+        self.columns.first().map_or(0, ColumnData::len)
+    }
+
     /// Bytes of the materialized fragment per the schema widths.
     pub fn byte_size(&self) -> u64 {
-        self.def.row_width() * self.rows.len() as u64
+        self.def.row_width() * self.n_rows() as u64
     }
 }
 
@@ -34,10 +46,10 @@ impl FragmentData {
 /// # Panics
 /// Panics if a column does not exist.
 pub fn extract_vertical(table: &Table, columns: &[&str]) -> FragmentData {
-    let pk = table.def.primary_key().name.clone();
+    let pk = table.def.primary_key().name.as_str();
     let mut names: Vec<&str> = Vec::with_capacity(columns.len() + 1);
-    if !columns.contains(&pk.as_str()) {
-        names.push(&pk);
+    if !columns.contains(&pk) {
+        names.push(pk);
     }
     names.extend_from_slice(columns);
 
@@ -55,10 +67,9 @@ pub fn extract_vertical(table: &Table, columns: &[&str]) -> FragmentData {
         .map(|&i| table.def.columns[i].clone())
         .collect::<Vec<_>>();
     let frag_name = format!("{}.{}", table.def.name, names.join("+"));
-    let all: Vec<usize> = (0..table.len()).collect();
     FragmentData {
         def: TableDef::new(frag_name, defs),
-        rows: table.project(&all, &idx),
+        columns: idx.iter().map(|&i| table.columns()[i].clone()).collect(),
     }
 }
 
@@ -66,23 +77,20 @@ pub fn extract_vertical(table: &Table, columns: &[&str]) -> FragmentData {
 /// predicate. The fragment is named `"<table>#<part>"`.
 pub fn extract_horizontal(table: &Table, predicate: &Predicate, part: u32) -> FragmentData {
     let rows = table.select(Some(predicate));
-    let idx: Vec<usize> = (0..table.def.columns.len()).collect();
     FragmentData {
         def: TableDef::new(
             format!("{}#{part}", table.def.name),
             table.def.columns.clone(),
         ),
-        rows: table.project(&rows, &idx),
+        columns: table.columns().iter().map(|c| c.gather(&rows)).collect(),
     }
 }
 
 /// Extracts the whole table as a fragment (no partitioning).
 pub fn extract_full(table: &Table) -> FragmentData {
-    let idx: Vec<usize> = (0..table.def.columns.len()).collect();
-    let all: Vec<usize> = (0..table.len()).collect();
     FragmentData {
         def: table.def.clone(),
-        rows: table.project(&all, &idx),
+        columns: table.columns().to_vec(),
     }
 }
 
@@ -91,7 +99,7 @@ mod tests {
     use super::*;
     use crate::predicate::CmpOp;
     use crate::schema::ColumnDef;
-    use crate::types::DataType;
+    use crate::types::{DataType, Value};
 
     fn lineitem() -> Table {
         let def = TableDef::new(
@@ -121,7 +129,7 @@ mod tests {
         let f = extract_vertical(&t, &["l_price"]);
         assert_eq!(f.def.columns.len(), 2);
         assert_eq!(f.def.columns[0].name, "l_id");
-        assert_eq!(f.rows.len(), 100);
+        assert_eq!(f.n_rows(), 100);
         assert_eq!(f.byte_size(), 100 * 16);
     }
 
@@ -136,7 +144,7 @@ mod tests {
     fn horizontal_fragment_filters_rows() {
         let t = lineitem();
         let f = extract_horizontal(&t, &Predicate::cmp("l_qty", CmpOp::Lt, Value::I64(10)), 0);
-        assert_eq!(f.rows.len(), 20); // 2 cycles of 0..9
+        assert_eq!(f.n_rows(), 20); // 2 cycles of 0..9
         assert_eq!(f.def.name, "lineitem#0");
         assert_eq!(f.def.columns.len(), 4);
     }
@@ -146,7 +154,7 @@ mod tests {
         let t = lineitem();
         let f = extract_full(&t);
         assert_eq!(f.byte_size(), t.byte_size());
-        assert_eq!(f.rows.len(), t.len());
+        assert_eq!(f.n_rows(), t.len());
     }
 
     #[test]

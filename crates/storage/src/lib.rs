@@ -10,16 +10,17 @@
 //! and aggregates, and apply row updates.
 //!
 //! The engine is deliberately small but real: data actually lives in
-//! typed columnar vectors, fragment extraction actually copies bytes,
-//! and fragment sizes are byte-accurate — which is what the allocation
-//! model (degree of replication, ETL matching costs, allocation
-//! duration) depends on.
+//! typed columnar vectors and is scanned, aggregated, extracted and
+//! loaded a column at a time, fragment extraction actually copies
+//! bytes, and fragment sizes are byte-accurate — which is what the
+//! allocation model (degree of replication, ETL matching costs,
+//! allocation duration) depends on.
 //!
 //! * [`types`] — values and data types;
 //! * [`schema`] — column/table definitions with byte widths;
-//! * [`table`] — columnar tables with append/scan;
-//! * [`predicate`] — scan predicates;
-//! * [`fragmentation`] — vertical/horizontal fragment extraction;
+//! * [`table`] — columnar tables: append, selection-vector scans;
+//! * [`predicate`] — scan predicates and their reference semantics;
+//! * [`fragmentation`] — vertical/horizontal fragments as column vectors;
 //! * [`engine`] — the per-backend store and query execution;
 //! * [`catalog`] — bridging a schema to the allocation model's
 //!   fragment [`qcpa_core::fragment::Catalog`].

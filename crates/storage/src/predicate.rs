@@ -1,4 +1,10 @@
 //! Scan predicates.
+//!
+//! [`Predicate::eval`] is the written definition of what a predicate
+//! means on one row. Scans do not call it: [`crate::table::Table::select`]
+//! evaluates a column at a time and the property suite checks it against
+//! `eval` row by row. Its one runtime caller is
+//! [`crate::table::Table::update`].
 
 use crate::types::Value;
 
@@ -17,6 +23,21 @@ pub enum CmpOp {
     Gt,
     /// Greater than or equal.
     Ge,
+}
+
+impl CmpOp {
+    /// Whether `left <op> right` holds, given how `left` orders against
+    /// `right`.
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
 }
 
 /// A predicate over a row, referencing columns by name.
@@ -83,21 +104,13 @@ impl Predicate {
         }
     }
 
-    /// Evaluates against a row given a name→value lookup.
+    /// Evaluates against a row given a name→value lookup: values order
+    /// by [`Value::total_cmp`], and a comparison on a column the lookup
+    /// does not know is false. The reference semantics of scans.
     pub fn eval(&self, lookup: &dyn Fn(&str) -> Option<Value>) -> bool {
         match self {
             Predicate::Cmp { column, op, value } => match lookup(column) {
-                Some(v) => {
-                    let ord = v.total_cmp(value);
-                    match op {
-                        CmpOp::Eq => ord.is_eq(),
-                        CmpOp::Ne => !ord.is_eq(),
-                        CmpOp::Lt => ord.is_lt(),
-                        CmpOp::Le => ord.is_le(),
-                        CmpOp::Gt => ord.is_gt(),
-                        CmpOp::Ge => ord.is_ge(),
-                    }
-                }
+                Some(v) => op.holds(v.total_cmp(value)),
                 None => false,
             },
             Predicate::And(a, b) => a.eval(lookup) && b.eval(lookup),

@@ -1,7 +1,8 @@
 //! Values and data types.
 
-/// The engine's data types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The engine's data types. Their declaration order is the order
+/// [`Value::total_cmp`] gives values of different types.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     I64,
@@ -47,10 +48,10 @@ impl Value {
         }
     }
 
-    /// Total order used by predicates and MIN/MAX; values of different
-    /// types compare by type tag first (never expected in valid scans).
+    /// Total order used by predicates: floats by `f64::total_cmp`,
+    /// `I64` against `F64` through `as f64`, any other pair of different
+    /// types by type (never expected in valid scans).
     pub fn total_cmp(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
         use Value::*;
         match (self, other) {
             (I64(a), I64(b)) => a.cmp(b),
@@ -59,18 +60,7 @@ impl Value {
             (Date(a), Date(b)) => a.cmp(b),
             (I64(a), F64(b)) => (*a as f64).total_cmp(b),
             (F64(a), I64(b)) => a.total_cmp(&(*b as f64)),
-            _ => {
-                let tag = |v: &Value| match v {
-                    I64(_) => 0u8,
-                    F64(_) => 1,
-                    Str(_) => 2,
-                    Date(_) => 3,
-                };
-                match tag(self).cmp(&tag(other)) {
-                    Ordering::Equal => Ordering::Equal,
-                    o => o,
-                }
-            }
+            _ => self.data_type().cmp(&other.data_type()),
         }
     }
 }
@@ -112,5 +102,9 @@ mod tests {
             Value::Str("a".into()).total_cmp(&Value::Str("b".into())),
             Less
         );
+        // Other mixed pairs order by type, whatever the values.
+        assert_eq!(Value::Str("z".into()).total_cmp(&Value::Date(0)), Less);
+        assert_eq!(Value::Date(0).total_cmp(&Value::I64(5)), Greater);
+        assert_eq!(Value::F64(9.0).total_cmp(&Value::Str(String::new())), Less);
     }
 }

@@ -7,7 +7,8 @@
 #                               # matrix, conformance at both thread
 #                               # counts, bench)
 #   ./scripts/check.sh --fast   # inner-loop tier: fmt + clippy + audit +
-#                               # lib/unit tests, resilience + multilevel
+#                               # lib/unit tests, the storage property
+#                               # suite, resilience + multilevel
 #                               # conformance at both thread counts, the
 #                               # quick bench-matrix corner and the
 #                               # benchmark-crate smoke
@@ -127,6 +128,10 @@ run_benchmark_smoke() {
 if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     echo "== cargo test (fast tier) =="
     cargo test -q --workspace --lib
+    # The differential lock on the column-at-a-time scan path: select,
+    # update, aggregates and fragment round trips against Predicate::eval.
+    echo "== storage property suite =="
+    cargo test -q -p qcpa-storage --test properties
     echo "== resilience conformance (QCPA_THREADS=1) =="
     QCPA_THREADS=1 cargo test -q --test conformance resilient_runs_conserve_and_replay_exactly
     echo "== resilience conformance (QCPA_THREADS=4) =="
