@@ -246,7 +246,7 @@ pub fn run() -> std::io::Result<()> {
         seed: 7,
         threads: None,
     };
-    let ccfg = CoarsenConfig::from_env();
+    let ccfg = CoarsenConfig::default();
 
     struct Instance {
         name: &'static str,

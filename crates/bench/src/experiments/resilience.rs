@@ -120,13 +120,12 @@ pub fn fig_resilience() -> std::io::Result<()> {
             // A queue bound tighter than deadline/service (~5 legs)
             // makes admission control bind *before* deadlines do —
             // otherwise every policy degenerates to pure timeouts and
-            // the sweep is flat. Env overrides still apply on top.
-            let mut rcfg = ResilienceConfig {
+            // the sweep is flat.
+            let rcfg = ResilienceConfig {
                 queue_cap: 3,
+                overload: policy,
                 ..ResilienceConfig::standard()
-            }
-            .env_overrides();
-            rcfg.overload = policy;
+            };
             let rep = run_open_resilient(
                 &alloc,
                 &cw.classification,

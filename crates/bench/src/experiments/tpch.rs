@@ -20,6 +20,11 @@ use crate::harness::{f2, f4, jitter_journal, Csv, SeedStats, Strategy};
 const UNIT: f64 = 0.2;
 /// Queries per run, as in Section 4.1.
 const REQUESTS: usize = 10_000;
+/// Largest backend count of Figure 4(c) that still runs the exact
+/// branch-and-bound optimum alongside the heuristics.
+const FIG4C_OPT_MAX: usize = 5;
+/// Figure 4(c)'s branch-and-bound time budget per point, in seconds.
+const FIG4C_OPT_SECS: u64 = 30;
 
 /// TPC-H runs model the Section 4.1 caching effect.
 fn sim_cfg() -> SimConfig {
@@ -139,20 +144,12 @@ pub fn fig4b() -> std::io::Result<()> {
 
 /// Figure 4(c): degree of replication (Eq. 28) for full replication,
 /// table-based, column-based, and the LP-optimal column-based
-/// allocation (computed up to `QCPA_FIG4C_OPT_MAX` backends, default 5,
-/// with `QCPA_FIG4C_OPT_SECS` seconds of branch & bound per point).
+/// allocation (computed up to [`FIG4C_OPT_MAX`] backends, with
+/// [`FIG4C_OPT_SECS`] seconds of branch & bound per point).
 pub fn fig4c() -> std::io::Result<()> {
     println!("== Figure 4(c): TPC-H degree of replication ==");
     let w = tpch(1.0);
     let journal = w.journal(100);
-    let opt_max: usize = std::env::var("QCPA_FIG4C_OPT_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let opt_secs: u64 = std::env::var("QCPA_FIG4C_OPT_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
     let mut csv = Csv::create(
         "fig4c_tpch_replication",
         &[
@@ -177,7 +174,7 @@ pub fn fig4c() -> std::io::Result<()> {
         let r_table = table_alloc.degree_of_replication(&table_cw.classification, &w.catalog);
         let r_col = col_alloc.degree_of_replication(&col_cw.classification, &w.catalog);
 
-        let (r_opt, status) = if n <= opt_max {
+        let (r_opt, status) = if n <= FIG4C_OPT_MAX {
             let incumbent = (col_alloc.scale(&cluster), col_alloc.total_bytes(&w.catalog));
             let out = optimal_allocation(
                 &col_cw.classification,
@@ -185,7 +182,7 @@ pub fn fig4c() -> std::io::Result<()> {
                 &cluster,
                 &OptimalConfig {
                     max_nodes: 200_000,
-                    time_limit: std::time::Duration::from_secs(opt_secs),
+                    time_limit: std::time::Duration::from_secs(FIG4C_OPT_SECS),
                     incumbent: Some(incumbent),
                 },
             );

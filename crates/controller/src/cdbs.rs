@@ -3,7 +3,7 @@
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::{Classification, Granularity};
 use qcpa_core::cluster::ClusterSpec;
-use qcpa_core::fragment::{Catalog, FragmentId};
+use qcpa_core::fragment::{Catalog, FragmentId, FragmentKind};
 use qcpa_core::greedy;
 use qcpa_core::journal::{Journal, Query};
 use qcpa_core::memetic::{self, MemeticConfig};
@@ -13,13 +13,14 @@ use qcpa_storage::fragmentation::{extract_full, extract_horizontal, extract_vert
 use qcpa_storage::schema::Schema;
 use qcpa_storage::table::Table;
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
-use crate::layout::{layout_from_allocation, TableLayout};
+use crate::layout::{layout_from_allocation, Footprint, TableLayout};
 use crate::partition::PartitionScheme;
-use crate::request::{referenced_columns, write_columns, Request, WriteKind, WriteRequest};
+use crate::request::{referenced_columns, Request, WriteKind, WriteRequest};
 use crate::resilience::{BackendHealth, ControllerResilience};
 use qcpa_storage::engine::{AggFunc, QueryResult as QR, ScanQuery};
+use qcpa_storage::schema::TableDef;
 use qcpa_storage::types::Value;
 
 /// Errors from the controller.
@@ -125,6 +126,16 @@ pub struct ReallocationReport {
     pub allocation: Allocation,
 }
 
+/// A request resolved against schema and partitioning — what the
+/// *analyse* stage hands to every later one.
+#[derive(Debug, Clone)]
+struct Analysis {
+    /// The request's table: its index in the schema and the master copy.
+    mi: usize,
+    /// What the request touches of that table.
+    footprint: Footprint,
+}
+
 /// A running cluster database system (Figure 3): master copy,
 /// controller state and the backend stores.
 pub struct Cdbs {
@@ -152,9 +163,10 @@ pub struct Cdbs {
     /// Monotone request counter — the controller's clock, used for
     /// breaker cooldowns.
     request_seq: u64,
-    /// Per-backend staleness ledger: writes an offline backend missed,
-    /// replayed in order by [`Cdbs::recover_backend`].
-    ledgers: Vec<VecDeque<WriteRequest>>,
+    /// Per-backend staleness ledger: the writes an unroutable backend
+    /// missed, each with its analysis, replayed in order when the
+    /// backend catches up.
+    ledgers: Vec<VecDeque<(WriteRequest, Analysis)>>,
     /// Set when a ledger exceeded the cap while the backend was down:
     /// recovery must fall back to a full reload.
     ledger_overflow: Vec<bool>,
@@ -203,62 +215,44 @@ impl Cdbs {
             );
         }
         let catalog = build_cdbs_catalog(&schema, &tables, &partitions);
-        let mut backends: Vec<BackendStore> =
-            (0..n_backends).map(|_| BackendStore::new()).collect();
-        let mut boot_layout = TableLayout::default();
-        for (def, t) in schema.tables.iter().zip(&tables) {
-            if let Some(scheme) = partitions.iter().find(|p| p.table == def.name) {
-                for store in backends.iter_mut() {
-                    for part in 0..scheme.n_parts() {
-                        store.bulk_load(extract_horizontal(
-                            t,
-                            &scheme.range_predicate(part),
-                            part as u32,
-                        ));
-                    }
-                }
-                boot_layout
-                    .parts
-                    .insert(def.name.clone(), (0..scheme.n_parts()).collect());
-            } else {
-                for store in backends.iter_mut() {
-                    store.bulk_load(extract_full(t));
-                }
-                boot_layout.columns.insert(
-                    def.name.clone(),
-                    def.columns.iter().map(|c| c.name.clone()).collect(),
-                );
-            }
-        }
-        // Full-replication allocation over the boot fragments.
+        // Full replication, as an allocation over the boot fragments —
+        // every plain table whole, every partition of every partitioned
+        // one — realized like any later allocation.
+        let boot: BTreeSet<FragmentId> = catalog
+            .fragments()
+            .iter()
+            .filter(|f| match f.kind {
+                FragmentKind::Table => scheme_for(&partitions, &f.name).is_none(),
+                FragmentKind::Horizontal { .. } => true,
+                FragmentKind::Column { .. } => false,
+            })
+            .map(|f| f.id)
+            .collect();
         let mut allocation = Allocation::empty(0, n_backends);
-        for set in allocation.fragments.iter_mut() {
-            for f in catalog.fragments() {
-                let partitioned_table = partitions.iter().any(|p| p.table == f.name);
-                match f.kind {
-                    qcpa_core::fragment::FragmentKind::Table if !partitioned_table => {
-                        set.insert(f.id);
-                    }
-                    qcpa_core::fragment::FragmentKind::Horizontal { .. } => {
-                        set.insert(f.id);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        allocation.fragments.fill(boot);
+        let layouts = layout_from_allocation(&allocation, &catalog, &schema);
+        let backends = layouts
+            .iter()
+            .map(|layout| {
+                let mut store = BackendStore::new();
+                load_missing(&schema, &partitions, &tables, &mut store, layout)
+                    .unwrap_or_else(|e| panic!("boot layout names only schema tables: {e}"));
+                store
+            })
+            .collect();
         Self {
             schema,
             master: tables,
             partitions,
             catalog,
-            layouts: vec![boot_layout; n_backends],
+            layouts,
             backends,
             allocation,
             cumulative_cost: vec![0.0; n_backends],
             journal: Journal::new(),
             offline: vec![false; n_backends],
             cut: vec![false; n_backends],
-            resilience: ControllerResilience::from_env(),
+            resilience: ControllerResilience::default(),
             health: vec![BackendHealth::default(); n_backends],
             request_seq: 0,
             ledgers: vec![VecDeque::new(); n_backends],
@@ -359,7 +353,7 @@ impl Cdbs {
 
     /// Replaces the resilience knobs (breaker thresholds, staleness
     /// ledger cap). The constructor starts from
-    /// [`ControllerResilience::from_env`].
+    /// [`ControllerResilience::default`].
     pub fn set_resilience(&mut self, cfg: ControllerResilience) {
         self.resilience = cfg;
     }
@@ -481,11 +475,11 @@ impl Cdbs {
             .expect("online capable set is non-empty")
     }
 
-    /// Queues `w` on offline backend `b`'s staleness ledger. A ledger
+    /// Queues `w` on unroutable backend `b`'s staleness ledger. A ledger
     /// that would exceed `staleness_cap` overflows: its entries are
-    /// discarded and the eventual recovery downgrades to a full reload
+    /// discarded and the eventual catch-up downgrades to a full reload
     /// from the master copy.
-    fn defer_write(&mut self, b: usize, w: &WriteRequest) {
+    fn defer_write(&mut self, b: usize, w: &WriteRequest, an: &Analysis) {
         if self.ledger_overflow[b] {
             return;
         }
@@ -501,7 +495,7 @@ impl Cdbs {
             });
             return;
         }
-        self.ledgers[b].push_back(w.clone());
+        self.ledgers[b].push_back((w.clone(), an.clone()));
         qcpa_obs::global()
             .counter("controller.ledger.deferred")
             .inc();
@@ -547,46 +541,64 @@ impl Cdbs {
         if !self.offline[b] {
             return Ok(0);
         }
-        let overflowed = std::mem::take(&mut self.ledger_overflow[b]);
-        let deferred: Vec<WriteRequest> = self.ledgers[b].drain(..).collect();
-        if !overflowed {
-            let replay_ok = deferred
-                .iter()
-                .all(|w| self.apply_write_to_backend(b, w).is_ok());
-            if replay_ok {
-                self.offline[b] = false;
-                self.health[b] = BackendHealth::default();
-                qcpa_obs::global()
-                    .counter("controller.ledger.replayed")
-                    .add(deferred.len() as u64);
-                qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
-                    "backend" => b as u64,
-                    "replayed" => deferred.len() as u64,
-                    "moved_bytes" => 0u64,
-                });
-                return Ok(0);
-            }
-            // A replay error means the ledger and the stored fragments
-            // disagree (possibly half-applied) — resync from scratch.
-        }
-        let stale: Vec<String> = self.backends[b]
-            .fragment_names()
-            .map(|s| s.to_string())
-            .collect();
-        for name in stale {
-            self.backends[b].drop_fragment(&name);
-        }
-        let moved = self.load_layout(b)?;
+        let (replayed, moved) = self.catch_up(b)?;
         self.offline[b] = false;
         self.health[b] = BackendHealth::default();
+        match replayed {
+            Some(replayed) => {
+                qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
+                    "backend" => b as u64,
+                    "replayed" => replayed as u64,
+                    "moved_bytes" => 0u64,
+                });
+            }
+            None => {
+                qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
+                    "backend" => b as u64,
+                    "moved_bytes" => moved,
+                });
+            }
+        }
+        Ok(moved)
+    }
+
+    /// Brings backend `b`'s stored fragments up to date with the master
+    /// copy — the one catch-up behind recovery, healing and
+    /// reallocation. A ledger that held every missed write is replayed
+    /// in order; after an overflow, or a replay error (ledger and
+    /// fragments disagree, possibly half-applied), everything `b` stores
+    /// is dropped and its layout reloaded. Returns the writes replayed
+    /// (`None` after a reload) and the bytes reloaded; `b`'s routing
+    /// flags and health are the caller's.
+    ///
+    /// # Errors
+    /// [`CdbsError::Internal`] when the layout names a table or
+    /// partition scheme missing from the controller state.
+    fn catch_up(&mut self, b: usize) -> Result<(Option<usize>, u64), CdbsError> {
+        let overflowed = std::mem::take(&mut self.ledger_overflow[b]);
+        let deferred: Vec<(WriteRequest, Analysis)> = self.ledgers[b].drain(..).collect();
+        if !overflowed
+            && deferred
+                .iter()
+                .all(|(w, an)| self.apply_write(b, w, an).is_ok())
+        {
+            qcpa_obs::global()
+                .counter("controller.ledger.replayed")
+                .add(deferred.len() as u64);
+            return Ok((Some(deferred.len()), 0));
+        }
+        self.backends[b] = BackendStore::new();
+        let (moved, _, _) = load_missing(
+            &self.schema,
+            &self.partitions,
+            &self.master,
+            &mut self.backends[b],
+            &self.layouts[b],
+        )?;
         qcpa_obs::global()
             .counter("controller.recoveries.moved_bytes")
             .add(moved);
-        qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
-            "backend" => b as u64,
-            "moved_bytes" => moved,
-        });
-        Ok(moved)
+        Ok((None, moved))
     }
 
     /// Indices of the currently failed backends.
@@ -644,31 +656,7 @@ impl Cdbs {
             if !self.cut[b] {
                 continue;
             }
-            let overflowed = std::mem::take(&mut self.ledger_overflow[b]);
-            let deferred: Vec<WriteRequest> = self.ledgers[b].drain(..).collect();
-            let replayed = !overflowed
-                && deferred
-                    .iter()
-                    .all(|w| self.apply_write_to_backend(b, w).is_ok());
-            let moved = if replayed {
-                qcpa_obs::global()
-                    .counter("controller.ledger.replayed")
-                    .add(deferred.len() as u64);
-                0
-            } else {
-                let stale: Vec<String> = self.backends[b]
-                    .fragment_names()
-                    .map(|s| s.to_string())
-                    .collect();
-                for name in stale {
-                    self.backends[b].drop_fragment(&name);
-                }
-                let moved = self.load_layout(b)?;
-                qcpa_obs::global()
-                    .counter("controller.recoveries.moved_bytes")
-                    .add(moved);
-                moved
-            };
+            let (_, moved) = self.catch_up(b)?;
             self.cut[b] = false;
             moved_total += moved;
             qcpa_obs::global().counter("controller.heals").inc();
@@ -685,188 +673,39 @@ impl Cdbs {
         (0..self.backends.len()).filter(|&b| self.cut[b]).collect()
     }
 
-    /// Loads every fragment of backend `b`'s layout from the master
-    /// copy, skipping fragments already stored. Returns loaded bytes.
-    ///
-    /// # Errors
-    /// [`CdbsError::Internal`] when the layout names a table or
-    /// partition scheme missing from the controller state.
-    fn load_layout(&mut self, b: usize) -> Result<u64, CdbsError> {
-        let (moved, _, _) = load_missing(
-            &self.schema,
-            &self.partitions,
-            &self.master,
-            &mut self.backends[b],
-            &self.layouts[b],
-        )?;
-        Ok(moved)
-    }
-
-    /// Applies one write to backend `b`'s stored fragments — the
-    /// staleness-ledger replay on recovery; the ROWA fan-out calls the
-    /// two kernels below directly with what it already worked out. Does
-    /// *not* touch the master copy, the journal or the balance state;
-    /// returns the rows changed (≥ 1), or 0 when `b`'s layout does not
-    /// overlap the write at all.
-    fn apply_write_to_backend(&mut self, b: usize, w: &WriteRequest) -> Result<f64, CdbsError> {
-        let def = self
-            .schema
-            .table(&w.table)
-            .ok_or_else(|| CdbsError::UnknownTable(w.table.clone()))?;
-        match self.scheme_for(&w.table) {
-            Some(scheme) => {
-                let touched = self.written_parts(scheme, w)?;
-                self.apply_partitioned_write(b, w, &touched)
-            }
-            None => {
-                let cols = write_columns(w, def);
-                self.apply_column_write(b, w, &cols)
-            }
+    /// Backend `b`'s share of one write: the ROWA fan-out and the ledger
+    /// replay. Does *not* touch the master copy, the journal or the
+    /// balance state; returns the rows changed (≥ 1), or 0 when `b`'s
+    /// layout does not overlap the write at all.
+    fn apply_write(&mut self, b: usize, w: &WriteRequest, an: &Analysis) -> Result<f64, CdbsError> {
+        let table = w.table.as_str();
+        let def = &self.schema.tables[an.mi];
+        let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
+        if !layout.holds_any(table, &an.footprint) {
+            return Ok(0.0);
         }
-    }
-
-    /// The partitions of `scheme`'s table a write touches: the one an
-    /// inserted row's partition key falls in, or those an update's
-    /// predicate can reach.
-    fn written_parts(
-        &self,
-        scheme: &PartitionScheme,
-        w: &WriteRequest,
-    ) -> Result<Vec<usize>, CdbsError> {
-        Ok(match &w.kind {
-            WriteKind::Insert(row) => {
-                let idx = internal(
-                    self.schema
-                        .table(&scheme.table)
-                        .and_then(|d| d.column_index(&scheme.column)),
-                    "scheme validated at construction",
+        if !layout.holds_all(table, &an.footprint) {
+            return Err(CdbsError::InconsistentLayout {
+                backend: b,
+                table: table.to_string(),
+            });
+        }
+        let changed = match &an.footprint {
+            Footprint::Parts(touched) if !layout.columns.contains_key(table) => {
+                let scheme = scheme_of(&self.partitions, table)?;
+                apply_partitioned_write(store, w, scheme, touched)?
+            }
+            // One stored fragment takes the write: a plain table's
+            // columns, or a partitioned table's whole copy.
+            _ => {
+                let frag = internal(
+                    layout.fragment_name(&self.schema, table),
+                    "covering backend stores the table",
                 )?;
-                match row.get(idx) {
-                    Some(Value::I64(v)) => vec![scheme.part_of(*v)],
-                    _ => (0..scheme.n_parts()).collect(),
-                }
+                apply_column_write(store, w, &frag, def, &layout.columns[table])?
             }
-            WriteKind::Update { predicate, .. } => scheme.touched(predicate.as_ref()),
-        })
-    }
-
-    /// Backend `b`'s share of a write touching the partitions `touched`
-    /// of a range-partitioned table; returns as
-    /// [`Cdbs::apply_write_to_backend`] does.
-    fn apply_partitioned_write(
-        &mut self,
-        b: usize,
-        w: &WriteRequest,
-        touched: &[usize],
-    ) -> Result<f64, CdbsError> {
-        let table = w.table.as_str();
-        let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
-        if !layout.overlaps_parts(table, touched) {
-            return Ok(0.0);
-        }
-        let n_columns = internal(self.schema.table(table), "write targets a known table")?
-            .columns
-            .len();
-        if !layout.covers_parts(table, touched, n_columns) {
-            return Err(CdbsError::InconsistentLayout {
-                backend: b,
-                table: table.to_string(),
-            });
-        }
-        let scheme = internal(
-            self.partitions.iter().find(|p| p.table == table),
-            "partitioned write implies a scheme",
-        )?;
-        let whole = layout
-            .columns
-            .get(table)
-            .is_some_and(|c| c.len() == n_columns);
-        let mut changed_max = 1.0f64;
-        match &w.kind {
-            WriteKind::Insert(row) if whole => store.insert(table, row.clone())?,
-            WriteKind::Insert(row) => {
-                store.insert(&scheme.fragment_name(touched[0]), row.clone())?;
-            }
-            WriteKind::Update {
-                predicate,
-                column,
-                value,
-            } if whole => {
-                let changed = store.update(table, predicate.as_ref(), column, value.clone())?;
-                changed_max = changed_max.max(changed as f64);
-            }
-            WriteKind::Update {
-                predicate,
-                column,
-                value,
-            } => {
-                for &p in touched {
-                    let frag = scheme.fragment_name(p);
-                    if store.table(&frag).is_none() {
-                        continue;
-                    }
-                    let changed = store.update(&frag, predicate.as_ref(), column, value.clone())?;
-                    changed_max = changed_max.max(changed as f64);
-                }
-            }
-        }
-        Ok(changed_max)
-    }
-
-    /// Backend `b`'s share of a write referencing the columns `cols` of
-    /// an unpartitioned table; returns as
-    /// [`Cdbs::apply_write_to_backend`] does.
-    fn apply_column_write(
-        &mut self,
-        b: usize,
-        w: &WriteRequest,
-        cols: &[String],
-    ) -> Result<f64, CdbsError> {
-        let table = w.table.as_str();
-        let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
-        if !layout.overlaps(table, cols) {
-            return Ok(0.0);
-        }
-        if !layout.covers(table, cols) {
-            return Err(CdbsError::InconsistentLayout {
-                backend: b,
-                table: table.to_string(),
-            });
-        }
-        let frag_name = internal(
-            layout.fragment_name(&self.schema, table),
-            "covering backend stores the table",
-        )?;
-        let mut changed_max = 1.0f64;
-        match &w.kind {
-            WriteKind::Insert(row) => {
-                // Project the row onto the stored columns.
-                let def = internal(self.schema.table(table), "write targets a known table")?;
-                let stored = &layout.columns[table];
-                let projected: Vec<_> = def
-                    .columns
-                    .iter()
-                    .zip(row.iter())
-                    .filter(|(c, _)| stored.contains(&c.name))
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                store.insert(&frag_name, projected)?;
-            }
-            WriteKind::Update {
-                predicate,
-                column,
-                value,
-            } => {
-                let changed =
-                    store.update(&frag_name, predicate.as_ref(), column, value.clone())?;
-                changed_max = changed_max.max(changed as f64);
-            }
-        }
-        Ok(changed_max)
-    }
-
-    fn scheme_for(&self, table: &str) -> Option<&PartitionScheme> {
-        self.partitions.iter().find(|p| p.table == table)
+        };
+        Ok((changed as f64).max(1.0))
     }
 
     /// Number of backends.
@@ -889,12 +728,20 @@ impl Cdbs {
         &self.cumulative_cost
     }
 
-    /// The column fragment ids for `table.columns` (used for journal
-    /// recording).
-    fn column_fragments(&self, table: &str, cols: &[String]) -> Vec<FragmentId> {
-        cols.iter()
-            .filter_map(|c| self.catalog.by_name(&format!("{table}.{c}")))
-            .collect()
+    /// The catalog fragments of `footprint` — what the journal records a
+    /// request against (Eq. 2).
+    fn journal_fragments(&self, table: &str, footprint: &Footprint) -> Vec<FragmentId> {
+        match footprint {
+            Footprint::Columns(cols) => cols
+                .iter()
+                .filter_map(|c| self.catalog.by_name(&format!("{table}.{c}")))
+                .collect(),
+            Footprint::Parts(touched) => scheme_for(&self.partitions, table)
+                .into_iter()
+                .flat_map(|s| touched.iter().map(|&p| s.fragment_name(p)))
+                .filter_map(|name| self.catalog.by_name(&name))
+                .collect(),
+        }
     }
 
     /// Executes one request: reads go to the least-loaded capable
@@ -925,293 +772,167 @@ impl Cdbs {
         Ok(outcome)
     }
 
+    /// The stage sequence every request runs, whatever the table's
+    /// fragmentation: *analyse* → *route* → *serve* → *propagate* →
+    /// *apply* → *record*. The footprint the analysis yields is the only
+    /// thing the later stages ask about the kind of fragment.
     fn execute_inner(&mut self, request: &Request) -> Result<ExecOutcome, CdbsError> {
-        let table_name = request.table();
-        let def = self
-            .schema
-            .table(table_name)
-            .ok_or_else(|| CdbsError::UnknownTable(table_name.to_string()))?;
-        let cols = referenced_columns(request, def);
-        if let Some(scheme) = self.scheme_for(table_name).cloned() {
-            return self.execute_partitioned(request, &scheme);
-        }
-        let frags = self.column_fragments(table_name, &cols);
+        let an = self.analyse(request)?;
+        let (table, fp) = (request.table(), &an.footprint);
+        let outcome = match request {
+            Request::Read(q) => self.read(q, &an)?,
+            Request::Write(w) => self.write(w, &an)?,
+        };
+        let frags = self.journal_fragments(table, fp);
+        self.journal.record(match request {
+            Request::Read(_) => Query::read(format!("R {table}{fp}"), frags, outcome.cost),
+            Request::Write(_) => Query::update(format!("W {table}{fp}"), frags, outcome.cost),
+        });
+        Ok(outcome)
+    }
 
-        match request {
-            Request::Read(q) => {
-                let capable: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].covers(table_name, &cols))
-                    .collect();
-                let online: Vec<usize> = capable
-                    .iter()
-                    .copied()
-                    .filter(|&b| self.routable(b))
-                    .collect();
-                if online.is_empty() {
-                    return Err(if capable.is_empty() {
-                        CdbsError::NoCapableBackend {
-                            table: table_name.to_string(),
-                            columns: cols.clone(),
-                        }
-                    } else {
-                        CdbsError::AllReplicasOffline {
-                            table: table_name.to_string(),
-                            offline: capable,
-                        }
-                    });
-                }
-                let b = self.pick_read_backend(&online);
-                let frag_name = internal(
-                    self.layouts[b].fragment_name(&self.schema, table_name),
+    /// *Analyse*: resolves the request's table and its footprint on it —
+    /// the referenced columns of a plain table, the partitions a
+    /// range-partitioned one is touched in.
+    fn analyse(&self, request: &Request) -> Result<Analysis, CdbsError> {
+        let table = request.table();
+        let mi = self
+            .schema
+            .tables
+            .iter()
+            .position(|t| t.name == table)
+            .ok_or_else(|| CdbsError::UnknownTable(table.to_string()))?;
+        let def = &self.schema.tables[mi];
+        let footprint = match (scheme_for(&self.partitions, table), request) {
+            (None, _) => Footprint::Columns(referenced_columns(request, def)),
+            (Some(scheme), Request::Read(q)) => {
+                Footprint::Parts(scheme.touched(q.predicate.as_ref()))
+            }
+            (Some(scheme), Request::Write(w)) => Footprint::Parts(written_parts(scheme, def, w)?),
+        };
+        Ok(Analysis { mi, footprint })
+    }
+
+    /// *Route*: the backends whose layout `holds` the request's
+    /// footprint, and those of them routing may target. Fails typed when
+    /// the second set is empty: no layout holds the data at all, or
+    /// every holder is failed or cut off.
+    fn route(
+        &self,
+        table: &str,
+        an: &Analysis,
+        holds: fn(&TableLayout, &str, &Footprint) -> bool,
+    ) -> Result<(Vec<usize>, Vec<usize>), CdbsError> {
+        let holders: Vec<usize> = (0..self.backends.len())
+            .filter(|&b| holds(&self.layouts[b], table, &an.footprint))
+            .collect();
+        let live: Vec<usize> = holders
+            .iter()
+            .copied()
+            .filter(|&b| self.routable(b))
+            .collect();
+        if !live.is_empty() {
+            return Ok((holders, live));
+        }
+        Err(if holders.is_empty() {
+            CdbsError::NoCapableBackend {
+                table: table.to_string(),
+                columns: an.footprint.describe(),
+            }
+        } else {
+            CdbsError::AllReplicasOffline {
+                table: table.to_string(),
+                offline: holders,
+            }
+        })
+    }
+
+    /// A read: one live backend holding the whole footprint serves it
+    /// (least accumulated work first, open breakers avoided) and is
+    /// charged the rows it scanned.
+    fn read(&mut self, q: &ScanQuery, an: &Analysis) -> Result<ExecOutcome, CdbsError> {
+        let table = q.table.as_str();
+        let (_, live) = self.route(table, an, TableLayout::holds_all)?;
+        let b = self.pick_read_backend(&live);
+        let (result, cost) = match self.scan_on(b, q, an) {
+            Ok((result, rows)) => (result, rows.max(1.0)),
+            Err(e) => {
+                self.note_backend_failure(b);
+                return Err(e);
+            }
+        };
+        self.note_backend_success(b, cost);
+        self.cumulative_cost[b] += cost;
+        Ok(ExecOutcome {
+            result: Some(result),
+            backends: vec![b],
+            cost,
+        })
+    }
+
+    /// *Serve*, for a read on backend `b`: the scan over the one stored
+    /// fragment that covers it (a plain table's columns, or a whole copy
+    /// of a partitioned table), else combined over the touched partition
+    /// fragments. Returns the result and the rows scanned — the stored
+    /// fragments' cardinality, a full scan in this engine.
+    fn scan_on(&self, b: usize, q: &ScanQuery, an: &Analysis) -> Result<(QR, f64), CdbsError> {
+        let table = q.table.as_str();
+        let (layout, store) = (&self.layouts[b], &self.backends[b]);
+        match &an.footprint {
+            Footprint::Parts(touched) if !layout.columns.contains_key(table) => {
+                let scheme = scheme_of(&self.partitions, table)?;
+                combine_partition_scan(store, q, scheme, touched)
+            }
+            _ => {
+                let frag = internal(
+                    layout.fragment_name(&self.schema, table),
                     "capable backend stores the table",
                 )?;
+                let rows = store.table(&frag).map_or(1.0, |t| t.len() as f64);
                 let mut translated = q.clone();
-                translated.table = frag_name.clone();
-                // Measured cost: rows scanned (the stored fragment's
-                // cardinality — a full scan in this engine).
-                let cost = self.backends[b]
-                    .table(&frag_name)
-                    .map(|t| t.len() as f64)
-                    .unwrap_or(1.0)
-                    .max(1.0);
-                let result = match self.backends[b].execute(&translated) {
-                    Ok(r) => {
-                        self.note_backend_success(b, cost);
-                        r
-                    }
-                    Err(e) => {
-                        self.note_backend_failure(b);
-                        return Err(e.into());
-                    }
-                };
-                self.cumulative_cost[b] += cost;
-                self.journal.record(Query::read(
-                    format!("R {table_name} [{}]", cols.join(",")),
-                    frags,
-                    cost,
-                ));
-                Ok(ExecOutcome {
-                    result: Some(result),
-                    backends: vec![b],
-                    cost,
-                })
-            }
-            Request::Write(w) => {
-                let overlapping: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].overlaps(table_name, &cols))
-                    .collect();
-                let targets: Vec<usize> = overlapping
-                    .iter()
-                    .copied()
-                    .filter(|&b| self.routable(b))
-                    .collect();
-                if targets.is_empty() {
-                    // No live replica accepts the write: fail it rather
-                    // than deferring everywhere (zero durability).
-                    return Err(if overlapping.is_empty() {
-                        CdbsError::NoCapableBackend {
-                            table: table_name.to_string(),
-                            columns: cols.clone(),
-                        }
-                    } else {
-                        CdbsError::AllReplicasOffline {
-                            table: table_name.to_string(),
-                            offline: overlapping,
-                        }
-                    });
-                }
-                let mut cost = 1.0f64;
-                for &b in &targets {
-                    let changed = self.apply_column_write(b, w, &cols)?;
-                    cost = cost.max(changed);
-                    self.cumulative_cost[b] += cost;
-                }
-                // Offline replicas missed the write: defer it into
-                // their staleness ledgers for replay at recovery.
-                for b in overlapping {
-                    if !self.routable(b) {
-                        self.defer_write(b, w);
-                    }
-                }
-                // Keep the master copy authoritative.
-                let mi = internal(
-                    self.schema.tables.iter().position(|t| t.name == table_name),
-                    "write targets a known table",
-                )?;
-                match &w.kind {
-                    WriteKind::Insert(row) => self.master[mi].append(row.clone()),
-                    WriteKind::Update {
-                        predicate,
-                        column,
-                        value,
-                    } => {
-                        self.master[mi].update(predicate.as_ref(), column, value.clone());
-                    }
-                }
-                self.journal.record(Query::update(
-                    format!("W {table_name} [{}]", cols.join(",")),
-                    frags,
-                    cost,
-                ));
-                Ok(ExecOutcome {
-                    result: None,
-                    backends: targets,
-                    cost,
-                })
+                translated.table = frag;
+                Ok((store.execute(&translated)?, rows))
             }
         }
     }
 
-    /// Executes a request against a range-partitioned table: reads go
-    /// to one backend covering every touched partition (results are
-    /// combined across its partition fragments), writes fan out ROWA to
-    /// every backend overlapping the touched partitions.
-    fn execute_partitioned(
-        &mut self,
-        request: &Request,
-        scheme: &PartitionScheme,
-    ) -> Result<ExecOutcome, CdbsError> {
-        let table_name = scheme.table.clone();
-        let n_columns = self
-            .schema
-            .table(&table_name)
-            .ok_or_else(|| CdbsError::UnknownTable(table_name.clone()))?
-            .columns
-            .len();
-        let touched: Vec<usize> = match request {
-            Request::Read(q) => scheme.touched(q.predicate.as_ref()),
-            Request::Write(w) => self.written_parts(scheme, w)?,
-        };
-        let frags: Vec<FragmentId> = touched
-            .iter()
-            .filter_map(|&p| self.catalog.by_name(&scheme.fragment_name(p)))
-            .collect();
-
-        match request {
-            Request::Read(q) => {
-                let capable: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].covers_parts(&table_name, &touched, n_columns))
-                    .collect();
-                let online: Vec<usize> = capable
-                    .iter()
-                    .copied()
-                    .filter(|&b| self.routable(b))
-                    .collect();
-                if online.is_empty() {
-                    return Err(if capable.is_empty() {
-                        CdbsError::NoCapableBackend {
-                            table: table_name.clone(),
-                            columns: vec![format!("partitions {touched:?}")],
-                        }
-                    } else {
-                        CdbsError::AllReplicasOffline {
-                            table: table_name.clone(),
-                            offline: capable,
-                        }
-                    });
-                }
-                let b = self.pick_read_backend(&online);
-                // A whole-table copy answers directly; otherwise combine
-                // over the stored partition fragments.
-                let whole = self.layouts[b]
-                    .columns
-                    .get(&table_name)
-                    .map(|c| c.len() == n_columns)
-                    .unwrap_or(false);
-                let exec = if whole {
-                    self.backends[b]
-                        .execute(q)
-                        .map_err(CdbsError::from)
-                        .map(|res| {
-                            let cost = self.backends[b]
-                                .table(&table_name)
-                                .map(|t| t.len() as f64)
-                                .unwrap_or(1.0);
-                            (res, cost)
-                        })
-                } else {
-                    combine_partition_scan(&self.backends[b], q, scheme, &touched)
-                };
-                let (result, cost) = match exec {
-                    Ok(rc) => rc,
-                    Err(e) => {
-                        self.note_backend_failure(b);
-                        return Err(e);
-                    }
-                };
-                let cost = cost.max(1.0);
-                self.note_backend_success(b, cost);
-                self.cumulative_cost[b] += cost;
-                self.journal.record(Query::read(
-                    format!("R {table_name}#{touched:?}"),
-                    frags,
-                    cost,
-                ));
-                Ok(ExecOutcome {
-                    result: Some(result),
-                    backends: vec![b],
-                    cost,
-                })
-            }
-            Request::Write(w) => {
-                let overlapping: Vec<usize> = (0..self.backends.len())
-                    .filter(|&b| self.layouts[b].overlaps_parts(&table_name, &touched))
-                    .collect();
-                let targets: Vec<usize> = overlapping
-                    .iter()
-                    .copied()
-                    .filter(|&b| self.routable(b))
-                    .collect();
-                if targets.is_empty() {
-                    return Err(if overlapping.is_empty() {
-                        CdbsError::NoCapableBackend {
-                            table: table_name.clone(),
-                            columns: vec![format!("partitions {touched:?}")],
-                        }
-                    } else {
-                        CdbsError::AllReplicasOffline {
-                            table: table_name.clone(),
-                            offline: overlapping,
-                        }
-                    });
-                }
-                let mut cost = 1.0f64;
-                for &b in &targets {
-                    let changed = self.apply_partitioned_write(b, w, &touched)?;
-                    cost = cost.max(changed);
-                    self.cumulative_cost[b] += cost;
-                }
-                for b in overlapping {
-                    if !self.routable(b) {
-                        self.defer_write(b, w);
-                    }
-                }
-                let mi = internal(
-                    self.schema.tables.iter().position(|t| t.name == table_name),
-                    "write targets a known table",
-                )?;
-                match &w.kind {
-                    WriteKind::Insert(row) => self.master[mi].append(row.clone()),
-                    WriteKind::Update {
-                        predicate,
-                        column,
-                        value,
-                    } => {
-                        self.master[mi].update(predicate.as_ref(), column, value.clone());
-                    }
-                }
-                self.journal.record(Query::update(
-                    format!("W {table_name}#{touched:?}"),
-                    frags,
-                    cost,
-                ));
-                Ok(ExecOutcome {
-                    result: None,
-                    backends: targets,
-                    cost,
-                })
+    /// A write: ROWA over the live backends holding any of the
+    /// footprint, deferred for the unroutable ones, then applied to the
+    /// master copy.
+    fn write(&mut self, w: &WriteRequest, an: &Analysis) -> Result<ExecOutcome, CdbsError> {
+        let table = w.table.as_str();
+        // With no live replica the write fails rather than deferring
+        // everywhere (zero durability).
+        let (holders, targets) = self.route(table, an, TableLayout::holds_any)?;
+        let mut cost = 1.0f64;
+        for &b in &targets {
+            let changed = self.apply_write(b, w, an)?;
+            cost = cost.max(changed);
+            self.cumulative_cost[b] += cost;
+        }
+        // *Propagate*: unroutable replicas missed the write; it waits in
+        // their staleness ledgers for the catch-up.
+        for b in holders {
+            if !self.routable(b) {
+                self.defer_write(b, w, an);
             }
         }
+        // *Apply*: keep the master copy authoritative.
+        match &w.kind {
+            WriteKind::Insert(row) => self.master[an.mi].append(row.clone()),
+            WriteKind::Update {
+                predicate,
+                column,
+                value,
+            } => {
+                self.master[an.mi].update(predicate.as_ref(), column, value.clone());
+            }
+        }
+        Ok(ExecOutcome {
+            result: None,
+            backends: targets,
+            cost,
+        })
     }
 
     /// Reallocates the system: classifies the recorded journal at the
@@ -1230,11 +951,17 @@ impl Cdbs {
         if self.journal.is_empty() {
             return Err(CdbsError::EmptyJournal);
         }
-        // Reallocation resynchronizes every backend from the master copy
-        // anyway, so bring failed nodes back first — their stale fragments
-        // must not be mistaken for up-to-date ones by the keep/load logic.
-        for b in self.offline_backends() {
-            self.recover_backend(b)?;
+        // The keep/load pass below leaves a fragment that is already in
+        // place where it is, so every backend that missed writes — failed
+        // or cut off — catches up first: a stale fragment would otherwise
+        // be kept as current.
+        for b in 0..self.backends.len() {
+            if self.offline[b] {
+                self.recover_backend(b)?;
+            }
+            if self.cut[b] {
+                self.heal_partition(&[b])?;
+            }
         }
         // Fresh sizes: the data may have grown since boot.
         self.catalog = build_cdbs_catalog(&self.schema, &self.master, &self.partitions);
@@ -1274,8 +1001,8 @@ impl Cdbs {
             self.layouts.push(TableLayout::default());
             self.cumulative_cost.push(0.0);
         }
-        // Everybody was recovered above and freshly reloaded below;
-        // health, breakers and ledgers start clean on the new cluster.
+        // Everybody caught up above; health, breakers and ledgers start
+        // clean on the new cluster.
         self.offline = vec![false; matched.n_backends()];
         self.cut = vec![false; matched.n_backends()];
         self.health = vec![BackendHealth::default(); matched.n_backends()];
@@ -1296,10 +1023,7 @@ impl Cdbs {
                 )?);
             }
             for (t, parts) in &layout.parts {
-                let scheme = internal(
-                    self.partitions.iter().find(|p| &p.table == t),
-                    "partition fragments imply a scheme",
-                )?;
+                let scheme = scheme_of(&self.partitions, t)?;
                 wanted.extend(parts.iter().map(|&p| scheme.fragment_name(p)));
             }
             // Drop stale fragments.
@@ -1357,7 +1081,7 @@ impl Cdbs {
 
 /// Extracts from the master copy and bulk-loads into `store` every
 /// fragment `layout` wants and `store` lacks — the ETL step shared by
-/// reallocation and recovery. Returns `(moved_bytes, loaded, kept)`:
+/// boot, catch-up and reallocation. Returns `(moved_bytes, loaded, kept)`:
 /// the bytes loaded, and how many wanted fragments were loaded and how
 /// many were already in place.
 ///
@@ -1380,10 +1104,7 @@ fn load_missing(
     };
     let (mut moved, mut loaded, mut kept) = (0u64, 0usize, 0usize);
     for (t, parts) in &layout.parts {
-        let scheme = internal(
-            partitions.iter().find(|p| &p.table == t),
-            "partition fragments imply a scheme",
-        )?;
+        let scheme = scheme_of(partitions, t)?;
         let (_, source) = master_of(t)?;
         for &p in parts {
             if store.table(&scheme.fragment_name(p)).is_some() {
@@ -1433,7 +1154,7 @@ fn build_cdbs_catalog(
     for (def, table) in schema.tables.iter().zip(master) {
         let rows = table.len() as u64;
         let tid = catalog.add_table(def.name.clone(), def.row_width() * rows);
-        if let Some(scheme) = partitions.iter().find(|p| p.table == def.name) {
+        if let Some(scheme) = scheme_for(partitions, &def.name) {
             // audit:allow(panic-hygiene): free catalog builder has no error
             // channel; `Cdbs::new` validates every scheme column up front
             let idx = def.column_index(&scheme.column).expect("scheme column");
@@ -1462,10 +1183,110 @@ fn build_cdbs_catalog(
     catalog
 }
 
+/// The range-partitioning scheme of `table`, if it has one.
+fn scheme_for<'a>(partitions: &'a [PartitionScheme], table: &str) -> Option<&'a PartitionScheme> {
+    partitions.iter().find(|p| p.table == table)
+}
+
+/// The scheme of a table whose layout or footprint is in partitions.
+fn scheme_of<'a>(
+    partitions: &'a [PartitionScheme],
+    table: &str,
+) -> Result<&'a PartitionScheme, CdbsError> {
+    internal(
+        scheme_for(partitions, table),
+        "partition fragments imply a scheme",
+    )
+}
+
+/// The partitions of `scheme`'s table (defined by `def`) a write
+/// touches: the one an inserted row's partition key falls in, or those
+/// an update's predicate can reach.
+fn written_parts(
+    scheme: &PartitionScheme,
+    def: &TableDef,
+    w: &WriteRequest,
+) -> Result<Vec<usize>, CdbsError> {
+    Ok(match &w.kind {
+        WriteKind::Insert(row) => {
+            let idx = internal(
+                def.column_index(&scheme.column),
+                "scheme validated at construction",
+            )?;
+            match row.get(idx) {
+                Some(Value::I64(v)) => vec![scheme.part_of(*v)],
+                _ => (0..scheme.n_parts()).collect(),
+            }
+        }
+        WriteKind::Update { predicate, .. } => scheme.touched(predicate.as_ref()),
+    })
+}
+
+/// *Serve*, for a write on the stored partition fragments `touched` of
+/// `scheme`'s table (the layout covers them all); returns the most rows
+/// changed in one fragment.
+fn apply_partitioned_write(
+    store: &mut BackendStore,
+    w: &WriteRequest,
+    scheme: &PartitionScheme,
+    touched: &[usize],
+) -> Result<usize, CdbsError> {
+    match &w.kind {
+        WriteKind::Insert(row) => {
+            store.insert(&scheme.fragment_name(touched[0]), row.clone())?;
+            Ok(1)
+        }
+        WriteKind::Update {
+            predicate,
+            column,
+            value,
+        } => {
+            let mut changed_max = 0;
+            for &p in touched {
+                let frag = scheme.fragment_name(p);
+                let changed = store.update(&frag, predicate.as_ref(), column, value.clone())?;
+                changed_max = changed_max.max(changed);
+            }
+            Ok(changed_max)
+        }
+    }
+}
+
+/// *Serve*, for a write on the one fragment `frag` storing the columns
+/// `stored` of the table `def`; returns the rows changed.
+fn apply_column_write(
+    store: &mut BackendStore,
+    w: &WriteRequest,
+    frag: &str,
+    def: &TableDef,
+    stored: &[String],
+) -> Result<usize, CdbsError> {
+    match &w.kind {
+        WriteKind::Insert(row) => {
+            // Project the row onto the stored columns.
+            let projected: Vec<_> = def
+                .columns
+                .iter()
+                .zip(row.iter())
+                .filter(|(c, _)| stored.contains(&c.name))
+                .map(|(_, v)| v.clone())
+                .collect();
+            store.insert(frag, projected)?;
+            Ok(1)
+        }
+        WriteKind::Update {
+            predicate,
+            column,
+            value,
+        } => Ok(store.update(frag, predicate.as_ref(), column, value.clone())?),
+    }
+}
+
 /// Runs a scan over the stored fragments of the touched partitions and
 /// combines the partial results (rows concatenate; COUNT/SUM add,
-/// MIN/MAX fold, AVG recombines from per-partition SUM and COUNT).
-/// Returns the combined result and the scan cost (rows read).
+/// MIN/MAX fold, AVG recombines from per-partition SUM and COUNT), one
+/// sub-query per fragment and function it needs. Returns the combined
+/// result and the scan cost (rows of the fragments read).
 fn combine_partition_scan(
     store: &BackendStore,
     q: &ScanQuery,
@@ -1473,72 +1294,49 @@ fn combine_partition_scan(
     touched: &[usize],
 ) -> Result<(QR, f64), CdbsError> {
     let mut cost = 0.0f64;
-    if let Some((func, column)) = &q.aggregate {
-        let mut count_total = 0.0f64;
-        let mut sum_total = 0.0f64;
-        let mut min: Option<f64> = None;
-        let mut max: Option<f64> = None;
-        for &p in touched {
-            let frag = scheme.fragment_name(p);
-            if store.table(&frag).is_none() {
-                continue;
-            }
-            cost += store.table(&frag).map(|t| t.len() as f64).unwrap_or(0.0);
-            let mut part_q = q.clone();
-            part_q.table = frag.clone();
-            // COUNT over the same selection (needed for AVG and COUNT).
-            let mut count_q = part_q.clone();
-            count_q.aggregate = Some((AggFunc::Count, column.clone()));
-            if let QR::Scalar(Some(c)) = store.execute(&count_q)? {
-                count_total += c;
-            }
-            match func {
-                AggFunc::Count => {}
-                AggFunc::Sum | AggFunc::Avg => {
-                    let mut sum_q = part_q.clone();
-                    sum_q.aggregate = Some((AggFunc::Sum, column.clone()));
-                    if let QR::Scalar(Some(s)) = store.execute(&sum_q)? {
-                        sum_total += s;
-                    }
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    if let QR::Scalar(Some(v)) = store.execute(&part_q)? {
-                        min = Some(min.map_or(v, |m: f64| m.min(v)));
-                        max = Some(max.map_or(v, |m: f64| m.max(v)));
-                    }
-                }
-            }
-        }
-        let scalar = match func {
-            AggFunc::Count => Some(count_total),
-            AggFunc::Sum => Some(sum_total),
-            AggFunc::Avg => {
-                if count_total > 0.0 {
-                    Some(sum_total / count_total)
-                } else {
-                    None
-                }
-            }
-            AggFunc::Min => min,
-            AggFunc::Max => max,
-        };
-        return Ok((QR::Scalar(scalar), cost));
-    }
-    let mut rows = Vec::new();
+    let mut frags = Vec::with_capacity(touched.len());
     for &p in touched {
         let frag = scheme.fragment_name(p);
-        if store.table(&frag).is_none() {
-            continue;
-        }
-        cost += store.table(&frag).map(|t| t.len() as f64).unwrap_or(0.0);
-        let mut part_q = q.clone();
-        part_q.table = frag;
-        match store.execute(&part_q)? {
-            QR::Rows(mut r) => rows.append(&mut r),
-            QR::Scalar(_) => unreachable!("no aggregate requested"),
+        if let Some(t) = store.table(&frag) {
+            cost += t.len() as f64;
+            frags.push(frag);
         }
     }
-    Ok((QR::Rows(rows), cost))
+    let mut part_q = q.clone();
+    let Some((func, column)) = &q.aggregate else {
+        let mut rows = Vec::new();
+        for frag in frags {
+            part_q.table = frag;
+            if let QR::Rows(mut r) = store.execute(&part_q)? {
+                rows.append(&mut r);
+            }
+        }
+        return Ok((QR::Rows(rows), cost));
+    };
+    // Folds `f`'s per-fragment scalars (empty selections yield none).
+    let mut fold = |f: AggFunc, init: Option<f64>, op: fn(f64, f64) -> f64| {
+        part_q.aggregate = Some((f, column.clone()));
+        let mut acc = init;
+        for frag in &frags {
+            part_q.table.clone_from(frag);
+            if let QR::Scalar(Some(v)) = store.execute(&part_q)? {
+                acc = Some(acc.map_or(v, |a| op(a, v)));
+            }
+        }
+        Ok::<_, CdbsError>(acc)
+    };
+    let add = |a, b| a + b;
+    let scalar = match func {
+        AggFunc::Count | AggFunc::Sum => fold(*func, Some(0.0), add)?,
+        AggFunc::Min => fold(AggFunc::Min, None, f64::min)?,
+        AggFunc::Max => fold(AggFunc::Max, None, f64::max)?,
+        AggFunc::Avg => {
+            let count = fold(AggFunc::Count, Some(0.0), add)?.filter(|&c| c > 0.0);
+            let sum = fold(AggFunc::Sum, Some(0.0), add)?;
+            count.zip(sum).map(|(c, s)| s / c)
+        }
+    };
+    Ok((QR::Scalar(scalar), cost))
 }
 
 #[cfg(test)]
@@ -1951,6 +1749,49 @@ mod tests {
         // The override's success closed the breaker.
         assert!(!cdbs.breaker_open(0));
     }
+
+    /// Backend 1 is cut off while every price changes, then the system
+    /// reallocates: reallocation keeps fragments in place, so whichever
+    /// backend answers afterwards must have caught up first.
+    fn reallocate_with_cut_backend(staleness_cap: usize) {
+        let (schema, tables) = bookshop();
+        let mut cdbs = Cdbs::new(schema, tables, 2);
+        cdbs.set_resilience(ControllerResilience {
+            staleness_cap,
+            ..ControllerResilience::default()
+        });
+        for _ in 0..3 {
+            cdbs.execute(&price_query()).unwrap();
+            cdbs.execute(&order_query()).unwrap();
+        }
+        cdbs.partition_backends(&[1]);
+        let reprice = WriteRequest::update("item", None, "i_price", Value::F64(-7.0));
+        cdbs.execute(&Request::Write(reprice)).unwrap();
+        assert_eq!(cdbs.ledger_overflowed(1), staleness_cap == 0);
+        cdbs.reallocate(2, Granularity::Table, None).unwrap();
+        assert!(cdbs.partitioned_backends().is_empty());
+        assert_eq!(cdbs.deferred_writes(1), 0);
+        assert!(!cdbs.ledger_overflowed(1));
+        for _ in 0..6 {
+            let out = cdbs.execute(&price_query()).unwrap();
+            assert_eq!(
+                out.result.unwrap(),
+                QueryResult::Scalar(Some(-7.0)),
+                "backend {:?} answered from a stale fragment",
+                out.backends
+            );
+        }
+    }
+
+    #[test]
+    fn reallocation_replays_a_cut_backends_ledger_first() {
+        reallocate_with_cut_backend(1024);
+    }
+
+    #[test]
+    fn reallocation_reloads_a_cut_backend_whose_ledger_overflowed() {
+        reallocate_with_cut_backend(0);
+    }
 }
 
 impl Cdbs {
@@ -2049,6 +1890,36 @@ mod partition_tests {
                 .agg(AggFunc::Avg, "e_value"),
         );
         assert!((scalar(&cdbs.execute(&avg).unwrap()) - expected / 300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn partitioned_min_max_fold_and_empty_selections_are_none() {
+        let mut cdbs = partitioned_cdbs(2);
+        let agg = |f, p: Option<Predicate>| {
+            let q = ScanQuery::all("events").select(&["e_value"]);
+            let q = match p {
+                Some(p) => q.filter(p),
+                None => q,
+            };
+            Request::Read(q.agg(f, "e_value"))
+        };
+        // e_value = e_id over 0..300, spread over all three partitions.
+        assert_eq!(
+            scalar(&cdbs.execute(&agg(AggFunc::Min, None)).unwrap()),
+            0.0
+        );
+        let out = cdbs.execute(&agg(AggFunc::Max, None)).unwrap();
+        assert_eq!(scalar(&out), 299.0);
+        assert_eq!(out.cost, 300.0, "cost is the rows of the touched fragments");
+        // Nothing selected: MIN/MAX/AVG have no value, COUNT and SUM are 0.
+        let nothing = || Some(Predicate::cmp("e_value", CmpOp::Lt, Value::F64(-1.0)));
+        for f in [AggFunc::Min, AggFunc::Max, AggFunc::Avg] {
+            let out = cdbs.execute(&agg(f, nothing())).unwrap();
+            assert_eq!(out.result, Some(QR::Scalar(None)), "{f:?}");
+        }
+        for f in [AggFunc::Count, AggFunc::Sum] {
+            assert_eq!(scalar(&cdbs.execute(&agg(f, nothing())).unwrap()), 0.0);
+        }
     }
 
     #[test]

@@ -13,10 +13,44 @@ use qcpa_core::allocation::Allocation;
 use qcpa_core::fragment::{Catalog, FragmentKind};
 use qcpa_storage::schema::Schema;
 
+/// What a request touches of its table — Eq. 2's fragment set in the
+/// layout's own terms, and the only input of the controller's request
+/// path that depends on how the table is fragmented.
+#[derive(Debug, Clone)]
+pub(crate) enum Footprint {
+    /// The referenced columns of a plain table (primary key included).
+    Columns(Vec<String>),
+    /// The touched partitions of a range-partitioned table, ascending.
+    Parts(Vec<usize>),
+}
+
+impl Footprint {
+    /// The footprint as [`crate::CdbsError::NoCapableBackend`] reports it.
+    pub(crate) fn describe(&self) -> Vec<String> {
+        match self {
+            Footprint::Columns(cols) => cols.clone(),
+            Footprint::Parts(touched) => vec![format!("partitions {touched:?}")],
+        }
+    }
+}
+
+/// The footprint as the journal's query text carries it, directly after
+/// the table name: `" [i_id,i_price]"` or `"#[0, 2]"`.
+impl std::fmt::Display for Footprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Footprint::Columns(cols) => write!(f, " [{}]", cols.join(",")),
+            Footprint::Parts(touched) => write!(f, "#{touched:?}"),
+        }
+    }
+}
+
 /// One backend's stored columns per logical table. Tables absent from
 /// the map are not stored at all; a stored table always includes its
 /// primary key. Range-partitioned tables are tracked separately in
-/// `parts`: the backend stores those partitions with *all* columns.
+/// `parts`: the backend stores those partitions with *all* columns. The
+/// catalog fragments such a table by range only, so where it appears in
+/// `columns` it is a whole copy, good for every partition.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TableLayout {
     /// table name → sorted column names (primary key included).
@@ -35,39 +69,36 @@ impl TableLayout {
         }
     }
 
-    /// True if the layout can answer a request touching the given
-    /// partitions of a range-partitioned table (a whole-table copy also
-    /// qualifies).
-    pub fn covers_parts(&self, table: &str, touched: &[usize], n_columns: usize) -> bool {
-        if let Some(stored) = self.columns.get(table) {
-            if stored.len() == n_columns {
-                return true;
+    /// True if the layout stores everything of `footprint`: a read can
+    /// run here, a write is applied completely.
+    pub(crate) fn holds_all(&self, table: &str, footprint: &Footprint) -> bool {
+        match footprint {
+            Footprint::Columns(needed) => self.covers(table, needed),
+            Footprint::Parts(touched) => {
+                self.columns.contains_key(table)
+                    || self
+                        .parts
+                        .get(table)
+                        .is_some_and(|stored| touched.iter().all(|p| stored.contains(p)))
             }
         }
-        match self.parts.get(table) {
-            None => false,
-            Some(stored) => touched.iter().all(|p| stored.contains(p)),
-        }
     }
 
-    /// True if the layout stores any of the given partitions (ROWA
-    /// overlap for partitioned tables; a whole-table copy overlaps).
-    pub fn overlaps_parts(&self, table: &str, touched: &[usize]) -> bool {
-        if self.columns.contains_key(table) {
-            return true;
-        }
-        match self.parts.get(table) {
-            None => false,
-            Some(stored) => touched.iter().any(|p| stored.contains(p)),
-        }
-    }
-
-    /// True if the layout stores any of the given columns of `table`
-    /// (the ROWA overlap test).
-    pub fn overlaps(&self, table: &str, cols: &[String]) -> bool {
-        match self.columns.get(table) {
-            None => false,
-            Some(stored) => cols.iter().any(|c| stored.contains(c)),
+    /// True if the layout stores anything of `footprint` — the ROWA
+    /// overlap test.
+    pub(crate) fn holds_any(&self, table: &str, footprint: &Footprint) -> bool {
+        match footprint {
+            Footprint::Columns(cols) => self
+                .columns
+                .get(table)
+                .is_some_and(|stored| cols.iter().any(|c| stored.contains(c))),
+            Footprint::Parts(touched) => {
+                self.columns.contains_key(table)
+                    || self
+                        .parts
+                        .get(table)
+                        .is_some_and(|stored| touched.iter().any(|p| stored.contains(p)))
+            }
         }
     }
 

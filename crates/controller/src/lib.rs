@@ -1,22 +1,20 @@
 //! # qcpa-controller
 //!
 //! The paper's prototype, as a library (Figure 3): a **controller** in
-//! front of shared-nothing backend stores that
-//!
-//! * executes read requests on one backend holding all referenced data
-//!   (least-accumulated-work-first among the capable backends),
-//! * fans updates out to every backend holding any referenced fragment
-//!   (ROWA), keeping replicas consistent,
-//! * records every request in the **query history** with its measured
-//!   cost (rows touched),
-//! * and on demand **reallocates**: classifies the recorded journal,
-//!   computes a partial replication (greedy + memetic), derives each
-//!   backend's physical column layout, extracts the fragments from the
-//!   master copy and bulk-loads them — moving only the data that
-//!   changed.
-//!
-//! This is the piece that turns the analytical model into a running
-//! system; `examples/controller_cdbs.rs` drives it end to end.
+//! front of shared-nothing backend stores; `examples/controller_cdbs.rs`
+//! drives it end to end. Every request runs one stage sequence — analyse
+//! → route → serve → propagate → apply → record — whose only
+//! fragmentation-specific input is the request's footprint (the
+//! referenced columns of a plain table, the touched partitions of a
+//! range-partitioned one): a read runs on the least-loaded live backend
+//! holding all of it, a write on every backend holding any of it (ROWA),
+//! and both enter the **query history** with their measured cost. One
+//! catch-up (replay the staleness ledger, else reload from the master
+//! copy) readmits a failed or cut-off backend on recovery, on healing
+//! and before a **reallocation** — classify the journal, allocate
+//! (greedy + memetic), match onto the running layout, move only the
+//! fragments that changed — and resilience is configured by value
+//! through [`Cdbs::set_resilience`].
 //!
 //! ```
 //! use qcpa_controller::{Cdbs, Request, WriteRequest};

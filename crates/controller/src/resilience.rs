@@ -16,18 +16,9 @@
 //! the ledger in order instead of bulk-reloading the whole layout,
 //! unless the ledger overflowed while the backend was down.
 
-/// Tuning knobs for the controller's resilience runtime.
-///
-/// Every knob has an environment override (applied by
-/// [`ControllerResilience::from_env`]), mirroring the simulator's
-/// `ResilienceConfig` conventions:
-///
-/// | Env var                  | Field               |
-/// |--------------------------|---------------------|
-/// | `QCPA_CTRL_BREAKER_FAILS`| `failure_threshold` |
-/// | `QCPA_CTRL_COOLDOWN`     | `cooldown_requests` |
-/// | `QCPA_CTRL_EWMA_ALPHA`   | `ewma_alpha`        |
-/// | `QCPA_STALENESS_CAP`     | `staleness_cap`     |
+/// Tuning knobs for the controller's resilience runtime, handed to
+/// [`crate::Cdbs::set_resilience`]; a controller starts from the
+/// defaults.
 #[derive(Debug, Clone)]
 pub struct ControllerResilience {
     /// Consecutive backend failures that trip its circuit breaker.
@@ -54,37 +45,6 @@ impl Default for ControllerResilience {
             ewma_alpha: 0.2,
             staleness_cap: 1024,
         }
-    }
-}
-
-impl ControllerResilience {
-    /// The defaults with environment overrides applied.
-    pub fn from_env() -> Self {
-        Self::default().env_overrides()
-    }
-
-    /// Applies `QCPA_CTRL_*` / `QCPA_STALENESS_CAP` environment
-    /// overrides on top of `self`; unset or unparsable variables leave
-    /// the corresponding field untouched.
-    #[must_use]
-    pub fn env_overrides(mut self) -> Self {
-        fn get<T: std::str::FromStr>(key: &str) -> Option<T> {
-            // audit:allow(env-access): shared helper for the documented QCPA_CTRL_* overrides below; every caller passes a QCPA_ key
-            std::env::var(key).ok().and_then(|s| s.parse().ok())
-        }
-        if let Some(v) = get("QCPA_CTRL_BREAKER_FAILS") {
-            self.failure_threshold = v;
-        }
-        if let Some(v) = get("QCPA_CTRL_COOLDOWN") {
-            self.cooldown_requests = v;
-        }
-        if let Some(v) = get("QCPA_CTRL_EWMA_ALPHA") {
-            self.ewma_alpha = v;
-        }
-        if let Some(v) = get("QCPA_STALENESS_CAP") {
-            self.staleness_cap = v;
-        }
-        self
     }
 }
 
@@ -127,15 +87,5 @@ mod tests {
         h.observe_cost(0.5, 20.0);
         assert!((h.ewma_cost - 15.0).abs() < 1e-12);
         assert!(h.seen);
-    }
-
-    #[test]
-    fn env_overrides_parse_known_keys() {
-        // Only exercises the parsing path with unset vars: fields keep
-        // their defaults (the vars are not set in the test env).
-        let cfg = ControllerResilience::from_env();
-        assert_eq!(cfg.failure_threshold, 3);
-        assert_eq!(cfg.cooldown_requests, 64);
-        assert_eq!(cfg.staleness_cap, 1024);
     }
 }

@@ -49,7 +49,8 @@ pub struct CoarsenConfig {
     /// Stop coarsening once the instance has at most this many
     /// fragments — the size handed to the memetic solver.
     pub target_fragments: usize,
-    /// Hard cap on coarsening levels (`QCPA_COARSEN_LEVELS`).
+    /// Hard cap on coarsening levels; `0` forces direct (single-level)
+    /// allocation at any size.
     pub max_levels: usize,
     /// A merged super-fragment may hold at most
     /// `size_cap_factor × total_bytes / target_fragments` bytes,
@@ -64,22 +65,6 @@ impl Default for CoarsenConfig {
             max_levels: 16,
             size_cap_factor: 4.0,
         }
-    }
-}
-
-impl CoarsenConfig {
-    /// The default configuration with `max_levels` overridden by the
-    /// `QCPA_COARSEN_LEVELS` environment variable when it parses as a
-    /// non-negative integer (`0` disables coarsening entirely).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("QCPA_COARSEN_LEVELS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.max_levels = n;
-            }
-        }
-        cfg
     }
 }
 

@@ -428,23 +428,6 @@ impl Default for LayeredFaultConfig {
     }
 }
 
-impl LayeredFaultConfig {
-    /// Applies the chaos env knobs: `QCPA_FAULT_GRAY` overrides the
-    /// gray-window count and `QCPA_FAULT_PARTITION` the partition
-    /// count. Unset or unparsable values leave the field untouched.
-    #[must_use]
-    pub fn env_overrides(mut self) -> Self {
-        let parse = |v: Result<String, std::env::VarError>| v.ok().and_then(|s| s.parse().ok());
-        if let Some(v) = parse(std::env::var("QCPA_FAULT_GRAY")) {
-            self.gray = v;
-        }
-        if let Some(v) = parse(std::env::var("QCPA_FAULT_PARTITION")) {
-            self.partitions = v;
-        }
-        self
-    }
-}
-
 /// A validated, time-ordered fault schedule for a cluster of
 /// `n_backends`, plus the backend sides of its network partitions.
 #[derive(Debug, Clone, PartialEq)]

@@ -90,19 +90,6 @@ pub enum OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// Parses the `QCPA_OVERLOAD` spelling (case-insensitive):
-    /// `reject`, `shed` / `shed_lowest_weight`, `brownout`.
-    pub fn parse(s: &str) -> Option<OverloadPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reject" => Some(OverloadPolicy::Reject),
-            "shed" | "shed_lowest_weight" | "shedlowestweight" => {
-                Some(OverloadPolicy::ShedLowestWeight)
-            }
-            "brownout" => Some(OverloadPolicy::Brownout),
-            _ => None,
-        }
-    }
-
     /// Stable lower-case name (CSV/metrics label).
     pub fn name(&self) -> &'static str {
         match self {
@@ -116,8 +103,8 @@ impl OverloadPolicy {
 /// Knobs for [`run_open_resilient`]. [`Default`] disables every
 /// mechanism (infinite deadline, no retries, unbounded queues, breaker
 /// off) — the configuration [`crate::fault::run_open_faults`] runs;
-/// [`ResilienceConfig::standard`] is an active preset; environment
-/// variables override either via [`ResilienceConfig::env_overrides`].
+/// [`ResilienceConfig::standard`] is an active preset; callers set
+/// fields on either.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Per-attempt deadline in seconds, measured from the dispatch of
@@ -202,73 +189,6 @@ impl ResilienceConfig {
             ewma_alpha: 0.2,
             slow_trip: f64::INFINITY,
         }
-    }
-
-    /// [`ResilienceConfig::standard`] with environment overrides
-    /// applied — the counterpart of `QCPA_THREADS` for the resilience
-    /// layer.
-    pub fn from_env() -> Self {
-        Self::standard().env_overrides()
-    }
-
-    /// Applies environment-variable overrides: `QCPA_DEADLINE`,
-    /// `QCPA_RETRIES`, `QCPA_BACKOFF`, `QCPA_BACKOFF_CAP`,
-    /// `QCPA_JITTER`, `QCPA_RESILIENCE_SEED`, `QCPA_QUEUE_CAP`,
-    /// `QCPA_OVERLOAD`, `QCPA_BROWNOUT_DISCOUNT`, `QCPA_BREAKER_FAILS`,
-    /// `QCPA_BREAKER_COOLDOWN`, `QCPA_HALF_OPEN_PROBES`,
-    /// `QCPA_EWMA_ALPHA`, `QCPA_SLOW_TRIP`. Unset or unparsable
-    /// variables leave the field unchanged.
-    pub fn env_overrides(mut self) -> Self {
-        fn parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-            // audit:allow(env-access): shared helper for the documented QCPA_* overrides below; every caller passes a QCPA_ key
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
-        if let Some(v) = parse::<f64>("QCPA_DEADLINE") {
-            self.deadline = v;
-        }
-        if let Some(v) = parse::<u32>("QCPA_RETRIES") {
-            self.max_retries = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_BACKOFF") {
-            self.backoff_base = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_BACKOFF_CAP") {
-            self.backoff_cap = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_JITTER") {
-            self.jitter = v;
-        }
-        if let Some(v) = parse::<u64>("QCPA_RESILIENCE_SEED") {
-            self.seed = v;
-        }
-        if let Some(v) = parse::<usize>("QCPA_QUEUE_CAP") {
-            self.queue_cap = v;
-        }
-        if let Some(v) = std::env::var("QCPA_OVERLOAD")
-            .ok()
-            .and_then(|s| OverloadPolicy::parse(&s))
-        {
-            self.overload = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_BROWNOUT_DISCOUNT") {
-            self.brownout_discount = v;
-        }
-        if let Some(v) = parse::<u32>("QCPA_BREAKER_FAILS") {
-            self.breaker_failures = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_BREAKER_COOLDOWN") {
-            self.breaker_cooldown = v;
-        }
-        if let Some(v) = parse::<u32>("QCPA_HALF_OPEN_PROBES") {
-            self.half_open_probes = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_EWMA_ALPHA") {
-            self.ewma_alpha = v;
-        }
-        if let Some(v) = parse::<f64>("QCPA_SLOW_TRIP") {
-            self.slow_trip = v;
-        }
-        self
     }
 
     /// Whether the circuit breaker participates in routing.
@@ -2296,29 +2216,5 @@ mod tests {
         for (x, y) in a.busy.iter().zip(&b.busy) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn env_overrides_parse_known_keys() {
-        // Serialize against other env-touching tests by using unique
-        // keys only set here.
-        std::env::set_var("QCPA_DEADLINE", "2.5");
-        std::env::set_var("QCPA_RETRIES", "7");
-        std::env::set_var("QCPA_OVERLOAD", "brownout");
-        std::env::set_var("QCPA_QUEUE_CAP", "17");
-        let cfg = ResilienceConfig::from_env();
-        std::env::remove_var("QCPA_DEADLINE");
-        std::env::remove_var("QCPA_RETRIES");
-        std::env::remove_var("QCPA_OVERLOAD");
-        std::env::remove_var("QCPA_QUEUE_CAP");
-        assert_eq!(cfg.deadline, 2.5);
-        assert_eq!(cfg.max_retries, 7);
-        assert_eq!(cfg.overload, OverloadPolicy::Brownout);
-        assert_eq!(cfg.queue_cap, 17);
-        assert_eq!(
-            OverloadPolicy::parse("SHED"),
-            Some(OverloadPolicy::ShedLowestWeight)
-        );
-        assert_eq!(OverloadPolicy::parse("nope"), None);
     }
 }

@@ -8,6 +8,7 @@
 #                               # counts, bench)
 #   ./scripts/check.sh --fast   # inner-loop tier: fmt + clippy + audit +
 #                               # lib/unit tests, the storage property
+#                               # suite, the controller end-to-end
 #                               # suite, resilience + multilevel
 #                               # conformance at both thread counts, the
 #                               # quick bench-matrix corner and the
@@ -125,6 +126,33 @@ run_benchmark_smoke() {
     rm -f "$log"
 }
 
+# The end-to-end smokes every tier runs after its tests; the tiers
+# differ only in how many schedules the chaos soak sweeps.
+run_smokes() {
+    local chaos_runs=$1
+    echo "== allocator bench-matrix corner (quick, small instances) =="
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
+    # Exits nonzero if any run violates the conservation law
+    # (completed + shed + timed_out == offered).
+    echo "== resilience sweep smoke (fails on any lost request) =="
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin fig_resilience
+    # Randomized layered fault schedules (crashes, zone failures, gray
+    # windows, partitions); exits nonzero on any invariant violation:
+    # conservation, post-repair k-safety, sharded bit-identity, trace
+    # stability.
+    echo "== chaos soak ($chaos_runs layered schedules, fails on any violation) =="
+    QCPA_CHAOS_RUNS=$chaos_runs cargo run --release -q -p qcpa-bench --bin fig_chaos
+    echo "== trace exporter smoke (byte-stable, parseable) =="
+    cargo run --release -q -p qcpa-bench --bin trace_smoke
+    # Appends a quick-keyed entry to BENCH_sim.json (quick entries only
+    # ever compare against each other).
+    echo "== simulator throughput corner (quick, 16 backends / 20k events) =="
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_sim
+    echo "== bench trajectory gate =="
+    cargo run --release -q -p qcpa-bench --bin bench_trend
+    run_benchmark_smoke
+}
+
 if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     echo "== cargo test (fast tier) =="
     cargo test -q --workspace --lib
@@ -132,6 +160,10 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     # update, aggregates and fragment round trips against Predicate::eval.
     echo "== storage property suite =="
     cargo test -q -p qcpa-storage --test properties
+    # The controller's golden script and answer-invariance checks: the
+    # lib tests above do not cover the request path end to end.
+    echo "== controller end-to-end suite =="
+    cargo test -q --test controller_e2e
     echo "== resilience conformance (QCPA_THREADS=1) =="
     QCPA_THREADS=1 cargo test -q --test conformance resilient_runs_conserve_and_replay_exactly
     echo "== resilience conformance (QCPA_THREADS=4) =="
@@ -141,19 +173,7 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     echo "== multilevel conformance (QCPA_THREADS=4) =="
     QCPA_THREADS=4 cargo test -q --test conformance multilevel
     run_sim_equivalence
-    echo "== allocator bench-matrix corner (quick, small instances) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
-    echo "== resilience sweep smoke (fails on any lost request) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin fig_resilience
-    echo "== chaos smoke (8 layered schedules, fails on any violation) =="
-    QCPA_BENCH_QUICK=1 QCPA_CHAOS_RUNS=8 cargo run --release -q -p qcpa-bench --bin fig_chaos
-    echo "== trace exporter smoke (byte-stable, parseable) =="
-    cargo run --release -q -p qcpa-bench --bin trace_smoke
-    echo "== simulator throughput corner (quick, 16 backends / 20k events) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_sim
-    echo "== bench trajectory gate =="
-    cargo run --release -q -p qcpa-bench --bin bench_trend
-    run_benchmark_smoke
+    run_smokes 8
     if [[ "$DEEP" == "1" ]]; then
         run_tsan
         run_miri
@@ -180,32 +200,6 @@ QCPA_THREADS=4 cargo test -q --test conformance
 
 run_sim_equivalence
 
-echo "== allocator speedup bench (quick) =="
-QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
-
-# Quick sim-throughput run: appends a quick-keyed entry to
-# BENCH_sim.json (quick entries only ever compare against each other).
-echo "== simulator throughput bench (quick, appends BENCH_sim.json) =="
-QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_sim
-
-# The resilience sweep's binary exits nonzero if any run violates the
-# conservation law (completed + shed + timed_out == offered).
-echo "== resilience sweep smoke (fails on any lost request) =="
-QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin fig_resilience
-
-# The chaos soak sweeps 64 randomized layered fault schedules (crashes,
-# zone failures, gray windows, partitions) and exits nonzero on any
-# invariant violation: conservation, post-repair k-safety, sharded
-# bit-identity, trace stability.
-echo "== chaos soak (64 layered schedules, fails on any violation) =="
-cargo run --release -q -p qcpa-bench --bin fig_chaos
-
-echo "== trace exporter smoke (byte-stable, parseable) =="
-cargo run --release -q -p qcpa-bench --bin trace_smoke
-
-echo "== bench trajectory gate =="
-cargo run --release -q -p qcpa-bench --bin bench_trend
-
-run_benchmark_smoke
+run_smokes 64
 
 echo "All checks passed."
