@@ -1,17 +1,11 @@
-//! Criterion bench of the local-search fixpoint, plus an
-//! allocation-count audit: the rewritten `localsearch` probes
-//! candidates through the [`qcpa_core::allocation::DeltaCost`] tracker
-//! and reusable scratch buffers instead of cloning the allocation per
-//! candidate, so a full `improve` run must allocate far less than the
-//! preserved pre-optimization engine ([`qcpa_bench::baseline`]) on the
-//! same input. The audit counts heap allocations with a wrapping
-//! `#[global_allocator]` and asserts the drop; the timed groups report
-//! the wall-clock side.
+//! Criterion bench of the local-search fixpoint: the preserved
+//! pre-optimization engine ([`qcpa_bench::baseline`], clone + full
+//! `normalize` per candidate) against the current one, which probes
+//! candidates through the [`qcpa_core::allocation::DeltaCost`] tracker.
+//! The heap-allocation audit that used to ride along here runs as a
+//! test: `tests/alloc_audit.rs`.
 //!
 //! Run with `cargo bench -p qcpa-bench --bench localsearch`.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcpa_core::allocation::Allocation;
@@ -19,50 +13,6 @@ use qcpa_core::classify::{Classification, QueryClass};
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
 use qcpa_core::{greedy, localsearch};
-
-/// Counts heap allocations (alloc + realloc calls) while delegating to
-/// the system allocator.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method delegates verbatim to the `System` allocator and
-// only adds a relaxed atomic counter bump, so the `GlobalAlloc`
-// contract (layout handling, pointer validity, thread safety) is
-// exactly `System`'s.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards the caller's layout unchanged to `System.alloc`,
-    // whose safety preconditions are identical to this method's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` were produced by `alloc`/`realloc` above,
-    // which return `System` pointers, so freeing through `System` is
-    // sound.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: same delegation argument as `dealloc` — the pointer came
-    // from `System`, and the layout/new_size contract is passed through
-    // untouched.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations performed by `f`.
-fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
-}
 
 /// The allocators.rs synthetic workload: `k` classes over `k`
 /// fragments, class `i` on `{i, (i+1) % k}`, every third an update.
@@ -91,34 +41,6 @@ fn synthetic(k: usize) -> (Catalog, Classification) {
 
 fn seed_for(cls: &Classification, catalog: &Catalog, cluster: &ClusterSpec) -> Allocation {
     greedy::allocate(cls, catalog, cluster)
-}
-
-/// The allocation-count audit: one full `improve` fixpoint on the same
-/// greedy seed, old engine vs new. Panics (failing the bench run) if
-/// the rewrite does not allocate strictly less.
-fn allocation_audit(_c: &mut Criterion) {
-    for &(k, n) in &[(24usize, 8usize), (60, 16)] {
-        let (catalog, cls) = synthetic(k);
-        let cluster = ClusterSpec::homogeneous(n);
-        let seed = seed_for(&cls, &catalog, &cluster);
-
-        let mut old_alloc = seed.clone();
-        let old = allocs_in(|| {
-            qcpa_bench::baseline::improve(&mut old_alloc, &cls, &catalog, &cluster);
-        });
-        let mut new_alloc = seed.clone();
-        let new = allocs_in(|| {
-            localsearch::improve(&mut new_alloc, &cls, &catalog, &cluster);
-        });
-        println!(
-            "localsearch allocs k={k} n={n}: baseline={old} delta={new} ({:.1}x fewer)",
-            old as f64 / new as f64
-        );
-        assert!(
-            new < old,
-            "rewritten local search must allocate less (k={k} n={n}: {new} vs {old})"
-        );
-    }
 }
 
 fn bench_improve(c: &mut Criterion) {
@@ -157,5 +79,5 @@ fn bench_improve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, allocation_audit, bench_improve);
+criterion_group!(benches, bench_improve);
 criterion_main!(benches);

@@ -9,6 +9,7 @@
 //! (Eq. 8–11) and compared on the same cost metric.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -314,8 +315,8 @@ impl Allocation {
                 let target = colocated.or(current).unwrap_or_else(|| {
                     (0..n)
                         .min_by(|&a, &b| {
-                            let la = read_load(&needed, cls, a) / cluster.load(BackendId(a as u32));
-                            let lb = read_load(&needed, cls, b) / cluster.load(BackendId(b as u32));
+                            let la = read_load(&needed, a) / cluster.load(BackendId(a as u32));
+                            let lb = read_load(&needed, b) / cluster.load(BackendId(b as u32));
                             la.partial_cmp(&lb).expect("loads are finite")
                         })
                         .expect("cluster is non-empty")
@@ -405,7 +406,7 @@ impl Allocation {
     }
 }
 
-fn read_load(needed: &[BTreeSet<FragmentId>], _cls: &Classification, b: usize) -> f64 {
+fn read_load(needed: &[BTreeSet<FragmentId>], b: usize) -> f64 {
     // Cheap proxy during anchoring: number of fragments already needed.
     needed[b].len() as f64
 }
@@ -462,9 +463,9 @@ fn approx_eq_loose(a: f64, b: f64) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Incremental cost tracker: maintains per-backend assigned load and
-/// stored-bytes aggregates alongside a *normalized* [`Allocation`] so a
-/// candidate move can be evaluated in O(touched backends) instead of a
-/// full [`Allocation::normalize`] + [`Allocation::cost`] recomputation.
+/// stored-bytes aggregates alongside a *normalized* [`Allocation`], so a
+/// candidate move is evaluated without a full [`Allocation::normalize`]
+/// + [`Allocation::cost`] recomputation.
 ///
 /// The single mutation primitive is [`DeltaCost::transfer`], which moves
 /// part of a read class's share between two backends and re-derives
@@ -475,13 +476,29 @@ fn approx_eq_loose(a: f64, b: f64) -> bool {
 /// token that restores the previous state bit-for-bit (tokens from a
 /// multi-transfer candidate must be undone in reverse order).
 ///
+/// # Cost
+///
+/// What `normalize` derives for a backend is a union over the read
+/// classes resident there (the Eq. 8/10 closure distributes over
+/// unions), so a rebuild ORs per-class bitsets from a [`CostIndex`]
+/// built once per instance and shared by clones. Per rebuilt backend a
+/// transfer is `R·(W + Wu) + C` word operations — `R` resident read
+/// classes, `C` classes with a non-zero share, `W` / `Wu` words per
+/// fragment / update-class bitset — plus one `BTreeSet` edit or
+/// update-row write per bit that *changed*; the anchor replay adds
+/// `Wu` per orphan, and a scan of the backends for an orphan colocated
+/// with none. An undo is `W + Wu` per backend, a word per orphan and
+/// the same changed bits.
+/// Neither allocates: a token owns one flat buffer, recycled through
+/// the tracker when undone, freed when dropped.
+///
 /// # Exactness
 ///
 /// The tracker is not an approximation: loads are recomputed for touched
-/// backends with the same summation order as
-/// [`Allocation::assigned_load`], bytes are exact integers, and update
-/// rows are rewritten with the same literals `normalize` writes — so
-/// [`DeltaCost::cost`] is bit-identical to
+/// backends in [`Allocation::assigned_load`]'s summation order (zero
+/// shares are skipped, which cannot change a sum), bytes are exact
+/// integers, and update rows are rewritten with the same literals
+/// `normalize` writes — so [`DeltaCost::cost`] is bit-identical to
 /// `alloc.normalize(..); alloc.cost(..)` and undo restores saved values
 /// rather than applying arithmetic inverses (which would not round-trip
 /// in floating point). Debug builds cross-check every transfer against
@@ -495,14 +512,14 @@ fn approx_eq_loose(a: f64, b: f64) -> bool {
 /// The tracker keeps, per update class, the number of backends whose
 /// read-needed set overlaps it, and mirrors step 2 incrementally for a
 /// *stable* orphan set: the skip/chain structure among orphans depends
-/// only on the classification (see [`OrphanAnchor`]), so each transfer
+/// only on the classification (see [`OrphanStatic`]), so each transfer
 /// just refreshes the two touched backends' colocated bits and replays
 /// the anchor decisions in class order. When an anchor moves, the old
-/// and new anchor backends are rebuilt too — still O(touched backends).
-/// The full `normalize` + snapshot fallback remains for the global
-/// cases: a transfer that changes *which* classes are orphans, or an
-/// orphan whose anchor needs the least-loaded preference (only
-/// reachable for zero-weight update classes).
+/// and new anchor backends are rebuilt too. The full `normalize` +
+/// snapshot fallback remains for the global cases: a transfer that
+/// changes *which* classes are orphans, or an orphan whose anchor needs
+/// the least-loaded preference (only reachable for zero-weight update
+/// classes).
 ///
 /// # Invariants
 ///
@@ -514,61 +531,132 @@ fn approx_eq_loose(a: f64, b: f64) -> bool {
 /// next transfer).
 #[derive(Debug, Clone)]
 pub struct DeltaCost {
+    /// Per-instance bitsets, shared by every clone of this tracker.
+    index: Arc<CostIndex>,
+    /// Static half of `normalize` step 2 for the current orphan set, one
+    /// entry per orphan in `update_ids` order. Shared by clones; rebuilt
+    /// only when the orphan set changes (the full fallback).
+    orphans: Arc<Vec<OrphanStatic>>,
     /// `loads[b]` == `alloc.assigned_load(b)`, bit-exact.
     loads: Vec<f64>,
     /// `bytes[b]` == `catalog.size_of_set(&alloc.fragments[b])`.
     bytes: Vec<u64>,
     /// Sum of `bytes` == `alloc.total_bytes(catalog)`.
     total_bytes: u64,
-    /// `overlap[b][ui]` — does backend `b`'s *read-needed* set (the set
-    /// `normalize` step 1 derives, before closure) overlap update class
-    /// `cls.update_ids()[ui]`? Indexed by update-class *position*.
-    overlap: Vec<Vec<bool>>,
-    /// `counts[ui]` — number of backends with `overlap[b][ui]` set.
+    /// Backend `b`'s row mirrors `alloc.fragments[b]` as a fragment
+    /// bitset (`index.words` words per backend).
+    held: Vec<u64>,
+    /// Backend `b`'s row, over update-class *positions*: the update
+    /// classes running on `b` — the rows `normalize` writes with the
+    /// class weight (`index.uwords` words per backend).
+    hosted: Vec<u64>,
+    /// Same shape as `hosted`: does backend `b`'s *read-needed* set (the
+    /// set `normalize` step 1 derives, before closure) overlap the
+    /// update class?
+    overlap: Vec<u64>,
+    /// Backend `b`'s row, over class ids: `alloc.assign[c][b] != 0.0`
+    /// (`index.cwords` words per backend). What a rebuild iterates
+    /// instead of every class.
+    resident: Vec<u64>,
+    /// `counts[ui]` — number of backends with `overlap` bit `ui` set;
+    /// zero marks an orphan.
     counts: Vec<u32>,
-    /// Number of update classes with `counts[ui] == 0` (orphans).
-    orphans: u32,
-    /// Incremental mirror of `normalize` step 2, one entry per orphan in
-    /// `update_ids` order. Empty when there are no orphans.
-    anchors: Vec<OrphanAnchor>,
+    /// Orphan `k`'s row, over backends: its placement closure overlaps
+    /// the backend's read-needed set.
+    colocated: Vec<u64>,
+    /// Orphan `k`'s anchor backend; [`NO_ANCHOR`] iff skipped (or
+    /// unresolved, which clears `anchor_fast`).
+    anchor: Vec<u32>,
     /// False if some orphan's anchor could not be resolved without the
     /// least-loaded preference (needs all backends' needed sets): every
-    /// transfer then takes the full fallback, as before.
+    /// transfer then takes the full fallback.
     anchor_fast: bool,
+    /// Scratch rows a transfer derives new state into before comparing
+    /// it with the old.
+    work: Work,
+    /// Undo buffers handed back by [`DeltaCost::undo`], reused by the
+    /// next transfers. Never cloned: a clone starts with none.
+    spare: Spare,
 }
 
-/// Per-orphan state mirroring one iteration of `normalize` step 2.
+const NO_ANCHOR: u32 = u32::MAX;
+
+/// Immutable bitsets of one `(classification, catalog)` instance. Every
+/// per-class row is what one resident read class contributes to a
+/// backend, so a backend's derived state is the OR of its rows.
+#[derive(Debug)]
+struct CostIndex {
+    /// Words per fragment bitset.
+    words: usize,
+    /// Words per update-position bitset.
+    uwords: usize,
+    /// Words per class-id bitset.
+    cwords: usize,
+    /// Class `c`'s fragments.
+    class_mask: Vec<u64>,
+    /// `placement_fragments(c)`: the closure of class `c`'s fragments
+    /// under Eq. 8/10. The closure of a union is the union of closures,
+    /// which is what replaces the per-backend fixpoint loop.
+    place_mask: Vec<u64>,
+    /// Positions of `cls.updates(c)`: update classes overlapping `c`.
+    touch: Vec<u64>,
+    /// Positions of `cls.updates_closure(c)`: the update classes whose
+    /// fragments `place_mask[c]` consists of beyond `c`'s own.
+    closure_upd: Vec<u64>,
+    /// Class ids of the read classes.
+    read_mask: Vec<u64>,
+    /// Class id → position in `update_ids` (unused for read classes).
+    upos: Vec<u32>,
+    /// Fragment sizes by fragment id.
+    frag_size: Vec<u64>,
+}
+
+/// Per-orphan structure mirroring one iteration of `normalize` step 2.
 ///
 /// For a fixed orphan set the *structure* of step 2 is static: whether
-/// an orphan is skipped (its own fragments are absorbed by an earlier
-/// orphan's anchored closure) and which earlier closures its closure
-/// chains to depend only on the classification. Only the
-/// closure-vs-read-needed bitmaps and the chosen anchor backends change
-/// as read shares move, and those are recomputable from the two touched
-/// backends per transfer.
-#[derive(Debug, Clone, PartialEq)]
-struct OrphanAnchor {
+/// an orphan is skipped and which earlier closures its closure chains
+/// to depend only on the classification. Only the closure-vs-read-needed
+/// bits ([`DeltaCost::colocated`]) and the chosen anchor backends
+/// ([`DeltaCost::anchor`]) change as read shares move.
+#[derive(Debug, PartialEq)]
+struct OrphanStatic {
     /// Position in `cls.update_ids()`.
     ui: usize,
-    /// The class's placement closure (`placement_fragments`).
-    closure: BTreeSet<FragmentId>,
-    /// Static: an earlier *anchored* orphan's closure overlaps this
-    /// class's own fragments, so step 2's `overlaps_any` check passes
-    /// and the class is never anchored itself (the fixpoint places it).
+    /// An earlier *anchored* orphan's closure overlaps this class's own
+    /// fragments, so step 2's `overlaps_any` check passes and the class
+    /// is never anchored itself (the fixpoint places it).
     skipped: bool,
-    /// Static: `closure` overlaps the closure of the k-th earlier entry
-    /// (the augmented-needed part of the colocated preference).
-    closure_chain: Vec<bool>,
-    /// Dynamic: `closure` overlaps backend b's read-needed set.
-    colocated: Vec<bool>,
-    /// Dynamic: the anchor backend; `None` iff `skipped`.
-    anchor: Option<usize>,
+    /// Earlier orphans whose closure overlaps this one's (the
+    /// augmented-needed part of the colocated preference).
+    chain: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Work {
+    /// New `overlap` rows of the `from` and `to` backends.
+    overlap: Vec<u64>,
+    /// New `held` row of the backend being rebuilt.
+    held: Vec<u64>,
+    /// New `hosted` row of the backend being rebuilt.
+    hosted: Vec<u64>,
+}
+
+#[derive(Debug, Default)]
+struct Spare(Vec<Vec<u64>>);
+
+impl Clone for Spare {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// Undo token returned by [`DeltaCost::transfer`]. Restores the exact
 /// pre-transfer allocation and tracker state when passed to
 /// [`DeltaCost::undo`]. Tokens from a sequence of transfers must be
-/// undone in reverse order.
+/// undone in reverse order. Dropping a token instead commits its
+/// transfer. A token owns its saved state rather than indexing a journal
+/// inside the tracker, so a dropped token (a committed candidate) and a
+/// cloned tracker (an offspring) retain nothing and need no commit call.
 #[derive(Debug)]
 pub struct DeltaUndo(UndoRepr);
 
@@ -576,19 +664,14 @@ pub struct DeltaUndo(UndoRepr);
 enum UndoRepr {
     /// Nothing changed (zero amount or `from == to`).
     Noop,
-    /// Fast path: the touched backends' exact prior state — `from`,
-    /// `to`, plus any backend an orphan anchor moved away from or onto.
-    Local {
-        class: ClassId,
-        from: BackendId,
-        to: BackendId,
-        old_from_share: f64,
-        old_to_share: f64,
-        saved: Vec<BackendSave>,
-        old_counts: Vec<u32>,
-        old_orphans: u32,
-        old_anchors: Vec<OrphanAnchor>,
-    },
+    /// Fast path: one flat save of every word and float the transfer
+    /// overwrote. [`SAVE_HEADER`] words (class, `from`, `to`, the two
+    /// old share bit patterns, the number of orphan words), one word
+    /// per replayed orphan in order (anchor, old colocated bits of
+    /// `from` and `to`), then one frame per rebuilt backend — `from`,
+    /// `to`, plus any backend an orphan anchor moved away from or onto:
+    /// backend, old load bits, old `held`, `hosted` and `overlap` rows.
+    Local(Vec<u64>),
     /// Fallback path: whole-allocation snapshot.
     Full {
         alloc: Box<Allocation>,
@@ -596,56 +679,266 @@ enum UndoRepr {
     },
 }
 
-/// Exact prior state of one touched backend (fast path).
-#[derive(Debug)]
-struct BackendSave {
-    backend: usize,
-    fragments: BTreeSet<FragmentId>,
-    /// Old `assign[u][b]` for each update class, in `update_ids` order.
-    update_shares: Vec<f64>,
-    load: f64,
-    bytes: u64,
-    overlap: Vec<bool>,
+const SAVE_HEADER: usize = 6;
+
+/// Row `i` of a flat matrix of `w`-word rows.
+#[inline]
+fn row(flat: &[u64], i: usize, w: usize) -> &[u64] {
+    &flat[i * w..(i + 1) * w]
+}
+
+#[inline]
+fn row_mut(flat: &mut [u64], i: usize, w: usize) -> &mut [u64] {
+    &mut flat[i * w..(i + 1) * w]
+}
+
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+#[inline]
+fn put_bit(words: &mut [u64], i: usize, on: bool) {
+    let mask = 1u64 << (i % 64);
+    if on {
+        words[i / 64] |= mask;
+    } else {
+        words[i / 64] &= !mask;
+    }
+}
+
+#[inline]
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+#[inline]
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Indices of the set bits of `word`, ascending, offset by `base`.
+#[inline]
+fn ones(base: usize, word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((word != 0).then_some(word), |&w| {
+        let rest = w & (w - 1);
+        (rest != 0).then_some(rest)
+    })
+    .map(move |w| base + w.trailing_zeros() as usize)
+}
+
+impl CostIndex {
+    fn new(cls: &Classification, catalog: &Catalog) -> Self {
+        let words = catalog.len().div_ceil(64);
+        let uwords = cls.update_ids().len().div_ceil(64);
+        let cwords = cls.len().div_ceil(64);
+        let mut upos = vec![u32::MAX; cls.len()];
+        for (ui, u) in cls.update_ids().iter().enumerate() {
+            upos[u.idx()] = ui as u32;
+        }
+        let mut class_mask = vec![0u64; cls.len() * words];
+        for qc in &cls.classes {
+            let mask = row_mut(&mut class_mask, qc.id.idx(), words);
+            for f in &qc.fragments {
+                put_bit(mask, f.idx(), true);
+            }
+        }
+        let mut place_mask = class_mask.clone();
+        let mut touch = vec![0u64; cls.len() * uwords];
+        let mut closure_upd = vec![0u64; cls.len() * uwords];
+        let mut read_mask = vec![0u64; cwords];
+        for qc in &cls.classes {
+            let c = qc.id.idx();
+            if qc.kind == QueryKind::Read {
+                put_bit(&mut read_mask, c, true);
+            }
+            for u in cls.updates(qc.id) {
+                put_bit(row_mut(&mut touch, c, uwords), upos[u.idx()] as usize, true);
+            }
+            for u in cls.updates_closure(qc.id) {
+                put_bit(
+                    row_mut(&mut closure_upd, c, uwords),
+                    upos[u.idx()] as usize,
+                    true,
+                );
+                or_into(
+                    row_mut(&mut place_mask, c, words),
+                    row(&class_mask, u.idx(), words),
+                );
+            }
+        }
+        Self {
+            words,
+            uwords,
+            cwords,
+            class_mask,
+            place_mask,
+            touch,
+            closure_upd,
+            read_mask,
+            upos,
+            frag_size: catalog.fragments().iter().map(|f| f.size).collect(),
+        }
+    }
+}
+
+/// One anchor decision from `normalize` step 2, minus the least-loaded
+/// tail: the first backend whose (augmented) needed set overlaps the
+/// orphan's closure — its first colocated backend or the lowest anchor
+/// of a chained earlier orphan — else the first backend currently
+/// hosting the class. `None` means the least-loaded preference would be
+/// needed.
+fn resolve_anchor(
+    alloc: &Allocation,
+    u: ClassId,
+    colocated: &[u64],
+    chain: &[u32],
+    anchor: &[u32],
+) -> Option<usize> {
+    let own = colocated
+        .iter()
+        .enumerate()
+        .find(|(_, &w)| w != 0)
+        .map(|(i, w)| i * 64 + w.trailing_zeros() as usize);
+    let chained = chain
+        .iter()
+        .map(|&e| anchor[e as usize])
+        .filter(|&a| a != NO_ANCHOR)
+        .min()
+        .map(|a| a as usize);
+    let colocated = match (own, chained) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
+    colocated.or_else(|| (0..alloc.n_backends()).find(|&b| alloc.assign[u.idx()][b] > EPS))
 }
 
 impl DeltaCost {
-    /// Builds a tracker for `alloc`, which must already be normalized
-    /// (debug builds assert this by normalizing a clone and comparing).
+    /// Builds a tracker for `alloc`, which must already be normalized.
+    /// Debug builds assert this on test-sized instances by normalizing
+    /// a clone and comparing — unless an orphan's anchor needs
+    /// `normalize`'s least-loaded preference, the one decision that
+    /// depends on the cluster this constructor does not see.
     pub fn new(alloc: &Allocation, cls: &Classification, catalog: &Catalog) -> Self {
+        let tracker = Self::build(Arc::new(CostIndex::new(cls, catalog)), alloc, cls);
+        if cfg!(debug_assertions) && tracker.anchor_fast && cross_checked(alloc, cls) {
+            let mut reference = alloc.clone();
+            reference.normalize(cls, &ClusterSpec::homogeneous(alloc.n_backends()));
+            debug_assert_eq!(
+                &reference, alloc,
+                "DeltaCost::new needs a normalized allocation"
+            );
+        }
+        tracker
+    }
+
+    /// The tracker state of a normalized `alloc` over a built index.
+    fn build(index: Arc<CostIndex>, alloc: &Allocation, cls: &Classification) -> Self {
         let n = alloc.n_backends();
+        let (words, uwords, cwords) = (index.words, index.uwords, index.cwords);
         let loads: Vec<f64> = (0..n)
             .map(|b| alloc.assigned_load(BackendId(b as u32)))
             .collect();
-        let bytes: Vec<u64> = alloc
-            .fragments
-            .iter()
-            .map(|set| catalog.size_of_set(set))
-            .collect();
-        let total_bytes = bytes.iter().sum();
-        let needed_sets: Vec<BTreeSet<FragmentId>> =
-            (0..n).map(|b| read_needed(alloc, cls, b)).collect();
-        let mut overlap = vec![vec![false; cls.update_ids().len()]; n];
-        let mut counts = vec![0u32; cls.update_ids().len()];
-        for (b, flags) in overlap.iter_mut().enumerate() {
-            for (ui, &u) in cls.update_ids().iter().enumerate() {
-                if cls.classes[u.idx()].overlaps(&needed_sets[b]) {
-                    flags[ui] = true;
-                    counts[ui] += 1;
+        let mut held = vec![0u64; n * words];
+        let mut bytes = vec![0u64; n];
+        for (b, set) in alloc.fragments.iter().enumerate() {
+            for f in set {
+                put_bit(row_mut(&mut held, b, words), f.idx(), true);
+                bytes[b] += index.frag_size[f.idx()];
+            }
+        }
+        let mut resident = vec![0u64; n * cwords];
+        for (c, shares) in alloc.assign.iter().enumerate() {
+            for (b, &share) in shares.iter().enumerate() {
+                if share != 0.0 {
+                    put_bit(row_mut(&mut resident, b, cwords), c, true);
                 }
             }
         }
-        let orphans = counts.iter().filter(|&&c| c == 0).count() as u32;
-        let (anchors, anchor_fast) = derive_anchors(alloc, cls, &needed_sets, &counts);
-        Self {
+        let mut tracker = Self {
+            total_bytes: bytes.iter().sum(),
             loads,
             bytes,
-            total_bytes,
-            overlap,
-            counts,
-            orphans,
-            anchors,
-            anchor_fast,
+            held,
+            hosted: vec![0u64; n * uwords],
+            overlap: vec![0u64; n * uwords],
+            resident,
+            counts: vec![0u32; cls.update_ids().len()],
+            orphans: Arc::new(Vec::new()),
+            colocated: Vec::new(),
+            anchor: Vec::new(),
+            anchor_fast: true,
+            work: Work {
+                overlap: vec![0u64; 2 * uwords],
+                held: vec![0u64; words],
+                hosted: vec![0u64; uwords],
+            },
+            spare: Spare::default(),
+            index,
+        };
+        let mut work = std::mem::take(&mut tracker.work);
+        for b in 0..n {
+            tracker.read_overlap(alloc, b, &mut work.overlap[..uwords]);
+            tracker.set_overlap(b, &work.overlap[..uwords]);
         }
+        tracker.derive_anchors(alloc, cls);
+        for b in 0..n {
+            tracker.derive_backend(alloc, cls, b, &mut work);
+            row_mut(&mut tracker.hosted, b, uwords).copy_from_slice(&work.hosted);
+        }
+        tracker.work = work;
+        tracker
+    }
+
+    /// Derives the orphan-anchor mirror for a normalized allocation by
+    /// replaying `normalize` step 2 on the overlap rows: for each orphan
+    /// (in `update_ids` order) compute the static skip/chain structure
+    /// and resolve its anchor via the colocated → current-host
+    /// preferences. Clears `anchor_fast` when some anchor needed the
+    /// least-loaded preference (or was unresolvable), so transfers must
+    /// always take the full fallback.
+    fn derive_anchors(&mut self, alloc: &Allocation, cls: &Classification) {
+        let index = &*self.index;
+        let n = alloc.n_backends();
+        let bwords = n.div_ceil(64);
+        let place = |ui: usize| row(&index.place_mask, cls.update_ids()[ui].idx(), index.words);
+        let mut statics: Vec<OrphanStatic> = Vec::new();
+        for (ui, &u) in cls.update_ids().iter().enumerate() {
+            if self.counts[ui] != 0 {
+                continue;
+            }
+            let own = row(&index.class_mask, u.idx(), index.words);
+            let skipped = statics
+                .iter()
+                .zip(&self.anchor)
+                .any(|(e, &a)| a != NO_ANCHOR && intersects(own, place(e.ui)));
+            let chain: Vec<u32> = statics
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| intersects(place(ui), place(e.ui)))
+                .map(|(k, _)| k as u32)
+                .collect();
+            let closure = row(&index.closure_upd, u.idx(), index.uwords);
+            let mut colocated = vec![0u64; bwords];
+            for b in 0..n {
+                if intersects(closure, row(&self.overlap, b, index.uwords)) {
+                    put_bit(&mut colocated, b, true);
+                }
+            }
+            let mut anchor = NO_ANCHOR;
+            if !skipped {
+                match resolve_anchor(alloc, u, &colocated, &chain, &self.anchor) {
+                    Some(b) => anchor = b as u32,
+                    None => self.anchor_fast = false,
+                }
+            }
+            statics.push(OrphanStatic { ui, skipped, chain });
+            self.colocated.extend(colocated);
+            self.anchor.push(anchor);
+        }
+        self.orphans = Arc::new(statics);
     }
 
     /// The tracked per-backend assigned loads (== `assigned_load` on the
@@ -685,6 +978,24 @@ impl DeltaCost {
         }
     }
 
+    /// True if backend `b` stores every fragment of class `c`.
+    pub(crate) fn holds_all(&self, b: usize, c: ClassId) -> bool {
+        let w = self.index.words;
+        row(&self.index.class_mask, c.idx(), w)
+            .iter()
+            .zip(row(&self.held, b, w))
+            .all(|(need, have)| need & !have == 0)
+    }
+
+    /// True if update class `u` and class `c` reference a common
+    /// fragment (`u ∈ updates(c)`, Eq. 12).
+    pub(crate) fn overlaps(&self, u: ClassId, c: ClassId) -> bool {
+        bit(
+            row(&self.index.touch, c.idx(), self.index.uwords),
+            self.index.upos[u.idx()] as usize,
+        )
+    }
+
     /// Moves `amount` of read class `c`'s share from backend `from` to
     /// backend `to`, re-deriving the touched backends' fragment sets,
     /// update assignments, loads and bytes exactly as
@@ -715,187 +1026,134 @@ impl DeltaCost {
         let (ci, fi, ti) = (c.idx(), from.idx(), to.idx());
         let old_from_share = alloc.assign[ci][fi];
         let old_to_share = alloc.assign[ci][ti];
-        alloc.assign[ci][fi] = old_from_share - amount;
-        alloc.assign[ci][ti] = old_to_share + amount;
+        debug_assert!(
+            amount <= old_from_share + EPS,
+            "transfer of {amount} exceeds the share {old_from_share}"
+        );
+        let shares = (old_from_share, old_to_share, amount);
+        self.set_share(alloc, ci, fi, old_from_share - amount);
+        self.set_share(alloc, ci, ti, old_to_share + amount);
 
-        // Re-derive the read-needed sets of the two touched backends and
-        // the update-overlap counts they imply; decide fast vs fallback.
-        let needed_from = read_needed(alloc, cls, fi);
-        let needed_to = read_needed(alloc, cls, ti);
-        let mut new_counts = self.counts.clone();
-        let mut new_flags = [
-            vec![false; cls.update_ids().len()],
-            vec![false; cls.update_ids().len()],
-        ];
-        for (ui, &u) in cls.update_ids().iter().enumerate() {
-            let qc = &cls.classes[u.idx()];
-            for (slot, (b, needed)) in [(fi, &needed_from), (ti, &needed_to)].iter().enumerate() {
-                let now = qc.overlaps(needed);
-                new_flags[slot][ui] = now;
-                let was = self.overlap[*b][ui];
-                if now && !was {
-                    new_counts[ui] += 1;
-                } else if !now && was {
-                    new_counts[ui] -= 1;
-                }
-            }
-        }
-        let new_orphans = new_counts.iter().filter(|&&c| c == 0).count() as u32;
+        // Re-derive the overlap rows of the two touched backends and the
+        // update-overlap counts they imply; decide fast vs fallback.
         // Local anchoring mirrors step 2 only while *which* classes are
         // orphans stays fixed (the skip/chain structure is static then).
-        let same_orphan_set = self
-            .counts
-            .iter()
-            .zip(&new_counts)
-            .all(|(&a, &b)| (a == 0) == (b == 0));
-        if !(self.anchor_fast && same_orphan_set) {
-            return self.full_fallback(
-                alloc,
-                cls,
-                cluster,
-                catalog,
-                (ci, fi, ti),
-                old_from_share,
-                old_to_share,
-                amount,
-            );
+        let uwords = self.index.uwords;
+        let mut work = std::mem::take(&mut self.work);
+        let (flags_from, flags_to) = work.overlap.split_at_mut(uwords);
+        self.read_overlap(alloc, fi, flags_from);
+        self.read_overlap(alloc, ti, flags_to);
+        if !(self.anchor_fast && self.same_orphan_set(fi, ti, &work.overlap)) {
+            self.work = work;
+            return self.full_fallback(alloc, cls, cluster, (ci, fi, ti), shares);
         }
 
-        // Replay the anchor decisions in class order on the new needed
-        // sets; later orphans see earlier orphans' *new* anchors, exactly
+        let mut save = self.spare.0.pop().unwrap_or_default();
+        save.extend([
+            ci as u64,
+            fi as u64,
+            ti as u64,
+            old_from_share.to_bits(),
+            old_to_share.to_bits(),
+            0, // orphans saved, counted below
+        ]);
+
+        // Replay the anchor decisions in class order on the new overlap
+        // rows; later orphans see earlier orphans' *new* anchors, exactly
         // like the sequential loop in `normalize`. Anchors that move drag
         // their old/new backends into the rebuild set.
-        let old_anchors = self.anchors.clone();
+        let bwords = alloc.n_backends().div_ceil(64);
         let mut extra: Vec<usize> = Vec::new();
         let mut resolved = true;
-        for k in 0..self.anchors.len() {
-            let (earlier, rest) = self.anchors.split_at_mut(k);
-            let o = &mut rest[0];
-            o.colocated[fi] = o.closure.iter().any(|f| needed_from.contains(f));
-            o.colocated[ti] = o.closure.iter().any(|f| needed_to.contains(f));
+        for (k, o) in self.orphans.iter().enumerate() {
+            let u = cls.update_ids()[o.ui];
+            let closure = row(&self.index.closure_upd, u.idx(), uwords);
+            let colocated = row_mut(&mut self.colocated, k, bwords);
+            save.push(
+                u64::from(self.anchor[k])
+                    | u64::from(bit(colocated, fi)) << 32
+                    | u64::from(bit(colocated, ti)) << 33,
+            );
+            put_bit(colocated, fi, intersects(closure, &work.overlap[..uwords]));
+            put_bit(colocated, ti, intersects(closure, &work.overlap[uwords..]));
             if o.skipped {
                 continue;
             }
-            let u = cls.update_ids()[o.ui];
-            match resolve_anchor(alloc, u, o, earlier) {
-                Some(b) => {
-                    if o.anchor != Some(b) {
-                        if let Some(old) = o.anchor {
-                            if old != fi && old != ti {
-                                extra.push(old);
-                            }
-                        }
-                        if b != fi && b != ti {
-                            extra.push(b);
-                        }
-                        o.anchor = Some(b);
-                    }
-                }
-                None => {
-                    // Needs the least-loaded preference — global. Restore
-                    // the anchor state and take the snapshot fallback.
-                    resolved = false;
-                    break;
-                }
+            let Some(b) = resolve_anchor(alloc, u, colocated, &o.chain, &self.anchor) else {
+                resolved = false;
+                break;
+            };
+            let old = self.anchor[k];
+            if old != b as u32 {
+                let moved = [old as usize, b];
+                extra.extend(
+                    moved
+                        .into_iter()
+                        .filter(|&x| x != fi && x != ti && x != NO_ANCHOR as usize),
+                );
+                self.anchor[k] = b as u32;
             }
         }
+        save[SAVE_HEADER - 1] = (save.len() - SAVE_HEADER) as u64;
         if !resolved {
-            self.anchors = old_anchors;
-            return self.full_fallback(
-                alloc,
-                cls,
-                cluster,
-                catalog,
-                (ci, fi, ti),
-                old_from_share,
-                old_to_share,
-                amount,
-            );
+            // Needs the least-loaded preference — global. Restore the
+            // anchor state and take the snapshot fallback.
+            self.restore_orphans(&save[SAVE_HEADER..], fi, ti);
+            self.recycle(save);
+            self.work = work;
+            return self.full_fallback(alloc, cls, cluster, (ci, fi, ti), shares);
         }
         extra.sort_unstable();
         extra.dedup();
 
         // Fast path: save the touched backends' exact prior state, then
-        // rebuild them from their new read-needed sets (seeded with any
+        // rebuild them from their resident read classes (plus any
         // closures anchored there).
-        let mut saved = vec![
-            self.save_backend(alloc, cls, fi),
-            self.save_backend(alloc, cls, ti),
-        ];
-        for &b in &extra {
-            saved.push(self.save_backend(alloc, cls, b));
+        for &b in [fi, ti].iter().chain(&extra) {
+            save.push(b as u64);
+            save.push(self.loads[b].to_bits());
+            save.extend_from_slice(row(&self.held, b, self.index.words));
+            save.extend_from_slice(row(&self.hosted, b, uwords));
+            save.extend_from_slice(row(&self.overlap, b, uwords));
         }
-        let old_counts = std::mem::replace(&mut self.counts, new_counts);
-        let old_orphans = std::mem::replace(&mut self.orphans, new_orphans);
-        self.overlap[fi] = std::mem::take(&mut new_flags[0]);
-        self.overlap[ti] = std::mem::take(&mut new_flags[1]);
-        let seed_from = self.seed_with_anchors(fi, needed_from);
-        self.rebuild_backend(alloc, cls, catalog, fi, seed_from);
-        let seed_to = self.seed_with_anchors(ti, needed_to);
-        self.rebuild_backend(alloc, cls, catalog, ti, seed_to);
-        for &b in &extra {
-            let seed = self.seed_with_anchors(b, read_needed(alloc, cls, b));
-            self.rebuild_backend(alloc, cls, catalog, b, seed);
+        self.set_overlap(fi, &work.overlap[..uwords]);
+        self.set_overlap(ti, &work.overlap[uwords..]);
+        for &b in [fi, ti].iter().chain(&extra) {
+            self.derive_backend(alloc, cls, b, &mut work);
+            self.retarget(alloc, cls, b, &work.held, &work.hosted);
+            self.loads[b] = self.resident_load(alloc, b);
+        }
+        self.work = work;
+
+        if cfg!(debug_assertions) {
+            self.debug_cross_check(alloc, cls, cluster, catalog);
         }
 
-        #[cfg(debug_assertions)]
-        self.debug_cross_check(alloc, cls, cluster, catalog);
-
-        DeltaUndo(UndoRepr::Local {
-            class: c,
-            from,
-            to,
-            old_from_share,
-            old_to_share,
-            saved,
-            old_counts,
-            old_orphans,
-            old_anchors,
-        })
+        DeltaUndo(UndoRepr::Local(save))
     }
 
     /// The global fallback: revert the share deltas, snapshot, re-apply,
-    /// full `normalize`, and rebuild the tracker from scratch.
-    #[allow(clippy::too_many_arguments)]
+    /// full `normalize`, and rebuild the tracker state from scratch.
     fn full_fallback(
         &mut self,
         alloc: &mut Allocation,
         cls: &Classification,
         cluster: &ClusterSpec,
-        catalog: &Catalog,
         (ci, fi, ti): (usize, usize, usize),
-        old_from_share: f64,
-        old_to_share: f64,
-        amount: f64,
+        (old_from_share, old_to_share, amount): (f64, f64, f64),
     ) -> DeltaUndo {
-        alloc.assign[ci][fi] = old_from_share;
-        alloc.assign[ci][ti] = old_to_share;
+        self.set_share(alloc, ci, fi, old_from_share);
+        self.set_share(alloc, ci, ti, old_to_share);
         let snapshot = Box::new(alloc.clone());
         let tracker = Box::new(self.clone());
         alloc.assign[ci][fi] = old_from_share - amount;
         alloc.assign[ci][ti] = old_to_share + amount;
         alloc.normalize(cls, cluster);
-        *self = Self::new(alloc, cls, catalog);
+        *self = Self::build(Arc::clone(&self.index), alloc, cls);
         DeltaUndo(UndoRepr::Full {
             alloc: snapshot,
             tracker,
         })
-    }
-
-    /// Extends a read-needed set with the closures of every orphan
-    /// currently anchored on backend `b` — the seed `normalize` step 2
-    /// leaves that backend with.
-    fn seed_with_anchors(
-        &self,
-        b: usize,
-        mut needed: BTreeSet<FragmentId>,
-    ) -> BTreeSet<FragmentId> {
-        for o in &self.anchors {
-            if o.anchor == Some(b) {
-                needed.extend(o.closure.iter().copied());
-            }
-        }
-        needed
     }
 
     /// Reverts a [`DeltaCost::transfer`], restoring the exact saved
@@ -904,33 +1162,22 @@ impl DeltaCost {
     pub fn undo(&mut self, alloc: &mut Allocation, cls: &Classification, token: DeltaUndo) {
         match token.0 {
             UndoRepr::Noop => {}
-            UndoRepr::Local {
-                class,
-                from,
-                to,
-                old_from_share,
-                old_to_share,
-                saved,
-                old_counts,
-                old_orphans,
-                old_anchors,
-            } => {
-                alloc.assign[class.idx()][from.idx()] = old_from_share;
-                alloc.assign[class.idx()][to.idx()] = old_to_share;
-                for save in saved {
-                    let b = save.backend;
-                    alloc.fragments[b] = save.fragments;
-                    for (ui, &u) in cls.update_ids().iter().enumerate() {
-                        alloc.assign[u.idx()][b] = save.update_shares[ui];
-                    }
-                    self.loads[b] = save.load;
-                    self.total_bytes = self.total_bytes - self.bytes[b] + save.bytes;
-                    self.bytes[b] = save.bytes;
-                    self.overlap[b] = save.overlap;
+            UndoRepr::Local(save) => {
+                let (ci, fi, ti) = (save[0] as usize, save[1] as usize, save[2] as usize);
+                self.set_share(alloc, ci, fi, f64::from_bits(save[3]));
+                self.set_share(alloc, ci, ti, f64::from_bits(save[4]));
+                let frames = SAVE_HEADER + save[SAVE_HEADER - 1] as usize;
+                self.restore_orphans(&save[SAVE_HEADER..frames], fi, ti);
+                let (words, uwords) = (self.index.words, self.index.uwords);
+                for frame in save[frames..].chunks_exact(2 + words + 2 * uwords) {
+                    let b = frame[0] as usize;
+                    let (held, rest) = frame[2..].split_at(words);
+                    let (hosted, overlap) = rest.split_at(uwords);
+                    self.set_overlap(b, overlap);
+                    self.retarget(alloc, cls, b, held, hosted);
+                    self.loads[b] = f64::from_bits(frame[1]);
                 }
-                self.counts = old_counts;
-                self.orphans = old_orphans;
-                self.anchors = old_anchors;
+                self.recycle(save);
             }
             UndoRepr::Full {
                 alloc: snap,
@@ -942,65 +1189,175 @@ impl DeltaCost {
         }
     }
 
-    /// Captures backend `b`'s exact current state for a fast-path undo.
-    fn save_backend(&self, alloc: &Allocation, cls: &Classification, b: usize) -> BackendSave {
-        BackendSave {
-            backend: b,
-            fragments: alloc.fragments[b].clone(),
-            update_shares: cls
-                .update_ids()
-                .iter()
-                .map(|u| alloc.assign[u.idx()][b])
-                .collect(),
-            load: self.loads[b],
-            bytes: self.bytes[b],
-            overlap: self.overlap[b].clone(),
+    /// Hands a spent undo buffer back for the next transfer.
+    fn recycle(&mut self, mut save: Vec<u64>) {
+        save.clear();
+        self.spare.0.push(save);
+    }
+
+    /// Writes one read share and keeps the `resident` bit in step.
+    fn set_share(&mut self, alloc: &mut Allocation, c: usize, b: usize, share: f64) {
+        alloc.assign[c][b] = share;
+        put_bit(
+            row_mut(&mut self.resident, b, self.index.cwords),
+            c,
+            share != 0.0,
+        );
+    }
+
+    /// Backend `b`'s read classes with a share above [`EPS`] — the
+    /// classes `normalize` step 1 collects fragments from.
+    fn resident_reads<'a>(
+        &'a self,
+        alloc: &'a Allocation,
+        b: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        row(&self.resident, b, self.index.cwords)
+            .iter()
+            .zip(&self.index.read_mask)
+            .enumerate()
+            .flat_map(|(w, (have, reads))| ones(w * 64, have & reads))
+            .filter(move |&r| alloc.assign[r][b] > EPS)
+    }
+
+    /// Which update classes backend `b`'s read-needed set overlaps.
+    fn read_overlap(&self, alloc: &Allocation, b: usize, out: &mut [u64]) {
+        out.fill(0);
+        for r in self.resident_reads(alloc, b) {
+            or_into(out, row(&self.index.touch, r, self.index.uwords));
         }
     }
 
-    /// Rebuilds backend `b` from its read-needed set `needed`, exactly
-    /// as `normalize` steps 1, 3 and the Eq. 10 rewrite would: extend to
-    /// the update-closure fixpoint, rewrite update rows, and refresh the
-    /// load and bytes aggregates.
-    fn rebuild_backend(
+    /// Would replacing the overlap rows of `fi` and `ti` by `flags`
+    /// leave every update class on its side of "overlapped somewhere"?
+    fn same_orphan_set(&self, fi: usize, ti: usize, flags: &[u64]) -> bool {
+        let uwords = self.index.uwords;
+        let (old_from, old_to) = (
+            row(&self.overlap, fi, uwords),
+            row(&self.overlap, ti, uwords),
+        );
+        let (new_from, new_to) = flags.split_at(uwords);
+        (0..uwords).all(|w| {
+            ones(
+                w * 64,
+                (old_from[w] ^ new_from[w]) | (old_to[w] ^ new_to[w]),
+            )
+            .all(|ui| {
+                let was = i64::from(bit(old_from, ui)) + i64::from(bit(old_to, ui));
+                let now = i64::from(bit(new_from, ui)) + i64::from(bit(new_to, ui));
+                let old = i64::from(self.counts[ui]);
+                (old == 0) == (old + now - was == 0)
+            })
+        })
+    }
+
+    /// Replaces backend `b`'s overlap row, moving `counts` with every
+    /// flipped bit.
+    fn set_overlap(&mut self, b: usize, flags: &[u64]) {
+        let current = row_mut(&mut self.overlap, b, self.index.uwords);
+        for (w, (have, &want)) in current.iter_mut().zip(flags).enumerate() {
+            for ui in ones(w * 64, *have ^ want) {
+                if bit(flags, ui) {
+                    self.counts[ui] += 1;
+                } else {
+                    self.counts[ui] -= 1;
+                }
+            }
+            *have = want;
+        }
+    }
+
+    /// Puts back the per-orphan words a transfer saved: the anchor and
+    /// the colocated bits of the two touched backends.
+    fn restore_orphans(&mut self, saved: &[u64], fi: usize, ti: usize) {
+        let bwords = self.loads.len().div_ceil(64);
+        for (k, &word) in saved.iter().enumerate() {
+            self.anchor[k] = word as u32;
+            let colocated = row_mut(&mut self.colocated, k, bwords);
+            put_bit(colocated, fi, word >> 32 & 1 == 1);
+            put_bit(colocated, ti, word >> 33 & 1 == 1);
+        }
+    }
+
+    /// Derives backend `b`'s fragment and hosted-update rows into `work`
+    /// exactly as `normalize` steps 1–3 would: the union of the
+    /// placement closures of its resident read classes and of every
+    /// orphan anchored there.
+    fn derive_backend(&self, alloc: &Allocation, cls: &Classification, b: usize, work: &mut Work) {
+        let index = &*self.index;
+        work.held.fill(0);
+        work.hosted.fill(0);
+        let anchored = self
+            .orphans
+            .iter()
+            .zip(&self.anchor)
+            .filter(|(_, &a)| a as usize == b)
+            .map(|(o, _)| cls.update_ids()[o.ui].idx());
+        for c in self.resident_reads(alloc, b).chain(anchored) {
+            or_into(&mut work.held, row(&index.place_mask, c, index.words));
+            or_into(&mut work.hosted, row(&index.closure_upd, c, index.uwords));
+        }
+    }
+
+    /// Moves backend `b` to the given fragment and hosted-update rows,
+    /// applying only the bits that differ: `BTreeSet` inserts/removes
+    /// and bytes for flipped fragments, the Eq. 10 literal and the
+    /// `resident` bit for flipped update rows.
+    fn retarget(
         &mut self,
         alloc: &mut Allocation,
         cls: &Classification,
-        catalog: &Catalog,
         b: usize,
-        mut needed: BTreeSet<FragmentId>,
+        held: &[u64],
+        hosted: &[u64],
     ) {
-        // Per-backend fixpoint — equivalent to normalize step 3, whose
-        // sets grow independently per backend.
-        loop {
-            let mut grew = false;
-            for &u in cls.update_ids() {
-                let qc = &cls.classes[u.idx()];
-                if qc.overlaps(&needed) && !qc.fragments.iter().all(|f| needed.contains(f)) {
-                    needed.extend(qc.fragments.iter().copied());
-                    grew = true;
+        let index = &*self.index;
+        let (mut gained, mut lost) = (0u64, 0u64);
+        let current = row_mut(&mut self.held, b, index.words);
+        for (w, (have, &want)) in current.iter_mut().zip(held).enumerate() {
+            for f in ones(w * 64, *have ^ want) {
+                if bit(held, f) {
+                    alloc.fragments[b].insert(FragmentId(f as u32));
+                    gained += index.frag_size[f];
+                } else {
+                    alloc.fragments[b].remove(&FragmentId(f as u32));
+                    lost += index.frag_size[f];
                 }
             }
-            if !grew {
-                break;
+            *have = want;
+        }
+        self.total_bytes = self.total_bytes + gained - lost;
+        self.bytes[b] = self.bytes[b] + gained - lost;
+        let current = row_mut(&mut self.hosted, b, index.uwords);
+        let resident = row_mut(&mut self.resident, b, index.cwords);
+        for (w, (have, &want)) in current.iter_mut().zip(hosted).enumerate() {
+            for ui in ones(w * 64, *have ^ want) {
+                let u = cls.update_ids()[ui];
+                let share = if bit(hosted, ui) { cls.weight(u) } else { 0.0 };
+                alloc.assign[u.idx()][b] = share;
+                put_bit(resident, u.idx(), share != 0.0);
             }
+            *have = want;
         }
-        for &u in cls.update_ids() {
-            let qc = &cls.classes[u.idx()];
-            alloc.assign[u.idx()][b] = if qc.overlaps(&needed) { qc.weight } else { 0.0 };
-        }
-        alloc.fragments[b] = needed;
-        // Identical summation order to `assigned_load` for bit-exactness.
-        self.loads[b] = alloc.assign.iter().map(|row| row[b]).sum();
-        let new_bytes = catalog.size_of_set(&alloc.fragments[b]);
-        self.total_bytes = self.total_bytes - self.bytes[b] + new_bytes;
-        self.bytes[b] = new_bytes;
+    }
+
+    /// Backend `b`'s assigned load in `assigned_load`'s summation order,
+    /// over the non-zero shares only. The `+ 0.0` turns the empty sum's
+    /// `-0.0` into the `+0.0` that `assigned_load` yields once it has
+    /// added any zero share; it changes no other value.
+    fn resident_load(&self, alloc: &Allocation, b: usize) -> f64 {
+        row(&self.resident, b, self.index.cwords)
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| ones(w * 64, word))
+            .map(|c| alloc.assign[c][b])
+            .sum::<f64>()
+            + 0.0
     }
 
     /// Debug oracle: the fast path must leave `alloc` exactly where a
-    /// full `normalize` would, and the aggregates must match a fresh
-    /// recompute bit-for-bit.
-    #[cfg(debug_assertions)]
+    /// full `normalize` would, and the aggregates and mirrors must match
+    /// a fresh build bit-for-bit.
     fn debug_cross_check(
         &self,
         alloc: &Allocation,
@@ -1008,13 +1365,7 @@ impl DeltaCost {
         cluster: &ClusterSpec,
         catalog: &Catalog,
     ) {
-        // The oracle costs a full normalize + aggregate rebuild per
-        // transfer — fine on test-sized instances, quadratic death on
-        // multilevel-scale ones (thousands of fragments × hundreds of
-        // backends). Small instances keep the cross-check; big ones are
-        // covered by the conformance oracles comparing tracked against
-        // full costs at the end of a run.
-        if alloc.n_backends() > 64 || cls.len() > 256 {
+        if !cross_checked(alloc, cls) {
             return;
         }
         let mut reference = alloc.clone();
@@ -1027,16 +1378,25 @@ impl DeltaCost {
             reference.assign, alloc.assign,
             "DeltaCost fast path diverged from normalize (assign)"
         );
-        let fresh = Self::new(alloc, cls, catalog);
+        // `build` reads `held` off `alloc.fragments`, so comparing with
+        // it also asserts that the mirror matches the allocation.
+        let fresh = Self::build(Arc::new(CostIndex::new(cls, catalog)), alloc, cls);
+        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         debug_assert_eq!(
-            fresh.loads, self.loads,
+            bits(&fresh.loads),
+            bits(&self.loads),
             "DeltaCost loads diverged from full recompute"
         );
         debug_assert_eq!(fresh.bytes, self.bytes, "DeltaCost bytes diverged");
         debug_assert_eq!(fresh.total_bytes, self.total_bytes);
+        debug_assert_eq!(fresh.held, self.held, "fragment mirror diverged");
+        debug_assert_eq!(fresh.hosted, self.hosted, "update-row mirror diverged");
+        debug_assert_eq!(fresh.resident, self.resident, "resident bits diverged");
         debug_assert_eq!(fresh.counts, self.counts, "overlap counts diverged");
         debug_assert_eq!(fresh.overlap, self.overlap, "overlap flags diverged");
-        debug_assert_eq!(fresh.anchors, self.anchors, "orphan anchors diverged");
+        debug_assert_eq!(fresh.orphans, self.orphans, "orphan structure diverged");
+        debug_assert_eq!(fresh.colocated, self.colocated, "colocated bits diverged");
+        debug_assert_eq!(fresh.anchor, self.anchor, "orphan anchors diverged");
         debug_assert_eq!(fresh.anchor_fast, self.anchor_fast);
         debug_assert_eq!(
             fresh.cost(cluster),
@@ -1046,89 +1406,13 @@ impl DeltaCost {
     }
 }
 
-/// Derives the orphan-anchor mirror for a normalized allocation by
-/// replaying `normalize` step 2 on the read-needed sets: for each orphan
-/// (in `update_ids` order) compute the static skip/chain structure and
-/// resolve its anchor via the colocated → current-host preferences. A
-/// `false` second return means some anchor needed the least-loaded
-/// preference (or was unresolvable), so transfers must always take the
-/// full fallback.
-fn derive_anchors(
-    alloc: &Allocation,
-    cls: &Classification,
-    needed: &[BTreeSet<FragmentId>],
-    counts: &[u32],
-) -> (Vec<OrphanAnchor>, bool) {
-    let mut anchors: Vec<OrphanAnchor> = Vec::new();
-    let mut fast = true;
-    for (ui, &u) in cls.update_ids().iter().enumerate() {
-        if counts[ui] != 0 {
-            continue;
-        }
-        let frags = &cls.classes[u.idx()].fragments;
-        let closure = cls.placement_fragments(u);
-        let skipped = anchors
-            .iter()
-            .any(|e| e.anchor.is_some() && frags.iter().any(|f| e.closure.contains(f)));
-        let closure_chain: Vec<bool> = anchors
-            .iter()
-            .map(|e| closure.iter().any(|f| e.closure.contains(f)))
-            .collect();
-        let colocated: Vec<bool> = needed
-            .iter()
-            .map(|set| closure.iter().any(|f| set.contains(f)))
-            .collect();
-        let mut entry = OrphanAnchor {
-            ui,
-            closure,
-            skipped,
-            closure_chain,
-            colocated,
-            anchor: None,
-        };
-        if !skipped {
-            match resolve_anchor(alloc, u, &entry, &anchors) {
-                Some(b) => entry.anchor = Some(b),
-                None => fast = false,
-            }
-        }
-        anchors.push(entry);
-    }
-    (anchors, fast)
-}
-
-/// One anchor decision from `normalize` step 2, minus the least-loaded
-/// tail: the first backend whose (augmented) needed set overlaps the
-/// orphan's closure, else the first backend currently hosting the class.
-/// `None` means the least-loaded preference would be needed.
-fn resolve_anchor(
-    alloc: &Allocation,
-    u: ClassId,
-    o: &OrphanAnchor,
-    earlier: &[OrphanAnchor],
-) -> Option<usize> {
-    let n = alloc.n_backends();
-    let colocated = (0..n).find(|&b| {
-        o.colocated[b]
-            || earlier
-                .iter()
-                .enumerate()
-                .any(|(k, e)| o.closure_chain[k] && e.anchor == Some(b))
-    });
-    colocated.or_else(|| (0..n).find(|&b| alloc.assign[u.idx()][b] > EPS))
-}
-
-/// The read-needed fragment set of backend `b` — exactly what
-/// `normalize` step 1 derives: the union of the fragments of every read
-/// class with a positive share on `b`.
-fn read_needed(alloc: &Allocation, cls: &Classification, b: usize) -> BTreeSet<FragmentId> {
-    let mut needed = BTreeSet::new();
-    for &r in cls.read_ids() {
-        if alloc.assign[r.idx()][b] > EPS {
-            needed.extend(cls.classes[r.idx()].fragments.iter().copied());
-        }
-    }
-    needed
+/// The debug oracles cost a full normalize + tracker build per call —
+/// fine on test-sized instances, quadratic death on multilevel-scale
+/// ones (thousands of fragments × hundreds of backends). Small instances
+/// keep the cross-check; big ones are covered by the conformance oracles
+/// comparing tracked against full costs at the end of a run.
+fn cross_checked(alloc: &Allocation, cls: &Classification) -> bool {
+    alloc.n_backends() <= 64 && cls.len() <= 256 && alloc.n_backends() > 0
 }
 
 #[cfg(test)]
@@ -1441,6 +1725,33 @@ mod tests {
         tracker.undo(&mut alloc, &cls, token);
         assert_eq!(before, alloc);
         assert_eq!(cost_before, tracker.cost(&cluster));
+    }
+
+    #[test]
+    fn delta_cost_emptied_backend_load_is_positive_zero() {
+        let (cat, cls, cluster) = setup();
+        let mut alloc = Allocation::full_replication(&cls, &cluster);
+        alloc.normalize(&cls, &cluster);
+        let mut tracker = DeltaCost::new(&alloc, &cls, &cat);
+        for c in 0..cls.len() {
+            let share = alloc.assign[c][1];
+            let (from, to) = (BackendId(1), BackendId(0));
+            tracker.transfer(
+                &mut alloc,
+                &cls,
+                &cluster,
+                &cat,
+                ClassId(c as u32),
+                from,
+                to,
+                share,
+            );
+        }
+        assert!(alloc.fragments[1].is_empty());
+        assert_eq!(
+            tracker.load(BackendId(1)).to_bits(),
+            alloc.assigned_load(BackendId(1)).to_bits()
+        );
     }
 
     #[test]

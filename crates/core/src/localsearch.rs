@@ -12,25 +12,22 @@
 //!   between two backends (Eq. 23–26).
 //!
 //! Candidate moves are applied **incrementally** through
-//! [`DeltaCost::transfer`]: each move touches only the two backends
-//! involved, keeps the allocation normalized at every step, and is
-//! rolled back with exact undo tokens when it does not improve the
-//! lexicographic cost (scale, then stored bytes). This replaces the old
-//! clone + [`Allocation::normalize`] + full-cost evaluation per probe —
-//! a candidate is now O(touched backends) instead of O(cluster), and
-//! the search allocates no fresh buffers in its steady state (one
-//! [`Scratch`] set is reused across all probes).
+//! [`DeltaCost::transfer`]: each move re-derives only the two backends
+//! involved — bitset ORs over the read classes resident there, see
+//! [`DeltaCost`] for the cost — keeps the allocation normalized at every
+//! step, and is rolled back with exact undo tokens when it does not
+//! improve the lexicographic cost (scale, then stored bytes). Victim and
+//! receiver selection ask the tracker's fragment mirror rather than the
+//! `BTreeSet`s, and one [`Scratch`] set is reused across all probes.
 
 use crate::allocation::{Allocation, DeltaCost, DeltaUndo};
 use crate::classify::Classification;
 use crate::cluster::ClusterSpec;
 use crate::fragment::Catalog;
-use crate::journal::QueryKind;
 use crate::{BackendId, ClassId, EPS};
 
-/// Reusable buffers for the candidate enumeration: refilled in place on
-/// every probe so the steady-state search performs no heap allocation
-/// beyond the undo tokens' saved state.
+/// Reusable buffers for the candidate enumeration, refilled in place on
+/// every probe.
 ///
 /// Public (with private fields) so parallel drivers can keep one
 /// `Scratch` per worker lane and thread it through
@@ -71,9 +68,8 @@ pub fn improve(
 /// [`improve`] continuing on an existing tracker: `alloc` must already
 /// be normalized and `tracker` consistent with it. Skips the fresh
 /// aggregate build, so a caller that kept the tracker alongside the
-/// allocation (the memetic population does) pays only O(touched
-/// backends) per probe. The tracker is left consistent with the
-/// improved allocation.
+/// allocation (the memetic population does) pays only the transfers.
+/// The tracker is left consistent with the improved allocation.
 pub fn improve_with(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,
@@ -242,12 +238,12 @@ fn evacuate(
             .map(|bid| scale * cluster.load(bid) - tracker.load(bid)),
     );
     scratch.victims.clear();
-    scratch
-        .victims
-        .extend(cls.read_ids().iter().copied().filter(|&r| {
-            alloc.assign[r.idx()][b] > EPS
-                && cls.classes[u.idx()].overlaps(&cls.classes[r.idx()].fragments)
-        }));
+    scratch.victims.extend(
+        cls.read_ids()
+            .iter()
+            .copied()
+            .filter(|&r| alloc.assign[r.idx()][b] > EPS && tracker.overlaps(u, r)),
+    );
     if scratch.victims.is_empty() {
         return false;
     }
@@ -260,13 +256,7 @@ fn evacuate(
         scratch.receivers.clear();
         scratch
             .receivers
-            .extend((0..alloc.n_backends()).filter(|&rb| {
-                rb != b
-                    && cls.classes[r.idx()]
-                        .fragments
-                        .iter()
-                        .all(|f| alloc.fragments[rb].contains(f))
-            }));
+            .extend((0..alloc.n_backends()).filter(|&rb| rb != b && tracker.holds_all(rb, r)));
         let room = &scratch.room;
         scratch
             .receivers
@@ -332,7 +322,7 @@ fn shift_and_backfill(
     // Move reads overlapping u1 from b2 to b1 (Eq. 25's shift).
     for &r in cls.read_ids() {
         let share = alloc.assign[r.idx()][b2];
-        if share > EPS && cls.classes[u1.idx()].overlaps(&cls.classes[r.idx()].fragments) {
+        if share > EPS && tracker.overlaps(u1, r) {
             let token = tracker.transfer(
                 alloc,
                 cls,
@@ -366,7 +356,7 @@ fn shift_and_backfill(
             break;
         }
         let share = alloc.assign[r.idx()][b1];
-        if share > EPS && !cls.classes[u1.idx()].overlaps(&cls.classes[r.idx()].fragments) {
+        if share > EPS && !tracker.overlaps(u1, r) {
             let take = share.min(target - backfilled);
             if take > EPS {
                 let token = tracker.transfer(
@@ -393,12 +383,6 @@ fn shift_and_backfill(
         }
     }
     committed
-}
-
-/// Returns true if the class is a read class — helper used by callers
-/// enumerating mixed class lists.
-pub fn is_read(cls: &Classification, c: ClassId) -> bool {
-    cls.classes[c.idx()].kind == QueryKind::Read
 }
 
 #[cfg(test)]

@@ -41,12 +41,12 @@
 //!
 //! Candidate evaluation inside a task is incremental: mutations are
 //! expressed as [`DeltaCost::transfer`]s, so an offspring's cost comes
-//! from O(touched backends) bookkeeping instead of a full
-//! [`Allocation::normalize`] + cost recomputation, and the local search
-//! continues on the same tracker. Worker tasks record their telemetry
-//! into private [`qcpa_obs::Registry`] shards that the driver merges in
-//! index order ([`qcpa_obs::Registry::merge_shard`]), keeping the
-//! global registry deterministic too.
+//! from re-deriving the two backends a transfer touches instead of a
+//! full [`Allocation::normalize`] + cost recomputation, and the local
+//! search continues on the same tracker. Worker tasks record their
+//! telemetry into private [`qcpa_obs::Registry`] shards that the driver
+//! merges in index order ([`qcpa_obs::Registry::merge_shard`]), keeping
+//! the global registry deterministic too.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -501,10 +501,11 @@ fn trace_generation(prefix: &str, population: &[Individual], acceptance: f64) {
 /// Generates one offspring: `n_ops` random mutations of `parent`
 /// applied through a [`DeltaCost`] tracker, so the child stays
 /// normalized at every step and its cost falls out of the incremental
-/// aggregates in O(touched backends) per op.
+/// aggregates.
 ///
 /// A parent with a tracker (plain path) hands its child a *clone* of
-/// the aggregates — no rebuild. A tracker-less parent (a
+/// the aggregates — flat arrays only, the per-instance bitset index is
+/// shared — no rebuild. A tracker-less parent (a
 /// k-safety-hardened one) is first re-normalized, then tracked fresh;
 /// the caller re-applies the repair afterwards.
 fn mutate<R: Rng>(

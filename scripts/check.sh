@@ -10,8 +10,10 @@
 #                               # lib/unit tests, the storage property
 #                               # suite, the controller end-to-end
 #                               # suite, resilience + multilevel
-#                               # conformance at both thread counts, the
-#                               # quick bench-matrix corner and the
+#                               # conformance and the release allocator
+#                               # goldens at both thread counts, the
+#                               # allocation audit, the quick
+#                               # bench-matrix corner and the
 #                               # benchmark-crate smoke
 #   ./scripts/check.sh --deep   # fast tier + the test suite under
 #                               # ThreadSanitizer and a Miri pass over
@@ -104,6 +106,20 @@ run_sim_equivalence() {
     done
 }
 
+# The allocator's parent-recorded fingerprints, including the
+# benchmark's scale_alloc instance, and its heap-allocation budget: both
+# release-only (the debug build cross-checks every transfer against a
+# full normalize).
+run_allocator_goldens() {
+    local threads
+    for threads in 1 4; do
+        echo "== allocator goldens, release (QCPA_THREADS=$threads) =="
+        QCPA_THREADS=$threads cargo test -q --release --test allocator_golden -- --include-ignored
+    done
+    echo "== allocator heap-allocation audit (release) =="
+    cargo test -q --release --test alloc_audit -- --include-ignored
+}
+
 # benchmark/ is its own workspace, so `cargo test` never builds it: a
 # public-signature change in a product crate passes every step above
 # while breaking BENCHMARK.json's command. Build it against the working
@@ -172,6 +188,7 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     QCPA_THREADS=1 cargo test -q --test conformance multilevel
     echo "== multilevel conformance (QCPA_THREADS=4) =="
     QCPA_THREADS=4 cargo test -q --test conformance multilevel
+    run_allocator_goldens
     run_sim_equivalence
     run_smokes 8
     if [[ "$DEEP" == "1" ]]; then
@@ -197,6 +214,8 @@ QCPA_THREADS=1 cargo test -q --test conformance
 
 echo "== conformance harness (QCPA_THREADS=4) =="
 QCPA_THREADS=4 cargo test -q --test conformance
+
+run_allocator_goldens
 
 run_sim_equivalence
 
