@@ -318,8 +318,7 @@ fn evacuate(
         .iter()
         .copied()
         .filter(|&r| {
-            cand.assign[r.idx()][b] > EPS
-                && cls.classes[u.idx()].overlaps(&cls.classes[r.idx()].fragments)
+            cand.assign[r.idx()][b] > EPS && cls.fragment_set(u).intersects(cls.fragment_set(r))
         })
         .collect();
     if victims.is_empty() {
@@ -370,7 +369,7 @@ fn shift_and_backfill(
     let mut moved = 0.0;
     for &r in cls.read_ids() {
         let share = cand.assign[r.idx()][b2];
-        if share > EPS && cls.classes[u1.idx()].overlaps(&cls.classes[r.idx()].fragments) {
+        if share > EPS && cls.fragment_set(u1).intersects(cls.fragment_set(r)) {
             cand.assign[r.idx()][b2] = 0.0;
             cand.assign[r.idx()][b1] += share;
             moved += share;
@@ -388,7 +387,7 @@ fn shift_and_backfill(
             break;
         }
         let share = cand.assign[r.idx()][b1];
-        if share > EPS && !cls.classes[u1.idx()].overlaps(&cls.classes[r.idx()].fragments) {
+        if share > EPS && !cls.fragment_set(u1).intersects(cls.fragment_set(r)) {
             let take = share.min(target - backfilled);
             cand.assign[r.idx()][b1] -= take;
             cand.assign[r.idx()][b2] += take;

@@ -3,7 +3,7 @@
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::{Classification, Granularity};
 use qcpa_core::cluster::ClusterSpec;
-use qcpa_core::fragment::{Catalog, FragmentId, FragmentKind};
+use qcpa_core::fragment::{Catalog, FragSet, FragmentId, FragmentKind};
 use qcpa_core::greedy;
 use qcpa_core::journal::{Journal, Query};
 use qcpa_core::memetic::{self, MemeticConfig};
@@ -13,7 +13,7 @@ use qcpa_storage::fragmentation::{extract_full, extract_horizontal, extract_vert
 use qcpa_storage::schema::Schema;
 use qcpa_storage::table::Table;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::layout::{layout_from_allocation, Footprint, TableLayout};
 use crate::partition::PartitionScheme;
@@ -218,7 +218,7 @@ impl Cdbs {
         // Full replication, as an allocation over the boot fragments —
         // every plain table whole, every partition of every partitioned
         // one — realized like any later allocation.
-        let boot: BTreeSet<FragmentId> = catalog
+        let boot: FragSet = catalog
             .fragments()
             .iter()
             .filter(|f| match f.kind {
@@ -1987,7 +1987,7 @@ mod partition_tests {
             .filter(|set| {
                 set.iter().any(|f| {
                     matches!(
-                        cdbs.catalog_fragment_kind(*f),
+                        cdbs.catalog_fragment_kind(f),
                         Some((name, true)) if name == "events#2"
                     )
                 })

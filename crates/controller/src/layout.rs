@@ -131,7 +131,7 @@ pub fn layout_from_allocation(
     (0..alloc.n_backends())
         .map(|b| {
             let mut layout = TableLayout::default();
-            for &fid in &alloc.fragments[b] {
+            for fid in &alloc.fragments[b] {
                 let frag = catalog.fragment(fid);
                 match frag.kind {
                     FragmentKind::Table => {

@@ -8,7 +8,6 @@
 //! interchangeable and can be validated against the paper's constraints
 //! (Eq. 8–11) and compared on the same cost metric.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -16,16 +15,16 @@ use serde::{Deserialize, Serialize};
 use crate::classify::Classification;
 use crate::cluster::ClusterSpec;
 use crate::error::InvalidAllocation;
-use crate::fragment::{Catalog, FragmentId};
+use crate::fragment::{bit, intersects, ones, or_into, put_bit, Catalog, FragSet};
 use crate::journal::QueryKind;
-use crate::{approx_eq, BackendId, ClassId, EPS};
+use crate::{approx_eq, approx_eq_loose, BackendId, ClassId, EPS};
 
 /// A partial replication: per-backend fragment sets and the assignment of
 /// query-class load shares to backends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     /// `fragments[b]` — the set of fragments stored on backend `b`.
-    pub fragments: Vec<BTreeSet<FragmentId>>,
+    pub fragments: Vec<FragSet>,
     /// `assign[c][b]` — the share of class `c`'s weight assigned to
     /// backend `b` (Eq. 8). For update classes this is either 0 or the
     /// full class weight (Eq. 10).
@@ -37,7 +36,7 @@ impl Allocation {
     /// assignments zero.
     pub fn empty(n_classes: usize, n_backends: usize) -> Self {
         Self {
-            fragments: vec![BTreeSet::new(); n_backends],
+            fragments: vec![FragSet::new(); n_backends],
             assign: vec![vec![0.0; n_backends]; n_classes],
         }
     }
@@ -47,11 +46,7 @@ impl Allocation {
     /// `load(B)`; every update class runs everywhere (ROWA).
     pub fn full_replication(cls: &Classification, cluster: &ClusterSpec) -> Self {
         let n = cluster.len();
-        let all: BTreeSet<FragmentId> = cls
-            .classes
-            .iter()
-            .flat_map(|c| c.fragments.iter().copied())
-            .collect();
+        let all = cls.referenced_fragments();
         let mut assign = vec![vec![0.0; n]; cls.len()];
         for c in &cls.classes {
             for b in cluster.ids() {
@@ -107,12 +102,7 @@ impl Allocation {
     /// referenced by the classification (the fragments the allocation is
     /// about).
     pub fn degree_of_replication(&self, cls: &Classification, catalog: &Catalog) -> f64 {
-        let referenced: BTreeSet<FragmentId> = cls
-            .classes
-            .iter()
-            .flat_map(|c| c.fragments.iter().copied())
-            .collect();
-        let db_size = catalog.size_of_set(&referenced) as f64;
+        let db_size = catalog.size_of_set(&cls.referenced_fragments()) as f64;
         self.total_bytes(catalog) as f64 / db_size
     }
 
@@ -178,9 +168,9 @@ impl Allocation {
     /// The backends capable of processing class `c`: those storing all of
     /// its fragments (Eq. 8's precondition).
     pub fn capable_backends(&self, cls: &Classification, c: ClassId) -> Vec<BackendId> {
-        let frags = &cls.classes[c.idx()].fragments;
+        let frags = cls.fragment_set(c);
         (0..self.n_backends())
-            .filter(|&b| frags.iter().all(|f| self.fragments[b].contains(f)))
+            .filter(|&b| frags.is_subset(&self.fragments[b]))
             .map(|b| BackendId(b as u32))
             .collect()
     }
@@ -212,6 +202,7 @@ impl Allocation {
         }
         for c in &cls.classes {
             let row = &self.assign[c.id.idx()];
+            let frags = cls.fragment_set(c.id);
             for (bi, &v) in row.iter().enumerate() {
                 let b = BackendId(bi as u32);
                 if v < -EPS {
@@ -222,9 +213,7 @@ impl Allocation {
                     });
                 }
                 if v > EPS {
-                    if let Some(&missing) =
-                        c.fragments.iter().find(|f| !self.fragments[bi].contains(f))
-                    {
+                    if let Some(missing) = frags.difference(&self.fragments[bi]).next() {
                         return Err(InvalidAllocation::MissingFragment {
                             class: c.id,
                             backend: b,
@@ -245,10 +234,11 @@ impl Allocation {
                     }
                 }
                 QueryKind::Update => {
+                    // A share on a backend holding none of the class's
+                    // fragments was rejected above (Eq. 8).
                     let mut anywhere = false;
                     for (bi, &v) in row.iter().enumerate() {
-                        let overlaps = c.fragments.iter().any(|f| self.fragments[bi].contains(f));
-                        if overlaps {
+                        if frags.intersects(&self.fragments[bi]) {
                             if !approx_eq_loose(v, c.weight) {
                                 return Err(InvalidAllocation::UpdateNotReplicated {
                                     class: c.id,
@@ -257,14 +247,6 @@ impl Allocation {
                                 });
                             }
                             anywhere = true;
-                        } else if v > EPS {
-                            // Assigned without data — caught above by Eq. 8
-                            // unless the class's own fragments are absent.
-                            return Err(InvalidAllocation::MissingFragment {
-                                class: c.id,
-                                backend: BackendId(bi as u32),
-                                fragment: *c.fragments.iter().next().expect("non-empty class"),
-                            });
                         }
                     }
                     if !anywhere && c.weight > EPS {
@@ -286,15 +268,19 @@ impl Allocation {
     ///    least-loaded backend,
     /// 3. the Eq. 8/10 fixpoint is applied: any backend holding a
     ///    fragment of an update class receives *all* of that class's
-    ///    fragments and its full weight.
+    ///    fragments and its full weight. The fixpoint of a union is the
+    ///    union of the parts' placements, so step 3 ORs the placements
+    ///    of what steps 1 and 2 put on the backend.
     pub fn normalize(&mut self, cls: &Classification, cluster: &ClusterSpec) {
         let n = self.n_backends();
         // 1. needed fragments per backend from read classes.
-        let mut needed: Vec<BTreeSet<FragmentId>> = vec![BTreeSet::new(); n];
+        let mut needed = vec![FragSet::new(); n];
+        let mut placed = vec![FragSet::new(); n];
         for &r in cls.read_ids() {
-            for (b, set) in needed.iter_mut().enumerate() {
+            for b in 0..n {
                 if self.assign[r.idx()][b] > EPS {
-                    set.extend(cls.classes[r.idx()].fragments.iter().copied());
+                    needed[b].union_with(cls.fragment_set(r));
+                    placed[b].union_with(cls.placement_fragments(r));
                 }
             }
         }
@@ -304,90 +290,58 @@ impl Allocation {
         //    fixpoint below. Preference order keeps `normalize`
         //    idempotent and minimizes new replication: (a) a backend
         //    already needing overlapping data, (b) a backend currently
-        //    hosting the class, (c) the least-loaded backend.
+        //    hosting the class, (c) the backend needing the fewest
+        //    fragments per unit of performance.
         for &u in cls.update_ids() {
-            let frags = &cls.classes[u.idx()].fragments;
-            let overlaps_any = (0..n).any(|b| frags.iter().any(|f| needed[b].contains(f)));
-            if !overlaps_any {
-                let closure = cls.placement_fragments(u);
-                let colocated = (0..n).find(|&b| closure.iter().any(|f| needed[b].contains(f)));
-                let current = (0..n).find(|&b| self.assign[u.idx()][b] > EPS);
-                let target = colocated.or(current).unwrap_or_else(|| {
-                    (0..n)
-                        .min_by(|&a, &b| {
-                            let la = read_load(&needed, a) / cluster.load(BackendId(a as u32));
-                            let lb = read_load(&needed, b) / cluster.load(BackendId(b as u32));
-                            la.partial_cmp(&lb).expect("loads are finite")
-                        })
-                        .expect("cluster is non-empty")
-                });
-                needed[target].extend(closure);
+            if needed.iter().any(|set| set.intersects(cls.fragment_set(u))) {
+                continue;
             }
+            let closure = cls.placement_fragments(u);
+            let colocated = (0..n).find(|&b| needed[b].intersects(closure));
+            let current = (0..n).find(|&b| self.assign[u.idx()][b] > EPS);
+            let target = colocated.or(current).unwrap_or_else(|| {
+                let per_load =
+                    |b: usize| needed[b].len() as f64 / cluster.load(BackendId(b as u32));
+                (0..n)
+                    .min_by(|&a, &b| per_load(a).total_cmp(&per_load(b)))
+                    .expect("cluster is non-empty")
+            });
+            needed[target].union_with(closure);
+            placed[target].union_with(closure);
         }
-        // 3. fixpoint: holding any fragment of an update class forces all
-        //    of its fragments.
-        loop {
-            let mut grew = false;
-            for &u in cls.update_ids() {
-                let frags = &cls.classes[u.idx()].fragments;
-                for set in needed.iter_mut() {
-                    if frags.iter().any(|f| set.contains(f))
-                        && !frags.iter().all(|f| set.contains(f))
-                    {
-                        set.extend(frags.iter().copied());
-                        grew = true;
-                    }
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        self.fragments = needed;
-        // Recompute update assignments per Eq. 10.
-        for &u in cls.update_ids() {
-            let frags = &cls.classes[u.idx()].fragments;
-            let w = cls.classes[u.idx()].weight;
-            for b in 0..n {
-                self.assign[u.idx()][b] = if frags.iter().any(|f| self.fragments[b].contains(f)) {
-                    w
-                } else {
-                    0.0
-                };
-            }
-        }
+        // 3. the fixpoint, already in `placed`.
+        self.fragments = placed;
+        self.assign_updates(cls);
     }
 
     /// Re-applies the ROWA constraints (Eq. 8/10) after fragments were
     /// force-added to backends, *without* garbage collection: existing
     /// fragment placements — including zero-weight spare replicas — are
-    /// kept and only grown to the update-closure fixpoint, and update
+    /// kept and only grown to the update-closure fixpoint (the union of
+    /// the placements of the update classes they overlap), and update
     /// assignments are recomputed. Used by the k-safety repair and the
     /// Section 5 robustness extension, where extra replicas are the
     /// point.
     pub fn sync_updates(&mut self, cls: &Classification) {
-        loop {
-            let mut grew = false;
+        for set in &mut self.fragments {
+            let mut grown = FragSet::new();
             for &u in cls.update_ids() {
-                let frags = &cls.classes[u.idx()].fragments;
-                for set in self.fragments.iter_mut() {
-                    if frags.iter().any(|f| set.contains(f))
-                        && !frags.iter().all(|f| set.contains(f))
-                    {
-                        set.extend(frags.iter().copied());
-                        grew = true;
-                    }
+                if cls.fragment_set(u).intersects(set) {
+                    grown.union_with(cls.placement_fragments(u));
                 }
             }
-            if !grew {
-                break;
-            }
+            set.union_with(&grown);
         }
+        self.assign_updates(cls);
+    }
+
+    /// Rewrites every update class's row per Eq. 10: full weight on
+    /// exactly the backends holding any of its fragments.
+    pub fn assign_updates(&mut self, cls: &Classification) {
         for &u in cls.update_ids() {
-            let frags = &cls.classes[u.idx()].fragments;
             let w = cls.weight(u);
-            for b in 0..self.n_backends() {
-                self.assign[u.idx()][b] = if frags.iter().any(|f| self.fragments[b].contains(f)) {
+            for (share, set) in self.assign[u.idx()].iter_mut().zip(&self.fragments) {
+                *share = if cls.fragment_set(u).intersects(set) {
                     w
                 } else {
                     0.0
@@ -404,11 +358,6 @@ impl Allocation {
             bytes: self.total_bytes(catalog),
         }
     }
-}
-
-fn read_load(needed: &[BTreeSet<FragmentId>], b: usize) -> f64 {
-    // Cheap proxy during anchoring: number of fragments already needed.
-    needed[b].len() as f64
 }
 
 /// Lexicographic allocation cost: lower `scale` wins; ties (within
@@ -452,83 +401,62 @@ impl Ord for AllocCost {
     }
 }
 
-/// Weight-sum tolerance matching the classification's: assignments are
-/// sums of many floating point shares.
-fn approx_eq_loose(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6
-}
-
 // ---------------------------------------------------------------------------
 // Incremental cost evaluation
 // ---------------------------------------------------------------------------
 
-/// Incremental cost tracker: maintains per-backend assigned load and
-/// stored-bytes aggregates alongside a *normalized* [`Allocation`], so a
-/// candidate move is evaluated without a full [`Allocation::normalize`]
-/// + [`Allocation::cost`] recomputation.
+/// Incremental cost tracker for a *normalized* [`Allocation`]:
+/// per-backend loads and stored bytes, plus the bitset rows that let a
+/// move be re-derived locally instead of by a full
+/// [`Allocation::normalize`] + [`Allocation::cost`].
 ///
-/// The single mutation primitive is [`DeltaCost::transfer`], which moves
-/// part of a read class's share between two backends and re-derives
-/// *only those two backends'* fragment sets, update assignments, loads
-/// and bytes — producing exactly the state `normalize` would. Every
-/// mutation and local-search move in this workspace decomposes into a
-/// sequence of transfers, and each transfer returns a [`DeltaUndo`]
-/// token that restores the previous state bit-for-bit (tokens from a
-/// multi-transfer candidate must be undone in reverse order).
+/// The one mutation is [`DeltaCost::transfer`]: it moves part of a read
+/// class's share between two backends and re-derives only those
+/// backends' fragment words, update rows, loads and bytes — exactly the
+/// state `normalize` would produce — and returns a [`DeltaUndo`] token
+/// that restores the prior state bit for bit (tokens of a
+/// multi-transfer candidate are undone in reverse order). Every
+/// mutation and local-search move is a sequence of transfers.
 ///
 /// # Cost
 ///
-/// What `normalize` derives for a backend is a union over the read
-/// classes resident there (the Eq. 8/10 closure distributes over
-/// unions), so a rebuild ORs per-class bitsets from a [`CostIndex`]
-/// built once per instance and shared by clones. Per rebuilt backend a
-/// transfer is `R·(W + Wu) + C` word operations — `R` resident read
-/// classes, `C` classes with a non-zero share, `W` / `Wu` words per
-/// fragment / update-class bitset — plus one `BTreeSet` edit or
-/// update-row write per bit that *changed*; the anchor replay adds
-/// `Wu` per orphan, and a scan of the backends for an orphan colocated
-/// with none. An undo is `W + Wu` per backend, a word per orphan and
-/// the same changed bits.
-/// Neither allocates: a token owns one flat buffer, recycled through
-/// the tracker when undone, freed when dropped.
+/// A backend's derived state is a union over its resident read classes
+/// (the Eq. 8/10 closure distributes over unions), so a rebuild ORs the
+/// classification's placement sets and the rows of a per-instance
+/// [`CostIndex`], shared by clones, straight into the allocation's
+/// [`FragSet`] words: `R·(W + Wu) + C` word operations per rebuilt
+/// backend (`R` resident read classes, `C` classes with a share, `W` /
+/// `Wu` words per fragment / update-class row), plus a size lookup or
+/// update-row write per bit that changed. When an overlap row changed,
+/// the anchor replay adds `Wu` per orphan. An undo writes the same words
+/// back. Neither allocates: a token owns one flat buffer, recycled
+/// through the tracker when undone.
 ///
 /// # Exactness
 ///
-/// The tracker is not an approximation: loads are recomputed for touched
-/// backends in [`Allocation::assigned_load`]'s summation order (zero
-/// shares are skipped, which cannot change a sum), bytes are exact
-/// integers, and update rows are rewritten with the same literals
-/// `normalize` writes — so [`DeltaCost::cost`] is bit-identical to
-/// `alloc.normalize(..); alloc.cost(..)` and undo restores saved values
-/// rather than applying arithmetic inverses (which would not round-trip
-/// in floating point). Debug builds cross-check every transfer against
-/// the full recompute.
+/// Loads are re-summed in [`Allocation::assigned_load`]'s order
+/// (skipping zero shares, which cannot change a sum), bytes are
+/// integers, update rows get `normalize`'s literals, and undo restores
+/// saved values rather than applying inverses — so [`DeltaCost::cost`]
+/// is bit-identical to `normalize` + `cost`. Debug builds cross-check
+/// every transfer on test-sized instances.
 ///
 /// # Orphan anchoring
 ///
-/// `normalize`'s per-backend re-derivation is local *except* for step 2
-/// (orphan anchoring): an update class whose fragments overlap no
-/// backend's read-needed set is anchored by a global preference scan.
-/// The tracker keeps, per update class, the number of backends whose
-/// read-needed set overlaps it, and mirrors step 2 incrementally for a
-/// *stable* orphan set: the skip/chain structure among orphans depends
-/// only on the classification (see [`OrphanStatic`]), so each transfer
-/// just refreshes the two touched backends' colocated bits and replays
-/// the anchor decisions in class order. When an anchor moves, the old
-/// and new anchor backends are rebuilt too. The full `normalize` +
-/// snapshot fallback remains for the global cases: a transfer that
-/// changes *which* classes are orphans, or an orphan whose anchor needs
-/// the least-loaded preference (only reachable for zero-weight update
-/// classes).
+/// `normalize` step 2 — anchoring update classes that no read-needed set
+/// overlaps — is its one global step. For a fixed orphan set its
+/// skip/chain structure is static ([`OrphanStatic`]), so a transfer
+/// refreshes the two touched backends' colocated bits and replays the
+/// anchors in class order, rebuilding any backend an anchor leaves or
+/// joins. A transfer that changes *which* classes are orphans, or an
+/// anchor that needs the least-loaded preference, falls back to a full
+/// `normalize` and a snapshot.
 ///
 /// # Invariants
 ///
-/// The tracker mirrors one specific allocation: construct it with
-/// [`DeltaCost::new`] on a normalized allocation and mutate that
-/// allocation only through [`DeltaCost::transfer`] / [`DeltaCost::undo`]
-/// while the tracker is live. Mutating the allocation behind the
-/// tracker's back desynchronizes it (debug builds will catch this at the
-/// next transfer).
+/// Construct it on a normalized allocation and mutate that allocation
+/// only through `transfer` / `undo` while the tracker lives; debug
+/// builds catch other writes at the next transfer.
 #[derive(Debug, Clone)]
 pub struct DeltaCost {
     /// Per-instance bitsets, shared by every clone of this tracker.
@@ -543,9 +471,6 @@ pub struct DeltaCost {
     bytes: Vec<u64>,
     /// Sum of `bytes` == `alloc.total_bytes(catalog)`.
     total_bytes: u64,
-    /// Backend `b`'s row mirrors `alloc.fragments[b]` as a fragment
-    /// bitset (`index.words` words per backend).
-    held: Vec<u64>,
     /// Backend `b`'s row, over update-class *positions*: the update
     /// classes running on `b` — the rows `normalize` writes with the
     /// class weight (`index.uwords` words per backend).
@@ -582,8 +507,9 @@ pub struct DeltaCost {
 const NO_ANCHOR: u32 = u32::MAX;
 
 /// Immutable bitsets of one `(classification, catalog)` instance. Every
-/// per-class row is what one resident read class contributes to a
-/// backend, so a backend's derived state is the OR of its rows.
+/// per-class row — here, or the classification's fragment and placement
+/// sets — is what one resident read class contributes to a backend, so a
+/// backend's derived state is the OR of its rows.
 #[derive(Debug)]
 struct CostIndex {
     /// Words per fragment bitset.
@@ -592,16 +518,10 @@ struct CostIndex {
     uwords: usize,
     /// Words per class-id bitset.
     cwords: usize,
-    /// Class `c`'s fragments.
-    class_mask: Vec<u64>,
-    /// `placement_fragments(c)`: the closure of class `c`'s fragments
-    /// under Eq. 8/10. The closure of a union is the union of closures,
-    /// which is what replaces the per-backend fixpoint loop.
-    place_mask: Vec<u64>,
     /// Positions of `cls.updates(c)`: update classes overlapping `c`.
     touch: Vec<u64>,
     /// Positions of `cls.updates_closure(c)`: the update classes whose
-    /// fragments `place_mask[c]` consists of beyond `c`'s own.
+    /// fragments `placement_fragments(c)` holds beyond `c`'s own.
     closure_upd: Vec<u64>,
     /// Class ids of the read classes.
     read_mask: Vec<u64>,
@@ -635,8 +555,8 @@ struct OrphanStatic {
 struct Work {
     /// New `overlap` rows of the `from` and `to` backends.
     overlap: Vec<u64>,
-    /// New `held` row of the backend being rebuilt.
-    held: Vec<u64>,
+    /// New fragment words of the backend being rebuilt.
+    fragments: Vec<u64>,
     /// New `hosted` row of the backend being rebuilt.
     hosted: Vec<u64>,
 }
@@ -670,7 +590,8 @@ enum UndoRepr {
     /// per replayed orphan in order (anchor, old colocated bits of
     /// `from` and `to`), then one frame per rebuilt backend — `from`,
     /// `to`, plus any backend an orphan anchor moved away from or onto:
-    /// backend, old load bits, old `held`, `hosted` and `overlap` rows.
+    /// backend, old load bits, old fragment words, `hosted` and
+    /// `overlap` rows.
     Local(Vec<u64>),
     /// Fallback path: whole-allocation snapshot.
     Full {
@@ -692,43 +613,6 @@ fn row_mut(flat: &mut [u64], i: usize, w: usize) -> &mut [u64] {
     &mut flat[i * w..(i + 1) * w]
 }
 
-#[inline]
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] >> (i % 64) & 1 == 1
-}
-
-#[inline]
-fn put_bit(words: &mut [u64], i: usize, on: bool) {
-    let mask = 1u64 << (i % 64);
-    if on {
-        words[i / 64] |= mask;
-    } else {
-        words[i / 64] &= !mask;
-    }
-}
-
-#[inline]
-fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
-}
-
-#[inline]
-fn or_into(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
-/// Indices of the set bits of `word`, ascending, offset by `base`.
-#[inline]
-fn ones(base: usize, word: u64) -> impl Iterator<Item = usize> {
-    std::iter::successors((word != 0).then_some(word), |&w| {
-        let rest = w & (w - 1);
-        (rest != 0).then_some(rest)
-    })
-    .map(move |w| base + w.trailing_zeros() as usize)
-}
-
 impl CostIndex {
     fn new(cls: &Classification, catalog: &Catalog) -> Self {
         let words = catalog.len().div_ceil(64);
@@ -738,14 +622,6 @@ impl CostIndex {
         for (ui, u) in cls.update_ids().iter().enumerate() {
             upos[u.idx()] = ui as u32;
         }
-        let mut class_mask = vec![0u64; cls.len() * words];
-        for qc in &cls.classes {
-            let mask = row_mut(&mut class_mask, qc.id.idx(), words);
-            for f in &qc.fragments {
-                put_bit(mask, f.idx(), true);
-            }
-        }
-        let mut place_mask = class_mask.clone();
         let mut touch = vec![0u64; cls.len() * uwords];
         let mut closure_upd = vec![0u64; cls.len() * uwords];
         let mut read_mask = vec![0u64; cwords];
@@ -763,18 +639,12 @@ impl CostIndex {
                     upos[u.idx()] as usize,
                     true,
                 );
-                or_into(
-                    row_mut(&mut place_mask, c, words),
-                    row(&class_mask, u.idx(), words),
-                );
             }
         }
         Self {
             words,
             uwords,
             cwords,
-            class_mask,
-            place_mask,
             touch,
             closure_upd,
             read_mask,
@@ -841,14 +711,11 @@ impl DeltaCost {
         let loads: Vec<f64> = (0..n)
             .map(|b| alloc.assigned_load(BackendId(b as u32)))
             .collect();
-        let mut held = vec![0u64; n * words];
-        let mut bytes = vec![0u64; n];
-        for (b, set) in alloc.fragments.iter().enumerate() {
-            for f in set {
-                put_bit(row_mut(&mut held, b, words), f.idx(), true);
-                bytes[b] += index.frag_size[f.idx()];
-            }
-        }
+        let bytes: Vec<u64> = alloc
+            .fragments
+            .iter()
+            .map(|set| set.iter().map(|f| index.frag_size[f.idx()]).sum())
+            .collect();
         let mut resident = vec![0u64; n * cwords];
         for (c, shares) in alloc.assign.iter().enumerate() {
             for (b, &share) in shares.iter().enumerate() {
@@ -861,7 +728,6 @@ impl DeltaCost {
             total_bytes: bytes.iter().sum(),
             loads,
             bytes,
-            held,
             hosted: vec![0u64; n * uwords],
             overlap: vec![0u64; n * uwords],
             resident,
@@ -872,7 +738,7 @@ impl DeltaCost {
             anchor_fast: true,
             work: Work {
                 overlap: vec![0u64; 2 * uwords],
-                held: vec![0u64; words],
+                fragments: vec![0u64; words],
                 hosted: vec![0u64; uwords],
             },
             spare: Spare::default(),
@@ -903,21 +769,20 @@ impl DeltaCost {
         let index = &*self.index;
         let n = alloc.n_backends();
         let bwords = n.div_ceil(64);
-        let place = |ui: usize| row(&index.place_mask, cls.update_ids()[ui].idx(), index.words);
+        let place = |ui: usize| cls.placement_fragments(cls.update_ids()[ui]);
         let mut statics: Vec<OrphanStatic> = Vec::new();
         for (ui, &u) in cls.update_ids().iter().enumerate() {
             if self.counts[ui] != 0 {
                 continue;
             }
-            let own = row(&index.class_mask, u.idx(), index.words);
             let skipped = statics
                 .iter()
                 .zip(&self.anchor)
-                .any(|(e, &a)| a != NO_ANCHOR && intersects(own, place(e.ui)));
+                .any(|(e, &a)| a != NO_ANCHOR && cls.fragment_set(u).intersects(place(e.ui)));
             let chain: Vec<u32> = statics
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| intersects(place(ui), place(e.ui)))
+                .filter(|(_, e)| place(ui).intersects(place(e.ui)))
                 .map(|(k, _)| k as u32)
                 .collect();
             let closure = row(&index.closure_upd, u.idx(), index.uwords);
@@ -941,22 +806,10 @@ impl DeltaCost {
         self.orphans = Arc::new(statics);
     }
 
-    /// The tracked per-backend assigned loads (== `assigned_load` on the
-    /// mirrored allocation).
-    pub fn loads(&self) -> &[f64] {
-        &self.loads
-    }
-
     /// The tracked assigned load of one backend.
     #[inline]
     pub fn load(&self, b: BackendId) -> f64 {
         self.loads[b.idx()]
-    }
-
-    /// Total stored bytes across all backends.
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// The scale factor (Eq. 15) from the tracked loads — bit-identical
@@ -976,15 +829,6 @@ impl DeltaCost {
             scale: self.scale(cluster),
             bytes: self.total_bytes,
         }
-    }
-
-    /// True if backend `b` stores every fragment of class `c`.
-    pub(crate) fn holds_all(&self, b: usize, c: ClassId) -> bool {
-        let w = self.index.words;
-        row(&self.index.class_mask, c.idx(), w)
-            .iter()
-            .zip(row(&self.held, b, w))
-            .all(|(need, have)| need & !have == 0)
     }
 
     /// True if update class `u` and class `c` reference a common
@@ -1061,11 +905,18 @@ impl DeltaCost {
         // Replay the anchor decisions in class order on the new overlap
         // rows; later orphans see earlier orphans' *new* anchors, exactly
         // like the sequential loop in `normalize`. Anchors that move drag
-        // their old/new backends into the rebuild set.
+        // their old/new backends into the rebuild set. The anchors are
+        // what `derive_anchors` makes of the current state (debug builds
+        // assert it after every transfer) and the two overlap rows are
+        // the replay's only new input, so if neither changes there is
+        // nothing to replay.
         let bwords = alloc.n_backends().div_ceil(64);
+        let overlap_moved = work.overlap[..uwords] != *row(&self.overlap, fi, uwords)
+            || work.overlap[uwords..] != *row(&self.overlap, ti, uwords);
+        let replayed = if overlap_moved { self.orphans.len() } else { 0 };
         let mut extra: Vec<usize> = Vec::new();
         let mut resolved = true;
-        for (k, o) in self.orphans.iter().enumerate() {
+        for (k, o) in self.orphans.iter().enumerate().take(replayed) {
             let u = cls.update_ids()[o.ui];
             let closure = row(&self.index.closure_upd, u.idx(), uwords);
             let colocated = row_mut(&mut self.colocated, k, bwords);
@@ -1112,7 +963,7 @@ impl DeltaCost {
         for &b in [fi, ti].iter().chain(&extra) {
             save.push(b as u64);
             save.push(self.loads[b].to_bits());
-            save.extend_from_slice(row(&self.held, b, self.index.words));
+            save.extend_from_slice(self.fragment_words(alloc, b));
             save.extend_from_slice(row(&self.hosted, b, uwords));
             save.extend_from_slice(row(&self.overlap, b, uwords));
         }
@@ -1120,7 +971,7 @@ impl DeltaCost {
         self.set_overlap(ti, &work.overlap[uwords..]);
         for &b in [fi, ti].iter().chain(&extra) {
             self.derive_backend(alloc, cls, b, &mut work);
-            self.retarget(alloc, cls, b, &work.held, &work.hosted);
+            self.retarget(alloc, cls, b, &work.fragments, &work.hosted);
             self.loads[b] = self.resident_load(alloc, b);
         }
         self.work = work;
@@ -1171,10 +1022,10 @@ impl DeltaCost {
                 let (words, uwords) = (self.index.words, self.index.uwords);
                 for frame in save[frames..].chunks_exact(2 + words + 2 * uwords) {
                     let b = frame[0] as usize;
-                    let (held, rest) = frame[2..].split_at(words);
+                    let (fragments, rest) = frame[2..].split_at(words);
                     let (hosted, overlap) = rest.split_at(uwords);
                     self.set_overlap(b, overlap);
-                    self.retarget(alloc, cls, b, held, hosted);
+                    self.retarget(alloc, cls, b, fragments, hosted);
                     self.loads[b] = f64::from_bits(frame[1]);
                 }
                 self.recycle(save);
@@ -1285,7 +1136,7 @@ impl DeltaCost {
     /// orphan anchored there.
     fn derive_backend(&self, alloc: &Allocation, cls: &Classification, b: usize, work: &mut Work) {
         let index = &*self.index;
-        work.held.fill(0);
+        work.fragments.fill(0);
         work.hosted.fill(0);
         let anchored = self
             .orphans
@@ -1294,33 +1145,42 @@ impl DeltaCost {
             .filter(|(_, &a)| a as usize == b)
             .map(|(o, _)| cls.update_ids()[o.ui].idx());
         for c in self.resident_reads(alloc, b).chain(anchored) {
-            or_into(&mut work.held, row(&index.place_mask, c, index.words));
+            or_into(
+                &mut work.fragments,
+                cls.placement_fragments(ClassId(c as u32)).words(),
+            );
             or_into(&mut work.hosted, row(&index.closure_upd, c, index.uwords));
         }
     }
 
+    /// Backend `b`'s fragment words in the allocation, exactly
+    /// `index.words` of them (a set that never held a high id is shorter
+    /// and grows first).
+    fn fragment_words<'a>(&self, alloc: &'a mut Allocation, b: usize) -> &'a mut [u64] {
+        let words = self.index.words;
+        &mut alloc.fragments[b].words_mut(words)[..words]
+    }
+
     /// Moves backend `b` to the given fragment and hosted-update rows,
-    /// applying only the bits that differ: `BTreeSet` inserts/removes
-    /// and bytes for flipped fragments, the Eq. 10 literal and the
-    /// `resident` bit for flipped update rows.
+    /// accounting only the bits that differ: bytes for flipped
+    /// fragments, the Eq. 10 literal and the `resident` bit for flipped
+    /// update rows.
     fn retarget(
         &mut self,
         alloc: &mut Allocation,
         cls: &Classification,
         b: usize,
-        held: &[u64],
+        fragments: &[u64],
         hosted: &[u64],
     ) {
         let index = &*self.index;
         let (mut gained, mut lost) = (0u64, 0u64);
-        let current = row_mut(&mut self.held, b, index.words);
-        for (w, (have, &want)) in current.iter_mut().zip(held).enumerate() {
+        let current = self.fragment_words(alloc, b);
+        for (w, (have, &want)) in current.iter_mut().zip(fragments).enumerate() {
             for f in ones(w * 64, *have ^ want) {
-                if bit(held, f) {
-                    alloc.fragments[b].insert(FragmentId(f as u32));
+                if bit(fragments, f) {
                     gained += index.frag_size[f];
                 } else {
-                    alloc.fragments[b].remove(&FragmentId(f as u32));
                     lost += index.frag_size[f];
                 }
             }
@@ -1356,8 +1216,8 @@ impl DeltaCost {
     }
 
     /// Debug oracle: the fast path must leave `alloc` exactly where a
-    /// full `normalize` would, and the aggregates and mirrors must match
-    /// a fresh build bit-for-bit.
+    /// full `normalize` would, and the aggregates and bitset rows must
+    /// match a fresh build bit-for-bit.
     fn debug_cross_check(
         &self,
         alloc: &Allocation,
@@ -1378,8 +1238,6 @@ impl DeltaCost {
             reference.assign, alloc.assign,
             "DeltaCost fast path diverged from normalize (assign)"
         );
-        // `build` reads `held` off `alloc.fragments`, so comparing with
-        // it also asserts that the mirror matches the allocation.
         let fresh = Self::build(Arc::new(CostIndex::new(cls, catalog)), alloc, cls);
         let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         debug_assert_eq!(
@@ -1389,7 +1247,6 @@ impl DeltaCost {
         );
         debug_assert_eq!(fresh.bytes, self.bytes, "DeltaCost bytes diverged");
         debug_assert_eq!(fresh.total_bytes, self.total_bytes);
-        debug_assert_eq!(fresh.held, self.held, "fragment mirror diverged");
         debug_assert_eq!(fresh.hosted, self.hosted, "update-row mirror diverged");
         debug_assert_eq!(fresh.resident, self.resident, "resident bits diverged");
         debug_assert_eq!(fresh.counts, self.counts, "overlap counts diverged");

@@ -11,9 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ClassificationError;
-use crate::fragment::{Catalog, FragmentId};
+use crate::fragment::{Catalog, FragSet, FragmentId};
 use crate::journal::{Journal, QueryKind};
-use crate::{ClassId, EPS};
+use crate::{approx_eq_loose, ClassId, EPS};
 
 /// Granularity of the classification, which in turn determines the
 /// partitioning computed by the allocation (Section 3.1).
@@ -48,39 +48,37 @@ pub struct QueryClass {
 impl QueryClass {
     /// Convenience constructor for a read class.
     pub fn read(id: u32, fragments: impl IntoIterator<Item = FragmentId>, weight: f64) -> Self {
-        Self {
-            id: ClassId(id),
-            kind: QueryKind::Read,
-            fragments: fragments.into_iter().collect(),
-            weight,
-        }
+        Self::new(id, QueryKind::Read, fragments, weight)
     }
 
     /// Convenience constructor for an update class.
     pub fn update(id: u32, fragments: impl IntoIterator<Item = FragmentId>, weight: f64) -> Self {
-        Self {
-            id: ClassId(id),
-            kind: QueryKind::Update,
-            fragments: fragments.into_iter().collect(),
-            weight,
-        }
+        Self::new(id, QueryKind::Update, fragments, weight)
     }
 
-    /// True if this class references any fragment in `set`.
-    pub fn overlaps(&self, set: &BTreeSet<FragmentId>) -> bool {
-        // Iterate the smaller set and probe the larger.
-        if self.fragments.len() <= set.len() {
-            self.fragments.iter().any(|f| set.contains(f))
-        } else {
-            set.iter().any(|f| self.fragments.contains(f))
+    pub(crate) fn new(
+        id: u32,
+        kind: QueryKind,
+        fragments: impl IntoIterator<Item = FragmentId>,
+        weight: f64,
+    ) -> Self {
+        Self {
+            id: ClassId(id),
+            kind,
+            fragments: fragments.into_iter().collect(),
+            weight,
         }
     }
 }
 
 /// The result of classifying a journal: query classes with weights, plus
-/// precomputed read/update partitions and the `updates(C)` relation
-/// (Eq. 12) used throughout the allocation algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// precomputed read/update partitions, the `updates(C)` relation
+/// (Eq. 12) and per-class fragment bitsets used throughout the
+/// allocation algorithms.
+///
+/// Serializes as its classes and the relations derived from them;
+/// deserializing re-derives everything from the classes.
+#[derive(Debug, Clone, Serialize)]
 pub struct Classification {
     /// All query classes; index `k` holds the class with `ClassId(k)`.
     pub classes: Vec<QueryClass>,
@@ -94,6 +92,22 @@ pub struct Classification {
     /// are placed on a backend. Needed because Eq. 8 forces a backend
     /// holding *any* fragment of an update class to hold *all* of them.
     updates_closure_of: Vec<Vec<ClassId>>,
+    /// `fragment_sets[k]`: class `k`'s fragments as a bitset.
+    #[serde(skip)]
+    fragment_sets: Vec<FragSet>,
+    /// `placement[k]`: [`Classification::placement_fragments`] of `k`.
+    #[serde(skip)]
+    placement: Vec<FragSet>,
+}
+
+impl Deserialize for Classification {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", "Classification", v))?;
+        let classes = Vec::from_value(serde::get_field(entries, "classes", "Classification")?)?;
+        Self::from_classes(classes).map_err(|e| serde::Error(e.to_string()))
+    }
 }
 
 impl Classification {
@@ -115,10 +129,11 @@ impl Classification {
             return Err(ClassificationError::EmptyJournal);
         }
         let total = journal.total_work();
-        // Group by (kind, mapped fragment set).
-        let mut groups: BTreeMap<(bool, BTreeSet<FragmentId>), f64> = BTreeMap::new();
+        // Group by (kind, mapped fragment set); reads order first, and
+        // `FragSet` orders like the class's `BTreeSet`.
+        let mut groups: BTreeMap<(QueryKind, FragSet), f64> = BTreeMap::new();
         for e in journal.entries() {
-            let frags: BTreeSet<FragmentId> = match granularity {
+            let frags: FragSet = match granularity {
                 Granularity::FullReplication => catalog.fragments().iter().map(|f| f.id).collect(),
                 Granularity::Table => e
                     .query
@@ -128,22 +143,14 @@ impl Classification {
                     .collect(),
                 Granularity::Fragment => e.query.fragments.iter().copied().collect(),
             };
-            let is_update = e.query.kind == QueryKind::Update;
-            *groups.entry((is_update, frags)).or_insert(0.0) +=
+            *groups.entry((e.query.kind, frags)).or_insert(0.0) +=
                 e.count as f64 * e.query.cost / total;
         }
         let classes = groups
             .into_iter()
             .enumerate()
-            .map(|(k, ((is_update, fragments), weight))| QueryClass {
-                id: ClassId(k as u32),
-                kind: if is_update {
-                    QueryKind::Update
-                } else {
-                    QueryKind::Read
-                },
-                fragments,
-                weight,
+            .map(|(k, ((kind, fragments), weight))| {
+                QueryClass::new(k as u32, kind, &fragments, weight)
             })
             .collect();
         Self::from_classes(classes)
@@ -188,6 +195,11 @@ impl Classification {
             .map(|c| c.id)
             .collect();
 
+        let fragment_sets: Vec<FragSet> = classes
+            .iter()
+            .map(|c| c.fragments.iter().copied().collect())
+            .collect();
+
         // updates(C) per Eq. 12: update classes referencing related data.
         let updates_of: Vec<Vec<ClassId>> = classes
             .iter()
@@ -195,17 +207,20 @@ impl Classification {
                 update_ids
                     .iter()
                     .copied()
-                    .filter(|&u| u != c.id && classes[u.idx()].overlaps(&c.fragments))
+                    .filter(|&u| {
+                        u != c.id && fragment_sets[u.idx()].intersects(&fragment_sets[c.id.idx()])
+                    })
                     .collect()
             })
             .collect();
 
         // Transitive closure: placing C's fragments forces updates(C),
         // whose fragments may overlap further update classes, and so on.
-        let updates_closure_of = classes
+        // The grown fragment set is the class's placement.
+        let (updates_closure_of, placement) = classes
             .iter()
             .map(|c| {
-                let mut frags: BTreeSet<FragmentId> = c.fragments.clone();
+                let mut frags = fragment_sets[c.id.idx()].clone();
                 let mut member = vec![false; classes.len()];
                 let mut out: Vec<ClassId> = Vec::new();
                 if c.kind == QueryKind::Update {
@@ -216,10 +231,10 @@ impl Classification {
                 loop {
                     let mut grew = false;
                     for &u in &update_ids {
-                        if !member[u.idx()] && classes[u.idx()].overlaps(&frags) {
+                        if !member[u.idx()] && fragment_sets[u.idx()].intersects(&frags) {
                             member[u.idx()] = true;
                             out.push(u);
-                            frags.extend(classes[u.idx()].fragments.iter().copied());
+                            frags.union_with(&fragment_sets[u.idx()]);
                             grew = true;
                         }
                     }
@@ -228,9 +243,9 @@ impl Classification {
                     }
                 }
                 out.sort_unstable();
-                out
+                (out, frags)
             })
-            .collect();
+            .unzip();
 
         Ok(Self {
             classes,
@@ -238,6 +253,8 @@ impl Classification {
             update_ids,
             updates_of,
             updates_closure_of,
+            fragment_sets,
+            placement,
         })
     }
 
@@ -274,13 +291,28 @@ impl Classification {
     }
 
     /// The fragments of `c` plus the fragments of its update closure: the
-    /// set a backend must store to host class `c`.
-    pub fn placement_fragments(&self, c: ClassId) -> BTreeSet<FragmentId> {
-        let mut out = self.classes[c.idx()].fragments.clone();
-        for &u in self.updates_closure(c) {
-            out.extend(self.classes[u.idx()].fragments.iter().copied());
-        }
-        out
+    /// set a backend must store to host class `c`. Closure distributes
+    /// over union, so the placement of a set of classes is the union of
+    /// their placements.
+    #[inline]
+    pub fn placement_fragments(&self, c: ClassId) -> &FragSet {
+        &self.placement[c.idx()]
+    }
+
+    /// Every fragment some class references.
+    pub fn referenced_fragments(&self) -> FragSet {
+        let mut all = FragSet::new();
+        self.fragment_sets
+            .iter()
+            .for_each(|set| all.union_with(set));
+        all
+    }
+
+    /// Class `c`'s fragments as a bitset (the same set as
+    /// `classes[c].fragments`).
+    #[inline]
+    pub fn fragment_set(&self, c: ClassId) -> &FragSet {
+        &self.fragment_sets[c.idx()]
     }
 
     /// Weight of class `c`.
@@ -303,15 +335,10 @@ impl Classification {
     /// `1 / max_C Σ_{CU ∈ updates(C)} weight(CU)` — unbounded
     /// (`f64::INFINITY`) for read-only workloads.
     pub fn max_speedup(&self) -> f64 {
-        let max_update: f64 = self
+        let max_update = self
             .classes
             .iter()
-            .map(|c| {
-                self.updates_closure(c.id)
-                    .iter()
-                    .map(|&u| self.classes[u.idx()].weight)
-                    .sum::<f64>()
-            })
+            .map(|c| self.update_closure_weight(c.id))
             .fold(0.0, f64::max);
         if max_update <= EPS {
             f64::INFINITY
@@ -319,12 +346,6 @@ impl Classification {
             1.0 / max_update
         }
     }
-}
-
-/// Weight-sum tolerance is looser than [`EPS`] because weights are often
-/// produced by dividing many floating point costs.
-fn approx_eq_loose(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6
 }
 
 #[cfg(test)]

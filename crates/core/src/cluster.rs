@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BackendId, EPS};
+use crate::BackendId;
 
 /// One backend database of the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,14 +90,6 @@ impl ClusterSpec {
         self.backends.is_empty()
     }
 
-    /// True if all backends have the same relative performance.
-    pub fn is_homogeneous(&self) -> bool {
-        let first = self.backends[0].relative_perf;
-        self.backends
-            .iter()
-            .all(|b| (b.relative_perf - first).abs() <= EPS)
-    }
-
     /// Iterator over backend ids.
     pub fn ids(&self) -> impl Iterator<Item = BackendId> + '_ {
         self.backends.iter().map(|b| b.id)
@@ -112,7 +104,6 @@ mod tests {
     fn homogeneous_loads_sum_to_one() {
         let c = ClusterSpec::homogeneous(4);
         assert_eq!(c.len(), 4);
-        assert!(c.is_homogeneous());
         let sum: f64 = c.backends().iter().map(|b| b.relative_perf).sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert!((c.load(BackendId(2)) - 0.25).abs() < 1e-12);
@@ -122,7 +113,6 @@ mod tests {
     fn heterogeneous_normalizes() {
         // The Appendix A example: 30/30/20/20.
         let c = ClusterSpec::heterogeneous(&[3.0, 3.0, 2.0, 2.0]);
-        assert!(!c.is_homogeneous());
         assert!((c.load(BackendId(0)) - 0.3).abs() < 1e-12);
         assert!((c.load(BackendId(3)) - 0.2).abs() < 1e-12);
         let sum: f64 = c.backends().iter().map(|b| b.relative_perf).sum();

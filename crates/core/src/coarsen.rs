@@ -28,17 +28,17 @@
 //! their classes together.
 //!
 //! Determinism: everything here is pure data manipulation over
-//! `BTreeMap`/`BTreeSet` (deterministic iteration), edge sorting uses
-//! `total_cmp` with id tie-breaks, and the coarsest solve is the
-//! bit-identical [`crate::memetic`] path — so the whole pipeline is
-//! bit-identical across `QCPA_THREADS` and reruns.
+//! `BTreeMap`s and ascending fragment sets (deterministic iteration),
+//! edge sorting uses `total_cmp` with id tie-breaks, and the coarsest
+//! solve is the bit-identical [`crate::memetic`] path — so the whole
+//! pipeline is bit-identical across `QCPA_THREADS` and reruns.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::allocation::{AllocCost, Allocation};
 use crate::classify::{Classification, QueryClass};
 use crate::cluster::ClusterSpec;
-use crate::fragment::{Catalog, FragmentId};
+use crate::fragment::{Catalog, FragSet, FragmentId};
 use crate::journal::QueryKind;
 use crate::memetic::{self, MemeticConfig};
 use crate::{localsearch, EPS};
@@ -165,32 +165,27 @@ pub fn coarsen_once(
     }
 
     // Coarse classes: group fine classes by (kind, mapped fragment
-    // set), summing weights. BTreeMap iteration fixes the dense coarse
-    // ids deterministically.
-    let mut weight_of: BTreeMap<(bool, BTreeSet<FragmentId>), f64> = BTreeMap::new();
-    let mut keys: Vec<(bool, BTreeSet<FragmentId>)> = Vec::with_capacity(cls.len());
-    for qc in &cls.classes {
-        let mapped: BTreeSet<FragmentId> = qc
-            .fragments
-            .iter()
-            .map(|f| FragmentId(frag_map[f.idx()]))
-            .collect();
-        let key = (qc.kind == QueryKind::Update, mapped);
-        *weight_of.entry(key.clone()).or_insert(0.0) += qc.weight;
-        keys.push(key);
+    // set), summing weights in class order. BTreeMap iteration fixes
+    // the dense coarse ids deterministically (`FragSet` orders like the
+    // classes' own `BTreeSet`s).
+    let keys: Vec<(QueryKind, FragSet)> = cls
+        .classes
+        .iter()
+        .map(|qc| {
+            let mapped = qc.fragments.iter().map(|f| FragmentId(frag_map[f.idx()]));
+            (qc.kind, mapped.collect())
+        })
+        .collect();
+    let mut groups: BTreeMap<&(QueryKind, FragSet), (f64, u32)> = BTreeMap::new();
+    for (key, qc) in keys.iter().zip(&cls.classes) {
+        groups.entry(key).or_insert((0.0, 0)).0 += qc.weight;
     }
-    let mut index_of: BTreeMap<&(bool, BTreeSet<FragmentId>), u32> = BTreeMap::new();
-    let mut coarse_classes: Vec<QueryClass> = Vec::with_capacity(weight_of.len());
-    for (i, (key, w)) in weight_of.iter().enumerate() {
-        index_of.insert(key, i as u32);
-        let frags = key.1.iter().copied();
-        coarse_classes.push(if key.0 {
-            QueryClass::update(i as u32, frags, *w)
-        } else {
-            QueryClass::read(i as u32, frags, *w)
-        });
+    let mut coarse_classes: Vec<QueryClass> = Vec::with_capacity(groups.len());
+    for (i, ((kind, frags), (w, id))) in groups.iter_mut().enumerate() {
+        *id = i as u32;
+        coarse_classes.push(QueryClass::new(i as u32, *kind, frags, *w));
     }
-    let class_map: Vec<u32> = keys.iter().map(|k| index_of[k]).collect();
+    let class_map: Vec<u32> = keys.iter().map(|k| groups[k].1).collect();
     let coarse_cls = Classification::from_classes(coarse_classes).ok()?;
     Some((coarse_cat, coarse_cls, class_map))
 }
@@ -217,9 +212,7 @@ pub fn allocate_multilevel(
     let mut stack: Vec<(Catalog, Classification, Vec<u32>)> = Vec::new();
     let mut cur_cat = catalog.clone();
     let mut cur_cls = cls.clone();
-    let total_bytes: u64 = (0..cur_cat.len())
-        .map(|i| cur_cat.size(FragmentId(i as u32)))
-        .sum();
+    let total_bytes: u64 = cur_cat.fragments().iter().map(|f| f.size).sum();
     let size_cap = ((total_bytes as f64 / ccfg.target_fragments.max(1) as f64)
         * ccfg.size_cap_factor)
         .max(1.0) as u64;

@@ -8,6 +8,7 @@
 //! their parent tables so classifications can be computed at any
 //! granularity.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -30,6 +31,241 @@ impl FragmentId {
 impl std::fmt::Display for FragmentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "F{}", self.0)
+    }
+}
+
+/// A set of fragments as a dense bitset over the catalog's id space:
+/// fragment `j` is bit `j % 64` of word `j / 64`. Iteration is
+/// ascending, and the set serializes, prints and orders exactly like a
+/// `BTreeSet<FragmentId>` holding the same ids.
+///
+/// The word count is not part of the value: sets built without knowing
+/// the catalog size (e.g. by [`crate::allocation::Allocation::empty`])
+/// grow on insert, and equality ignores trailing zero words.
+#[derive(Clone, Default)]
+pub struct FragSet {
+    words: Vec<u64>,
+}
+
+impl FragSet {
+    /// The empty set.
+    pub const fn new() -> Self {
+        Self { words: Vec::new() }
+    }
+
+    /// The bitset words, lowest ids first.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The bitset words, first grown with zero words to at least `len`.
+    #[inline]
+    pub(crate) fn words_mut(&mut self, len: usize) -> &mut [u64] {
+        if self.words.len() < len {
+            self.words.resize(len, 0);
+        }
+        &mut self.words
+    }
+
+    /// Adds `f`; returns whether it was absent.
+    pub fn insert(&mut self, f: FragmentId) -> bool {
+        let words = self.words_mut(f.idx() / 64 + 1);
+        let absent = !bit(words, f.idx());
+        put_bit(words, f.idx(), true);
+        absent
+    }
+
+    /// Removes `f`; returns whether it was present.
+    pub fn remove(&mut self, f: &FragmentId) -> bool {
+        let present = self.contains(f);
+        if present {
+            put_bit(&mut self.words, f.idx(), false);
+        }
+        present
+    }
+
+    /// True if `f` is in the set.
+    #[inline]
+    pub fn contains(&self, f: &FragmentId) -> bool {
+        f.idx() < self.words.len() * 64 && bit(&self.words, f.idx())
+    }
+
+    /// Number of fragments in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if the set holds no fragment.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The fragments in ascending id order.
+    pub fn iter(&self) -> Iter<'_> {
+        let (first, rest) = self.words.split_first().unwrap_or((&0, &[]));
+        Iter {
+            rest: rest.iter(),
+            base: 0,
+            word: *first,
+        }
+    }
+
+    /// Adds every fragment of `other`.
+    pub fn union_with(&mut self, other: &FragSet) {
+        or_into(self.words_mut(other.words.len()), &other.words);
+    }
+
+    /// True if the two sets share a fragment.
+    #[inline]
+    pub fn intersects(&self, other: &FragSet) -> bool {
+        intersects(&self.words, &other.words)
+    }
+
+    /// True if every fragment of `self` is in `other`.
+    #[inline]
+    pub fn is_subset(&self, other: &FragSet) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+    }
+
+    /// The fragments of `self` missing from `other`, ascending.
+    pub fn difference<'a>(&'a self, other: &'a FragSet) -> impl Iterator<Item = FragmentId> + 'a {
+        self.iter().filter(move |f| !other.contains(f))
+    }
+}
+
+/// Bit `i` of a word slice (these primitives are shared with the
+/// tracker's bitset rows in `crate::allocation`).
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Sets or clears bit `i` of a word slice.
+#[inline]
+pub(crate) fn put_bit(words: &mut [u64], i: usize, on: bool) {
+    let mask = 1u64 << (i % 64);
+    if on {
+        words[i / 64] |= mask;
+    } else {
+        words[i / 64] &= !mask;
+    }
+}
+
+/// True if two word slices share a set bit (over the shorter one).
+#[inline]
+pub(crate) fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// ORs `src` into `dst` (over the shorter one).
+#[inline]
+pub(crate) fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Indices of the set bits of `word`, ascending, offset by `base`.
+#[inline]
+pub(crate) fn ones(base: usize, word: u64) -> impl Iterator<Item = usize> {
+    let rest = [].iter();
+    Iter { rest, base, word }.map(|f| f.idx())
+}
+
+/// Ascending iterator over a [`FragSet`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    rest: std::slice::Iter<'a, u64>,
+    base: usize,
+    word: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = FragmentId;
+
+    #[inline]
+    fn next(&mut self) -> Option<FragmentId> {
+        while self.word == 0 {
+            self.word = *self.rest.next()?;
+            self.base += 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(FragmentId((self.base + bit) as u32))
+    }
+}
+
+impl<'a> IntoIterator for &'a FragSet {
+    type Item = FragmentId;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl Extend<FragmentId> for FragSet {
+    fn extend<I: IntoIterator<Item = FragmentId>>(&mut self, iter: I) {
+        for f in iter {
+            self.insert(f);
+        }
+    }
+}
+
+impl FromIterator<FragmentId> for FragSet {
+    fn from_iter<I: IntoIterator<Item = FragmentId>>(iter: I) -> Self {
+        let mut set = FragSet::new();
+        set.extend(iter);
+        set
+    }
+}
+
+impl PartialEq for FragSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for FragSet {}
+
+impl PartialOrd for FragSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the ascending ids, as `BTreeSet` orders.
+impl Ord for FragSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl std::fmt::Debug for FragSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// The ascending id sequence, as `BTreeSet<FragmentId>` serializes.
+impl Serialize for FragSet {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.iter().map(|f| f.to_value()).collect())
+    }
+}
+
+impl Deserialize for FragSet {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::<FragmentId>::from_value(v).map(FragSet::from_iter)
     }
 }
 
@@ -163,8 +399,8 @@ impl Catalog {
     }
 
     /// Sum of sizes of a set of fragments.
-    pub fn size_of_set<'a>(&self, ids: impl IntoIterator<Item = &'a FragmentId>) -> u64 {
-        ids.into_iter().map(|&f| self.size(f)).sum()
+    pub fn size_of_set(&self, ids: impl IntoIterator<Item = impl Borrow<FragmentId>>) -> u64 {
+        ids.into_iter().map(|f| self.size(*f.borrow())).sum()
     }
 
     /// Looks up a fragment by name.
@@ -193,31 +429,11 @@ impl Catalog {
         }
     }
 
-    /// Total size of the database counting every fragment of the given
-    /// predicate once. Used by the degree-of-replication metric (Eq. 28),
-    /// which needs the size of the unreplicated database at the granularity
-    /// of the allocation.
-    pub fn total_size_where(&self, pred: impl Fn(&Fragment) -> bool) -> u64 {
-        self.fragments
-            .iter()
-            .filter(|f| pred(f))
-            .map(|f| f.size)
-            .sum()
-    }
-
     /// Ids of all table fragments.
     pub fn tables(&self) -> impl Iterator<Item = FragmentId> + '_ {
         self.fragments
             .iter()
             .filter(|f| matches!(f.kind, FragmentKind::Table))
-            .map(|f| f.id)
-    }
-
-    /// Ids of all column fragments of the given table.
-    pub fn columns_of(&self, table: FragmentId) -> impl Iterator<Item = FragmentId> + '_ {
-        self.fragments
-            .iter()
-            .filter(move |f| matches!(f.kind, FragmentKind::Column { table: t } if t == table))
             .map(|f| f.id)
     }
 }
@@ -247,7 +463,7 @@ mod tests {
         let h1 = cat.add_horizontal(t, 1, "lineitem.p1", 4000);
         assert_eq!(cat.table_of(h0), t);
         assert_eq!(cat.table_of(h1), t);
-        assert_eq!(cat.size_of_set(&[h0, h1]), 8000);
+        assert_eq!(cat.size_of_set([h0, h1]), 8000);
     }
 
     #[test]
@@ -256,28 +472,5 @@ mod tests {
         let mut cat = Catalog::new();
         cat.add_table("t", 1);
         cat.add_table("t", 2);
-    }
-
-    #[test]
-    fn columns_of_filters_by_table() {
-        let mut cat = Catalog::new();
-        let t1 = cat.add_table("a", 10);
-        let t2 = cat.add_table("b", 10);
-        let c1 = cat.add_column(t1, "a.x", 5);
-        let _c2 = cat.add_column(t2, "b.y", 5);
-        let cols: Vec<_> = cat.columns_of(t1).collect();
-        assert_eq!(cols, vec![c1]);
-    }
-
-    #[test]
-    fn total_size_where_counts_once() {
-        let mut cat = Catalog::new();
-        let t = cat.add_table("a", 10);
-        cat.add_column(t, "a.x", 6);
-        cat.add_column(t, "a.y", 4);
-        let tables = cat.total_size_where(|f| matches!(f.kind, FragmentKind::Table));
-        let columns = cat.total_size_where(|f| matches!(f.kind, FragmentKind::Column { .. }));
-        assert_eq!(tables, 10);
-        assert_eq!(columns, 10);
     }
 }

@@ -16,12 +16,10 @@
 //! replicas of update classes are appended to the work list until the
 //! redundancy target is met.
 
-use std::collections::BTreeSet;
-
 use crate::allocation::Allocation;
 use crate::classify::Classification;
 use crate::cluster::ClusterSpec;
-use crate::fragment::{Catalog, FragmentId};
+use crate::fragment::Catalog;
 use crate::journal::QueryKind;
 use crate::{BackendId, ClassId, EPS};
 
@@ -85,6 +83,11 @@ struct GreedyState<'a> {
     rest_weight: Vec<f64>,
     /// Classes whose k-safety replicas were already appended.
     replicas_added: Vec<bool>,
+    /// Per class: bytes a backend must additionally store to host it
+    /// when it stores nothing yet.
+    placement_size: Vec<u64>,
+    /// Per class: `cls.update_closure_weight(c)`.
+    closure_weight: Vec<f64>,
     work: Vec<Entry>,
 }
 
@@ -99,32 +102,17 @@ impl<'a> GreedyState<'a> {
         let target_replicas = (k + 1).min(n);
 
         // C* (Eq. 20): all read classes plus update classes overlapping
-        // no read class.
-        let mut work: Vec<Entry> = Vec::new();
-        for &r in cls.read_ids() {
-            work.push(Entry {
-                class: r,
-                replica: false,
-            });
-        }
+        // no read class — the latter, per Algorithm 4, with their k
+        // extra replicas up front (they are not allocated alongside reads).
+        let entry = |class, replica| Entry { class, replica };
+        let mut work: Vec<Entry> = cls.read_ids().iter().map(|&r| entry(r, false)).collect();
         for &u in cls.update_ids() {
             let overlaps_read = cls
                 .read_ids()
                 .iter()
-                .any(|&r| cls.classes[r.idx()].overlaps(&cls.classes[u.idx()].fragments));
+                .any(|&r| cls.fragment_set(r).intersects(cls.fragment_set(u)));
             if !overlaps_read {
-                work.push(Entry {
-                    class: u,
-                    replica: false,
-                });
-                // Algorithm 4: update classes not allocated alongside read
-                // classes must be added k additional times up front.
-                for _ in 1..target_replicas {
-                    work.push(Entry {
-                        class: u,
-                        replica: true,
-                    });
-                }
+                work.extend((0..target_replicas).map(|i| entry(u, i > 0)));
             }
         }
 
@@ -138,15 +126,20 @@ impl<'a> GreedyState<'a> {
             scaled_load: cluster.ids().map(|b| cluster.load(b)).collect(),
             rest_weight: cls.classes.iter().map(|c| c.weight).collect(),
             replicas_added: vec![false; cls.len()],
+            placement_size: cls
+                .classes
+                .iter()
+                .map(|c| catalog.size_of_set(cls.placement_fragments(c.id)))
+                .collect(),
+            closure_weight: cls
+                .classes
+                .iter()
+                .map(|c| cls.update_closure_weight(c.id))
+                .collect(),
             work,
         };
         state.sort_work();
         state
-    }
-
-    /// Bytes a backend must additionally store to host `c`.
-    fn placement_size(&self, c: ClassId) -> u64 {
-        self.catalog.size_of_set(&self.cls.placement_fragments(c))
     }
 
     /// Line 2 / line 33: sort descending by the load the class imposes —
@@ -155,31 +148,27 @@ impl<'a> GreedyState<'a> {
     /// `restWeight = weight`, so one key serves both sorts; the
     /// Appendix A trace requires the update weights in the re-sort too.)
     fn sort_work(&mut self) {
-        let mut keyed: Vec<(f64, Entry)> = self
-            .work
-            .iter()
-            .map(|&e| {
-                let c = e.class;
-                let size = self.placement_size(c) as f64;
-                // For read classes the closure excludes the class itself,
-                // so its own remaining weight is added; for update classes
-                // the closure already contains the class.
-                let own = if !e.replica && self.cls.classes[c.idx()].kind == QueryKind::Read {
-                    self.rest_weight[c.idx()]
-                } else {
-                    0.0
-                };
-                let w = own + self.cls.update_closure_weight(c);
-                (w * size, e)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
+        let key = |e: &Entry| {
+            let c = e.class.idx();
+            // For read classes the closure excludes the class itself, so
+            // its own remaining weight is added; for update classes the
+            // closure already contains the class.
+            let own = if !e.replica && self.cls.classes[c].kind == QueryKind::Read {
+                self.rest_weight[c]
+            } else {
+                0.0
+            };
+            (own + self.closure_weight[c]) * self.placement_size[c] as f64
+        };
+        let mut work = std::mem::take(&mut self.work);
+        work.sort_by(|a, b| {
+            key(b)
+                .partial_cmp(&key(a))
                 .expect("sort keys are finite")
-                .then(a.1.class.cmp(&b.1.class))
-                .then(a.1.replica.cmp(&b.1.replica))
+                .then(a.class.cmp(&b.class))
+                .then(a.replica.cmp(&b.replica))
         });
-        self.work = keyed.into_iter().map(|(_, e)| e).collect();
+        self.work = work;
     }
 
     fn load(&self, b: usize) -> f64 {
@@ -193,10 +182,7 @@ impl<'a> GreedyState<'a> {
     /// Whether backend `b` already hosts all of class `c`'s fragments —
     /// used to force k-safety replicas onto *distinct* backends.
     fn hosts(&self, b: usize, c: ClassId) -> bool {
-        self.cls.classes[c.idx()]
-            .fragments
-            .iter()
-            .all(|f| self.alloc.fragments[b].contains(f))
+        self.cls.fragment_set(c).is_subset(&self.alloc.fragments[b])
     }
 
     /// Lines 10–16: the difference of a class to a backend.
@@ -211,19 +197,17 @@ impl<'a> GreedyState<'a> {
         if self.current_load[b] <= EPS {
             return Some(0);
         }
-        let placement = self.cls.placement_fragments(e.class);
-        let missing: BTreeSet<FragmentId> = placement
-            .into_iter()
-            .filter(|f| !self.alloc.fragments[b].contains(f))
-            .collect();
-        Some(self.catalog.size_of_set(&missing))
+        let missing = self
+            .cls
+            .placement_fragments(e.class)
+            .difference(&self.alloc.fragments[b]);
+        Some(self.catalog.size_of_set(missing))
     }
 
     /// Lines 18–19: put the class's fragments (with its update closure)
     /// on backend `b` and charge the *newly added* update weight.
     fn place_fragments_and_updates(&mut self, c: ClassId, b: usize) {
-        let placement = self.cls.placement_fragments(c);
-        self.alloc.fragments[b].extend(placement);
+        self.alloc.fragments[b].union_with(self.cls.placement_fragments(c));
         for &u in self.cls.updates_closure(c) {
             if self.alloc.assign[u.idx()][b] <= EPS {
                 let w = self.cls.weight(u);
@@ -440,7 +424,7 @@ mod tests {
         let names = |b: usize| -> Vec<&str> {
             alloc.fragments[b]
                 .iter()
-                .map(|f| cat.fragment(*f).name.as_str())
+                .map(|f| cat.fragment(f).name.as_str())
                 .collect()
         };
         assert_eq!(names(0), vec!["A", "B"]);

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::fragment::FragmentId;
 
 /// Whether a request reads data or modifies it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum QueryKind {
     /// A read request; can be answered by any backend holding the data.
     Read,

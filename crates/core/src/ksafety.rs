@@ -89,9 +89,10 @@ pub fn fail_backends(
         out.fragments[new_b] = alloc.fragments[old_b].clone();
     }
     for c in &cls.classes {
+        let frags = cls.fragment_set(c.id);
         // Surviving backends able to process the class.
         let capable: Vec<usize> = (0..survivors.len())
-            .filter(|&nb| c.fragments.iter().all(|f| out.fragments[nb].contains(f)))
+            .filter(|&nb| frags.is_subset(&out.fragments[nb]))
             .collect();
         if capable.is_empty() && c.weight > EPS {
             return None;
@@ -109,8 +110,8 @@ pub fn fail_backends(
             }
             QueryKind::Update => {
                 // ROWA on the survivors holding any of its fragments.
-                for (nb, frags) in out.fragments.iter().enumerate() {
-                    if c.fragments.iter().any(|f| frags.contains(f)) {
+                for (nb, held) in out.fragments.iter().enumerate() {
+                    if frags.intersects(held) {
                         out.assign[c.id.idx()][nb] = c.weight;
                     }
                 }
@@ -309,7 +310,7 @@ mod tests {
 pub struct RepairReport {
     /// Fragments newly added per backend (`added[b]` is what backend
     /// `b` must load from a surviving replica or the master copy).
-    pub added: Vec<std::collections::BTreeSet<crate::fragment::FragmentId>>,
+    pub added: Vec<crate::fragment::FragSet>,
     /// Number of `(class, backend)` replica grants performed.
     pub grants: usize,
 }
@@ -366,18 +367,14 @@ pub fn repair_report(
             while hosted < target {
                 let candidate = cluster
                     .ids()
-                    .filter(|&b| {
-                        !c.fragments
-                            .iter()
-                            .all(|f| alloc.fragments[b.idx()].contains(f))
-                    })
+                    .filter(|&b| !cls.fragment_set(c.id).is_subset(&alloc.fragments[b.idx()]))
                     .min_by(|&x, &y| {
                         let rx = alloc.assigned_load(x) / cluster.load(x);
                         let ry = alloc.assigned_load(y) / cluster.load(y);
                         rx.partial_cmp(&ry).expect("loads are finite")
                     });
                 let Some(b) = candidate else { break };
-                alloc.fragments[b.idx()].extend(cls.placement_fragments(c.id));
+                alloc.fragments[b.idx()].union_with(cls.placement_fragments(c.id));
                 alloc.sync_updates(cls);
                 hosted = alloc.capable_backends(cls, c.id).len();
                 changed = true;
@@ -392,7 +389,7 @@ pub fn repair_report(
         .fragments
         .iter()
         .zip(&before)
-        .map(|(now, was)| now.difference(was).copied().collect())
+        .map(|(now, was)| now.difference(was).collect())
         .collect();
     RepairReport { added, grants }
 }

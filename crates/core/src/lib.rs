@@ -75,22 +75,16 @@ pub mod speedup;
 /// continuous relaxation, so a single epsilon suffices throughout.
 pub const EPS: f64 = 1e-9;
 
-/// `a` is (strictly) greater than `b` beyond tolerance.
-#[inline]
-pub fn gt(a: f64, b: f64) -> bool {
-    a > b + EPS
-}
-
 /// `a` and `b` are equal within tolerance.
 #[inline]
 pub fn approx_eq(a: f64, b: f64) -> bool {
     (a - b).abs() <= EPS
 }
 
-/// `a` is greater than or approximately equal to `b`.
-#[inline]
-pub fn ge(a: f64, b: f64) -> bool {
-    a >= b - EPS
+/// Weight-sum tolerance, looser than [`EPS`]: weights and assignments
+/// are sums and quotients of many floating point shares.
+fn approx_eq_loose(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-6
 }
 
 /// Convenience re-exports of the most used types.
@@ -100,7 +94,7 @@ pub mod prelude {
     pub use crate::cluster::{BackendSpec, ClusterSpec};
     pub use crate::coarsen::{CoarsenConfig, MultilevelOutcome};
     pub use crate::error::{ClassificationError, InvalidAllocation};
-    pub use crate::fragment::{Catalog, Fragment, FragmentId, FragmentKind};
+    pub use crate::fragment::{Catalog, FragSet, Fragment, FragmentId, FragmentKind};
     pub use crate::journal::{Journal, Query, QueryKind};
     pub use crate::{greedy, ksafety, memetic, random, robust, speedup};
     pub use crate::{BackendId, ClassId};

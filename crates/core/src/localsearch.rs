@@ -17,8 +17,8 @@
 //! [`DeltaCost`] for the cost — keeps the allocation normalized at every
 //! step, and is rolled back with exact undo tokens when it does not
 //! improve the lexicographic cost (scale, then stored bytes). Victim and
-//! receiver selection ask the tracker's fragment mirror rather than the
-//! `BTreeSet`s, and one [`Scratch`] set is reused across all probes.
+//! receiver selection are bitset tests, and one [`Scratch`] set is
+//! reused across all probes.
 
 use crate::allocation::{Allocation, DeltaCost, DeltaUndo};
 use crate::classify::Classification;
@@ -62,29 +62,16 @@ pub fn improve(
 ) -> bool {
     alloc.normalize(cls, cluster);
     let mut tracker = DeltaCost::new(alloc, cls, catalog);
-    improve_with(alloc, &mut tracker, cls, catalog, cluster)
-}
-
-/// [`improve`] continuing on an existing tracker: `alloc` must already
-/// be normalized and `tracker` consistent with it. Skips the fresh
-/// aggregate build, so a caller that kept the tracker alongside the
-/// allocation (the memetic population does) pays only the transfers.
-/// The tracker is left consistent with the improved allocation.
-pub fn improve_with(
-    alloc: &mut Allocation,
-    tracker: &mut DeltaCost,
-    cls: &Classification,
-    catalog: &Catalog,
-    cluster: &ClusterSpec,
-) -> bool {
     let mut scratch = Scratch::default();
-    improve_with_scratch(alloc, tracker, cls, catalog, cluster, &mut scratch)
+    improve_with_scratch(alloc, &mut tracker, cls, catalog, cluster, &mut scratch)
 }
 
-/// [`improve_with`] with a caller-owned [`Scratch`] — the form the
-/// parallel memetic driver uses, keeping one scratch set per worker
-/// lane so repeated local-search probes in one optimize run allocate
-/// nothing.
+/// [`improve`] continuing on an existing tracker, with a caller-owned
+/// [`Scratch`]: `alloc` must already be normalized and `tracker`
+/// consistent with it, and is left consistent with the improved
+/// allocation. The memetic population keeps a tracker per member and a
+/// scratch set per worker lane, so its probes pay only the transfers
+/// and allocate nothing.
 pub fn improve_with_scratch(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,
@@ -254,9 +241,10 @@ fn evacuate(
         let mut remaining = alloc.assign[r.idx()][b];
         // Receivers must already hold the data; most spare room first.
         scratch.receivers.clear();
-        scratch
-            .receivers
-            .extend((0..alloc.n_backends()).filter(|&rb| rb != b && tracker.holds_all(rb, r)));
+        scratch.receivers.extend(
+            (0..alloc.n_backends())
+                .filter(|&rb| rb != b && cls.fragment_set(r).is_subset(&alloc.fragments[rb])),
+        );
         let room = &scratch.room;
         scratch
             .receivers

@@ -17,50 +17,15 @@ use crate::{BackendId, ClassId, EPS};
 /// additional read weight each backend could absorb before it becomes
 /// the bottleneck (`scale × capacity − assigned load`, floored at 0).
 ///
-/// This is the capacity side of [`shiftable_weight`], shared with the
-/// simulator's degraded-mode router: when a class's preferred replicas
-/// are unhealthy, reads fall back to capable backends ranked by this
-/// room.
+/// Shared with the simulator's degraded-mode router: when a class's
+/// preferred replicas are unhealthy, reads fall back to capable backends
+/// ranked by this room.
 pub fn spare_room(alloc: &Allocation, cluster: &ClusterSpec) -> Vec<f64> {
     let scale = alloc.scale(cluster);
     cluster
         .ids()
         .map(|x| (scale * cluster.load(x) - alloc.assigned_load(x)).max(0.0))
         .collect()
-}
-
-/// The read weight on backend `b` that could be shifted to other capable
-/// backends with spare room at the allocation's current scale.
-pub fn shiftable_weight(
-    alloc: &Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    b: BackendId,
-) -> f64 {
-    let mut room = spare_room(alloc, cluster);
-    let mut shiftable = 0.0;
-    for &r in cls.read_ids() {
-        let mut share = alloc.assign[r.idx()][b.idx()];
-        if share <= EPS {
-            continue;
-        }
-        for other in cluster.ids().filter(|&x| x != b) {
-            if share <= EPS {
-                break;
-            }
-            let capable = cls.classes[r.idx()]
-                .fragments
-                .iter()
-                .all(|f| alloc.fragments[other.idx()].contains(f));
-            if capable {
-                let take = share.min(room[other.idx()]);
-                shiftable += take;
-                room[other.idx()] -= take;
-                share -= take;
-            }
-        }
-    }
-    shiftable
 }
 
 /// Predicts the speedup after class `c`'s weight changes to
@@ -106,14 +71,10 @@ pub fn speedup_after_weight_change(
 /// scheduler flexibility of Section 5, not a reallocation.
 pub fn rebalance_reads(alloc: &mut Allocation, cls: &Classification, cluster: &ClusterSpec) {
     // Precompute capability: class -> capable backends.
-    let capable: Vec<Vec<usize>> = cls
+    let capable: Vec<Vec<BackendId>> = cls
         .classes
         .iter()
-        .map(|c| {
-            (0..alloc.n_backends())
-                .filter(|&b| c.fragments.iter().all(|f| alloc.fragments[b].contains(f)))
-                .collect()
-        })
+        .map(|c| alloc.capable_backends(cls, c.id))
         .collect();
     let ratio = |a: &Allocation, b: usize| {
         a.assigned_load(BackendId(b as u32)) / cluster.load(BackendId(b as u32))
@@ -135,7 +96,7 @@ pub fn rebalance_reads(alloc: &mut Allocation, cls: &Classification, cluster: &C
             if share <= EPS {
                 continue;
             }
-            for &cold in &capable[r.idx()] {
+            for cold in capable[r.idx()].iter().map(|b| b.idx()) {
                 if cold == hot {
                     continue;
                 }
@@ -236,19 +197,14 @@ pub fn robustify(
         let target = cluster
             .ids()
             .filter(|&x| x != b)
-            .filter(|&x| {
-                !cls.classes[r.idx()]
-                    .fragments
-                    .iter()
-                    .all(|f| alloc.fragments[x.idx()].contains(f))
-            })
+            .filter(|&x| !cls.fragment_set(r).is_subset(&alloc.fragments[x.idx()]))
             .min_by(|&x, &y| {
                 let rx = alloc.assigned_load(x) / cluster.load(x);
                 let ry = alloc.assigned_load(y) / cluster.load(y);
                 rx.partial_cmp(&ry).expect("loads are finite")
             });
         let Some(t) = target else { break };
-        alloc.fragments[t.idx()].extend(cls.placement_fragments(r));
+        alloc.fragments[t.idx()].union_with(cls.placement_fragments(r));
         alloc.sync_updates(cls);
         added += 1;
     }

@@ -18,7 +18,6 @@
 //! but forced integral at the optimum because it is bounded below by
 //! binaries and minimized).
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 use qcpa_core::allocation::Allocation;
@@ -81,12 +80,7 @@ struct VarMap {
 
 impl VarMap {
     fn new(cls: &Classification, catalog: &Catalog, cluster: &ClusterSpec) -> Self {
-        let referenced: BTreeSet<FragmentId> = cls
-            .classes
-            .iter()
-            .flat_map(|c| c.fragments.iter().copied())
-            .collect();
-        let frags: Vec<FragmentId> = referenced.into_iter().collect();
+        let frags: Vec<FragmentId> = cls.referenced_fragments().iter().collect();
         let mut frag_index = vec![None; catalog.len()];
         for (j, f) in frags.iter().enumerate() {
             frag_index[f.idx()] = Some(j);
@@ -157,7 +151,7 @@ fn base_constraints(
     // Eq. 41: hosting a read forces the overlapping update classes.
     for (ku, &u) in updates.iter().enumerate() {
         for (kr, &r) in reads.iter().enumerate() {
-            if cls.classes[u.idx()].overlaps(&cls.classes[r.idx()].fragments) {
+            if cls.fragment_set(u).intersects(cls.fragment_set(r)) {
                 for i in 0..vm.n_backends {
                     lp.add(Constraint::ge(
                         vec![(vm.hu(i, ku), 1.0), (vm.h(i, kr), -1.0)],
@@ -170,7 +164,7 @@ fn base_constraints(
         // (a backend holding any fragment of one holds fragments of the
         // other; Eq. 8 then forces both to run there).
         for (ku2, &u2) in updates.iter().enumerate() {
-            if ku2 != ku && cls.classes[u.idx()].overlaps(&cls.classes[u2.idx()].fragments) {
+            if ku2 != ku && cls.fragment_set(u).intersects(cls.fragment_set(u2)) {
                 for i in 0..vm.n_backends {
                     lp.add(Constraint::ge(
                         vec![(vm.hu(i, ku), 1.0), (vm.hu(i, ku2), -1.0)],

@@ -9,11 +9,9 @@
 //! segments' backends with the Hungarian method (minimizing the extra
 //! bytes each union adds) and unions the fragment sets.
 
-use std::collections::BTreeSet;
-
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
-use qcpa_core::fragment::{Catalog, FragmentId};
+use qcpa_core::fragment::{Catalog, FragSet};
 
 use crate::hungarian::hungarian;
 
@@ -21,7 +19,7 @@ use crate::hungarian::hungarian;
 #[derive(Debug, Clone)]
 pub struct MergedAllocation {
     /// Union fragment placement per backend.
-    pub fragments: Vec<BTreeSet<FragmentId>>,
+    pub fragments: Vec<FragSet>,
     /// Per-segment assignment matrices, aligned to the merged backends.
     pub segment_assign: Vec<Vec<Vec<f64>>>,
 }
@@ -37,18 +35,7 @@ impl MergedAllocation {
             fragments: self.fragments.clone(),
             assign: self.segment_assign[i].clone(),
         };
-        // Eq. 10 against the union placement.
-        for &u in cls.update_ids() {
-            let frags = &cls.classes[u.idx()].fragments;
-            let w = cls.weight(u);
-            for b in 0..alloc.n_backends() {
-                alloc.assign[u.idx()][b] = if frags.iter().any(|f| alloc.fragments[b].contains(f)) {
-                    w
-                } else {
-                    0.0
-                };
-            }
-        }
+        alloc.assign_updates(cls);
         alloc
     }
 
@@ -79,7 +66,7 @@ pub fn merge_allocations(segments: &[Allocation], catalog: &Catalog) -> MergedAl
         assert_eq!(s.n_classes(), k, "segments must share class count");
     }
 
-    let mut union: Vec<BTreeSet<FragmentId>> = segments[0].fragments.clone();
+    let mut union = segments[0].fragments.clone();
     let mut segment_assign: Vec<Vec<Vec<f64>>> = vec![segments[0].assign.clone()];
 
     for seg in &segments[1..] {
@@ -89,9 +76,8 @@ pub fn merge_allocations(segments: &[Allocation], catalog: &Catalog) -> MergedAl
                 (0..n)
                     .map(|u| {
                         seg.fragments[v]
-                            .iter()
-                            .filter(|f| !union[u].contains(f))
-                            .map(|&f| catalog.size(f) as f64)
+                            .difference(&union[u])
+                            .map(|f| catalog.size(f) as f64)
                             .sum()
                     })
                     .collect()
@@ -101,7 +87,7 @@ pub fn merge_allocations(segments: &[Allocation], catalog: &Catalog) -> MergedAl
         // assignment[v] = u: segment backend v lands on union backend u.
         let mut aligned = vec![vec![0.0; n]; k];
         for (v, &u) in assignment.iter().enumerate() {
-            union[u].extend(seg.fragments[v].iter().copied());
+            union[u].union_with(&seg.fragments[v]);
             for (c, row) in aligned.iter_mut().enumerate() {
                 row[u] = seg.assign[c][v];
             }
@@ -190,7 +176,7 @@ mod tests {
         let naive: u64 = (0..3)
             .map(|b| {
                 let mut s = a_day.fragments[b].clone();
-                s.extend(a_night.fragments[b].iter().copied());
+                s.union_with(&a_night.fragments[b]);
                 cat.size_of_set(&s)
             })
             .sum();

@@ -17,11 +17,7 @@ pub fn move_cost(
     from: usize,
     catalog: &Catalog,
 ) -> u64 {
-    new.fragments[to]
-        .iter()
-        .filter(|f| !old.fragments[from].contains(f))
-        .map(|&f| catalog.size(f))
-        .sum()
+    catalog.size_of_set(new.fragments[to].difference(&old.fragments[from]))
 }
 
 /// Matches the backends of `new` onto the backends of `old` so the total

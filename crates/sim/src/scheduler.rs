@@ -48,10 +48,11 @@ impl Scheduler {
         let mut capable_targets = vec![Vec::new(); cls.len()];
         let mut update_targets = vec![Vec::new(); cls.len()];
         for c in &cls.classes {
+            let frags = cls.fragment_set(c.id);
             match c.kind {
                 QueryKind::Read => {
                     let capable: Vec<usize> = (0..n)
-                        .filter(|&b| c.fragments.iter().all(|f| alloc.fragments[b].contains(f)))
+                        .filter(|&b| frags.is_subset(&alloc.fragments[b]))
                         .collect();
                     let assigned: Vec<usize> = (0..n)
                         .filter(|&b| alloc.assign[c.id.idx()][b] > EPS)
@@ -65,7 +66,7 @@ impl Scheduler {
                 }
                 QueryKind::Update => {
                     update_targets[c.id.idx()] = (0..n)
-                        .filter(|&b| c.fragments.iter().any(|f| alloc.fragments[b].contains(f)))
+                        .filter(|&b| frags.intersects(&alloc.fragments[b]))
                         .collect();
                 }
             }

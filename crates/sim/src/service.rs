@@ -56,9 +56,9 @@ impl ServiceProfile {
             // allocated fragments at full replication — approximated by
             // the catalog total of allocated fragment kinds. Use the
             // union over this allocation plus 1 to avoid division by 0.
-            let mut union = std::collections::BTreeSet::new();
+            let mut union = qcpa_core::fragment::FragSet::new();
             for set in &alloc.fragments {
-                union.extend(set.iter().copied());
+                union.union_with(set);
             }
             catalog.size_of_set(&union).max(1)
         };

@@ -103,7 +103,7 @@ fn main() {
         .iter()
         .filter(|set| {
             set.iter().any(
-                |f| matches!(cdbs.catalog_fragment_kind(*f), Some((n, true)) if n == "orders#11"),
+                |f| matches!(cdbs.catalog_fragment_kind(f), Some((n, true)) if n == "orders#11"),
             )
         })
         .count();

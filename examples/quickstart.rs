@@ -53,7 +53,7 @@ fn main() {
         for (bi, set) in alloc.fragments.iter().enumerate() {
             let names: Vec<&str> = set
                 .iter()
-                .map(|f| catalog.fragment(*f).name.as_str())
+                .map(|f| catalog.fragment(f).name.as_str())
                 .collect();
             println!(
                 "  B{} stores {:?}, carries {:.0}% of the load",

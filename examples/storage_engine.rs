@@ -40,7 +40,7 @@ fn main() {
     let mut stores: Vec<BackendStore> = (0..3).map(|_| BackendStore::new()).collect();
     for (bi, store) in stores.iter_mut().enumerate() {
         let mut loaded = 0u64;
-        for &fid in &alloc.fragments[bi] {
+        for fid in &alloc.fragments[bi] {
             let name = &w.catalog.fragment(fid).name;
             let Some((table_name, col)) = name.split_once('.') else {
                 continue; // table-level fragment entries are not used here

@@ -37,6 +37,29 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Fragment sets have one representation, `FragSet`. Fails on any
+# `BTreeSet<FragmentId>` outside comments and `#[cfg(test)]` items in
+# the allocator's crates; `QueryClass::fragments` is the one exception
+# (the benchmark crate iterates it by reference).
+echo "== one fragment-set type =="
+awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*\/\// { next }
+    /#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip {
+        depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+        if (depth > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && /;[[:space:]]*$/)) skip = 0
+        next
+    }
+    /BTreeSet<FragmentId>/ && !/^    pub fragments: BTreeSet<FragmentId>,$/ {
+        print FILENAME ":" FNR ": " $0
+        found = 1
+    }
+    END { exit found }
+' crates/{core,sim,controller,matching}/src/*.rs ||
+    { echo "BTreeSet<FragmentId> in production code: use FragSet" >&2; exit 1; }
+
 # The static-analysis gate: exits nonzero on any unsuppressed finding.
 # Two layers run in every tier — the lexical token rules (hash-ordered
 # iteration in deterministic crates, wall-clock reads, ambient entropy,
@@ -118,6 +141,8 @@ run_allocator_goldens() {
     done
     echo "== allocator heap-allocation audit (release) =="
     cargo test -q --release --test alloc_audit -- --include-ignored
+    echo "== DeltaCost vs normalize above the debug guard (release) =="
+    cargo test -q --release --test delta_differential -- --include-ignored
 }
 
 # benchmark/ is its own workspace, so `cargo test` never builds it: a

@@ -1,12 +1,14 @@
 //! Heap-allocation audit of the allocator on the benchmark's
-//! `scale_alloc` instance: one `allocate_multilevel` call on
-//! `clustered(512, 2017)` × 64 under the benchmark's optimizer
-//! configuration runs ≈ 76 k `DeltaCost::transfer` probes, and a probe
-//! must not allocate in proportion to classes, backends or orphans.
-//! With per-probe `BTreeSet` re-derivation the call made 3.18 M
-//! allocations / 256 MB (42 per transfer); what remains is population
-//! clones, greedy, coarsening and `BTreeSet` node churn for the
-//! fragment bits a transfer actually flips.
+//! `scale_alloc` instance, `clustered(512, 2017)` × 64: one
+//! `allocate_multilevel` call under the benchmark's optimizer
+//! configuration (≈ 76 k `DeltaCost::transfer` probes, none of which
+//! may allocate in proportion to classes, backends or orphans), and the
+//! top-level `greedy::allocate` the benchmark matches it against.
+//! With per-probe `BTreeSet` re-derivation the multilevel call made
+//! 3.18 M allocations / 256 MB; with `BTreeSet` fragment sets around a
+//! bitset probe, 228 k, of which the coarsest greedy made 139 k. What
+//! remains with `FragSet`s is population clones, coarsening and
+//! per-level set vectors.
 //!
 //! Its own test binary so the counting `#[global_allocator]` is private
 //! to it, and a single test so no other thread allocates while it
@@ -18,8 +20,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use qcpa::core::cluster::ClusterSpec;
 use qcpa::core::coarsen::{allocate_multilevel, CoarsenConfig};
+use qcpa::core::greedy;
 use qcpa::core::memetic::MemeticConfig;
 use qcpa::workloads::scale::clustered;
+
+/// Budgets: the counts measured when they were set (87 881 allocations
+/// / 20.04 MB and 265 / 0.10 MB), plus at most 10 %.
+const MULTILEVEL_CALLS: u64 = 96_000;
+const MULTILEVEL_BYTES: u64 = 22_000_000;
+const GREEDY_CALLS: u64 = 290;
+const GREEDY_BYTES: u64 = 110_000;
 
 /// Counts heap allocations (alloc + realloc calls) and the bytes they
 /// request while delegating to the system allocator.
@@ -61,13 +71,43 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns its result with the allocations and bytes it
+/// requested.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed);
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (
+        out,
+        ALLOC_CALLS.load(Ordering::Relaxed) - calls,
+        ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
+    )
+}
+
+/// Prints the count and holds it to `(calls, bytes)`.
+fn within(name: &str, (calls, bytes): (u64, u64), (max_calls, max_bytes): (u64, u64)) {
+    println!(
+        "{name}: {calls} allocations, {:.2} MB requested",
+        bytes as f64 / 1e6
+    );
+    assert!(
+        calls <= max_calls,
+        "{name}: {calls} heap allocations (budget {max_calls})"
+    );
+    assert!(
+        bytes <= max_bytes,
+        "{name}: {bytes} bytes requested (budget {max_bytes})"
+    );
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "the debug cross-check allocates: release only"
 )]
-fn multilevel_allocation_budget_on_the_benchmark_instance() {
+fn allocation_budgets_on_the_benchmark_instance() {
     let w = clustered(512, 2017);
+    let (cls, catalog) = (&w.classification, &w.catalog);
     let cluster = ClusterSpec::homogeneous(64);
     let mcfg = MemeticConfig {
         population: 9,
@@ -76,30 +116,21 @@ fn multilevel_allocation_budget_on_the_benchmark_instance() {
         threads: Some(1),
         ..Default::default()
     };
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes = ALLOC_BYTES.load(Ordering::Relaxed);
-    let out = allocate_multilevel(
-        &w.classification,
-        &w.catalog,
-        &cluster,
-        &mcfg,
-        &CoarsenConfig::default(),
-    );
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls;
-    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes;
+    let (out, calls, bytes) =
+        counted(|| allocate_multilevel(cls, catalog, &cluster, &mcfg, &CoarsenConfig::default()));
     out.alloc
-        .validate(&w.classification, &cluster)
+        .validate(cls, &cluster)
         .expect("multilevel is valid");
-    println!(
-        "allocate_multilevel 512 x 64: {calls} allocations, {:.1} MB requested",
-        bytes as f64 / 1e6
+    within(
+        "allocate_multilevel 512 x 64",
+        (calls, bytes),
+        (MULTILEVEL_CALLS, MULTILEVEL_BYTES),
     );
-    assert!(
-        calls <= 450_000,
-        "{calls} heap allocations (budget 450 000)"
-    );
-    assert!(
-        bytes <= 32_000_000,
-        "{bytes} bytes requested (budget 32 MB)"
+    let (base, calls, bytes) = counted(|| greedy::allocate(cls, catalog, &cluster));
+    base.validate(cls, &cluster).expect("greedy is valid");
+    within(
+        "greedy::allocate 512 x 64",
+        (calls, bytes),
+        (GREEDY_CALLS, GREEDY_BYTES),
     );
 }
