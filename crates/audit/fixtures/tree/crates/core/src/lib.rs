@@ -32,7 +32,7 @@ pub fn negatives() {
     // A HashMap mentioned in prose must not fire.
     let _s = "Instant::now() inside a string literal";
     let _raw = r#"x.unwrap() inside a raw string"#;
-    let _ok = std::env::var("QCPA_THREADS");
+    let _ok = std::env::var("QCPA_LOG");
 }
 
 /// Doc comments may cite the `audit:allow(hash-iter): why` grammar

@@ -5,7 +5,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// rng-taint: the seed expression derives from a length, not a seed.
 pub fn taint(len: u64) -> u64 {
@@ -18,20 +17,6 @@ pub fn taint_allowed(len: u64) -> u64 {
     // audit:allow(rng-taint): fixture demonstrates a suppressed taint
     let mut rng = ChaCha8Rng::seed_from_u64(len);
     rng.next_u64()
-}
-
-/// lock-order: acquires a then b …
-pub fn ab(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
-    let ga = a.lock().unwrap();
-    let gb = b.lock().unwrap();
-    *ga + *gb
-}
-
-/// … while the sibling acquires b then a: an inversion cycle.
-pub fn ba(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
-    let gb = b.lock().unwrap();
-    let ga = a.lock().unwrap();
-    *ga + *gb
 }
 
 /// ordered-reduction: a merge accumulating floats in hash order.

@@ -473,18 +473,6 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// True when the expression mentions identifier `name` anywhere
-    /// (as a path segment or field name).
-    pub fn mentions(&self, name: &str) -> bool {
-        let mut hit = false;
-        self.walk(&mut |e| match e {
-            Expr::Path { segs, .. } if segs.iter().any(|s| s == name) => hit = true,
-            Expr::Field { name: f, .. } if f == name => hit = true,
-            _ => {}
-        });
-        hit
-    }
 }
 
 impl Block {

@@ -13,8 +13,7 @@
 //!   in the crate resolves to its one definition, and ambiguous names
 //!   are dropped rather than over-approximated — edges the panic
 //!   ratchet cannot justify are worse than edges it misses.
-//! - Cross-crate calls are out of scope; the semantic rules that need
-//!   them (`qcpa_par::with_session` boundaries) match paths directly.
+//! - Cross-crate calls are out of scope.
 //!
 //! Everything is keyed and ordered with `BTreeMap`/`BTreeSet` so two
 //! runs over the same tree produce byte-identical graphs.

@@ -3,7 +3,7 @@
 //! repo's determinism and safety invariants at the *source* level.
 //!
 //! The workspace's headline guarantee — allocations and fault/resilience
-//! replays are bit-identical at any `QCPA_THREADS` — is enforced
+//! replays are bit-identical across reruns — is enforced
 //! dynamically by the conformance proptests, which can only catch a
 //! nondeterminism leak on a path they happen to exercise. This crate is
 //! the static complement: it lexes every workspace source file (comment/
@@ -148,10 +148,6 @@ fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
         findings.extend(semantic::rng_taint(prefix, graph, preps));
     }
     lap(&mut timing, "rng-taint");
-    for (prefix, graph, preps) in &sem_units {
-        findings.extend(semantic::lock_order(prefix, graph, preps));
-    }
-    lap(&mut timing, "lock-order");
     for (prefix, graph, preps) in &sem_units {
         findings.extend(semantic::ordered_reduction(prefix, graph, preps));
     }

@@ -5,7 +5,7 @@
 //! Every rule guards a paper-level invariant — see DESIGN.md §11 for
 //! the rule table and the rationale linking each rule to the
 //! reproducibility claims (bit-identical allocations and fault replays
-//! at any `QCPA_THREADS`, Fig. 4 / Eq. 18–19 speedup methodology).
+//! across reruns, Fig. 4 / Eq. 18–19 speedup methodology).
 
 use crate::lexer::Masked;
 use crate::report::Finding;
@@ -25,8 +25,8 @@ pub enum RuleId {
     /// No ambient entropy (`from_entropy`, `thread_rng`, `OsRng`,
     /// `getrandom`): every RNG must be a seed-derived ChaCha8 stream.
     Entropy,
-    /// No `thread::spawn`/`thread::scope`/`thread::Builder` outside
-    /// `qcpa-par`: all parallelism goes through the deterministic pool.
+    /// No thread creation (the [`SPAWN_APIS`] of `std::thread`)
+    /// anywhere: every workspace computation is serial.
     Spawn,
     /// No `unwrap()`/`expect()` in library non-test code without an
     /// annotation; per-crate counts are ratcheted by the baseline.
@@ -42,12 +42,8 @@ pub enum RuleId {
     /// auditable.
     AllowSyntax,
     /// Semantic: every RNG construction must be fed a seed-derived
-    /// expression, and RNG constructions inside a `qcpa_par` job
-    /// closure must key through `stream_seed(seed, stream, index)`.
+    /// expression.
     RngTaint,
-    /// Semantic: the static lock graph must be acyclic, and no guard
-    /// may be held across a channel send/recv or a park/wait/join.
-    LockOrder,
     /// Semantic: reductions on merge-reachable paths must not iterate
     /// hash-ordered containers.
     OrderedReduction,
@@ -62,7 +58,7 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 13] = [
+pub const ALL_RULES: [RuleId; 12] = [
     RuleId::HashIter,
     RuleId::WallClock,
     RuleId::Entropy,
@@ -72,7 +68,6 @@ pub const ALL_RULES: [RuleId; 13] = [
     RuleId::EnvAccess,
     RuleId::AllowSyntax,
     RuleId::RngTaint,
-    RuleId::LockOrder,
     RuleId::OrderedReduction,
     RuleId::EnvDocDrift,
     RuleId::PanicPath,
@@ -91,7 +86,6 @@ impl RuleId {
             RuleId::EnvAccess => "env-access",
             RuleId::AllowSyntax => "allow-syntax",
             RuleId::RngTaint => "rng-taint",
-            RuleId::LockOrder => "lock-order",
             RuleId::OrderedReduction => "ordered-reduction",
             RuleId::EnvDocDrift => "env-doc-drift",
             RuleId::PanicPath => "panic-path",
@@ -109,13 +103,12 @@ impl RuleId {
             RuleId::HashIter => "hash-ordered collections in deterministic crates",
             RuleId::WallClock => "wall-clock reads outside obs/bench/lp::mip",
             RuleId::Entropy => "ambient (non-seed-derived) randomness",
-            RuleId::Spawn => "thread creation outside qcpa-par",
+            RuleId::Spawn => "thread creation",
             RuleId::PanicHygiene => "unannotated unwrap()/expect() in library code",
             RuleId::UnsafeAudit => "unsafe without SAFETY comment / missing forbid(unsafe_code)",
             RuleId::EnvAccess => "env reads outside the QCPA_* config surface",
             RuleId::AllowSyntax => "malformed audit:allow annotation",
             RuleId::RngTaint => "RNG constructed from a non-seed-derived expression",
-            RuleId::LockOrder => "lock-order inversion or guard held across a blocking call",
             RuleId::OrderedReduction => "hash-ordered reduction on a merge-reachable path",
             RuleId::EnvDocDrift => "QCPA_* key undocumented in README (or documented but dead)",
             RuleId::PanicPath => "panic site reachable from a hot entry point",
@@ -138,7 +131,7 @@ pub enum Region {
 }
 
 /// Crates whose outputs must be bit-reproducible: the allocator core,
-/// the simulator, the deterministic pool, the controller, and the
+/// its stream-seed mixer, the simulator, the controller, and the
 /// matching/LP layers feeding them.
 pub const DETERMINISTIC_CRATES: [&str; 6] = [
     "qcpa-core",
@@ -157,6 +150,10 @@ const WALL_CLOCK_CRATES: [&str; 3] = ["qcpa-obs", "qcpa-bench", "qcpa-audit"];
 /// crates: the MIP solver's time-budget cutoff, which affects only how
 /// long the solver searches, never the meaning of a found solution.
 const WALL_CLOCK_FILES: [&str; 1] = ["crates/lp/src/mip.rs"];
+
+/// The `std::thread` items that create threads; the spawn rule flags
+/// each as `thread::<item>`.
+pub const SPAWN_APIS: [&str; 3] = ["spawn", "scope", "Builder"];
 
 /// A parsed `audit:allow(<rule>): <justification>` annotation.
 #[derive(Debug, Clone)]
@@ -393,14 +390,13 @@ pub fn scan_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
         &mut findings,
     );
 
-    if ctx.crate_name != "qcpa-par" {
-        scan_tokens(
-            ctx,
-            RuleId::Spawn,
-            &["thread::spawn", "thread::scope", "thread::Builder"],
-            &mut findings,
-        );
-    }
+    let spawn_tokens = SPAWN_APIS.map(|api| format!("thread::{api}"));
+    scan_tokens(
+        ctx,
+        RuleId::Spawn,
+        &spawn_tokens.each_ref().map(String::as_str),
+        &mut findings,
+    );
 
     if ctx.region == Region::Lib {
         scan_panic_hygiene(ctx, &mut findings);
@@ -643,18 +639,18 @@ mod tests {
         let bad = "let v = std::env::var(\"HOME\");\n";
         let f = ctx_findings("qcpa-core", Region::Lib, bad);
         assert_eq!(count(&f, RuleId::EnvAccess, false), 1);
-        let good = "let v = std::env::var(\"QCPA_THREADS\");\n";
+        let good = "let v = std::env::var(\"QCPA_LOG\");\n";
         let f = ctx_findings("qcpa-core", Region::Lib, good);
         assert_eq!(count(&f, RuleId::EnvAccess, false), 0);
     }
 
     #[test]
-    fn spawn_allowed_only_in_par() {
-        let src = "std::thread::scope(|s| {});\n";
-        let f = ctx_findings("qcpa-sim", Region::Lib, src);
-        assert_eq!(count(&f, RuleId::Spawn, false), 1);
-        let f = ctx_findings("qcpa-par", Region::Lib, src);
-        assert_eq!(count(&f, RuleId::Spawn, false), 0);
+    fn spawn_fires_in_every_crate() {
+        let src = "let t = std::thread::Builder::new();\n";
+        for krate in ["qcpa-sim", "qcpa-par", "qcpa-bench"] {
+            let f = ctx_findings(krate, Region::Lib, src);
+            assert_eq!(count(&f, RuleId::Spawn, false), 1, "{krate}");
+        }
     }
 
     #[test]

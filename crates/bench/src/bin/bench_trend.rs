@@ -4,15 +4,12 @@
 //!
 //! Tracked trajectories:
 //!
-//! * `BENCH_allocator.json` — `timings_secs.delta_par` (wall seconds,
-//!   lower is better, 20% tolerance), plus the **speedup ratios**
-//!   `speedups.par_vs_1thread` and `speedups.delta_vs_baseline_1thread`
-//!   (higher is better, 15% tolerance) — a parallel-efficiency
-//!   regression must not hide behind a still-acceptable absolute wall
-//!   time, which is exactly how the 1.02×→0.956× `par_vs_1thread` slide
-//!   slipped through when only the timing was gated. Comparable when
-//!   population / iterations / quick mode / available threads all
-//!   match.
+//! * `BENCH_allocator.json` — `timings_secs.delta` (wall seconds,
+//!   lower is better, 20% tolerance), plus the speedup ratio
+//!   `speedups.delta_vs_baseline` (higher is better, 15% tolerance).
+//!   Comparable when population / iterations / quick mode / `series`
+//!   all match; entries without a `series` predate the serial engine
+//!   and compare with nothing new.
 //! * `BENCH_sim.json` — `events_per_sec` (higher is better, 20%
 //!   tolerance), comparable when duration / rate / quick mode match.
 //!
@@ -52,7 +49,7 @@ const ALLOCATOR_KEYS: &[&[&str]] = &[
     &["config", "quick"],
     &["config", "population"],
     &["config", "iterations"],
-    &["threads_available"],
+    &["config", "series"],
 ];
 
 /// Restricts a trend to the history entries of one producer when
@@ -82,7 +79,7 @@ struct Trend {
 const TRENDS: &[Trend] = &[
     Trend {
         file: "BENCH_allocator.json",
-        metric: &["timings_secs", "delta_par"],
+        metric: &["timings_secs", "delta"],
         higher_is_better: false,
         tolerance: 0.20,
         keys: ALLOCATOR_KEYS,
@@ -90,15 +87,7 @@ const TRENDS: &[Trend] = &[
     },
     Trend {
         file: "BENCH_allocator.json",
-        metric: &["speedups", "par_vs_1thread"],
-        higher_is_better: true,
-        tolerance: 0.15,
-        keys: ALLOCATOR_KEYS,
-        filter: None,
-    },
-    Trend {
-        file: "BENCH_allocator.json",
-        metric: &["speedups", "delta_vs_baseline_1thread"],
+        metric: &["speedups", "delta_vs_baseline"],
         higher_is_better: true,
         tolerance: 0.15,
         keys: ALLOCATOR_KEYS,

@@ -57,7 +57,7 @@ fn profile_fingerprint_and_folded() -> (String, String) {
         iterations: 3,
         mutations_per_offspring: 2,
         seed: 11,
-        threads: Some(2),
+        ..MemeticConfig::default()
     };
     let (_alloc, profile) =
         optimize_profiled(seed_alloc, &cw.classification, &w.catalog, &cluster, &cfg);

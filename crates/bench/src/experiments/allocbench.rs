@@ -1,46 +1,42 @@
-//! Allocator wall-clock speedup benchmark: the preserved pre-optimization
-//! engine ([`crate::baseline`]) versus the incremental delta-cost engine,
-//! single-threaded and with the `qcpa-par` fan-out.
+//! Allocator wall-clock benchmark: the preserved pre-optimization
+//! engine ([`crate::baseline`]) versus the incremental delta-cost
+//! engine, then the instance-size ladder.
 //!
 //! The workload is the paper's TPC-App mix (the Figure 4(f)–(i)
 //! family) column-classified on a 16-backend cluster — the update-heavy
 //! case where `normalize`'s update-closure work dominates and the
 //! incremental tracker pays off. (TPC-H column classification is
 //! read-only, so its memetic runs converge in milliseconds and measure
-//! nothing.) Three engines optimize the same greedy seed with the same
+//! nothing.) Two engines optimize the same greedy seed with the same
 //! `MemeticConfig`:
 //!
 //! 1. `baseline` — shared-RNG loop, full normalize+cost per candidate,
-//!    clone-per-probe local search (the engine before this change);
-//! 2. `delta_1thread` — the delta-cost incremental engine pinned to one
-//!    worker (isolates the algorithmic gain);
-//! 3. `delta_par` — the same engine with the full worker pool (adds the
-//!    fan-out gain; bit-identical result to `delta_1thread`).
+//!    clone-per-probe local search (the engine before the tracker);
+//! 2. `delta` — the delta-cost incremental engine.
 //!
-//! A fourth, *profiled* run ([`memetic::optimize_profiled`]) decomposes
-//! the parallel engine's wall time into phases (`driver.*` tile the
-//! loop, `task.*` decompose the fan-outs, `pool.overhead` estimates the
-//! serial fraction) — the bench asserts the driver phases attribute
-//! ≥ 95% of the optimize wall and prints the serial fraction behind the
-//! modest `par_vs_1thread` speedup. That run doubles its generations
-//! until its wall reaches 100 ms (25 ms quick). The profile exports as
-//! folded stacks to `results/bench_allocator.folded`.
+//! A third, *profiled* run ([`memetic::optimize_profiled`]) decomposes
+//! the delta engine's wall time into phases (`driver.*` tile the loop,
+//! `task.*` break the offspring loop down) — the bench asserts the
+//! driver phases attribute ≥ 95% of the optimize wall. That run doubles
+//! its generations until its wall reaches 100 ms (25 ms quick). The
+//! profile exports as folded stacks to `results/bench_allocator.folded`.
 //!
-//! After the engine comparison, the bench runs the **threads ×
-//! instance-size matrix** the ROADMAP asks for: `QCPA_THREADS ∈
-//! {1, 2, 4}` × {paper-scale (TPC-App, 16 backends, direct memetic),
-//! 10× (512 clustered fragments × 64 backends, multilevel), 100×
-//! (4096 fragments × 256 backends, multilevel + k-safety)}. Every
-//! instance's allocation is asserted bit-identical across the thread
-//! grid; the 100× cell additionally passes `validate` + `is_k_safe`.
-//! Quick mode runs only the paper-scale corner at {1, 4}.
+//! After the engine comparison, the bench runs the **instance-size
+//! ladder**: paper-scale (TPC-App, 16 backends, direct memetic), 10×
+//! (512 clustered fragments × 64 backends, multilevel) and 100× (4096
+//! fragments × 256 backends, multilevel, plus the 1-safe `100x_k1`
+//! cell). Every cell must `validate`; the k-safe cell must also be
+//! 1-safe. Quick mode runs only the paper-scale cell.
 //!
 //! Output: the usual `results/bench_allocator.csv` +
 //! `results/bench_allocator.metrics.json` sidecar, plus an entry
 //! appended to the `BENCH_allocator.json` history (schema v2, see
-//! [`crate::history`]) at the repository root. `QCPA_BENCH_QUICK=1`
-//! shrinks the run for smoke-testing (scripts/check.sh uses it) and
-//! skips the history append so smoke runs never dilute the trajectory.
+//! [`crate::history`]) at the repository root, stating the host's core
+//! count and CPU model. Entries carry `config.series = "serial"`, so
+//! they never compare with earlier entries, which timed other engines.
+//! `QCPA_BENCH_QUICK=1` shrinks the run for smoke-testing
+//! (scripts/check.sh uses it) and skips the history append so smoke
+//! runs never dilute the trajectory.
 
 use std::path::Path;
 use std::time::Instant;
@@ -72,7 +68,25 @@ fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out)
 }
 
-/// Runs the three engines and writes the CSV, sidecar, and
+/// The host's CPU model from `/proc/cpuinfo` (`"unknown"` elsewhere).
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                Some(
+                    l.strip_prefix("model name")?
+                        .split_once(':')?
+                        .1
+                        .trim()
+                        .to_string(),
+                )
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Runs both engines and the ladder, and writes the CSV, sidecar, and
 /// `BENCH_allocator.json`.
 pub fn run() -> std::io::Result<()> {
     let quick = std::env::var_os("QCPA_BENCH_QUICK").is_some();
@@ -90,20 +104,19 @@ pub fn run() -> std::io::Result<()> {
         iterations,
         mutations_per_offspring: 2,
         seed: 7,
-        threads: None,
+        ..MemeticConfig::default()
     };
-    let threads_avail = qcpa_par::Pool::from_env().workers();
+    let hw = qcpa_par::hardware_parallelism();
+    let cpu = cpu_model();
 
-    let mut csv = Csv::create(
-        "bench_allocator",
-        &["engine", "threads", "secs", "scale", "bytes"],
-    )?;
+    let mut csv = Csv::create("bench_allocator", &["engine", "secs", "scale", "bytes"])?;
     csv.meta("classes", cw.classification.len());
     csv.meta("backends", cluster.len());
     csv.meta("iterations", iterations);
     csv.meta("population", population);
     csv.meta("repeats", repeats);
-    csv.meta("threads_available", threads_avail);
+    csv.meta("hardware_parallelism", hw);
+    csv.meta("cpu", &cpu);
 
     let (t_base, a_base) = best_of(repeats, || {
         baseline::optimize(
@@ -114,71 +127,41 @@ pub fn run() -> std::io::Result<()> {
             &base_cfg,
         )
     });
-    let cfg1 = MemeticConfig {
-        threads: Some(1),
-        ..base_cfg.clone()
-    };
-    let (t_delta1, a_delta1) = best_of(repeats, || {
+    let (t_delta, a_delta) = best_of(repeats, || {
         memetic::optimize(
             seed_alloc.clone(),
             &cw.classification,
             &w.catalog,
             &cluster,
-            &cfg1,
+            &base_cfg,
         )
     });
-    let cfg_par = MemeticConfig {
-        threads: Some(threads_avail),
-        ..base_cfg.clone()
-    };
-    let (t_par, a_par) = best_of(repeats, || {
-        memetic::optimize(
-            seed_alloc.clone(),
-            &cw.classification,
-            &w.catalog,
-            &cluster,
-            &cfg_par,
-        )
-    });
-    assert_eq!(
-        a_delta1, a_par,
-        "parallel engine must be bit-identical to 1 thread"
-    );
 
-    let rows: [(&str, usize, f64, &qcpa_core::allocation::Allocation); 3] = [
-        ("baseline", 1, t_base, &a_base),
-        ("delta_1thread", 1, t_delta1, &a_delta1),
-        ("delta_par", threads_avail, t_par, &a_par),
-    ];
     println!(
-        "{:>14} {:>8} {:>10} {:>8} {:>12}",
-        "engine", "threads", "secs", "scale", "speedup"
+        "{:>10} {:>10} {:>8} {:>12}",
+        "engine", "secs", "scale", "speedup"
     );
-    for (name, threads, secs, alloc) in rows {
+    for (name, secs, alloc) in [("baseline", t_base, &a_base), ("delta", t_delta, &a_delta)] {
         println!(
-            "{:>14} {:>8} {:>10.3} {:>8.3} {:>11.2}x",
+            "{:>10} {:>10.3} {:>8.3} {:>11.2}x",
             name,
-            threads,
             secs,
             alloc.scale(&cluster),
             t_base / secs
         );
         csv.row(&[
             name.to_string(),
-            threads.to_string(),
             format!("{secs:.4}"),
             f2(alloc.scale(&cluster)),
             alloc.total_bytes(&w.catalog).to_string(),
         ])?;
     }
-    // Profiled run of the parallel engine: where does the wall time go,
-    // and how much of the fan-out wall is serial overhead? The
-    // attribution floor compares once-per-call costs outside the driver
-    // phases with the optimize wall, so the profiled run doubles its
-    // generations until that wall clears a floor, however fast the
-    // engine got.
+    // Profiled run: where does the wall time go? The attribution floor
+    // compares once-per-call costs outside the driver phases with the
+    // optimize wall, so the profiled run doubles its generations until
+    // that wall clears a floor, however fast the engine got.
     let wall_floor = if quick { 0.025 } else { 0.100 };
-    let mut prof_cfg = cfg_par.clone();
+    let mut prof_cfg = base_cfg.clone();
     let (a_prof, profile, t_prof) = loop {
         let t0 = Instant::now();
         let (a, profile) = memetic::optimize_profiled(
@@ -209,28 +192,12 @@ pub fn run() -> std::io::Result<()> {
         "phase profiler attributed only {:.1}% of the optimize wall",
         attribution * 100.0
     );
-    let pool_overhead = profile.get("pool.overhead").map_or(0.0, |s| s.secs);
-    let serial_fraction = pool_overhead / t_prof;
-    if !quick {
-        // The parked-worker session must keep dispatch/merge overhead
-        // under 1% of the optimize wall (quick runs are too short to
-        // measure this without noise).
-        assert!(
-            serial_fraction < 0.01,
-            "pool.overhead is {:.2}% of the optimize wall (budget: 1%)",
-            serial_fraction * 100.0
-        );
-    }
-    println!("\nphase profile of delta_par ({threads_avail} workers):");
+    println!("\nphase profile of delta:");
     print!("{}", profile.render());
     println!(
-        "attribution {:.1}% of {:.3}s wall; pool.overhead {:.3}s = {:.1}% serial fraction \
-         (the gap behind the {:.2}x par_vs_1thread speedup)",
+        "attribution {:.1}% of {:.3}s wall",
         attribution * 100.0,
-        t_prof,
-        pool_overhead,
-        serial_fraction * 100.0,
-        t_delta1 / t_par
+        t_prof
     );
     std::fs::create_dir_all("results")?;
     std::fs::write(
@@ -240,32 +207,21 @@ pub fn run() -> std::io::Result<()> {
 
     let reg = qcpa_obs::global();
     reg.gauge("bench.allocator.baseline_secs").set(t_base);
-    reg.gauge("bench.allocator.delta_1thread_secs")
-        .set(t_delta1);
-    reg.gauge("bench.allocator.delta_par_secs").set(t_par);
+    reg.gauge("bench.allocator.delta_secs").set(t_delta);
     reg.gauge("bench.allocator.speedup_delta")
-        .set(t_base / t_delta1);
-    reg.gauge("bench.allocator.speedup_total")
-        .set(t_base / t_par);
+        .set(t_base / t_delta);
     reg.gauge("bench.allocator.profile_attribution")
         .set(attribution);
-    reg.gauge("bench.allocator.serial_fraction")
-        .set(serial_fraction);
 
-    // --- threads × instance-size matrix ------------------------------
+    // --- instance-size ladder ----------------------------------------
     // paper-scale (direct memetic) and, in full runs, 10× and 100×
-    // clustered instances through the multilevel pipeline. Each
-    // instance must produce bit-identical allocations across the
-    // thread grid.
-    let hw = qcpa_par::hardware_parallelism();
-    let thread_grid: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4] };
-    let t_top = thread_grid[thread_grid.len() - 1];
+    // clustered instances through the multilevel pipeline.
     let scale_cfg = MemeticConfig {
         population: 5,
         iterations: 6,
         mutations_per_offspring: 2,
         seed: 7,
-        threads: None,
+        ..MemeticConfig::default()
     };
     let ccfg = CoarsenConfig::default();
 
@@ -310,158 +266,88 @@ pub fn run() -> std::io::Result<()> {
         Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     };
 
-    println!("\n== threads × instance-size matrix ==");
+    println!("\n== instance-size ladder ==");
     println!(
-        "{:>10} {:>10} {:>9} {:>8} {:>10} {:>7} {:>8}",
-        "instance", "fragments", "backends", "threads", "secs", "levels", "scale"
+        "{:>10} {:>10} {:>9} {:>10} {:>7} {:>8}",
+        "instance", "fragments", "backends", "secs", "levels", "scale"
     );
     let mut matrix_rows: Vec<Value> = Vec::new();
-    let mut matrix_speedups: Vec<(String, Value)> = Vec::new();
-    let mut paper_par_speedup = f64::NAN;
     for inst in &instances {
-        let mut secs_grid: Vec<f64> = Vec::new();
-        let mut reference: Option<qcpa_core::allocation::Allocation> = None;
-        for &t in thread_grid {
-            let mcfg = MemeticConfig {
-                threads: Some(t),
-                ..if inst.multilevel {
-                    scale_cfg.clone()
-                } else {
-                    base_cfg.clone()
-                }
+        // The plain cell, then (100× only) the 1-safe cell.
+        let cells: &[(bool, &str)] = if inst.ksafe {
+            &[(false, ""), (true, "_k1")]
+        } else {
+            &[(false, "")]
+        };
+        for &(ksafe, suffix) in cells {
+            let mcfg = if inst.multilevel {
+                &scale_cfg
+            } else {
+                &base_cfg
             };
             let t0 = Instant::now();
-            let (alloc, levels, coarsest) = if inst.multilevel {
-                let out = coarsen::allocate_multilevel(
-                    &inst.cls,
-                    &inst.catalog,
-                    &inst.cluster,
-                    &mcfg,
-                    &ccfg,
-                );
-                (out.alloc, out.levels, out.coarsest_fragments)
-            } else {
-                let seed = greedy::allocate(&inst.cls, &inst.catalog, &inst.cluster);
-                let a = memetic::optimize(seed, &inst.cls, &inst.catalog, &inst.cluster, &mcfg);
-                (a, 0, inst.catalog.len())
+            let (alloc, levels, coarsest) = match (inst.multilevel, ksafe) {
+                (true, false) => {
+                    let out = coarsen::allocate_multilevel(
+                        &inst.cls,
+                        &inst.catalog,
+                        &inst.cluster,
+                        mcfg,
+                        &ccfg,
+                    );
+                    (out.alloc, out.levels, out.coarsest_fragments)
+                }
+                (true, true) => {
+                    let out = coarsen::allocate_multilevel_ksafe(
+                        &inst.cls,
+                        &inst.catalog,
+                        &inst.cluster,
+                        mcfg,
+                        &ccfg,
+                        1,
+                    );
+                    (out.alloc, out.levels, out.coarsest_fragments)
+                }
+                (false, _) => {
+                    let seed = greedy::allocate(&inst.cls, &inst.catalog, &inst.cluster);
+                    let a = memetic::optimize(seed, &inst.cls, &inst.catalog, &inst.cluster, mcfg);
+                    (a, 0, inst.catalog.len())
+                }
             };
             let secs = t0.elapsed().as_secs_f64();
+            let name = format!("{}{suffix}", inst.name);
             if let Err(e) = alloc.validate(&inst.cls, &inst.cluster) {
-                panic!(
-                    "matrix cell {}/t{t} produced an invalid allocation: {e:?}",
-                    inst.name
-                );
+                panic!("ladder cell {name} produced an invalid allocation: {e:?}");
             }
-            match &reference {
-                None => reference = Some(alloc.clone()),
-                Some(r) => assert_eq!(
-                    &alloc, r,
-                    "instance {} not bit-identical at {t} threads",
-                    inst.name
-                ),
-            }
+            assert!(
+                !ksafe || ksafety::is_k_safe(&alloc, &inst.cls, 1),
+                "ladder cell {name} lost 1-safety"
+            );
             println!(
-                "{:>10} {:>10} {:>9} {:>8} {:>10.3} {:>7} {:>8.3}",
-                inst.name,
+                "{:>10} {:>10} {:>9} {:>10.3} {:>7} {:>8.3}",
+                name,
                 inst.catalog.len(),
                 inst.cluster.len(),
-                t,
                 secs,
                 levels,
                 alloc.scale(&inst.cluster)
             );
             csv.row(&[
-                format!("matrix_{}", inst.name),
-                t.to_string(),
+                format!("matrix_{name}"),
                 format!("{secs:.4}"),
                 f2(alloc.scale(&inst.cluster)),
                 alloc.total_bytes(&inst.catalog).to_string(),
             ])?;
             matrix_rows.push(obj(vec![
-                ("instance", Value::Str(inst.name.into())),
+                ("instance", Value::Str(name)),
                 ("fragments", Value::U64(inst.catalog.len() as u64)),
                 ("backends", Value::U64(inst.cluster.len() as u64)),
-                ("threads", Value::U64(t as u64)),
                 ("secs", Value::F64(secs)),
                 ("levels", Value::U64(levels as u64)),
                 ("coarsest_fragments", Value::U64(coarsest as u64)),
                 ("scale", Value::F64(alloc.scale(&inst.cluster))),
             ]));
-            secs_grid.push(secs);
         }
-        let speedup = secs_grid[0] / secs_grid[secs_grid.len() - 1].max(f64::MIN_POSITIVE);
-        if inst.name == "paper" {
-            paper_par_speedup = speedup;
-        }
-        matrix_speedups.push((
-            inst.name.to_string(),
-            obj(vec![("par_top_vs_1thread", Value::F64(speedup))]),
-        ));
-
-        if inst.ksafe {
-            // The 100× k-safety cell: multilevel + repair must land on a
-            // valid, 1-safe allocation end-to-end.
-            let mcfg = MemeticConfig {
-                threads: Some(t_top),
-                ..scale_cfg.clone()
-            };
-            let t0 = Instant::now();
-            let out = coarsen::allocate_multilevel_ksafe(
-                &inst.cls,
-                &inst.catalog,
-                &inst.cluster,
-                &mcfg,
-                &ccfg,
-                1,
-            );
-            let secs = t0.elapsed().as_secs_f64();
-            if let Err(e) = out.alloc.validate(&inst.cls, &inst.cluster) {
-                panic!("{} ksafe cell invalid: {e:?}", inst.name);
-            }
-            assert!(
-                ksafety::is_k_safe(&out.alloc, &inst.cls, 1),
-                "{} ksafe cell lost 1-safety",
-                inst.name
-            );
-            println!(
-                "{:>10} {:>10} {:>9} {:>8} {:>10.3} {:>7} {:>8.3}  (k=1 safe)",
-                format!("{}_k1", inst.name),
-                inst.catalog.len(),
-                inst.cluster.len(),
-                t_top,
-                secs,
-                out.levels,
-                out.alloc.scale(&inst.cluster)
-            );
-            matrix_rows.push(obj(vec![
-                ("instance", Value::Str(format!("{}_k1", inst.name))),
-                ("fragments", Value::U64(inst.catalog.len() as u64)),
-                ("backends", Value::U64(inst.cluster.len() as u64)),
-                ("threads", Value::U64(t_top as u64)),
-                ("secs", Value::F64(secs)),
-                ("levels", Value::U64(out.levels as u64)),
-                (
-                    "coarsest_fragments",
-                    Value::U64(out.coarsest_fragments as u64),
-                ),
-                ("scale", Value::F64(out.alloc.scale(&inst.cluster))),
-            ]));
-        }
-    }
-    if hw >= 4 {
-        if !quick {
-            assert!(
-                paper_par_speedup >= 2.5,
-                "par_vs_1thread {paper_par_speedup:.2}x < 2.5x on the paper-scale \
-                 instance at {t_top} threads ({hw} cores available)"
-            );
-        }
-    } else {
-        println!(
-            "note: hardware_parallelism={hw} — wall-clock parallel speedup is not \
-             measurable on this host; the ≥2.5x gate needs ≥4 cores and the matrix \
-             records thread-count bit-identity instead"
-        );
     }
 
     // Repo-root summary: the headline numbers without digging through
@@ -479,35 +365,32 @@ pub fn run() -> std::io::Result<()> {
                 ("seed", Value::U64(base_cfg.seed)),
                 ("repeats", Value::U64(repeats as u64)),
                 ("quick", Value::Bool(quick)),
+                ("series", Value::Str("serial".into())),
             ]),
         ),
-        ("threads_available", Value::U64(threads_avail as u64)),
-        ("hardware_parallelism", Value::U64(hw as u64)),
+        (
+            "host",
+            obj(vec![
+                ("hardware_parallelism", Value::U64(hw as u64)),
+                ("cpu", Value::Str(cpu)),
+            ]),
+        ),
         (
             "timings_secs",
             obj(vec![
                 ("baseline", Value::F64(t_base)),
-                ("delta_1thread", Value::F64(t_delta1)),
-                ("delta_par", Value::F64(t_par)),
+                ("delta", Value::F64(t_delta)),
             ]),
         ),
         (
             "speedups",
-            obj(vec![
-                ("delta_vs_baseline_1thread", Value::F64(t_base / t_delta1)),
-                ("total_vs_baseline", Value::F64(t_base / t_par)),
-                ("par_vs_1thread", Value::F64(t_delta1 / t_par)),
-            ]),
+            obj(vec![("delta_vs_baseline", Value::F64(t_base / t_delta))]),
         ),
         (
             "result_quality",
             obj(vec![
                 ("baseline_scale", Value::F64(a_base.scale(&cluster))),
-                ("delta_scale", Value::F64(a_delta1.scale(&cluster))),
-                (
-                    "bit_identical_across_threads",
-                    Value::Bool(a_delta1 == a_par),
-                ),
+                ("delta_scale", Value::F64(a_delta.scale(&cluster))),
             ]),
         ),
         (
@@ -516,24 +399,17 @@ pub fn run() -> std::io::Result<()> {
                 ("iterations", Value::U64(prof_cfg.iterations as u64)),
                 ("wall_secs", Value::F64(t_prof)),
                 ("attribution_fraction", Value::F64(attribution)),
-                ("pool_overhead_secs", Value::F64(pool_overhead)),
-                ("serial_fraction", Value::F64(serial_fraction)),
                 ("task_secs", Value::F64(profile.secs_with_prefix("task."))),
             ]),
         ),
         ("matrix", Value::Array(matrix_rows)),
-        (
-            "matrix_speedups",
-            Value::Object(matrix_speedups.into_iter().collect()),
-        ),
     ]);
     if quick {
         // Smoke runs (scripts/check.sh) must not dilute the full-size
         // trajectory.
         println!(
-            "delta-cost speedup {:.2}x, total {:.2}x (quick mode; BENCH_allocator.json untouched)",
-            t_base / t_delta1,
-            t_base / t_par
+            "delta-cost speedup {:.2}x (quick mode; BENCH_allocator.json untouched)",
+            t_base / t_delta
         );
     } else {
         let entries = history::append_entry(
@@ -542,9 +418,8 @@ pub fn run() -> std::io::Result<()> {
             summary,
         )?;
         println!(
-            "delta-cost speedup {:.2}x, total {:.2}x -> BENCH_allocator.json (history entry {entries})",
-            t_base / t_delta1,
-            t_base / t_par
+            "delta-cost speedup {:.2}x -> BENCH_allocator.json (history entry {entries})",
+            t_base / t_delta
         );
     }
     println!("-> {}\n", csv.path().display());

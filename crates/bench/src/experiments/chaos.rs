@@ -1,9 +1,9 @@
 //! Chaos/soak sweep: randomized layered fault schedules (crashes,
 //! zone failures, gray windows, partitions) driven through both fault
 //! engines, asserting on every schedule the invariants the simulator
-//! promises — conservation (`lost ≡ 0`), post-repair k-safety, sharded
-//! bit-identity, trace-fingerprint stability. The run *fails* (nonzero
-//! exit) on any violation.
+//! promises — conservation (`lost ≡ 0`), post-repair k-safety,
+//! trace-fingerprint stability. The run *fails* (nonzero exit) on any
+//! violation.
 //!
 //! `QCPA_CHAOS_RUNS` overrides the schedule count (default 64);
 //! `scripts/check.sh --fast` smokes 8 schedules, the full tier sweeps
@@ -21,31 +21,19 @@ pub fn fig_chaos() -> std::io::Result<()> {
 
     let mut csv = Csv::create(
         "fig_chaos",
-        &[
-            "runs",
-            "schedules_with_faults",
-            "sharded_nontrivial",
-            "violations",
-        ],
+        &["runs", "schedules_with_faults", "violations"],
     )?;
     csv.meta("seed", cfg.seed);
-    csv.meta(
-        "invariants",
-        "conservation | k-safety | shard-bit-identity | trace-stability",
-    );
+    csv.meta("invariants", "conservation | k-safety | trace-stability");
     csv.row(&[
         report.runs.to_string(),
         report.schedules_with_faults.to_string(),
-        report.sharded_nontrivial.to_string(),
         report.violation_count.to_string(),
     ])?;
 
     println!(
-        "{} schedules ({} with faults, {} sharded non-trivially): {} violation(s)",
-        report.runs,
-        report.schedules_with_faults,
-        report.sharded_nontrivial,
-        report.violation_count
+        "{} schedules ({} with faults): {} violation(s)",
+        report.runs, report.schedules_with_faults, report.violation_count
     );
     for v in &report.violations {
         eprintln!("VIOLATION: {v}");

@@ -77,7 +77,7 @@ impl Strategy {
                     iterations: 30,
                     mutations_per_offspring: 2,
                     seed,
-                    threads: None,
+                    ..MemeticConfig::default()
                 };
                 memetic::allocate(&cw.classification, catalog, cluster, &cfg)
             }

@@ -13,8 +13,8 @@
 //! Each entry is one run's summary object (the bench defines its own
 //! fields); entries append in run order, so the file is the per-PR
 //! trajectory of the bench and `bench_trend` can diff the last two
-//! *comparable* entries (same key fields — quick mode, thread count,
-//! cluster size) and fail on a throughput regression.
+//! *comparable* entries (same key fields — quick mode, series, cluster
+//! size) and fail on a throughput regression.
 //!
 //! A v1 file — the single flat run object `bench_allocator` used to
 //! write — is migrated transparently on load: the old object becomes

@@ -30,8 +30,8 @@
 //! Determinism: everything here is pure data manipulation over
 //! `BTreeMap`s and ascending fragment sets (deterministic iteration),
 //! edge sorting uses `total_cmp` with id tie-breaks, and the coarsest
-//! solve is the bit-identical [`crate::memetic`] path — so the whole
-//! pipeline is bit-identical across `QCPA_THREADS` and reruns.
+//! solve is the seeded [`crate::memetic`] path — so the whole pipeline
+//! is bit-identical across reruns.
 
 use std::collections::BTreeMap;
 
@@ -197,7 +197,7 @@ pub fn coarsen_once(
 ///
 /// The returned allocation passes [`Allocation::validate`], and
 /// `final_cost` never exceeds `projected_cost` (refinement is
-/// monotone). Bit-identical across thread counts and reruns.
+/// monotone). Bit-identical across reruns.
 #[must_use]
 pub fn allocate_multilevel(
     cls: &Classification,
@@ -395,15 +395,9 @@ mod tests {
             out.final_cost,
             out.projected_cost
         );
-        // Bit-identical rerun and thread-count independence.
+        // Bit-identical rerun.
         let again = allocate_multilevel(&cls, &cat, &cluster, &mcfg, &ccfg);
         assert_eq!(out.alloc, again.alloc);
-        let mt = MemeticConfig {
-            threads: Some(4),
-            ..mcfg.clone()
-        };
-        let par = allocate_multilevel(&cls, &cat, &cluster, &mt, &ccfg);
-        assert_eq!(out.alloc, par.alloc);
     }
 
     #[test]

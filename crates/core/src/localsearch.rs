@@ -29,10 +29,10 @@ use crate::{BackendId, ClassId, EPS};
 /// Reusable buffers for the candidate enumeration, refilled in place on
 /// every probe.
 ///
-/// Public (with private fields) so parallel drivers can keep one
-/// `Scratch` per worker lane and thread it through
-/// [`improve_with_scratch`] — every field is cleared or refilled before
-/// use, so no state leaks between probes or between callers.
+/// Public (with private fields) so a driver running many searches can
+/// keep one `Scratch` and thread it through [`improve_with_scratch`] —
+/// every field is cleared or refilled before use, so no state leaks
+/// between probes or between callers.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Backends currently hosting the update class under consideration.
@@ -69,9 +69,9 @@ pub fn improve(
 /// [`improve`] continuing on an existing tracker, with a caller-owned
 /// [`Scratch`]: `alloc` must already be normalized and `tracker`
 /// consistent with it, and is left consistent with the improved
-/// allocation. The memetic population keeps a tracker per member and a
-/// scratch set per worker lane, so its probes pay only the transfers
-/// and allocate nothing.
+/// allocation. The memetic population keeps a tracker per member and
+/// one scratch set per optimize call, so its probes pay only the
+/// transfers and allocate nothing.
 pub fn improve_with_scratch(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,

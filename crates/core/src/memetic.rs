@@ -12,43 +12,24 @@
 //! The initial population is seeded with the greedy solution (faster
 //! convergence than random initialization, as the paper recommends).
 //!
-//! ## Parallel execution and determinism
+//! ## Determinism
 //!
-//! The generation loop submits **one fused batch per generation** to a
-//! [`qcpa_par::with_session`] worker set (`QCPA_THREADS` workers by
-//! default, overridable per run with [`MemeticConfig::threads`]):
-//! every task builds one offspring (mutation) and — when the driver
-//! flagged its index for improvement — runs the local search on that
-//! offspring *inside the same task*, so the formerly serial
-//! `driver.improve_fanout` phase is now parallel work. Workers are
-//! spawned once per optimize call and stay parked on a job channel
-//! between generations (no per-generation thread wakeup cost).
+//! The generation loop is serial, as in the paper. Each generation
+//! builds its offspring in index order; an offspring flagged for
+//! improvement gets its local search right after its mutation. Every
+//! offspring draws from its own `ChaCha8Rng`, seeded with
+//! [`qcpa_par::stream_seed`]`(seed, generation, offspring_index)`, and
+//! the improvement-set shuffle draws from a dedicated stream
+//! (`index = u64::MAX`), so a run is a pure function of its
+//! [`MemeticConfig`]. Selection sorts are stable, and the local-search
+//! scratch buffers ([`localsearch::Scratch`]) are an allocation cache
+//! refilled before every use, not an input.
 //!
-//! Results are **bit-identical at any thread count** because nothing in
-//! a task depends on scheduling:
-//!
-//! * every offspring draws from its own `ChaCha8Rng`, seeded with
-//!   [`qcpa_par::stream_seed]`(seed, generation, offspring_index)` —
-//!   there is no shared RNG to race on;
-//! * the improvement-set shuffle uses a separate dedicated stream
-//!   (`index = u64::MAX`), drawn on the driver thread *before* the
-//!   fan-out, so the improve flags ride along with the jobs;
-//! * [`qcpa_par::Session::run`] returns results in task-index order,
-//!   and all selection sorts are stable;
-//! * per-lane scratch buffers ([`localsearch::Scratch`]) are reused
-//!   across probes but carry no state between them — they are an
-//!   allocation cache, not an input.
-//!
-//! Candidate evaluation inside a task is incremental: mutations are
-//! expressed as [`DeltaCost::transfer`]s, so an offspring's cost comes
-//! from re-deriving the two backends a transfer touches instead of a
-//! full [`Allocation::normalize`] + cost recomputation, and the local
-//! search continues on the same tracker. Worker tasks record their
-//! telemetry into private [`qcpa_obs::Registry`] shards that the driver
-//! merges in index order ([`qcpa_obs::Registry::merge_shard`]), keeping
-//! the global registry deterministic too.
-
-use std::sync::{Arc, Mutex, PoisonError};
+//! Candidate evaluation is incremental: mutations are expressed as
+//! [`DeltaCost::transfer`]s, so an offspring's cost comes from
+//! re-deriving the two backends a transfer touches instead of a full
+//! [`Allocation::normalize`] + cost recomputation, and the local search
+//! continues on the same tracker.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -72,12 +53,12 @@ pub struct MemeticConfig {
     pub iterations: usize,
     /// Mutation operators applied per offspring (1–3 is typical).
     pub mutations_per_offspring: usize,
-    /// RNG seed: identical seeds reproduce identical results — at any
-    /// worker count.
+    /// RNG seed: identical seeds reproduce identical results.
     pub seed: u64,
-    /// Worker threads for the generation fan-out. `None` sizes the pool
-    /// from the environment (`QCPA_THREADS`, else available
-    /// parallelism). The result does not depend on this value.
+    /// Ignored: the generation loop is serial. The field stays only so
+    /// that the frozen `benchmark/` crate, which sets it, still
+    /// compiles; it goes with that crate's next interface change
+    /// (ROADMAP.md, item 1).
     pub threads: Option<usize>,
 }
 
@@ -137,18 +118,14 @@ pub fn optimize(
 
 /// [`optimize`] with phase profiling: returns the refined allocation
 /// plus a [`qcpa_obs::PhaseProfile`] attributing the optimize wall time
-/// to driver phases (seed build, improve planning, the fused generation
-/// fan-out and merge, selection, telemetry), worker-side task phases
-/// (mutation, local search) and per-worker busy lanes — plus a
-/// `pool.overhead` estimate of the fan-out wall time no task accounts
-/// for (channel dispatch, result merge, load imbalance) relative to a
-/// perfect spread over `min(workers, hardware)` lanes: the serial
-/// fraction that caps parallel speedup.
+/// to `driver.*` phases (seed build, improve planning, the offspring
+/// loop, selection, telemetry, finalize), with `task.*` phases
+/// (mutation, local search) breaking the offspring loop down.
 ///
 /// Profiling never changes the result: the allocation is bit-identical
 /// to [`optimize`]'s, and the profile's
 /// [`fingerprint`](qcpa_obs::PhaseProfile::fingerprint) (calls/work,
-/// not seconds) is bit-identical at any `QCPA_THREADS`.
+/// not seconds) repeats across reruns.
 pub fn optimize_profiled(
     initial: Allocation,
     cls: &Classification,
@@ -203,7 +180,7 @@ pub fn optimize_ksafe(
 /// (non-repaired) path — the incremental aggregates kept consistent
 /// with it, so children and local search start from cloned aggregates
 /// instead of a fresh O(|B|·|C|·|F|) build.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Individual {
     alloc: Allocation,
     cost: AllocCost,
@@ -224,15 +201,13 @@ fn run_generations(
     cluster: &ClusterSpec,
     cfg: &MemeticConfig,
     prefix: &str,
-    repair: Option<&(dyn Fn(&mut Allocation) + Sync)>,
+    repair: Option<&dyn Fn(&mut Allocation)>,
     mut profile: Option<&mut qcpa_obs::PhaseProfile>,
 ) -> Allocation {
     assert!(cfg.population >= 3, "population must be at least 3");
-    let pool = qcpa_par::Pool::new(cfg.threads);
     // Profiling is observation-only: every timed region computes
     // exactly what the unprofiled path computes, so the returned
     // allocation is bit-identical with or without a profile.
-    let profiling = profile.is_some();
     let cost_of = |a: &Allocation| a.cost(cluster, catalog);
 
     // Population invariant: without repair every member is normalized
@@ -240,233 +215,157 @@ fn run_generations(
     // the parent's aggregates instead of rebuilding them. With repair
     // every member is hardened (no tracker: repair adds replicas the
     // tracker does not model).
-    let t_seed = profile.as_deref().map(|p| p.start());
-    let mut seed_alloc = initial;
-    let seed_tracker = match repair {
-        Some(rep) => {
-            rep(&mut seed_alloc);
-            None
-        }
-        None => {
-            seed_alloc.normalize(cls, cluster);
-            Some(DeltaCost::new(&seed_alloc, cls, catalog))
-        }
-    };
-    let seed_cost = cost_of(&seed_alloc);
-    if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_seed) {
-        p.stop("driver.seed", t0, 1);
-    }
-    let mut population: Vec<Individual> = vec![Individual {
-        alloc: seed_alloc,
-        cost: seed_cost,
-        tracker: seed_tracker,
-    }];
-
-    // One fused task per offspring: mutate, and — when the driver
-    // flagged this index — locally improve the child in the same task.
-    // All inputs (generation, index, improve flag, parents snapshot)
-    // ride in the job; nothing depends on scheduling.
-    struct Job {
-        generation: u64,
-        index: u64,
-        improve: bool,
-        parents: Arc<Vec<Individual>>,
-    }
-
-    // Per-lane local-search scratch: an allocation cache reused across
-    // every probe a lane runs in this optimize call. Each field is
-    // refilled before use, so lanes stay pure functions of their jobs.
-    let workers = pool.workers();
-    let scratches: Vec<Mutex<localsearch::Scratch>> = (0..workers)
-        .map(|_| Mutex::new(localsearch::Scratch::default()))
-        .collect();
-
-    let worker_fn = |job: Job, lane: usize| {
-        let Job {
-            generation,
-            index,
-            improve,
-            parents,
-        } = job;
-        let shard = qcpa_obs::Registry::new();
-        let mut tp = qcpa_obs::PhaseProfile::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(qcpa_par::stream_seed(cfg.seed, generation, index));
-        let build = |rng: &mut ChaCha8Rng| {
-            let _span = qcpa_obs::span_on(&shard, "core", "memetic_offspring");
-            let parent = &parents[rng.gen_range(0..parents.len())];
-            let mut child = mutate(parent, cls, catalog, cluster, cfg, rng);
-            if let Some(rep) = repair {
-                rep(&mut child.alloc);
-                child.cost = cost_of(&child.alloc);
-                child.tracker = None;
+    let seed = timed(&mut profile, "driver.seed", 1, || {
+        let mut alloc = initial;
+        let tracker = match repair {
+            Some(rep) => {
+                rep(&mut alloc);
+                None
             }
-            child
+            None => {
+                alloc.normalize(cls, cluster);
+                Some(DeltaCost::new(&alloc, cls, catalog))
+            }
         };
-        let mut child = if profiling {
-            tp.time("task.mutation", 1, || build(&mut rng))
-        } else {
-            build(&mut rng)
-        };
-        if improve {
-            let search = |child: &mut Individual| {
-                let _span = qcpa_obs::span_on(&shard, "core", "memetic_improve");
-                match (&mut child.tracker, repair) {
-                    // Plain path: continue on the child's tracker with
-                    // the lane's scratch buffers. Local search is
-                    // monotone, so the improved child never costs more.
-                    (Some(tracker), None) => {
-                        let mut scratch = scratches[lane]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        let changed = localsearch::improve_with_scratch(
-                            &mut child.alloc,
-                            tracker,
-                            cls,
-                            catalog,
-                            cluster,
-                            &mut scratch,
-                        );
-                        if changed {
-                            child.cost = tracker.cost(cluster);
-                        }
-                    }
-                    // Repair path: full improve, re-harden, full cost.
-                    _ => {
-                        localsearch::improve(&mut child.alloc, cls, catalog, cluster);
-                        if let Some(rep) = repair {
-                            rep(&mut child.alloc);
-                        }
-                        child.cost = cost_of(&child.alloc);
-                        child.tracker = None;
-                    }
-                }
-            };
-            if profiling {
-                tp.time("task.local_search", 1, || search(&mut child));
-            } else {
-                search(&mut child);
-            }
-        }
-        if profiling {
-            let secs = tp.secs_with_prefix("task.");
-            tp.record(qcpa_obs::worker_phase(lane), secs, 0);
-        }
-        // `parents` (this job's snapshot handle) drops here, before the
-        // result is sent — the driver's `Arc::try_unwrap` relies on it.
-        (child, shard, tp)
-    };
-
-    let t_spawn = profile.as_deref().map(|p| p.start());
-    qcpa_par::with_session(workers, worker_fn, |session| {
-        if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_spawn) {
-            p.stop("driver.pool_spawn", t0, 1);
-        }
-        for generation in 0..cfg.iterations {
-            // Improvement plan: a random third of this generation's
-            // offspring (dedicated driver-side stream) gets the local
-            // search, flagged before the fan-out so the work runs
-            // inside the parallel region.
-            let improve_count = (cfg.population / 3).max(1);
-            let t_plan = profile.as_deref().map(|p| p.start());
-            let mut shuffle_rng = ChaCha8Rng::seed_from_u64(qcpa_par::stream_seed(
-                cfg.seed,
-                generation as u64,
-                u64::MAX,
-            ));
-            let mut idx: Vec<usize> = (0..cfg.population).collect();
-            idx.shuffle(&mut shuffle_rng);
-            idx.truncate(improve_count);
-            let mut improve_flag = vec![false; cfg.population];
-            for &i in &idx {
-                improve_flag[i] = true;
-            }
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_plan) {
-                p.stop("driver.improve_plan", t0, improve_count as u64);
-            }
-
-            // Fused generation fan-out: one batch per generation.
-            let parents = Arc::new(std::mem::take(&mut population));
-            let t_fan = profile.as_deref().map(|p| p.start());
-            let jobs: Vec<Job> = (0..cfg.population)
-                .map(|i| Job {
-                    generation: generation as u64,
-                    index: i as u64,
-                    improve: improve_flag[i],
-                    parents: Arc::clone(&parents),
-                })
-                .collect();
-            let born = session.run(jobs);
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_fan) {
-                p.stop("driver.generation_fanout", t0, cfg.population as u64);
-            }
-            let t_merge = profile.as_deref().map(|p| p.start());
-            let mut offspring: Vec<Individual> = Vec::with_capacity(cfg.population);
-            for (child, shard, tp) in born {
-                qcpa_obs::global().merge_shard(&shard);
-                if let Some(p) = profile.as_deref_mut() {
-                    p.merge(&tp);
-                }
-                offspring.push(child);
-            }
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_merge) {
-                p.stop("driver.generation_merge", t0, cfg.population as u64);
-            }
-            // Every job dropped its snapshot handle before returning,
-            // so the population moves back without a copy; the clone
-            // fallback is a correctness net, not an expected path.
-            population = match Arc::try_unwrap(parents) {
-                Ok(v) => v,
-                Err(shared) => (*shared).clone(),
-            };
-
-            // (λ+µ) selection — best 2/3 parents + best 1/3 offspring.
-            // Parents survive unchanged, so the best cost is monotone
-            // even though offspring improvement happened pre-selection.
-            let t_sel = profile.as_deref().map(|p| p.start());
-            population.sort_by_key(|a| a.cost);
-            offspring.sort_by_key(|a| a.cost);
-            let acceptance = acceptance_rate(&population, &offspring);
-            let keep_old = (cfg.population * 2 / 3).max(1).min(population.len());
-            let keep_new = (cfg.population - keep_old).min(offspring.len());
-            population.truncate(keep_old);
-            population.extend(offspring.into_iter().take(keep_new));
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_sel) {
-                p.stop("driver.selection", t0, (keep_old + keep_new) as u64);
-            }
-
-            let t_tel = profile.as_deref().map(|p| p.start());
-            trace_generation(prefix, &population, acceptance);
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_tel) {
-                p.stop("driver.telemetry", t0, 1);
-            }
+        let cost = cost_of(&alloc);
+        Individual {
+            alloc,
+            cost,
+            tracker,
         }
     });
+    let mut population = vec![seed];
+    // Local-search scratch: an allocation cache reused by every probe of
+    // this call. Each field is refilled before use.
+    let mut scratch = localsearch::Scratch::default();
 
-    // Wall time the generation fan-outs spent beyond a perfect spread
-    // of the measured task time over the *effective* lanes (workers
-    // capped by hardware parallelism — oversubscribed workers
-    // time-slice, which is not pool overhead): channel dispatch, result
-    // merge, and load imbalance — the serial fraction that caps
-    // speedup.
-    if let Some(p) = profile.as_deref_mut() {
-        let fanout = p.secs_with_prefix("driver.generation_fanout");
-        let tasks = p.secs_with_prefix("task.");
-        let effective = workers.min(qcpa_par::hardware_parallelism()).max(1);
-        let ideal = tasks / effective as f64;
-        p.record("pool.overhead", (fanout - ideal).max(0.0), 0);
+    for generation in 0..cfg.iterations as u64 {
+        // Improvement plan: a random third of this generation's
+        // offspring, drawn from the generation's dedicated stream.
+        let improve_count = (cfg.population / 3).max(1);
+        let improve = timed(
+            &mut profile,
+            "driver.improve_plan",
+            improve_count as u64,
+            || {
+                let mut shuffle_rng = ChaCha8Rng::seed_from_u64(qcpa_par::stream_seed(
+                    cfg.seed,
+                    generation,
+                    u64::MAX,
+                ));
+                let mut idx: Vec<usize> = (0..cfg.population).collect();
+                idx.shuffle(&mut shuffle_rng);
+                let mut flags = vec![false; cfg.population];
+                for &i in &idx[..improve_count] {
+                    flags[i] = true;
+                }
+                flags
+            },
+        );
+
+        // Offspring in index order, each from its own stream: mutate,
+        // and locally improve the child when the plan flagged it.
+        let t_offspring = profile.as_deref().map(qcpa_obs::PhaseProfile::start);
+        let mut offspring: Vec<Individual> = Vec::with_capacity(cfg.population);
+        for (index, &flagged) in improve.iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(qcpa_par::stream_seed(
+                cfg.seed,
+                generation,
+                index as u64,
+            ));
+            let mut child = timed(&mut profile, "task.mutation", 1, || {
+                let _span = qcpa_obs::span("core", "memetic_offspring");
+                let parent = &population[rng.gen_range(0..population.len())];
+                let mut child = mutate(parent, cls, catalog, cluster, cfg, &mut rng);
+                if let Some(rep) = repair {
+                    rep(&mut child.alloc);
+                    child.cost = cost_of(&child.alloc);
+                    child.tracker = None;
+                }
+                child
+            });
+            if flagged {
+                timed(&mut profile, "task.local_search", 1, || {
+                    let _span = qcpa_obs::span("core", "memetic_improve");
+                    match (&mut child.tracker, repair) {
+                        // Plain path: continue on the child's tracker.
+                        // Local search is monotone, so the improved
+                        // child never costs more.
+                        (Some(tracker), None) => {
+                            if localsearch::improve_with_scratch(
+                                &mut child.alloc,
+                                tracker,
+                                cls,
+                                catalog,
+                                cluster,
+                                &mut scratch,
+                            ) {
+                                child.cost = tracker.cost(cluster);
+                            }
+                        }
+                        // Repair path: full improve, re-harden, full cost.
+                        _ => {
+                            localsearch::improve(&mut child.alloc, cls, catalog, cluster);
+                            if let Some(rep) = repair {
+                                rep(&mut child.alloc);
+                            }
+                            child.cost = cost_of(&child.alloc);
+                            child.tracker = None;
+                        }
+                    }
+                });
+            }
+            offspring.push(child);
+        }
+        if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t_offspring) {
+            p.stop("driver.offspring", t0, cfg.population as u64);
+        }
+
+        // (λ+µ) selection — best 2/3 parents + best 1/3 offspring.
+        // Parents survive unchanged, so the best cost is monotone even
+        // though offspring improvement happened pre-selection.
+        let keep_old = (cfg.population * 2 / 3).max(1).min(population.len());
+        let keep_new = (cfg.population - keep_old).min(offspring.len());
+        let acceptance = timed(
+            &mut profile,
+            "driver.selection",
+            (keep_old + keep_new) as u64,
+            || {
+                population.sort_by_key(|a| a.cost);
+                offspring.sort_by_key(|a| a.cost);
+                let acceptance = acceptance_rate(&population, &offspring);
+                population.truncate(keep_old);
+                population.extend(offspring.into_iter().take(keep_new));
+                acceptance
+            },
+        );
+        timed(&mut profile, "driver.telemetry", 1, || {
+            trace_generation(prefix, &population, acceptance);
+        });
     }
 
     // The minimum-cost solution.
-    let t_fin = profile.as_deref().map(|p| p.start());
-    let best = population
-        .into_iter()
-        .min_by(|a, b| a.cost.cmp(&b.cost))
-        .expect("population is never empty")
-        .alloc;
-    if let (Some(p), Some(t0)) = (profile, t_fin) {
-        p.stop("driver.finalize", t0, 1);
+    timed(&mut profile, "driver.finalize", 1, || {
+        population
+            .into_iter()
+            .min_by(|a, b| a.cost.cmp(&b.cost))
+            .expect("population is never empty")
+            .alloc
+    })
+}
+
+/// Runs `f`, timed under `phase` with `work` units when a profile is
+/// attached.
+fn timed<T>(
+    profile: &mut Option<&mut qcpa_obs::PhaseProfile>,
+    phase: &'static str,
+    work: u64,
+    f: impl FnOnce() -> T,
+) -> T {
+    match profile {
+        Some(p) => p.time(phase, work, f),
+        None => f(),
     }
-    best
 }
 
 /// Fraction of this generation's offspring at least as fit as the
@@ -795,34 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn memetic_is_bit_identical_across_thread_counts() {
-        let (cat, cls, cluster) = workload();
-        let reference = allocate(
-            &cls,
-            &cat,
-            &cluster,
-            &MemeticConfig {
-                iterations: 12,
-                threads: Some(1),
-                ..Default::default()
-            },
-        );
-        for threads in [2, 3, 8] {
-            let out = allocate(
-                &cls,
-                &cat,
-                &cluster,
-                &MemeticConfig {
-                    iterations: 12,
-                    threads: Some(threads),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn offspring_are_always_valid() {
         let (cat, cls, cluster) = workload();
         let mut alloc = greedy::allocate(&cls, &cat, &cluster);
@@ -932,35 +803,5 @@ mod ksafe_tests {
         let x = optimize_ksafe(seed.clone(), &cls, &cat, &cluster, &cfg, 1);
         let y = optimize_ksafe(seed, &cls, &cat, &cluster, &cfg, 1);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn ksafe_memetic_bit_identical_across_thread_counts() {
-        let mut cat = Catalog::new();
-        let a = cat.add_table("A", 100);
-        let b = cat.add_table("B", 200);
-        let c = cat.add_table("C", 150);
-        let cls = Classification::from_classes(vec![
-            QueryClass::read(0, [a], 0.4),
-            QueryClass::read(1, [c], 0.25),
-            QueryClass::update(2, [b], 0.35),
-        ])
-        .unwrap();
-        let cluster = ClusterSpec::homogeneous(3);
-        let seed = crate::greedy::allocate_ksafe(&cls, &cat, &cluster, 1);
-        let cfg1 = MemeticConfig {
-            iterations: 8,
-            threads: Some(1),
-            ..Default::default()
-        };
-        let reference = optimize_ksafe(seed.clone(), &cls, &cat, &cluster, &cfg1, 1);
-        for threads in [2, 8] {
-            let cfg = MemeticConfig {
-                threads: Some(threads),
-                ..cfg1.clone()
-            };
-            let out = optimize_ksafe(seed.clone(), &cls, &cat, &cluster, &cfg, 1);
-            assert_eq!(out, reference, "threads={threads}");
-        }
     }
 }

@@ -19,11 +19,11 @@
 //!   `metrics.json` sidecar next to every CSV in `results/`.
 //! * [`tracetree`] — causal per-request span trees with span ids
 //!   derived from `(seed, request, attempt)` and deterministic
-//!   head-based sampling (`QCPA_TRACE_SAMPLE`); bit-identical at any
-//!   `QCPA_THREADS`.
+//!   head-based sampling (`QCPA_TRACE_SAMPLE`); bit-identical across
+//!   reruns.
 //! * [`profile`] — scoped phase accounting ([`profile::PhaseProfile`])
-//!   for the memetic generation loop: calls/work/secs per named phase,
-//!   per-worker attribution, deterministic fingerprints.
+//!   for the memetic generation loop: calls/work/secs per named phase
+//!   and deterministic fingerprints.
 //! * [`perfetto`] — Chrome trace-event JSON (Perfetto-loadable) and
 //!   folded-stacks exporters for trees and profiles.
 //!
@@ -48,6 +48,6 @@ pub mod trace;
 pub mod tracetree;
 
 pub use metrics::{global, Histogram, Registry, Snapshot};
-pub use profile::{worker_phase, PhaseProfile, PhaseStat};
-pub use trace::{set_filter, span, span_on, Event, Level};
+pub use profile::{PhaseProfile, PhaseStat};
+pub use trace::{set_filter, span, Event, Level};
 pub use tracetree::{span_id, ArgValue, Sampler, SpanRef, TraceTree, Tracer};

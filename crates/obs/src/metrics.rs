@@ -297,17 +297,6 @@ impl Registry {
         map.entry(name.to_string()).or_default().push(v);
     }
 
-    /// Appends many points to series `name`.
-    pub fn extend_series(&self, name: &str, vs: &[f64]) {
-        if vs.is_empty() {
-            return;
-        }
-        let mut map = self.series.lock().unwrap();
-        map.entry(name.to_string())
-            .or_default()
-            .extend_from_slice(vs);
-    }
-
     /// A deterministic point-in-time view of every metric: identical
     /// metric states yield identical snapshots (names are sorted, no
     /// iteration-order dependence).
@@ -335,33 +324,6 @@ impl Registry {
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
             series: self.series.lock().unwrap().clone(),
-        }
-    }
-
-    /// Merges a thread-local shard registry into this one: counters
-    /// add, gauges last-write-wins, histograms merge, series append.
-    ///
-    /// This is the deterministic aggregation path for fork/join
-    /// parallelism: worker tasks record into private `Registry` shards
-    /// (no lock contention, no cross-thread interleaving) and the
-    /// driver merges the shards **in task-index order** once the join
-    /// completes — so order-sensitive series end up identical at any
-    /// worker count.
-    pub fn merge_shard(&self, shard: &Registry) {
-        for (name, c) in shard.counters.lock().unwrap().iter() {
-            let v = c.get();
-            if v != 0 {
-                self.counter(name).add(v);
-            }
-        }
-        for (name, g) in shard.gauges.lock().unwrap().iter() {
-            self.gauge(name).set(g.get());
-        }
-        for (name, h) in shard.histograms.lock().unwrap().iter() {
-            self.merge_histogram(name, h);
-        }
-        for (name, vs) in shard.series.lock().unwrap().iter() {
-            self.extend_series(name, vs);
         }
     }
 
@@ -545,34 +507,6 @@ mod tests {
         let keys: Vec<&str> = s1.counters.keys().map(String::as_str).collect();
         assert_eq!(keys, ["a", "z"]);
         assert_eq!(s1.series["fit"], vec![1.0, 0.5]);
-    }
-
-    #[test]
-    fn merge_shard_combines_all_metric_kinds_in_order() {
-        let main = Registry::new();
-        main.counter("ops").add(10);
-        main.push_series("trace", 1.0);
-        main.observe("lat", 1.0);
-
-        // Two worker shards, merged in index order.
-        let shard_a = Registry::new();
-        shard_a.counter("ops").add(3);
-        shard_a.gauge("util").set(0.5);
-        shard_a.push_series("trace", 2.0);
-        shard_a.observe("lat", 2.0);
-        let shard_b = Registry::new();
-        shard_b.counter("ops").add(4);
-        shard_b.gauge("util").set(0.9);
-        shard_b.push_series("trace", 3.0);
-
-        main.merge_shard(&shard_a);
-        main.merge_shard(&shard_b);
-        let snap = main.snapshot();
-        assert_eq!(snap.counters["ops"], 17);
-        assert_eq!(snap.gauges["util"], 0.9, "gauges are last-write-wins");
-        assert_eq!(snap.series["trace"], vec![1.0, 2.0, 3.0]);
-        assert_eq!(snap.histograms["lat"].count, 2);
-        assert_eq!(snap.histograms["lat"].max, 2.0);
     }
 
     #[test]

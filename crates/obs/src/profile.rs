@@ -3,25 +3,20 @@
 //! A [`PhaseProfile`] maps phase names to `(calls, work, secs)`
 //! aggregates. It is built to answer one question precisely: *where
 //! does the memetic allocator's wall time go*, with enough attribution
-//! (≥95% of the optimize call) to name the serial fraction behind a
-//! disappointing parallel speedup.
+//! (≥95% of the optimize call) to name every phase that matters.
 //!
 //! Two kinds of phases by convention:
 //!
-//! * `driver.*` — phases timed on the driving thread, one after
-//!   another. They tile the optimize call, so their sum is the
-//!   attributed wall time ([`PhaseProfile::attributed_secs`]).
-//! * `task.*` — phases timed *inside* pool workers (crossover,
-//!   mutation, local-search, delta-cost apply). They overlap the
-//!   `driver.*.fanout` phases in wall time and decompose them.
-//! * `worker.<i>` — per-worker busy time, attributed by pool lane.
+//! * `driver.*` — phases timed one after another. They tile the
+//!   optimize call, so their sum is the attributed wall time
+//!   ([`PhaseProfile::attributed_secs`]).
+//! * `task.*` — phases timed inside one `driver.*` phase (mutation,
+//!   local search), breaking it down.
 //!
 //! Determinism: `calls` and `work` counts are pure functions of the
-//! run's inputs and are identical at any `QCPA_THREADS`; `secs` and the
-//! `worker.*` phases are wall-clock measurements and are not. The
+//! run's inputs; `secs` are wall-clock measurements and are not. The
 //! [`PhaseProfile::fingerprint`] therefore folds only the deterministic
-//! fields and skips `worker.*` — that is what the conformance harness
-//! pins across thread counts and reruns.
+//! fields — that is what the conformance harness pins across reruns.
 //!
 //! Wall-clock note: `Instant::now` lives here, inside `qcpa-obs` (a
 //! wall-clock-exempt crate per the audit rules); deterministic crates
@@ -30,33 +25,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// The `worker.<lane>` phase name for a pool lane. Lanes at or past 16
-/// collapse into one overflow bucket — these phases are attribution,
-/// not identity, and are skipped by fingerprints anyway.
-#[must_use]
-pub fn worker_phase(lane: usize) -> &'static str {
-    const LANES: [&str; 17] = [
-        "worker.0",
-        "worker.1",
-        "worker.2",
-        "worker.3",
-        "worker.4",
-        "worker.5",
-        "worker.6",
-        "worker.7",
-        "worker.8",
-        "worker.9",
-        "worker.10",
-        "worker.11",
-        "worker.12",
-        "worker.13",
-        "worker.14",
-        "worker.15",
-        "worker.16+",
-    ];
-    LANES[lane.min(16)]
-}
 
 /// Aggregate for one named phase.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -117,18 +85,6 @@ impl PhaseProfile {
         self.record(phase, t0.elapsed().as_secs_f64(), work);
     }
 
-    /// Merges another profile into this one (shard aggregation; the
-    /// caller merges shards in task-index order as usual, though the
-    /// result here is order-independent).
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        for (name, s) in &other.phases {
-            let d = self.phases.entry(name).or_default();
-            d.calls += s.calls;
-            d.work += s.work;
-            d.secs += s.secs;
-        }
-    }
-
     /// The aggregate for `phase`, if recorded.
     #[must_use]
     pub fn get(&self, phase: &str) -> Option<PhaseStat> {
@@ -159,16 +115,12 @@ impl PhaseProfile {
     }
 
     /// Deterministic digest: phase names with `calls` and `work`, in
-    /// name order, excluding wall-clock seconds and the per-worker
-    /// (`worker.*`) attribution phases. Bit-identical across
-    /// `QCPA_THREADS` and reruns for the same inputs.
+    /// name order, excluding wall-clock seconds. Bit-identical across
+    /// reruns for the same inputs.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         for (name, s) in &self.phases {
-            if name.starts_with("worker.") {
-                continue;
-            }
             let _ = writeln!(out, "{name} calls={} work={}", s.calls, s.work);
         }
         out
@@ -208,16 +160,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_time_and_merge_aggregate() {
+    fn record_and_time_aggregate() {
         let mut p = PhaseProfile::new();
         let out = p.time("driver.selection", 3, || 40 + 2);
         assert_eq!(out, 42);
         p.record("driver.selection", 0.5, 2);
         p.add_work("driver.selection", 1);
-
-        let mut shard = PhaseProfile::new();
-        shard.record("task.mutation", 0.25, 10);
-        p.merge(&shard);
+        p.record("task.mutation", 0.25, 10);
 
         let sel = p.get("driver.selection").unwrap();
         assert_eq!(sel.calls, 2);
@@ -229,13 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_skips_secs_and_worker_phases() {
+    fn fingerprint_skips_secs() {
         let mut a = PhaseProfile::new();
         a.record("driver.selection", 0.1, 5);
-        a.record("worker.0", 0.3, 0);
         let mut b = PhaseProfile::new();
         b.record("driver.selection", 9.9, 5);
-        b.record("worker.1", 0.7, 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.record("driver.selection", 0.0, 1);
         assert_ne!(a.fingerprint(), b.fingerprint());

@@ -354,47 +354,6 @@ pub fn span(target: &'static str, name: &'static str) -> SpanGuard {
     }
 }
 
-/// A span that records into a specific registry instead of the global
-/// one — the worker-thread half of the shard-merge aggregation scheme
-/// (see [`crate::metrics::Registry::merge_shard`]): tasks running on a
-/// fork/join pool time their work into a private shard and the driver
-/// merges the shards deterministically after the join.
-pub struct ScopedSpan<'a> {
-    registry: &'a crate::metrics::Registry,
-    target: &'static str,
-    name: &'static str,
-    start: Instant,
-}
-
-impl ScopedSpan<'_> {
-    /// Elapsed time since the span started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for ScopedSpan<'_> {
-    fn drop(&mut self) {
-        let secs = self.start.elapsed().as_secs_f64();
-        self.registry
-            .observe(&format!("span.{}.{}", self.target, self.name), secs);
-    }
-}
-
-/// Starts a span recording into `registry` on drop.
-pub fn span_on<'a>(
-    registry: &'a crate::metrics::Registry,
-    target: &'static str,
-    name: &'static str,
-) -> ScopedSpan<'a> {
-    ScopedSpan {
-        registry,
-        target,
-        name,
-        start: Instant::now(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

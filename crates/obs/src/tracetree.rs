@@ -7,8 +7,7 @@
 //!
 //! * **Span ids** derive from `(seed, request, attempt)` through a
 //!   SplitMix64 finalizer ([`span_id`]) — no global counter, no wall
-//!   clock — so the same request produces the same ids at any
-//!   `QCPA_THREADS` and across reruns.
+//!   clock — so the same request produces the same ids across reruns.
 //! * **Timestamps** are sim-clock `f64` seconds supplied by the caller
 //!   (the drivers in `qcpa-sim` are sequential event loops), so two
 //!   replays of the same run disagree on nothing.
@@ -53,8 +52,8 @@ pub fn span_id(seed: u64, request: u64, attempt: u64) -> u64 {
 ///
 /// A request is admitted iff `mix64(mix64(seed) + request)` falls below
 /// `rate * 2^64`. The decision depends only on `(seed, request)`: it is
-/// identical at any thread count, across reruns, and independent of
-/// which requests came before.
+/// identical across reruns and independent of which requests came
+/// before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sampler {
     seed: u64,
@@ -343,7 +342,7 @@ impl TraceTree {
 
     /// A 64-bit digest of every field (float bits included): equal
     /// trees have equal fingerprints, and the conformance harness pins
-    /// fingerprints across `QCPA_THREADS` and reruns.
+    /// fingerprints across reruns.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         fn fold(acc: &mut u64, x: u64) {

@@ -12,9 +12,7 @@
 //! 2. **Post-repair k-safety** — an online repair never leaves a
 //!    weighted class below the configured safety level, and no reroute
 //!    fails outright;
-//! 3. **Bit-identity** — the sharded drivers replay the run bit-for-bit
-//!    at 1 and 4 shards;
-//! 4. **Fingerprint stability** — tracing the run twice yields the same
+//! 3. **Fingerprint stability** — tracing the run twice yields the same
 //!    trace fingerprint and does not perturb the simulated responses.
 //!
 //! Violations are collected (not panicked) so a soak sweep reports
@@ -27,7 +25,6 @@ use crate::fault::{
 };
 use crate::request::RequestStream;
 use crate::resilience::{run_open_resilient, ResilienceConfig};
-use crate::shard::{run_open_faults_sharded, run_open_resilient_sharded};
 use qcpa_core::classify::{Classification, QueryClass};
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
@@ -80,9 +77,6 @@ pub struct ChaosReport {
     pub violation_count: usize,
     /// Runs whose realized plan scheduled at least one fault event.
     pub schedules_with_faults: usize,
-    /// Runs where the sharded drivers actually decomposed the run
-    /// (≥ 2 components and no repair fallback).
-    pub sharded_nontrivial: usize,
 }
 
 impl ChaosReport {
@@ -105,10 +99,9 @@ struct Scenario {
     plan: FaultPlan,
 }
 
-/// Draws a scenario from `seed`. The workload is biased toward
-/// decomposable shapes (two disjoint table groups) so the sharded
-/// drivers get genuine multi-component coverage, and the fault layers
-/// rotate through crash-, partition- and gray-flavored schedules.
+/// Draws a scenario from `seed`: two disjoint table groups, and fault
+/// layers rotating through crash-, partition- and gray-flavored
+/// schedules.
 /// Crashes and partitions are never mixed in one schedule: a crash
 /// inside a partition window could legitimately empty the routable
 /// set, and the conservation invariant is only promised for schedules
@@ -226,7 +219,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         violations: Vec::new(),
         violation_count: 0,
         schedules_with_faults: 0,
-        sharded_nontrivial: 0,
     };
     let sim = SimConfig::default();
     let fcfg = FaultConfig::default();
@@ -319,81 +311,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             );
         }
 
-        // Invariant 3: sharded replay is bit-identical at 1 and 4 shards.
-        {
-            let scheduler = crate::scheduler::Scheduler::new(&alloc, &sc.cls);
-            let comps =
-                crate::shard::fault_components(&scheduler, &sc.cls, sc.cluster.len(), &sc.plan);
-            let n_comp = comps.iter().copied().max().map_or(0, |m| m + 1);
-            if n_comp >= 2 && !crate::shard::plan_may_repair(&alloc, &sc.cls, &sc.cluster, &sc.plan)
-            {
-                report.sharded_nontrivial += 1;
-            }
-        }
-        for shards in [1usize, 4] {
-            let fs = run_open_faults_sharded(
-                &alloc,
-                &sc.cls,
-                &sc.cluster,
-                &sc.catalog,
-                &sc.requests,
-                0.0,
-                &sim,
-                &sc.plan,
-                &fcfg,
-                shards,
-            );
-            let same =
-                fr.responses.len() == fs.responses.len()
-                    && fr.responses.iter().zip(&fs.responses).all(|(x, y)| {
-                        x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits()
-                    })
-                    && fr
-                        .busy
-                        .iter()
-                        .zip(&fs.busy)
-                        .all(|(x, y)| x.to_bits() == y.to_bits());
-            if !same {
-                violate(
-                    &mut report,
-                    format!("fault run diverged at {shards} shards"),
-                );
-            }
-            let rs = run_open_resilient_sharded(
-                &alloc,
-                &sc.cls,
-                &sc.cluster,
-                &sc.catalog,
-                &sc.requests,
-                0.0,
-                &sim,
-                &sc.plan,
-                &fcfg,
-                &rcfg,
-                shards,
-            );
-            let same =
-                rr.responses.len() == rs.responses.len()
-                    && rr.responses.iter().zip(&rs.responses).all(|(x, y)| {
-                        x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits()
-                    })
-                    && rr
-                        .busy
-                        .iter()
-                        .zip(&rs.busy)
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
-                    && rr.completed == rs.completed
-                    && rr.shed == rs.shed
-                    && rr.timed_out == rs.timed_out;
-            if !same {
-                violate(
-                    &mut report,
-                    format!("resilient run diverged at {shards} shards"),
-                );
-            }
-        }
-
-        // Invariant 4: tracing is stable and non-perturbing.
+        // Invariant 3: tracing is stable and non-perturbing.
         let mut t1 = qcpa_obs::Tracer::new(seed, 0.25);
         let ft1 = run_open_faults_traced(
             &alloc,
@@ -454,7 +372,6 @@ mod tests {
         let b = run_chaos(&cfg);
         assert_eq!(a.violation_count, b.violation_count);
         assert_eq!(a.schedules_with_faults, b.schedules_with_faults);
-        assert_eq!(a.sharded_nontrivial, b.sharded_nontrivial);
     }
 
     #[test]

@@ -398,6 +398,23 @@ pub fn run_open(
     )
 }
 
+/// [`run_open`] under the name the frozen `benchmark/` crate still
+/// calls; `_shards` is ignored. It goes with that crate's next
+/// interface change (ROADMAP.md, item 1).
+#[allow(clippy::too_many_arguments)]
+pub fn run_open_sharded(
+    alloc: &Allocation,
+    cls: &Classification,
+    cluster: &ClusterSpec,
+    catalog: &Catalog,
+    requests: &[Request],
+    warmup_backlog: f64,
+    cfg: &SimConfig,
+    _shards: usize,
+) -> OpenReport {
+    run_open(alloc, cls, cluster, catalog, requests, warmup_backlog, cfg)
+}
+
 /// [`run_open`] with causal tracing: sampled requests (by arrival
 /// index) record `request → queue → service` span trees (updates: one
 /// `leg` span per replica) into `tracer`'s [`qcpa_obs::TraceTree`] on
@@ -467,15 +484,13 @@ pub fn run_open_with(
     finish_open_report(requests, &outcomes, busy)
 }
 
-/// One routed request's contribution to the report: its index in the
-/// driving request slice, and the values the baseline engine recorded
-/// for it (queueing delay at dispatch, response time). Reads that found
-/// no eligible backend and updates with an empty ROWA set produce no
-/// outcome, exactly as they produced no records before.
+/// One routed request's contribution to the report: the values the
+/// baseline engine recorded for it (queueing delay at dispatch,
+/// response time). Reads that found no eligible backend and updates
+/// with an empty ROWA set produce no outcome, exactly as they produced
+/// no records before.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CoreOutcome {
-    /// Index into the request slice the core was driven with.
-    pub(crate) req: u32,
     /// Arrival time.
     pub(crate) arrival: f64,
     /// Queueing delay at the (primary) backend when dispatched.
@@ -487,9 +502,8 @@ pub(crate) struct CoreOutcome {
 /// The open-loop hot path: routes `requests` (sorted by arrival),
 /// advances per-backend release times, and returns the per-request
 /// outcomes plus per-backend busy seconds. All statistics,
-/// histogramming, and registry traffic live in the callers so the
-/// sharded runner can merge outcomes from several cores in global
-/// arrival order and rebuild bit-identical aggregates.
+/// histogramming, and registry traffic live in
+/// [`finish_open_report`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn open_loop_core(
     scheduler: &Scheduler,
@@ -567,7 +581,6 @@ pub(crate) fn open_loop_core(
                     }
                     busy[b] += svc;
                     outcomes.push(CoreOutcome {
-                        req: req_id as u32,
                         arrival: t,
                         queue_delay,
                         response: done - t,
@@ -626,7 +639,6 @@ pub(crate) fn open_loop_core(
                     done_primary - t
                 };
                 outcomes.push(CoreOutcome {
-                    req: req_id as u32,
                     arrival: t,
                     queue_delay,
                     response,
@@ -643,10 +655,10 @@ pub(crate) fn open_loop_core(
 }
 
 /// Builds the [`OpenReport`] (and publishes the run's registry
-/// telemetry) from core outcomes. `outcomes` must be in global arrival
-/// order — the histogram accumulation order is part of the bit-identity
-/// contract with the baseline engine. `requests` is the *full* driving
-/// slice (its last arrival defines the utilization window).
+/// telemetry) from core outcomes. `outcomes` must be in arrival order —
+/// the histogram accumulation order is part of the bit-identity
+/// contract with the baseline engine. The last arrival of `requests`
+/// defines the utilization window.
 pub(crate) fn finish_open_report(
     requests: &[Request],
     outcomes: &[CoreOutcome],

@@ -7,7 +7,7 @@
 //! first-class, seed-reproducible simulator input rather than an
 //! ambient source of nondeterminism. Everything downstream of the plan
 //! is deterministic: the same `(workload seed, fault seed)` pair
-//! replays the exact run, bit for bit, at any `QCPA_THREADS` setting.
+//! replays the exact run, bit for bit.
 //!
 //! This module owns the plan (events, validation, seeded generators),
 //! the online-repair rerouting the loop calls on every routing change,
@@ -867,20 +867,16 @@ pub(crate) struct RepairTally {
     /// False once any post-repair allocation missed the
     /// `min(repair_k, survivors − 1)` safety level.
     pub safety_ok: bool,
-    /// Emit obs counters/events (sharded component replays pass false
-    /// so the merged run publishes once).
-    pub publish: bool,
 }
 
 impl RepairTally {
-    pub(crate) fn new(publish: bool) -> Self {
+    pub(crate) fn new() -> Self {
         RepairTally {
             repairs: 0,
             pause_secs: 0.0,
             moved_bytes: 0,
             failures: 0,
             safety_ok: true,
-            publish,
         }
     }
 }
@@ -953,15 +949,13 @@ pub(crate) fn reroute(
     }
     tally.pause_secs += pause;
     tally.moved_bytes += moved;
-    if tally.publish {
-        qcpa_obs::global().counter("sim.fault.repairs").inc();
-        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "repair", {
-            "at" => at,
-            "moved_bytes" => moved,
-            "pause_secs" => pause,
-            "grants" => report.grants,
-        });
-    }
+    qcpa_obs::global().counter("sim.fault.repairs").inc();
+    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "repair", {
+        "at" => at,
+        "moved_bytes" => moved,
+        "pause_secs" => pause,
+        "grants" => report.grants,
+    });
     match Scheduler::for_survivors(current, cls, cluster, &failed) {
         Some(s) => Ok(s),
         None => {
@@ -1038,9 +1032,7 @@ impl FaultReport {
 }
 
 /// Event-level statistics of a fault-driven run — everything applying
-/// the plan's events accumulates. Under a sharded run every component
-/// applies the full event schedule, so these are identical across
-/// components.
+/// the plan's events accumulates.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultStats {
     pub crashes: usize,
@@ -1053,14 +1045,14 @@ pub(crate) struct FaultStats {
 }
 
 impl FaultStats {
-    pub(crate) fn new(n: usize, publish: bool) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FaultStats {
             crashes: 0,
             recoveries: 0,
             gray_windows: 0,
             partitions: 0,
             heals: 0,
-            tally: RepairTally::new(publish),
+            tally: RepairTally::new(),
             availability: vec![(0.0, n)],
         }
     }
@@ -1129,17 +1121,13 @@ pub fn run_open_faults_traced(
         fcfg,
         rcfg: &ResilienceConfig::default(),
     };
-    assemble_fault_report(
-        requests,
-        resilient_core(&run, requests, None, tracer, true).finish(),
-    )
+    assemble_fault_report(requests, resilient_core(&run, requests, tracer).finish())
 }
 
 /// Projects a resilient core run with every mechanism off
 /// ([`ResilienceConfig::default`]) onto the public [`FaultReport`]. The
-/// histogram, mean and p95 replay in global arrival order, so a merge
-/// of per-component cores projects to the unsharded report bit for bit.
-/// Publishes the run's `sim.fault.*` counters.
+/// histogram, mean and p95 replay in arrival order. Publishes the run's
+/// `sim.fault.*` counters.
 pub(crate) fn assemble_fault_report(requests: &[Request], core: RCore) -> FaultReport {
     let RCore {
         finals,

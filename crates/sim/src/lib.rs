@@ -25,8 +25,7 @@
 //! deadlines, admission control and circuit breaking on top — all inert
 //! under [`ResilienceConfig::default`]. [`fault::run_open_faults`] is
 //! that loop run with every layer off, reported as a
-//! [`fault::FaultReport`]; [`shard`] runs either loop per independent
-//! backend component and merges bit-identically.
+//! [`fault::FaultReport`]. Both loops are serial.
 //!
 //! The optional [`service::LocalityModel`] reproduces the caching
 //! effect the paper observes: backends storing a smaller share of the
@@ -54,12 +53,12 @@ pub mod request;
 pub mod resilience;
 pub mod scheduler;
 pub mod service;
-pub mod shard;
 
 pub use arena::{LegArena, LegList, LegRef};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use engine::{
-    run_batch, run_open, run_open_traced, BatchReport, OpenReport, SimConfig, UpdatePropagation,
+    run_batch, run_open, run_open_sharded, run_open_traced, BatchReport, OpenReport, SimConfig,
+    UpdatePropagation,
 };
 pub use fault::{
     run_open_faults, run_open_faults_traced, FaultConfig, FaultEvent, FaultInjectionConfig,
@@ -71,9 +70,5 @@ pub use resilience::{
     run_open_resilient, run_open_resilient_traced, OverloadPolicy, ResilienceConfig,
     ResilienceReport,
 };
-pub use scheduler::Scheduler;
+pub use scheduler::{backend_components, Scheduler};
 pub use service::{LocalityModel, ServiceProfile};
-pub use shard::{
-    backend_components, fault_components, plan_may_repair, run_open_faults_sharded,
-    run_open_resilient_sharded, run_open_sharded,
-};

@@ -15,8 +15,8 @@
 //!   remainder is refunded (the same discipline as crash voiding), and
 //!   the request retries with capped exponential backoff plus
 //!   deterministic seeded jitter (a ChaCha8 stream keyed on request id
-//!   and attempt number, so schedules are bit-identical at any
-//!   `QCPA_THREADS` setting). A request that exhausts its retry budget
+//!   and attempt number, so schedules are bit-identical across
+//!   reruns). A request that exhausts its retry budget
 //!   is reported *timed out*, never silently dropped.
 //! * **Admission control** — per-backend pending queues are bounded by
 //!   `queue_cap`; an arriving read that would overflow the bound is
@@ -282,11 +282,7 @@ impl Health {
 struct Breakers {
     cfg: ResilienceConfig,
     health: Vec<Health>,
-    /// Transition counters per backend. A sharded component replays all
-    /// fault events but only its own dispatches, so backend `b`'s
-    /// counters are exact in the component that owns `b` — the merge
-    /// takes each backend's column from its owner and sums for the
-    /// report.
+    /// Transition counters per backend, summed for the report.
     opens: Vec<usize>,
     half_opens: Vec<usize>,
     closes: Vec<usize>,
@@ -294,8 +290,6 @@ struct Breakers {
     /// at the end of a traced run; stays empty unless `log_enabled`.
     log: Vec<(f64, usize, &'static str)>,
     log_enabled: bool,
-    /// Emit obs events (sharded component replays pass false).
-    publish: bool,
 }
 
 impl Breakers {
@@ -308,7 +302,6 @@ impl Breakers {
             closes: vec![0; n],
             log: Vec::new(),
             log_enabled: false,
-            publish: true,
         }
     }
 
@@ -339,12 +332,10 @@ impl Breakers {
                     };
                     self.half_opens[b] += 1;
                     self.note(t, b, "breaker_half_open");
-                    if self.publish {
-                        qcpa_obs::event!(qcpa_obs::Level::Debug, "sim.resilience", "breaker_half_open", {
-                            "backend" => b,
-                            "at" => t,
-                        });
-                    }
+                    qcpa_obs::event!(qcpa_obs::Level::Debug, "sim.resilience", "breaker_half_open", {
+                        "backend" => b,
+                        "at" => t,
+                    });
                 }
                 BState::HalfOpen {
                     probe_end: Some(pe),
@@ -356,12 +347,10 @@ impl Breakers {
                         h.consec = 0;
                         self.closes[b] += 1;
                         self.note(t, b, "breaker_close");
-                        if self.publish {
-                            qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_close", {
-                                "backend" => b,
-                                "at" => t,
-                            });
-                        }
+                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_close", {
+                            "backend" => b,
+                            "at" => t,
+                        });
                     } else {
                         h.state = BState::HalfOpen {
                             probe_end: None,
@@ -404,13 +393,11 @@ impl Breakers {
             self.note(t, b, "breaker_open");
         }
         self.health[b].state = BState::Open { until };
-        if self.publish {
-            qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_open", {
-                "backend" => b,
-                "at" => t,
-                "until" => until,
-            });
-        }
+        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_open", {
+            "backend" => b,
+            "at" => t,
+            "until" => until,
+        });
     }
 
     /// A leg dispatched at `t` will finish by `end` within its
@@ -519,11 +506,6 @@ struct RReq {
     class: ClassId,
     kind: QueryKind,
     service: f64,
-    /// Global request index — equals the arena index in an unsharded
-    /// run, the original stream index in a sharded component. Backoff
-    /// jitter is keyed on it so components reproduce the unsharded
-    /// delays bit for bit.
-    gid: u64,
     /// Chain head in the run's shared [`LegArena`].
     legs: LegList,
     attempts: u32,
@@ -569,23 +551,6 @@ pub(crate) struct Tally {
     degraded_fallbacks: usize,
     breaker_overrides: usize,
     unroutable: usize,
-}
-
-impl Tally {
-    /// Folds another component's per-request counters into this one —
-    /// every field is request-driven, so the sharded merge is a sum.
-    pub(crate) fn absorb(&mut self, o: &Tally) {
-        self.retries += o.retries;
-        self.timeouts += o.timeouts;
-        self.shed += o.shed;
-        self.shed_victims += o.shed_victims;
-        self.browned_out += o.browned_out;
-        self.timed_out += o.timed_out;
-        self.redispatched += o.redispatched;
-        self.degraded_fallbacks += o.degraded_fallbacks;
-        self.breaker_overrides += o.breaker_overrides;
-        self.unroutable += o.unroutable;
-    }
 }
 
 /// Result of [`run_open_resilient`].
@@ -686,8 +651,7 @@ impl ResilienceReport {
 
 /// Everything a fault-aware run is parameterised by except its request
 /// stream — the arguments of [`run_open_resilient`], bundled so the
-/// core, the sharded driver and the [`crate::fault`] projection hand
-/// one value around.
+/// core and the [`crate::fault`] projection hand one value around.
 #[derive(Clone, Copy)]
 pub(crate) struct FaultRun<'a> {
     pub alloc: &'a Allocation,
@@ -802,7 +766,7 @@ impl Engine<'_> {
         let attempts = self.arena[idx].attempts + 1;
         self.arena[idx].attempts = attempts;
         if attempts <= self.run.rcfg.max_retries {
-            let delay = self.run.rcfg.backoff(self.arena[idx].gid, attempts);
+            let delay = self.run.rcfg.backoff(idx as u64, attempts);
             self.retry_seq += 1;
             self.retries
                 .push((from + delay).to_bits(), pack_retry(self.retry_seq, idx));
@@ -1073,12 +1037,11 @@ impl Engine<'_> {
         }
     }
 
-    /// Publishes one applied fault event: a `sim.fault` obs event
-    /// (suppressed in sharded component replays, whose driver publishes
-    /// once from the merge) and, when tracing, an instant mark on the
-    /// fault track. `subject` is the event's `(key, value, span-id
-    /// base)`; `salt` keeps the marks of one subject at one instant
-    /// distinct; `extra` is the variant's one additional field.
+    /// Publishes one applied fault event: a `sim.fault` obs event and,
+    /// when tracing, an instant mark on the fault track. `subject` is
+    /// the event's `(key, value, span-id base)`; `salt` keeps the marks
+    /// of one subject at one instant distinct; `extra` is the variant's
+    /// one additional field.
     fn mark<V>(
         &mut self,
         name: &'static str,
@@ -1090,8 +1053,7 @@ impl Engine<'_> {
         V: Copy + Into<FieldValue> + Into<qcpa_obs::ArgValue>,
     {
         let (key, value, span_base) = subject;
-        if self.stats.tally.publish && qcpa_obs::trace::enabled(qcpa_obs::Level::Info, "sim.fault")
-        {
+        if qcpa_obs::trace::enabled(qcpa_obs::Level::Info, "sim.fault") {
             let mut fields = vec![(key, value.into()), ("at", at.into())];
             fields.extend(extra.map(|(k, v)| (k, v.into())));
             qcpa_obs::trace::emit(qcpa_obs::Level::Info, "sim.fault", name, fields);
@@ -1275,11 +1237,8 @@ impl Engine<'_> {
     /// Replays arrivals, retries and the fault schedule in one total
     /// order: at equal times fault events go first (an event at or
     /// before an arrival applies to it; events past the last arrival
-    /// still void queued work), then retries, then arrivals. `gids`
-    /// maps each request to its global stream index (`None` = identity)
-    /// so backoff jitter in a sharded component reproduces the
-    /// unsharded draws bit for bit.
-    fn replay(&mut self, requests: &[Request], gids: Option<&[u32]>) {
+    /// still void queued work), then retries, then arrivals.
+    fn replay(&mut self, requests: &[Request]) {
         let events = self.run.plan.events();
         let (mut ev_i, mut req_i) = (0usize, 0usize);
         loop {
@@ -1317,7 +1276,6 @@ impl Engine<'_> {
                     class: r.class,
                     kind: r.kind,
                     service: r.service,
-                    gid: gids.map_or(idx as u64, |g| u64::from(g[idx])),
                     legs: LegList::new(),
                     attempts: 0,
                     retry_pending: false,
@@ -1526,7 +1484,7 @@ pub fn run_open_resilient_traced(
         fcfg,
         rcfg,
     };
-    let core = resilient_core(&run, requests, None, tracer, true).finish();
+    let core = resilient_core(&run, requests, tracer).finish();
     assemble_resilience_report(requests, cls.len(), core)
 }
 
@@ -1542,7 +1500,8 @@ pub(crate) enum RFinal {
 }
 
 /// Raw outcome of [`resilient_core`]: per-request terminal states in
-/// arrival order plus the counters the sharded merge recombines.
+/// arrival order plus the run's counters, which the report views
+/// ([`assemble_resilience_report`], [`crate::fault`]) project.
 pub(crate) struct RCore {
     /// `(arrival, class, final state)` per request, in arrival order.
     pub finals: Vec<(f64, ClassId, RFinal)>,
@@ -1558,14 +1517,10 @@ pub(crate) struct RCore {
 /// The fault-aware open loop proper: builds the run state and replays
 /// `requests` against `run`'s fault plan (see [`Engine::replay`]);
 /// [`Engine::finish`] then yields the raw terminal states.
-/// `publish = false` suppresses obs emission for per-component replays
-/// — the sharded driver publishes once from the merged result.
 pub(crate) fn resilient_core<'a>(
     run: &FaultRun<'a>,
     requests: &[Request],
-    gids: Option<&[u32]>,
     mut tracer: Option<&'a mut qcpa_obs::Tracer>,
-    publish: bool,
 ) -> Engine<'a> {
     let n = run.cluster.len();
     assert_eq!(
@@ -1585,7 +1540,6 @@ pub(crate) fn resilient_core<'a>(
     }
     let mut breakers = Breakers::new(n, run.rcfg);
     breakers.log_enabled = tracer.as_ref().is_some_and(|tr| tr.enabled());
-    breakers.publish = publish;
 
     let mut eng = Engine {
         run: *run,
@@ -1605,17 +1559,16 @@ pub(crate) fn resilient_core<'a>(
         retries: CalendarQueue::new(),
         retry_seq: 0,
         tally: Tally::default(),
-        stats: FaultStats::new(n, publish),
+        stats: FaultStats::new(n),
         tracer,
     };
-    eng.replay(requests, gids);
+    eng.replay(requests);
     eng
 }
 
 /// Rebuilds the public [`ResilienceReport`] from raw terminal states —
-/// the histogram, percentiles and per-class tallies replay in global
-/// arrival order, so a merge of per-component cores assembles to the
-/// unsharded report bit for bit. Publishes the run's obs counters.
+/// the histogram, percentiles and per-class tallies replay in arrival
+/// order. Publishes the run's obs counters.
 pub(crate) fn assemble_resilience_report(
     requests: &[Request],
     n_classes: usize,
@@ -1871,7 +1824,7 @@ mod tests {
             fcfg: &FaultConfig::default(),
             rcfg: &ResilienceConfig::default(),
         };
-        let eng = resilient_core(&run, &reqs, None, None, false);
+        let eng = resilient_core(&run, &reqs, None);
         assert!(
             eng.queues[1].len() <= 2,
             "update-only backend kept {} finished entries",

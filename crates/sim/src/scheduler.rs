@@ -208,6 +208,52 @@ impl Scheduler {
     }
 }
 
+/// The connected components of the backend-interaction graph under
+/// `scheduler`'s routing tables: `component[b]` is a dense id in
+/// `0..n_components`, numbered in order of lowest member backend. Two
+/// backends interact when some class can route a read between them
+/// (preferred or degraded) or fans an update out across both; backends
+/// no class touches each form a singleton. A diagnostic of how far an
+/// allocation decomposes the cluster.
+#[must_use]
+pub fn backend_components(scheduler: &Scheduler, cls: &Classification, n: usize) -> Vec<usize> {
+    // Each backend's label converges to the lowest backend of its
+    // component: every pass lowers a target set to its minimum label.
+    let mut label: Vec<usize> = (0..n).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for c in &cls.classes {
+            let sets = match c.kind {
+                QueryKind::Read => [
+                    scheduler.read_targets(c.id),
+                    scheduler.capable_read_targets(c.id),
+                ],
+                QueryKind::Update => [scheduler.route_update(c.id), &[][..]],
+            };
+            for targets in sets {
+                let Some(low) = targets.iter().map(|&b| label[b]).min() else {
+                    continue;
+                };
+                for &b in targets {
+                    changed |= label[b] != low;
+                    label[b] = low;
+                }
+            }
+        }
+    }
+    let mut dense = vec![usize::MAX; n];
+    let mut next = 0;
+    for l in &mut label {
+        if dense[*l] == usize::MAX {
+            dense[*l] = next;
+            next += 1;
+        }
+        *l = dense[*l];
+    }
+    label
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +302,37 @@ mod tests {
             .filter(|&b| alloc.fragments[b].iter().any(|f| f.idx() == 0))
             .collect();
         assert_eq!(rowa, expected.as_slice());
+    }
+
+    #[test]
+    fn components_split_disjoint_groups_and_join_full_replicas() {
+        let mut cat = Catalog::new();
+        let frags: Vec<_> = (0..4)
+            .map(|i| cat.add_table(format!("T{i}"), 4_000))
+            .collect();
+        let cls = Classification::from_classes(vec![
+            QueryClass::read(0, [frags[0]], 0.3),
+            QueryClass::update(1, [frags[1]], 0.2),
+            QueryClass::read(2, [frags[2]], 0.3),
+            QueryClass::update(3, [frags[3]], 0.2),
+        ])
+        .unwrap();
+        let cluster = ClusterSpec::homogeneous(4);
+        let alloc = greedy::allocate(&cls, &cat, &cluster);
+        let s = Scheduler::new(&alloc, &cls);
+        let comps = backend_components(&s, &cls, 4);
+        assert_eq!(comps[0], 0, "numbered from the lowest backend: {comps:?}");
+        assert!(comps.iter().max() >= Some(&1), "must decompose: {comps:?}");
+        for c in &cls.classes {
+            let targets = match c.kind {
+                QueryKind::Read => s.capable_read_targets(c.id),
+                QueryKind::Update => s.route_update(c.id),
+            };
+            assert!(targets.iter().all(|&b| comps[b] == comps[targets[0]]));
+        }
+        let full = Allocation::full_replication(&cls, &cluster);
+        let comps = backend_components(&Scheduler::new(&full, &cls), &cls, 4);
+        assert_eq!(comps, vec![0; 4]);
     }
 
     #[test]

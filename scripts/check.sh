@@ -3,33 +3,22 @@
 # static analysis, tests.
 #
 # Usage:
-#   ./scripts/check.sh          # full gate (fmt, clippy, audit, full test
-#                               # matrix, conformance at both thread
-#                               # counts, bench)
+#   ./scripts/check.sh          # full gate (fmt, clippy, audit, every
+#                               # test, release goldens, smokes, bench)
 #   ./scripts/check.sh --fast   # inner-loop tier: fmt + clippy + audit +
 #                               # lib/unit tests, the storage property
 #                               # suite, the controller end-to-end
 #                               # suite, resilience + multilevel
-#                               # conformance and the release allocator
-#                               # goldens at both thread counts, the
-#                               # allocation audit, the quick
-#                               # bench-matrix corner and the
+#                               # conformance, the sim differential
+#                               # suite, the release allocator goldens,
+#                               # the allocation audit, the quick
+#                               # allocator-bench corner and the
 #                               # benchmark-crate smoke
-#   ./scripts/check.sh --deep   # fast tier + the test suite under
-#                               # ThreadSanitizer and a Miri pass over
-#                               # the threaded crate (each requires a
-#                               # nightly toolchain with the matching
-#                               # component; skipped with a warning
-#                               # otherwise)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAST=0
-DEEP=0
-case "${1:-}" in
---fast) FAST=1 ;;
---deep) DEEP=1 ;;
-esac
+[[ "${1:-}" == "--fast" ]] && FAST=1
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -63,82 +52,22 @@ awk '
 # The static-analysis gate: exits nonzero on any unsuppressed finding.
 # Two layers run in every tier — the lexical token rules (hash-ordered
 # iteration in deterministic crates, wall-clock reads, ambient entropy,
-# stray spawns, undocumented unsafe, panic-hygiene ratchet regressions,
+# thread spawns, undocumented unsafe, panic-hygiene ratchet regressions,
 # off-surface env reads; DESIGN.md §11) and the semantic AST/call-graph
-# rules (determinism taint across job boundaries, lock-order inversions
-# and guards held across blocking calls, hash-ordered float reductions,
-# env-surface ↔ README bijection, hot-path panic reachability;
-# DESIGN.md §16). `--timings` prints the per-phase analysis cost.
+# rules (RNG seeds that do not derive from a seed, hash-ordered float
+# reductions, env-surface ↔ README bijection, hot-path panic
+# reachability; DESIGN.md §16). `--timings` prints the per-phase
+# analysis cost.
 echo "== qcpa-audit (static analysis: lexical + semantic) =="
 cargo run -q -p qcpa-audit -- --timings
-
-run_tsan() {
-    # TSan needs -Zbuild-std, i.e. a nightly toolchain with rust-src.
-    if ! cargo +nightly --version >/dev/null 2>&1; then
-        echo "WARNING: --deep skipped: no nightly toolchain installed" >&2
-        return 0
-    fi
-    if ! rustup component list --toolchain nightly 2>/dev/null |
-        grep -q '^rust-src (installed)'; then
-        echo "WARNING: --deep skipped: nightly rust-src not installed" \
-            "(rustup component add rust-src --toolchain nightly)" >&2
-        return 0
-    fi
-    local host
-    host=$(rustc -vV | sed -n 's/^host: //p')
-    echo "== ThreadSanitizer (qcpa-par + conformance, nightly) =="
-    # Scope to the threaded crate and the cross-thread conformance
-    # harness: TSan slows execution ~10x, so the full matrix is out.
-    RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-        QCPA_THREADS=4 cargo +nightly test -q -p qcpa-par \
-        -Zbuild-std --target "$host"
-    RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-        QCPA_THREADS=4 cargo +nightly test -q --test conformance \
-        -Zbuild-std --target "$host"
-}
-
-run_miri() {
-    # Miri interprets the program, so UB (data races, invalid aliasing,
-    # uninitialized reads) is caught exactly, not probabilistically —
-    # complementary to TSan. It is ~100x slower than native, so scope
-    # to the one crate that owns all the unsafe/concurrency surface.
-    if ! cargo +nightly --version >/dev/null 2>&1; then
-        echo "WARNING: --deep Miri tier skipped: no nightly toolchain installed" >&2
-        return 0
-    fi
-    if ! cargo +nightly miri --version >/dev/null 2>&1; then
-        echo "WARNING: --deep Miri tier skipped: miri not installed" \
-            "(rustup component add miri --toolchain nightly)" >&2
-        return 0
-    fi
-    echo "== Miri (qcpa-par unit tests, nightly) =="
-    QCPA_THREADS=2 cargo +nightly miri test -q -p qcpa-par --lib
-}
-
-# The hot-path rewrite's differential lockdown and the fault goldens
-# must hold on both worker pools and both shard settings. (Both event
-# queues are pitted against each other inside the suite, through
-# `run_open_with`.)
-run_sim_equivalence() {
-    local threads shards
-    for threads in 1 4; do
-        for shards in 1 4; do
-            echo "== sim differential suite (QCPA_THREADS=$threads, QCPA_SIM_SHARDS=$shards) =="
-            QCPA_THREADS=$threads QCPA_SIM_SHARDS=$shards cargo test -q --test sim_equivalence
-        done
-    done
-}
 
 # The allocator's parent-recorded fingerprints, including the
 # benchmark's scale_alloc instance, and its heap-allocation budget: both
 # release-only (the debug build cross-checks every transfer against a
 # full normalize).
 run_allocator_goldens() {
-    local threads
-    for threads in 1 4; do
-        echo "== allocator goldens, release (QCPA_THREADS=$threads) =="
-        QCPA_THREADS=$threads cargo test -q --release --test allocator_golden -- --include-ignored
-    done
+    echo "== allocator goldens (release) =="
+    cargo test -q --release --test allocator_golden -- --include-ignored
     echo "== allocator heap-allocation audit (release) =="
     cargo test -q --release --test alloc_audit -- --include-ignored
     echo "== DeltaCost vs normalize above the debug guard (release) =="
@@ -171,7 +100,7 @@ run_benchmark_smoke() {
 # differ only in how many schedules the chaos soak sweeps.
 run_smokes() {
     local chaos_runs=$1
-    echo "== allocator bench-matrix corner (quick, small instances) =="
+    echo "== allocator bench corner (quick, paper-scale instance) =="
     QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
     # Exits nonzero if any run violates the conservation law
     # (completed + shed + timed_out == offered).
@@ -179,8 +108,7 @@ run_smokes() {
     QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin fig_resilience
     # Randomized layered fault schedules (crashes, zone failures, gray
     # windows, partitions); exits nonzero on any invariant violation:
-    # conservation, post-repair k-safety, sharded bit-identity, trace
-    # stability.
+    # conservation, post-repair k-safety, trace stability.
     echo "== chaos soak ($chaos_runs layered schedules, fails on any violation) =="
     QCPA_CHAOS_RUNS=$chaos_runs cargo run --release -q -p qcpa-bench --bin fig_chaos
     echo "== trace exporter smoke (byte-stable, parseable) =="
@@ -194,7 +122,7 @@ run_smokes() {
     run_benchmark_smoke
 }
 
-if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
+if [[ "$FAST" == "1" ]]; then
     echo "== cargo test (fast tier) =="
     cargo test -q --workspace --lib
     # The differential lock on the column-at-a-time scan path: select,
@@ -205,44 +133,23 @@ if [[ "$FAST" == "1" || "$DEEP" == "1" ]]; then
     # lib tests above do not cover the request path end to end.
     echo "== controller end-to-end suite =="
     cargo test -q --test controller_e2e
-    echo "== resilience conformance (QCPA_THREADS=1) =="
-    QCPA_THREADS=1 cargo test -q --test conformance resilient_runs_conserve_and_replay_exactly
-    echo "== resilience conformance (QCPA_THREADS=4) =="
-    QCPA_THREADS=4 cargo test -q --test conformance resilient_runs_conserve_and_replay_exactly
-    echo "== multilevel conformance (QCPA_THREADS=1) =="
-    QCPA_THREADS=1 cargo test -q --test conformance multilevel
-    echo "== multilevel conformance (QCPA_THREADS=4) =="
-    QCPA_THREADS=4 cargo test -q --test conformance multilevel
+    echo "== resilience + multilevel conformance =="
+    cargo test -q --test conformance resilient_runs_conserve_and_replay_exactly
+    cargo test -q --test conformance multilevel
+    echo "== sim differential suite =="
+    cargo test -q --test sim_equivalence
     run_allocator_goldens
-    run_sim_equivalence
     run_smokes 8
-    if [[ "$DEEP" == "1" ]]; then
-        run_tsan
-        run_miri
-        echo "Deep checks passed."
-    else
-        echo "Fast checks passed."
-    fi
+    echo "Fast checks passed."
     exit 0
 fi
 
-echo "== cargo test (QCPA_THREADS=1) =="
-QCPA_THREADS=1 cargo test -q --workspace
-
-echo "== cargo test (QCPA_THREADS=4) =="
-QCPA_THREADS=4 cargo test -q --workspace
-
-# The cross-allocator conformance harness must replay bit-identically at
-# every worker-thread count — run it explicitly at both settings.
-echo "== conformance harness (QCPA_THREADS=1) =="
-QCPA_THREADS=1 cargo test -q --test conformance
-
-echo "== conformance harness (QCPA_THREADS=4) =="
-QCPA_THREADS=4 cargo test -q --test conformance
+# Every test of the workspace, the conformance harness and the sim
+# differential suite included.
+echo "== cargo test =="
+cargo test -q --workspace
 
 run_allocator_goldens
-
-run_sim_equivalence
 
 run_smokes 64
 

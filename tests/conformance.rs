@@ -1,12 +1,11 @@
 //! Cross-allocator conformance harness: a differential oracle in the
 //! Jepsen tradition. Every randomized scenario (workload × cluster ×
-//! fault plan) is pushed through all five allocator paths —
+//! fault plan) is pushed through all four allocator paths —
 //!
 //! 1. `greedy::allocate` (Section 3.3),
-//! 2. `memetic::allocate` on the delta-cost engine, 1 worker thread,
-//! 3. the same memetic run at 4 worker threads (must be bit-identical),
-//! 4. `qcpa_bench::baseline::optimize` (the preserved pre-delta engine),
-//! 5. `ksafety::allocate` (Appendix C) — plus, on small instances, the
+//! 2. `memetic::allocate` on the delta-cost engine,
+//! 3. `qcpa_bench::baseline::optimize` (the preserved pre-delta engine),
+//! 4. `ksafety::allocate` (Appendix C) — plus, on small instances, the
 //!    branch-&-bound LP of `qcpa-lp` as a certified bound,
 //!
 //! and every result must satisfy the shared oracle set:
@@ -17,14 +16,14 @@
 //!   `normalize` + recompute, bit for bit;
 //! * LP lower bound — no heuristic beats the proven optimal scale;
 //! * fault-plan determinism — `run_open_faults` under the identical
-//!   seeded `FaultPlan` is bit-identical across the thread-1 and
-//!   thread-4 memetic allocations, with zero lost requests.
+//!   seeded `FaultPlan` replays the memetic allocation bit-identically,
+//!   with zero lost requests.
 //!
 //! The multilevel pipeline (`coarsen::allocate_multilevel`) has its own
 //! oracle set below: coarsen → allocate → project → refine must round-
 //! trip to a *valid* allocation that is never worse than the projected
-//! coarse solution, stay bit-identical across worker-thread counts and
-//! reruns, and the k-safe variant must come back `is_k_safe`.
+//! coarse solution, stay bit-identical across reruns, and the k-safe
+//! variant must come back `is_k_safe`.
 
 use proptest::prelude::*;
 use qcpa::core::allocation::DeltaCost;
@@ -45,37 +44,34 @@ use rand_chacha::ChaCha8Rng;
 mod common;
 use common::{materialize, workload_strategy};
 
-/// The five allocator paths under test, labelled for failure messages.
+/// The small memetic configuration every path under test shares.
+fn memetic_config(seed: u64) -> memetic::MemeticConfig {
+    memetic::MemeticConfig {
+        population: 4,
+        iterations: 3,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// The four allocator paths under test, labelled for failure messages.
 fn candidates(
     cls: &Classification,
     catalog: &Catalog,
     cluster: &ClusterSpec,
     seed: u64,
 ) -> Vec<(&'static str, qcpa::core::allocation::Allocation)> {
-    let mcfg = |threads: usize| memetic::MemeticConfig {
-        population: 4,
-        iterations: 3,
-        seed,
-        threads: Some(threads),
-        ..Default::default()
-    };
-    let m1 = memetic::allocate(cls, catalog, cluster, &mcfg(1));
-    let m4 = memetic::allocate(cls, catalog, cluster, &mcfg(4));
-    assert_eq!(
-        m1, m4,
-        "memetic diverged between 1 and 4 worker threads (seed {seed})"
-    );
+    let mcfg = memetic_config(seed);
     let baseline = qcpa_bench::baseline::optimize(
         greedy::allocate(cls, catalog, cluster),
         cls,
         catalog,
         cluster,
-        &mcfg(1),
+        &mcfg,
     );
     vec![
         ("greedy", greedy::allocate(cls, catalog, cluster)),
-        ("memetic-t1", m1),
-        ("memetic-t4", m4),
+        ("memetic", memetic::allocate(cls, catalog, cluster, &mcfg)),
         ("baseline", baseline),
         ("ksafe-1", ksafety::allocate(cls, catalog, cluster, 1)),
     ]
@@ -231,8 +227,8 @@ proptest! {
         }
 
         // Oracle 5: under the identical seeded fault plan, the sim run
-        // is bit-identical across the thread-1 and thread-4 memetic
-        // allocations, and no request is lost.
+        // on the memetic allocation loses no request and replays
+        // exactly.
         let stream = request_stream(&cls);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let reqs = stream.sample_poisson(40.0, 8.0, 0.0, &mut rng);
@@ -251,14 +247,11 @@ proptest! {
                 &SimConfig::default(), &plan, &FaultConfig::default(),
             )
         };
-        let m1 = &cands.iter().find(|(n, _)| *n == "memetic-t1").unwrap().1;
-        let m4 = &cands.iter().find(|(n, _)| *n == "memetic-t4").unwrap().1;
-        let r1 = sim(m1);
-        let r4 = sim(m4);
-        assert_bit_identical(&r1, &r4, "memetic t1 vs t4 fault run");
-        prop_assert_eq!(r1.lost, 0, "online repair must keep every request completable");
+        let m = &cands.iter().find(|(n, _)| *n == "memetic").unwrap().1;
+        let r = sim(m);
+        prop_assert_eq!(r.lost, 0, "online repair must keep every request completable");
         // Re-running the same scenario replays it exactly.
-        assert_bit_identical(&r1, &sim(m1), "fault run rerun");
+        assert_bit_identical(&r, &sim(m), "fault run rerun");
     }
 
     /// Resilience-runtime conformance: with deadlines, retries with
@@ -271,9 +264,6 @@ proptest! {
     /// * replay determinism — the identical scenario reproduces
     ///   responses, busy time, and every shed/timeout/retry count bit
     ///   for bit;
-    /// * thread independence — the memetic thread-1 and thread-4
-    ///   allocations drive bit-identical resilient runs (check.sh runs
-    ///   this suite under `QCPA_THREADS=1` and `4`);
     /// * backoff purity — the retry schedule is a pure function of
     ///   `(seed, request, attempt)`.
     #[test]
@@ -285,15 +275,7 @@ proptest! {
         let (catalog, cls) = materialize(&w);
         let Some(cls) = cls else { return Ok(()); };
         let cluster = ClusterSpec::homogeneous(n);
-        let mcfg = |threads: usize| memetic::MemeticConfig {
-            population: 4,
-            iterations: 3,
-            seed,
-            threads: Some(threads),
-            ..Default::default()
-        };
-        let m1 = memetic::allocate(&cls, &catalog, &cluster, &mcfg(1));
-        let m4 = memetic::allocate(&cls, &catalog, &cluster, &mcfg(4));
+        let m = memetic::allocate(&cls, &catalog, &cluster, &memetic_config(seed));
 
         // ~1.5× saturation: per-request demand ≈ 0.05 s against `n`
         // unit-capacity backends.
@@ -336,15 +318,14 @@ proptest! {
                 &SimConfig::default(), &plan, &FaultConfig::default(), &rcfg,
             )
         };
-        let r1 = sim(&m1);
+        let r = sim(&m);
         prop_assert!(
-            r1.conserved(),
+            r.conserved(),
             "conservation violated: {} + {} + {} + {} != {}",
-            r1.completed, r1.shed, r1.timed_out, r1.lost, r1.offered
+            r.completed, r.shed, r.timed_out, r.lost, r.offered
         );
-        prop_assert_eq!(r1.lost, 0, "lost requests under faults");
-        assert_resilient_bit_identical(&r1, &sim(&m1), "resilient rerun");
-        assert_resilient_bit_identical(&r1, &sim(&m4), "resilient t1 vs t4");
+        prop_assert_eq!(r.lost, 0, "lost requests under faults");
+        assert_resilient_bit_identical(&r, &sim(&m), "resilient rerun");
 
         // Backoff purity: same (seed, request, attempt) → same delay,
         // bit for bit, with no hidden state between calls.
@@ -369,9 +350,8 @@ proptest! {
     ///   allocation passing `validate` (Eq. 8–16) on the *finest* level;
     /// * monotone refinement — the final cost is never worse than the
     ///   projected coarse solution's cost at the finest level;
-    /// * thread independence — the pipeline is bit-identical between
-    ///   1 and 4 memetic worker threads, and across reruns (check.sh
-    ///   drives this test under `QCPA_THREADS=1` and `4`);
+    /// * rerun determinism — the pipeline is bit-identical across
+    ///   reruns;
     /// * k-safety — `allocate_multilevel_ksafe(.., 1)` validates and
     ///   reports `is_k_safe` at k = 1.
     #[test]
@@ -383,20 +363,14 @@ proptest! {
         let (catalog, cls) = materialize(&w);
         let Some(cls) = cls else { return Ok(()); };
         let cluster = ClusterSpec::homogeneous(n);
-        let mcfg = |threads: usize| memetic::MemeticConfig {
-            population: 4,
-            iterations: 3,
-            seed,
-            threads: Some(threads),
-            ..Default::default()
-        };
+        let mcfg = memetic_config(seed);
         let ccfg = CoarsenConfig {
             target_fragments: 2,
             max_levels: 8,
             size_cap_factor: 1e6,
         };
 
-        let out1 = allocate_multilevel(&cls, &catalog, &cluster, &mcfg(1), &ccfg);
+        let out1 = allocate_multilevel(&cls, &catalog, &cluster, &mcfg, &ccfg);
         out1.alloc
             .validate(&cls, &cluster)
             .unwrap_or_else(|e| panic!("multilevel: invalid refined allocation: {e}"));
@@ -407,16 +381,11 @@ proptest! {
             out1.final_cost
         );
 
-        let out4 = allocate_multilevel(&cls, &catalog, &cluster, &mcfg(4), &ccfg);
-        prop_assert_eq!(
-            &out1.alloc, &out4.alloc,
-            "multilevel diverged between 1 and 4 worker threads (seed {})", seed
-        );
-        prop_assert_eq!(out1.levels, out4.levels, "level count diverged with threads");
-        let again = allocate_multilevel(&cls, &catalog, &cluster, &mcfg(1), &ccfg);
-        prop_assert_eq!(&out1.alloc, &again.alloc, "multilevel rerun diverged");
+        let again = allocate_multilevel(&cls, &catalog, &cluster, &mcfg, &ccfg);
+        prop_assert_eq!(&out1.alloc, &again.alloc, "multilevel rerun diverged (seed {})", seed);
+        prop_assert_eq!(out1.levels, again.levels, "level count diverged on rerun");
 
-        let kout = allocate_multilevel_ksafe(&cls, &catalog, &cluster, &mcfg(4), &ccfg, 1);
+        let kout = allocate_multilevel_ksafe(&cls, &catalog, &cluster, &mcfg, &ccfg, 1);
         kout.alloc
             .validate(&cls, &cluster)
             .unwrap_or_else(|e| panic!("multilevel-ksafe: invalid allocation: {e}"));
@@ -431,23 +400,17 @@ proptest! {
 /// 64 clustered fragments (`qcpa::workloads::clustered`) coarsened to a
 /// 16-fragment target must contract at least one level, refine to a
 /// valid allocation no worse than the projection, stay bit-identical
-/// across thread counts, and keep 1-safety through the k-safe variant.
+/// across reruns, and keep 1-safety through the k-safe variant.
 #[test]
 fn multilevel_deep_instance_conforms() {
     let w = qcpa::workloads::clustered(64, 42);
     let cluster = ClusterSpec::homogeneous(8);
-    let mcfg = |threads: usize| memetic::MemeticConfig {
-        population: 4,
-        iterations: 3,
-        seed: 42,
-        threads: Some(threads),
-        ..Default::default()
-    };
+    let mcfg = memetic_config(42);
     let ccfg = CoarsenConfig {
         target_fragments: 16,
         ..CoarsenConfig::default()
     };
-    let out1 = allocate_multilevel(&w.classification, &w.catalog, &cluster, &mcfg(1), &ccfg);
+    let out1 = allocate_multilevel(&w.classification, &w.catalog, &cluster, &mcfg, &ccfg);
     assert!(out1.levels >= 1, "64→16 coarsening must contract");
     out1.alloc
         .validate(&w.classification, &cluster)
@@ -456,15 +419,11 @@ fn multilevel_deep_instance_conforms() {
         !out1.projected_cost.better_than(&out1.final_cost),
         "refinement worsened the projection"
     );
-    let out4 = allocate_multilevel(&w.classification, &w.catalog, &cluster, &mcfg(4), &ccfg);
-    assert_eq!(
-        out1.alloc, out4.alloc,
-        "deep multilevel diverged with threads"
-    );
-    assert_eq!(out1.levels, out4.levels);
+    let again = allocate_multilevel(&w.classification, &w.catalog, &cluster, &mcfg, &ccfg);
+    assert_eq!(out1.alloc, again.alloc, "deep multilevel rerun diverged");
+    assert_eq!(out1.levels, again.levels);
 
-    let kout =
-        allocate_multilevel_ksafe(&w.classification, &w.catalog, &cluster, &mcfg(4), &ccfg, 1);
+    let kout = allocate_multilevel_ksafe(&w.classification, &w.catalog, &cluster, &mcfg, &ccfg, 1);
     kout.alloc
         .validate(&w.classification, &cluster)
         .unwrap_or_else(|e| panic!("deep multilevel-ksafe: invalid allocation: {e}"));

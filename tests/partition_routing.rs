@@ -1,4 +1,4 @@
-//! Partition-aware routing lockdown (DESIGN.md §15.2).
+//! Partition-aware routing lockdown (DESIGN.md §15.1).
 //!
 //! A network partition makes the cut backends *unreachable*, not dead:
 //! the router must send every read to a replica inside the requester's

@@ -12,18 +12,17 @@
 //!   baseline (which has its own frozen `BinaryHeap` index);
 //! * **Tracing** — traced runs must return the untraced report and
 //!   produce the same trace-tree fingerprint as the baseline engine;
-//! * **Sharding** — `run_open_sharded` at 1, 2 and 4 shards must equal
-//!   the unsharded run (the cross-component merge contract, DESIGN.md
-//!   §14.3). check.sh replays this suite under `QCPA_THREADS` and
-//!   `QCPA_SIM_SHARDS` ∈ {1, 4}, so the worker pool is exercised on
-//!   both settings;
+//! * **Benchmark shims** — `run_open_sharded` equals the baseline at
+//!   any shard argument;
+//! * **Components** — `backend_components` keeps every class's
+//!   routing targets in one component;
 //! * **Degenerate configs collapse** — `run_open_faults` with an empty
 //!   plan equals `run_open`, and faulted runs replay themselves bit
 //!   for bit;
 //! * **Fault goldens** — `run_open_faults` is the fault-aware loop of
 //!   `qcpa::sim::resilience` with every mechanism off. A table of
 //!   report fingerprints, recorded from the separate fault engine that
-//!   loop replaced, pins it (unsharded, sharded, and read off the
+//!   loop replaced, pins it (and the same report read off the
 //!   all-disabled `run_open_resilient` report) across six fault
 //!   scenarios × six propagation settings.
 
@@ -41,10 +40,9 @@ use qcpa::sim::fault::{
     LayeredFaultConfig,
 };
 use qcpa::sim::resilience::run_open_resilient;
-use qcpa::sim::shard::{run_open_faults_sharded, run_open_resilient_sharded, run_open_sharded};
 use qcpa::sim::{
-    OpenReport, QueueKind, Request, RequestStream, ResilienceConfig, ResilienceReport, SimConfig,
-    UpdatePropagation,
+    backend_components, run_open_sharded, OpenReport, QueueKind, Request, RequestStream,
+    ResilienceConfig, ResilienceReport, Scheduler, SimConfig, UpdatePropagation,
 };
 use qcpa_obs::Tracer;
 use rand::SeedableRng;
@@ -169,9 +167,9 @@ proptest! {
         }
     }
 
-    /// Sharded runs merge to the exact unsharded report at every shard
-    /// count — the per-component simulations plus the deterministic
-    /// cross-shard merge are observationally invisible.
+    /// The `run_open_sharded` shim the frozen benchmark crate still
+    /// calls returns the baseline oracle's report whatever its shard
+    /// argument: the simulator is unsharded, so the argument is ignored.
     #[test]
     fn sharded_runs_are_bit_identical_to_unsharded(
         w in workload_strategy(),
@@ -190,10 +188,38 @@ proptest! {
         let oracle =
             run_open_baseline(&alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg);
         for shards in [1usize, 2, 4] {
-            let sharded = run_open_sharded(
-                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, shards,
+            let shim = run_open_sharded(&alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, shards);
+            assert_open_bit_identical(&oracle, &shim, &format!("shim at {shards} shards"));
+        }
+    }
+
+    /// `backend_components`, which the benchmark reads for its
+    /// component-count metric, numbers components densely from the
+    /// lowest backend and never splits a class's routing targets.
+    #[test]
+    fn backend_components_never_split_a_class(
+        w in workload_strategy(),
+        n in 2usize..7,
+    ) {
+        let (catalog, Some(cls)) = materialize(&w) else { return Ok(()) };
+        let cluster = ClusterSpec::homogeneous(n);
+        let alloc = greedy::allocate(&cls, &catalog, &cluster);
+        let scheduler = Scheduler::new(&alloc, &cls);
+        let comps = backend_components(&scheduler, &cls, n);
+        let mut next = 0;
+        for &c in &comps {
+            prop_assert!(c <= next, "component ids not dense in backend order: {:?}", comps);
+            next = next.max(c + 1);
+        }
+        for c in &cls.classes {
+            let targets = match c.kind {
+                QueryKind::Read => scheduler.capable_read_targets(c.id),
+                QueryKind::Update => scheduler.route_update(c.id),
+            };
+            prop_assert!(
+                targets.iter().all(|&b| comps[b] == comps[targets[0]]),
+                "class {:?} split across components {:?}", c.id, comps
             );
-            assert_open_bit_identical(&oracle, &sharded, &format!("{shards}-shard merge"));
         }
     }
 
@@ -264,88 +290,6 @@ proptest! {
         }
     }
 
-    /// The fault-aware sharded drivers merge to the exact unsharded
-    /// reports under a non-empty layered plan (crashes + gray windows +
-    /// partitions) — the DESIGN.md §15 contract. check.sh replays this
-    /// suite under `QCPA_THREADS`=1 and 4 and `QCPA_SIM_SHARDS`=1 and
-    /// 4, so the merge is exercised on every thread × shard setting.
-    #[test]
-    fn sharded_fault_engines_are_bit_identical_to_unsharded(
-        w in workload_strategy(),
-        n in 2usize..7,
-        seed in 0u64..1_000,
-        propagation in 0u8..6,
-    ) {
-        let (catalog, Some(cls)) = materialize(&w) else { return Ok(()) };
-        let cluster = ClusterSpec::homogeneous(n);
-        let alloc = greedy::allocate(&cls, &catalog, &cluster);
-        let reqs = requests(&cls, n, seed, 0.0);
-        if reqs.is_empty() {
-            return Ok(());
-        }
-        let cfg = sim_config(propagation);
-        let plan = FaultPlan::from_seed_layered(
-            seed,
-            n,
-            2.0,
-            &LayeredFaultConfig {
-                crashes: FaultInjectionConfig { crashes: 1, mttr: 0.5, ..Default::default() },
-                gray: 1,
-                gray_duration: 0.5,
-                partitions: 1,
-                partition_duration: 0.5,
-                ..LayeredFaultConfig::default()
-            },
-        );
-        prop_assert!(!plan.is_empty(), "layered plan must schedule events");
-        let fcfg = FaultConfig::default();
-        let rcfg = ResilienceConfig::standard();
-
-        let faulted = run_open_faults(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, &plan, &fcfg,
-        );
-        let resilient = run_open_resilient(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, &plan, &fcfg, &rcfg,
-        );
-        for shards in [1usize, 2, 4] {
-            let fs = run_open_faults_sharded(
-                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, &plan, &fcfg, shards,
-            );
-            prop_assert_eq!(fs.responses.len(), faulted.responses.len());
-            for (x, y) in fs.responses.iter().zip(&faulted.responses) {
-                prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "fault arrival bits");
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "fault response bits");
-            }
-            prop_assert_eq!(fs.lost, faulted.lost);
-            prop_assert_eq!(fs.redispatched, faulted.redispatched);
-            prop_assert_eq!(fs.gray_windows, faulted.gray_windows);
-            prop_assert_eq!(fs.partitions, faulted.partitions);
-            prop_assert_eq!(&fs.availability, &faulted.availability);
-            for (x, y) in fs.busy.iter().zip(&faulted.busy) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "fault busy bits");
-            }
-
-            let rs = run_open_resilient_sharded(
-                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg, &plan, &fcfg, &rcfg,
-                shards,
-            );
-            prop_assert_eq!(rs.responses.len(), resilient.responses.len());
-            for (x, y) in rs.responses.iter().zip(&resilient.responses) {
-                prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "resilient arrival bits");
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "resilient response bits");
-            }
-            prop_assert_eq!(rs.completed, resilient.completed);
-            prop_assert_eq!(rs.shed, resilient.shed);
-            prop_assert_eq!(rs.timed_out, resilient.timed_out);
-            prop_assert_eq!(rs.lost, resilient.lost);
-            prop_assert_eq!(rs.retries, resilient.retries);
-            prop_assert_eq!(rs.breaker_opens, resilient.breaker_opens);
-            prop_assert_eq!(&rs.availability, &resilient.availability);
-            for (x, y) in rs.busy.iter().zip(&resilient.busy) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "resilient busy bits");
-            }
-        }
-    }
 }
 
 /// FNV-1a over every observable of a [`FaultReport`]: the bits of each
@@ -590,16 +534,6 @@ fn fault_reports_match_recorded_goldens() {
             let rep = run_open_faults(&alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, plan, &fcfg);
             let fp = fault_fingerprint(&rep);
             computed[s][usize::from(p)] = fp;
-            for shards in [1usize, 2, 4] {
-                let sharded = run_open_faults_sharded(
-                    &alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, plan, &fcfg, shards,
-                );
-                assert_eq!(
-                    fault_fingerprint(&sharded),
-                    fp,
-                    "{name}, propagation {p}: {shards}-shard merge diverged"
-                );
-            }
             let resilient = run_open_resilient(
                 &alloc,
                 &cls,
