@@ -17,10 +17,22 @@ pub fn violations() {
     let _home = std::env::var("HOME");
 }
 
-// A hot entry point reaching the unwrap above: the panic-path rule
-// must separate it from the test-only unwrap below.
-pub fn run_open() {
-    violations();
+/// rng-taint: the seed expression derives from a length, not a seed.
+pub fn taint(len: u64) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(len);
+    rng.next_u64()
+}
+
+/// rng-taint, suppressed per site.
+pub fn taint_allowed(len: u64) -> u64 {
+    // audit:allow(rng-taint): fixture demonstrates a suppressed taint
+    let mut rng = ChaCha8Rng::seed_from_u64(len);
+    rng.next_u64()
+}
+
+/// env-doc-drift: the key is read here but absent from README.md.
+pub fn secret() -> Option<String> {
+    std::env::var("QCPA_FIXTURE_SECRET").ok()
 }
 
 // audit:allow(hash-iter): fixture demonstrates a suppressed finding
@@ -33,6 +45,11 @@ pub fn negatives() {
     let _s = "Instant::now() inside a string literal";
     let _raw = r#"x.unwrap() inside a raw string"#;
     let _ok = std::env::var("QCPA_LOG");
+    // A seed argument spanning lines is seed-derived.
+    let _plan = FaultPlan::from_seed(
+        seed,
+        4,
+    );
 }
 
 /// Doc comments may cite the `audit:allow(hash-iter): why` grammar

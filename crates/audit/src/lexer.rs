@@ -20,10 +20,9 @@
 //!
 //! Beyond the masked per-line streams, [`Masked`] records which lines
 //! belong to *doc* comments (outer `///`/`/**` and inner `//!`/`/*!`,
-//! including every continuation line of a block doc comment) and the
-//! exact span of every string/char literal — the inputs the
-//! [`crate::parser`] tokenizer needs to rebuild a positioned token
-//! stream without re-lexing.
+//! including every continuation line of a block doc comment), which the
+//! allow-annotation parser skips, and the body of every string/char
+//! literal, which the env-doc-drift rule reads `QCPA_*` keys from.
 
 /// Which kind of literal a [`LitSpan`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +38,6 @@ pub enum LitKind {
 pub struct LitSpan {
     /// 0-based line of the opening delimiter (or `b`/`r` prefix).
     pub line: usize,
-    /// 0-based column (char offset) of the literal's first character.
-    pub col: usize,
     /// The literal body (escapes unprocessed, delimiters stripped).
     pub text: String,
     /// String vs. char.
@@ -194,8 +191,8 @@ pub fn mask(src: &str) -> Masked {
                         .is_some_and(|&c| is_ident_char(c) && !c.is_ascii_digit())
                 {
                     // Raw identifier (`r#type`): one identifier token,
-                    // kept in code. Emitting the prefix as code keeps
-                    // columns aligned; the tokenizer strips it.
+                    // kept in code, prefix included so columns stay
+                    // aligned.
                     out.code('r');
                     out.code('#');
                     i += 2;
@@ -431,13 +428,10 @@ impl MaskWriter {
         }
     }
 
-    /// Opens a literal span at the current write position.
+    /// Opens a literal span on the current line.
     fn begin_lit(&mut self, kind: LitKind) {
-        let line = self.code.len() - 1;
-        let col = self.code[line].chars().count();
         self.lit = Some(LitSpan {
-            line,
-            col,
+            line: self.code.len() - 1,
             text: String::new(),
             kind,
         });
@@ -628,13 +622,10 @@ mod tests {
         assert_eq!(m.literals[0].text, "abc");
         assert_eq!(m.literals[0].kind, LitKind::Str);
         assert_eq!(m.literals[0].line, 0);
-        assert_eq!(m.literals[0].col, 8);
         assert_eq!(m.literals[1].text, "x");
         assert_eq!(m.literals[1].kind, LitKind::Char);
         assert_eq!(m.literals[2].text, "raw");
-        // Byte strings/chars record the prefix position.
         let m = mask("f(b\"xy\", b'z')\n");
-        assert_eq!(m.literals[0].col, 2);
         assert_eq!(m.literals[0].text, "xy");
         assert_eq!(m.literals[1].text, "z");
     }

@@ -8,11 +8,12 @@
 //! nondeterminism leak on a path they happen to exercise. This crate is
 //! the static complement: it lexes every workspace source file (comment/
 //! string/raw-string/char-literal aware, no `syn`) and rejects the
-//! constructs that make reruns diverge — hash-ordered iteration in the
-//! deterministic crates, wall-clock reads outside the measurement
-//! layers, ambient entropy, stray thread spawns — plus the safety
-//! hygiene rules (undocumented `unsafe`, unannotated panics, env reads
-//! off the `QCPA_*` surface).
+//! constructs that make reruns diverge — hash-ordered collections,
+//! wall-clock reads outside the measurement layers, ambient entropy,
+//! RNGs built from anything but a seed, stray thread spawns — plus the
+//! safety hygiene rules (undocumented `unsafe`, unannotated panics, env
+//! reads off the `QCPA_*` surface or missing from the README). Every
+//! rule is one pass over [`lexer::mask`]'s per-line streams; no parser.
 //!
 //! Suppression is per-site and auditable: an inline comment of the form
 //! `audit:allow(rule-name): justification` on (or directly above) the
@@ -25,13 +26,9 @@
 //! See DESIGN.md §11 for the rule table and the mapping from each rule
 //! to the paper-level invariant it guards.
 
-pub mod ast;
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod semantic;
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -39,10 +36,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use report::{Finding, PanicStats, Report};
-use rules::{FileCtx, Region, RuleId};
+use rules::{EnvKeySite, FileCtx, Region, RuleId};
 
 /// Name of the panic-hygiene ratchet file at the audited root.
 pub const BASELINE_FILE: &str = "audit.baseline.json";
+
+/// The README at the audited root that env-doc-drift checks the
+/// `QCPA_*` surface against.
+pub const README_FILE: &str = "README.md";
 
 /// Walks up from `start` to the first directory whose `Cargo.toml`
 /// declares a `[workspace]` — the audited root when `--root` is not
@@ -65,17 +66,6 @@ pub fn discover_root(start: &Path) -> Option<PathBuf> {
 /// The audit driver: scans every source file of the workspace at
 /// `root` and returns the assembled [`Report`].
 pub fn run(root: &Path) -> io::Result<Report> {
-    run_inner(root, false)
-}
-
-/// [`run`], additionally stamping per-phase analysis wall time into
-/// [`Report::timing_ms`]. Kept out of the default path so the
-/// canonical report stays byte-identical across reruns.
-pub fn run_with_timing(root: &Path) -> io::Result<Report> {
-    run_inner(root, true)
-}
-
-fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
     let baseline = load_baseline(root)?;
     let mut findings: Vec<Finding> = Vec::new();
     let mut files_scanned = 0u32;
@@ -84,6 +74,7 @@ fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
     // baselining after the counts are known.
     let mut panic_counts: BTreeMap<String, (u32, u32, u32)> = BTreeMap::new();
     let mut panic_sites: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    let mut env_sites: Vec<EnvKeySite> = Vec::new();
 
     for unit in workspace_units(root)? {
         for (dir, region) in unit.target_dirs() {
@@ -102,7 +93,7 @@ fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
                         .replace('\\', "/")
                 );
                 let src = fs::read_to_string(&file)?;
-                scan_one(
+                env_sites.extend(scan_one(
                     &unit.crate_name,
                     &rel,
                     region,
@@ -110,69 +101,13 @@ fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
                     &mut findings,
                     &mut panic_counts,
                     &mut panic_sites,
-                );
+                ));
             }
         }
     }
 
-    // ---- semantic pass: AST + call graph, five cross-function rules.
-    let clock = std::time::Instant::now();
-    let mut timing: BTreeMap<String, f64> = BTreeMap::new();
-    let mut last_ms = 0.0f64;
-    let mut lap = |timing: &mut BTreeMap<String, f64>, phase: &str| {
-        let now = clock.elapsed().as_secs_f64() * 1000.0;
-        timing.insert(
-            phase.to_string(),
-            ((now - last_ms) * 1000.0).round() / 1000.0,
-        );
-        last_ms = now;
-    };
-
-    let mut sem_units: Vec<(String, callgraph::CrateGraph, Vec<semantic::FilePrep>)> = Vec::new();
-    for unit in workspace_units(root)? {
-        let crate_dir = if unit.dir.is_empty() {
-            root.to_path_buf()
-        } else {
-            root.join(&unit.dir)
-        };
-        if !crate_dir.join("src").is_dir() {
-            continue;
-        }
-        let graph = callgraph::CrateGraph::load(&unit.crate_name, &crate_dir)?;
-        let preps = semantic::prep_files(&graph);
-        sem_units.push((unit.dir, graph, preps));
-    }
-    lap(&mut timing, "parse");
-
-    for (prefix, graph, preps) in &sem_units {
-        findings.extend(semantic::rng_taint(prefix, graph, preps));
-    }
-    lap(&mut timing, "rng-taint");
-    for (prefix, graph, preps) in &sem_units {
-        findings.extend(semantic::ordered_reduction(prefix, graph, preps));
-    }
-    lap(&mut timing, "ordered-reduction");
-
-    let mut hot_sites: BTreeMap<String, u32> = BTreeMap::new();
-    for (prefix, graph, preps) in &sem_units {
-        let sites = panic_counts
-            .get(&graph.crate_name)
-            .map(|(s, _, _)| *s)
-            .unwrap_or(0);
-        let budget = baseline.get(&graph.crate_name).copied().unwrap_or(0);
-        let (fs, hot) = semantic::panic_path(prefix, graph, preps, sites <= budget);
-        findings.extend(fs);
-        hot_sites.insert(graph.crate_name.clone(), hot);
-    }
-    lap(&mut timing, "panic-path");
-
-    let readme = fs::read_to_string(root.join("README.md")).ok();
-    findings.extend(semantic::env_doc_drift(
-        &sem_units,
-        "README.md",
-        readme.as_deref(),
-    ));
-    lap(&mut timing, "env-doc-drift");
+    let readme = fs::read_to_string(root.join(README_FILE)).ok();
+    findings.extend(rules::env_doc_drift(&env_sites, readme.as_deref()));
 
     // Baseline the panic-hygiene findings: a crate at or under budget
     // has its unannotated sites marked `baselined`; a crate over budget
@@ -199,19 +134,15 @@ fn run_inner(root: &Path, timed: bool) -> io::Result<Report> {
                 baseline: budget,
                 lib_lines: *lib_lines,
                 density_per_kloc: density,
-                hot_sites: hot_sites.get(krate).copied().unwrap_or(0),
             },
         );
     }
 
-    let mut report = Report::assemble(files_scanned, findings, stats);
-    if timed {
-        report.timing_ms = Some(timing);
-    }
-    Ok(report)
+    Ok(Report::assemble(files_scanned, findings, stats))
 }
 
-/// Scans one source file, pushing findings and panic accounting.
+/// Scans one source file, pushing findings and panic accounting;
+/// returns the file's `QCPA_*` key sites when it is library code.
 fn scan_one(
     crate_name: &str,
     rel: &str,
@@ -220,7 +151,7 @@ fn scan_one(
     findings: &mut Vec<Finding>,
     panic_counts: &mut BTreeMap<String, (u32, u32, u32)>,
     panic_sites: &mut BTreeMap<String, Vec<usize>>,
-) {
+) -> Vec<EnvKeySite> {
     let masked = lexer::mask(src);
     let mut raw_lines: Vec<&str> = src.lines().collect();
     while raw_lines.len() < masked.n_lines() {
@@ -261,6 +192,11 @@ fn scan_one(
         if let Some(f) = rules::check_forbid_unsafe(rel, &masked, &raw_lines, &allows) {
             findings.push(f);
         }
+    }
+    if region == Region::Lib {
+        rules::env_key_sites(&ctx)
+    } else {
+        Vec::new()
     }
 }
 

@@ -2,16 +2,13 @@
 //! workspace and gate on unsuppressed findings.
 //!
 //! ```text
-//! qcpa-audit [--root DIR] [--json PATH] [--quiet] [--timings]
+//! qcpa-audit [--root DIR] [--json PATH] [--quiet]
 //! ```
 //!
 //! * `--root DIR`  — audit the workspace at DIR (default: discovered by
 //!   walking up from the current directory to a `[workspace]` manifest).
 //! * `--json PATH` — additionally write the machine-readable report.
 //! * `--quiet`     — suppress the human report when the audit passes.
-//! * `--timings`   — stamp per-phase analysis wall time into the report
-//!   (`timing_ms` stays `null` otherwise, keeping the canonical JSON
-//!   byte-identical across reruns).
 //!
 //! Exit status: 0 when every finding is annotated or inside the
 //! panic-hygiene baseline, 1 on any unsuppressed finding, 2 on usage
@@ -24,7 +21,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut timings = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,7 +33,6 @@ fn main() -> ExitCode {
                 None => return usage("--json needs a path"),
             },
             "--quiet" => quiet = true,
-            "--timings" => timings = true,
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
@@ -53,12 +48,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let run = if timings {
-        qcpa_audit::run_with_timing
-    } else {
-        qcpa_audit::run
-    };
-    let report = match run(&root) {
+    let report = match qcpa_audit::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("qcpa-audit: {e}");
@@ -89,6 +79,6 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("qcpa-audit: {err}");
-    eprintln!("usage: qcpa-audit [--root DIR] [--json PATH] [--quiet] [--timings]");
+    eprintln!("usage: qcpa-audit [--root DIR] [--json PATH] [--quiet]");
     ExitCode::from(2)
 }

@@ -1,9 +1,8 @@
 //! Findings, per-crate panic-hygiene statistics, and the JSON report.
 //!
 //! The JSON report is the machine-readable contract: `scripts/check.sh`
-//! gates on the process exit code, the bench harness records the
-//! finding counts in its metrics sidecars, and the snapshot tests pin
-//! the serialized form. Everything here is deterministic — findings are
+//! gates on the process exit code and the snapshot tests pin the
+//! serialized form. Everything here is deterministic — findings are
 //! sorted, maps are `BTreeMap`, and no timestamps or absolute paths
 //! appear in the output.
 
@@ -71,12 +70,9 @@ pub struct PanicStats {
     pub lib_lines: u32,
     /// `(sites + annotated) / lib_lines * 1000`, rounded to 2 decimals.
     pub density_per_kloc: f64,
-    /// Panic tokens inside functions reachable from a hot entry point
-    /// (the panic-path rule's count; annotated sites included).
-    pub hot_sites: u32,
 }
 
-/// Per-rule rollup in the v2 schema.
+/// Per-rule rollup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuleStat {
     /// All findings of the rule (allowed and baselined included).
@@ -99,16 +95,10 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of findings that fail the audit.
     pub unsuppressed: u32,
-    /// Per-rule finding/unsuppressed counts (the bench sidecar's
-    /// source of truth).
+    /// Per-rule finding/unsuppressed counts, every rule present.
     pub rule_stats: BTreeMap<String, RuleStat>,
     /// Per-crate panic-hygiene accounting.
     pub panic_hygiene: BTreeMap<String, PanicStats>,
-    /// Per-phase analysis wall time in milliseconds. `null` unless
-    /// requested (`--timings` / [`crate::run_with_timing`]): the
-    /// canonical report must be byte-identical across reruns, so the
-    /// default path never stamps wall time.
-    pub timing_ms: Option<BTreeMap<String, f64>>,
 }
 
 impl Report {
@@ -149,14 +139,13 @@ impl Report {
             }
         }
         Self {
-            schema_version: 2,
+            schema_version: 3,
             files_scanned,
             rules: ALL_RULES.iter().map(|r| r.name().to_string()).collect(),
             findings,
             unsuppressed,
             rule_stats,
             panic_hygiene,
-            timing_ms: None,
         }
     }
 
@@ -214,15 +203,9 @@ impl Report {
                 "at budget"
             };
             out.push_str(&format!(
-                "  {:<16} {:>3}/{:<3} ({} annotated, {} hot, {:.2}/kLoC) {}\n",
-                krate, s.sites, s.baseline, s.annotated, s.hot_sites, s.density_per_kloc, status
+                "  {:<16} {:>3}/{:<3} ({} annotated, {:.2}/kLoC) {}\n",
+                krate, s.sites, s.baseline, s.annotated, s.density_per_kloc, status
             ));
-        }
-        if let Some(timing) = &self.timing_ms {
-            out.push_str("analysis wall time (ms):\n");
-            for (phase, ms) in timing {
-                out.push_str(&format!("  {phase:<18} {ms:>9.3}\n"));
-            }
         }
         out
     }
@@ -253,7 +236,6 @@ mod tests {
                 baseline: 5,
                 lib_lines: 1000,
                 density_per_kloc: 4.0,
-                hot_sites: 2,
             },
         );
         let r = Report::assemble(
@@ -283,7 +265,6 @@ mod tests {
                 baseline: 2,
                 lib_lines: 100,
                 density_per_kloc: 90.0,
-                hot_sites: 0,
             },
         );
         let r = Report::assemble(1, Vec::new(), stats);

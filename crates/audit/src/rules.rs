@@ -7,16 +7,20 @@
 //! reproducibility claims (bit-identical allocations and fault replays
 //! across reruns, Fig. 4 / Eq. 18–19 speedup methodology).
 
-use crate::lexer::Masked;
+use std::collections::BTreeSet;
+
+use crate::lexer::{LitKind, Masked};
 use crate::report::Finding;
+use crate::README_FILE;
 
 /// The rules the auditor knows. Kebab-case names (`RuleId::name`) are
 /// the vocabulary of allow annotations and the JSON report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// No `HashMap`/`HashSet`/`RandomState` in the deterministic crates:
-    /// hash iteration order is randomized per process and leaks into
-    /// results wherever a map is iterated.
+    /// No `HashMap`/`HashSet`/`RandomState` in any crate but the
+    /// auditor: hash iteration order is randomized per process and
+    /// leaks into results wherever a map is iterated (a float sum over
+    /// hash order changes its bits).
     HashIter,
     /// No `Instant::now`/`SystemTime` outside `obs`/`bench`/`lp::mip`:
     /// simulated time must come from the event clock, or replays
@@ -41,24 +45,17 @@ pub enum RuleId {
     /// justification) is itself a finding — suppressions must be
     /// auditable.
     AllowSyntax,
-    /// Semantic: every RNG construction must be fed a seed-derived
-    /// expression.
+    /// Every [`RNG_CTORS`] call in library non-test code is fed a
+    /// visibly seed-derived argument list.
     RngTaint,
-    /// Semantic: reductions on merge-reachable paths must not iterate
-    /// hash-ordered containers.
-    OrderedReduction,
-    /// Semantic: every `QCPA_*` key read in library code must appear in
-    /// the README, and every README knob-table row must be backed by a
-    /// live key in the code.
+    /// Every `QCPA_*` key read in library code appears in the README,
+    /// and every README knob-table row names a key some library source
+    /// reads.
     EnvDocDrift,
-    /// Semantic: panic sites (unwrap/expect/panic!/unreachable!) inside
-    /// functions reachable from hot entry points (`run_open*`,
-    /// `optimize*`, `execute`) — ratcheted with the per-crate budget.
-    PanicPath,
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 12] = [
+pub const ALL_RULES: [RuleId; 10] = [
     RuleId::HashIter,
     RuleId::WallClock,
     RuleId::Entropy,
@@ -68,9 +65,7 @@ pub const ALL_RULES: [RuleId; 12] = [
     RuleId::EnvAccess,
     RuleId::AllowSyntax,
     RuleId::RngTaint,
-    RuleId::OrderedReduction,
     RuleId::EnvDocDrift,
-    RuleId::PanicPath,
 ];
 
 impl RuleId {
@@ -86,9 +81,7 @@ impl RuleId {
             RuleId::EnvAccess => "env-access",
             RuleId::AllowSyntax => "allow-syntax",
             RuleId::RngTaint => "rng-taint",
-            RuleId::OrderedReduction => "ordered-reduction",
             RuleId::EnvDocDrift => "env-doc-drift",
-            RuleId::PanicPath => "panic-path",
         }
     }
 
@@ -100,7 +93,7 @@ impl RuleId {
     /// One-line description for the human report.
     pub fn describe(self) -> &'static str {
         match self {
-            RuleId::HashIter => "hash-ordered collections in deterministic crates",
+            RuleId::HashIter => "hash-ordered collections",
             RuleId::WallClock => "wall-clock reads outside obs/bench/lp::mip",
             RuleId::Entropy => "ambient (non-seed-derived) randomness",
             RuleId::Spawn => "thread creation",
@@ -109,9 +102,7 @@ impl RuleId {
             RuleId::EnvAccess => "env reads outside the QCPA_* config surface",
             RuleId::AllowSyntax => "malformed audit:allow annotation",
             RuleId::RngTaint => "RNG constructed from a non-seed-derived expression",
-            RuleId::OrderedReduction => "hash-ordered reduction on a merge-reachable path",
             RuleId::EnvDocDrift => "QCPA_* key undocumented in README (or documented but dead)",
-            RuleId::PanicPath => "panic site reachable from a hot entry point",
         }
     }
 }
@@ -130,21 +121,12 @@ pub enum Region {
     Example,
 }
 
-/// Crates whose outputs must be bit-reproducible: the allocator core,
-/// its stream-seed mixer, the simulator, the controller, and the
-/// matching/LP layers feeding them.
-pub const DETERMINISTIC_CRATES: [&str; 6] = [
-    "qcpa-core",
-    "qcpa-sim",
-    "qcpa-par",
-    "qcpa-controller",
-    "qcpa-matching",
-    "qcpa-lp",
-];
+/// The one crate hash-iter does not scan: the auditor feeds no
+/// experiment result, and its report is sorted before it is written.
+const HASH_ITER_EXEMPT: &str = "qcpa-audit";
 
-/// Crates allowed to read the wall clock (measurement infrastructure,
-/// plus the audit tool's own per-rule timing instrumentation).
-const WALL_CLOCK_CRATES: [&str; 3] = ["qcpa-obs", "qcpa-bench", "qcpa-audit"];
+/// Crates allowed to read the wall clock (measurement infrastructure).
+const WALL_CLOCK_CRATES: [&str; 2] = ["qcpa-obs", "qcpa-bench"];
 
 /// Files allowed to read the wall clock inside otherwise-deterministic
 /// crates: the MIP solver's time-budget cutoff, which affects only how
@@ -154,6 +136,9 @@ const WALL_CLOCK_FILES: [&str; 1] = ["crates/lp/src/mip.rs"];
 /// The `std::thread` items that create threads; the spawn rule flags
 /// each as `thread::<item>`.
 pub const SPAWN_APIS: [&str; 3] = ["spawn", "scope", "Builder"];
+
+/// RNG constructors whose argument list is the seed expression.
+pub const RNG_CTORS: [&str; 2] = ["seed_from_u64(", "from_seed("];
 
 /// A parsed `audit:allow(<rule>): <justification>` annotation.
 #[derive(Debug, Clone)]
@@ -238,30 +223,30 @@ pub fn parse_allows(
 /// True when a finding of `rule` on `line` (0-based) is covered by an
 /// annotation: on the same line, or on a run of comment-only lines
 /// immediately above it.
-pub fn allow_for<'a>(ctx: &'a FileCtx<'_>, rule: RuleId, line: usize) -> Option<&'a Allow> {
-    allow_covering(ctx.allows, ctx.masked, rule, line)
-}
-
-/// [`allow_for`] without a full `FileCtx` — the semantic pass carries
-/// allows and masked streams per file but no per-rule context struct.
-pub fn allow_covering<'a>(
-    allows: &'a [Allow],
-    masked: &Masked,
-    rule: RuleId,
-    line: usize,
-) -> Option<&'a Allow> {
-    let hit = |l: usize| allows.iter().find(|a| a.line == l && a.rule == rule);
+fn allow_for<'a>(ctx: &'a FileCtx<'_>, rule: RuleId, line: usize) -> Option<&'a Allow> {
+    let hit = |l: usize| ctx.allows.iter().find(|a| a.line == l && a.rule == rule);
     if let Some(a) = hit(line) {
         return Some(a);
     }
     let mut l = line;
-    while l > 0 && masked.is_comment_only(l - 1) {
+    while l > 0 && ctx.masked.is_comment_only(l - 1) {
         l -= 1;
         if let Some(a) = hit(l) {
             return Some(a);
         }
     }
     None
+}
+
+/// A finding of `rule` on `line` (0-based), marked allowed when an
+/// annotation covers it.
+fn finding_at(ctx: &FileCtx<'_>, rule: RuleId, line: usize) -> Finding {
+    let mut f = Finding::new(rule, ctx.rel_path, line, ctx.raw_lines[line]);
+    if let Some(a) = allow_for(ctx, rule, line) {
+        f.allowed = true;
+        f.justification = Some(a.justification.clone());
+    }
+    f
 }
 
 /// Marks the lines inside `#[cfg(test)]` blocks by brace matching over
@@ -312,7 +297,7 @@ pub fn mark_test_lines(masked: &Masked) -> Vec<bool> {
 
 /// Finds word-bounded occurrences of `token` in `hay` (identifier
 /// characters on either side of the match disqualify it).
-pub(crate) fn token_hits(hay: &str, token: &str) -> Vec<usize> {
+fn token_hits(hay: &str, token: &str) -> Vec<usize> {
     let mut hits = Vec::new();
     let mut from = 0usize;
     let ident = |c: char| c.is_alphanumeric() || c == '_';
@@ -341,23 +326,19 @@ fn scan_tokens(ctx: &FileCtx<'_>, rule: RuleId, tokens: &[&str], findings: &mut 
     for (line, code) in ctx.masked.code.iter().enumerate() {
         for token in tokens {
             for _ in token_hits(code, token) {
-                let mut f = Finding::new(rule, ctx.rel_path, line, ctx.raw_lines[line]);
-                if let Some(a) = allow_for(ctx, rule, line) {
-                    f.allowed = true;
-                    f.justification = Some(a.justification.clone());
-                }
-                findings.push(f);
+                findings.push(finding_at(ctx, rule, line));
             }
         }
     }
 }
 
-/// Runs every token rule applicable to `ctx` and returns the findings
-/// (panic-hygiene baselining happens at the workspace level).
+/// Runs every per-file rule applicable to `ctx` and returns the
+/// findings (panic-hygiene baselining and env-doc-drift happen at the
+/// workspace level).
 pub fn scan_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    if DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
+    if ctx.crate_name != HASH_ITER_EXEMPT {
         scan_tokens(
             ctx,
             RuleId::HashIter,
@@ -400,6 +381,7 @@ pub fn scan_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
 
     if ctx.region == Region::Lib {
         scan_panic_hygiene(ctx, &mut findings);
+        scan_rng_taint(ctx, &mut findings);
     }
 
     scan_unsafe(ctx, &mut findings);
@@ -416,17 +398,46 @@ fn scan_panic_hygiene(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         }
         let n = token_hits(code, ".unwrap()").len() + token_hits(code, ".expect(").len();
         for _ in 0..n {
-            let mut f = Finding::new(
-                RuleId::PanicHygiene,
-                ctx.rel_path,
-                line,
-                ctx.raw_lines[line],
-            );
-            if let Some(a) = allow_for(ctx, RuleId::PanicHygiene, line) {
-                f.allowed = true;
-                f.justification = Some(a.justification.clone());
+            findings.push(finding_at(ctx, RuleId::PanicHygiene, line));
+        }
+    }
+}
+
+/// An [`RNG_CTORS`] call in non-test library code whose argument list —
+/// matched by parentheses over the masked code, so it may span lines —
+/// holds neither a numeric literal (a fixed seed) nor an identifier
+/// containing `seed` (case-insensitive). A `fn` definition of the same
+/// name is not a call.
+fn scan_rng_taint(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    let joined = ctx.masked.code.join("\n");
+    for ctor in RNG_CTORS {
+        for at in token_hits(&joined, ctor) {
+            let line = joined[..at].matches('\n').count();
+            if ctx.test_lines[line] || joined[..at].trim_end().ends_with("fn") {
+                continue;
             }
-            findings.push(f);
+            let args = &joined[at + ctor.len()..];
+            let mut depth = 1usize;
+            let end = args
+                .bytes()
+                .position(|b| {
+                    match b {
+                        b'(' => depth += 1,
+                        b')' => depth -= 1,
+                        _ => {}
+                    }
+                    depth == 0
+                })
+                .unwrap_or(args.len());
+            let seeded = args[..end]
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .any(|w| {
+                    w.starts_with(|c: char| c.is_ascii_digit())
+                        || w.to_ascii_lowercase().contains("seed")
+                });
+            if !seeded {
+                findings.push(finding_at(ctx, RuleId::RngTaint, line));
+            }
         }
     }
 }
@@ -438,15 +449,9 @@ fn scan_unsafe(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         for _ in token_hits(code, "unsafe") {
             let lo = line.saturating_sub(5);
             let documented = (lo..=line).any(|l| ctx.masked.comments[l].contains("SAFETY:"));
-            if documented {
-                continue;
+            if !documented {
+                findings.push(finding_at(ctx, RuleId::UnsafeAudit, line));
             }
-            let mut f = Finding::new(RuleId::UnsafeAudit, ctx.rel_path, line, ctx.raw_lines[line]);
-            if let Some(a) = allow_for(ctx, RuleId::UnsafeAudit, line) {
-                f.allowed = true;
-                f.justification = Some(a.justification.clone());
-            }
-            findings.push(f);
         }
     }
 }
@@ -456,15 +461,9 @@ fn scan_unsafe(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 fn scan_env_access(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     for (line, code) in ctx.masked.code.iter().enumerate() {
         for _ in token_hits(code, "env::var") {
-            if ctx.masked.strings[line].contains("QCPA_") {
-                continue;
+            if !ctx.masked.strings[line].contains("QCPA_") {
+                findings.push(finding_at(ctx, RuleId::EnvAccess, line));
             }
-            let mut f = Finding::new(RuleId::EnvAccess, ctx.rel_path, line, ctx.raw_lines[line]);
-            if let Some(a) = allow_for(ctx, RuleId::EnvAccess, line) {
-                f.allowed = true;
-                f.justification = Some(a.justification.clone());
-            }
-            findings.push(f);
         }
     }
 }
@@ -503,23 +502,107 @@ pub fn check_forbid_unsafe(
     Some(f)
 }
 
+/// One `QCPA_*` key string literal in library code, gathered per file
+/// for the workspace-level [`env_doc_drift`] check.
+pub struct EnvKeySite {
+    /// The complete key, e.g. `QCPA_LOG`.
+    pub key: String,
+    /// The literal sits inside a `#[cfg(test)]` block.
+    pub in_test: bool,
+    /// The finding to report should the key turn out undocumented.
+    pub finding: Finding,
+}
+
+/// Every string literal of `ctx` that is exactly a complete `QCPA_*`
+/// key. The lexer's literal spans are the source, so comments and doc
+/// prose never count as a read.
+pub fn env_key_sites(ctx: &FileCtx<'_>) -> Vec<EnvKeySite> {
+    ctx.masked
+        .literals
+        .iter()
+        .filter(|lit| lit.kind == LitKind::Str && is_qcpa_key(&lit.text))
+        .map(|lit| EnvKeySite {
+            key: lit.text.clone(),
+            in_test: ctx.test_lines[lit.line],
+            finding: finding_at(ctx, RuleId::EnvDocDrift, lit.line),
+        })
+        .collect()
+}
+
+/// Env-surface bijection over the library key `sites` of the whole
+/// workspace and its README. A key read outside tests but mentioned
+/// nowhere in the README fires at its first such site; a README
+/// knob-table row (a line starting with `|`) naming a key no site
+/// reads — not even a test — fires on the README line, which carries
+/// no Rust comment and so cannot be suppressed inline: delete the row.
+/// Returns nothing when the README is absent.
+pub fn env_doc_drift(sites: &[EnvKeySite], readme: Option<&str>) -> Vec<Finding> {
+    let Some(text) = readme else {
+        return Vec::new();
+    };
+    let documented: BTreeSet<&str> = text.lines().flat_map(qcpa_keys).collect();
+    let used: BTreeSet<&str> = sites.iter().map(|s| s.key.as_str()).collect();
+    let mut reported = BTreeSet::new();
+    let mut out: Vec<Finding> = sites
+        .iter()
+        .filter(|s| !s.in_test && !documented.contains(s.key.as_str()))
+        .filter(|s| reported.insert(s.key.as_str()))
+        .map(|s| s.finding.clone())
+        .collect();
+    for (line, text_line) in text.lines().enumerate() {
+        if text_line.trim_start().starts_with('|') {
+            for _ in qcpa_keys(text_line).filter(|k| !used.contains(k)) {
+                out.push(Finding::new(
+                    RuleId::EnvDocDrift,
+                    README_FILE,
+                    line,
+                    text_line,
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// True for a complete `QCPA_*` key (not a bare prefix like `QCPA_` or
+/// `QCPA_CTRL_`, which code composes with a suffix at run time).
+fn is_qcpa_key(s: &str) -> bool {
+    s.len() > 5
+        && s.starts_with("QCPA_")
+        && !s.ends_with('_')
+        && s.chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// The complete `QCPA_*` keys among the identifier-like words of a line.
+fn qcpa_keys(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| is_qcpa_key(w))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::mask;
 
-    fn ctx_findings(crate_name: &str, region: Region, src: &str) -> Vec<Finding> {
+    /// Lexes `src` and runs `f` over its file context.
+    fn with_ctx<T>(
+        rel_path: &str,
+        crate_name: &str,
+        region: Region,
+        src: &str,
+        f: impl FnOnce(&FileCtx<'_>, Vec<Finding>) -> T,
+    ) -> T {
         let masked = mask(src);
-        let raw_lines: Vec<&str> = src.lines().collect();
         // `lines()` drops a trailing empty line the lexer keeps; pad.
-        let mut raw = raw_lines.clone();
+        let mut raw: Vec<&str> = src.lines().collect();
         while raw.len() < masked.n_lines() {
             raw.push("");
         }
         let test_lines = mark_test_lines(&masked);
-        let (allows, mut findings) = parse_allows("x.rs", &masked, &raw);
+        let (allows, allow_findings) = parse_allows(rel_path, &masked, &raw);
         let ctx = FileCtx {
-            rel_path: "x.rs",
+            rel_path,
             crate_name,
             region,
             masked: &masked,
@@ -527,8 +610,14 @@ mod tests {
             test_lines: &test_lines,
             allows: &allows,
         };
-        findings.extend(scan_file(&ctx));
-        findings
+        f(&ctx, allow_findings)
+    }
+
+    fn ctx_findings(crate_name: &str, region: Region, src: &str) -> Vec<Finding> {
+        with_ctx("x.rs", crate_name, region, src, |ctx, mut findings| {
+            findings.extend(scan_file(ctx));
+            findings
+        })
     }
 
     fn count(findings: &[Finding], rule: RuleId, allowed: bool) -> usize {
@@ -539,12 +628,14 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_fires_only_in_deterministic_crates() {
+    fn hash_iter_fires_in_every_crate_but_the_audit() {
         let src = "use std::collections::HashMap;\n";
-        let det = ctx_findings("qcpa-core", Region::Lib, src);
-        assert_eq!(count(&det, RuleId::HashIter, false), 1);
-        let free = ctx_findings("qcpa-workloads", Region::Lib, src);
-        assert_eq!(count(&free, RuleId::HashIter, false), 0);
+        for krate in ["qcpa-core", "qcpa-workloads", "qcpa-bench", "qcpa"] {
+            let f = ctx_findings(krate, Region::Lib, src);
+            assert_eq!(count(&f, RuleId::HashIter, false), 1, "{krate}");
+        }
+        let audit = ctx_findings("qcpa-audit", Region::Lib, src);
+        assert_eq!(count(&audit, RuleId::HashIter, false), 0);
     }
 
     #[test]
@@ -564,22 +655,19 @@ mod tests {
     #[test]
     fn wall_clock_exempts_mip() {
         let src = "let t = Instant::now();\n";
-        let f = ctx_findings("qcpa-sim", Region::Lib, src);
-        assert_eq!(count(&f, RuleId::WallClock, false), 1);
+        for krate in ["qcpa-sim", "qcpa-audit"] {
+            let f = ctx_findings(krate, Region::Lib, src);
+            assert_eq!(count(&f, RuleId::WallClock, false), 1, "{krate}");
+        }
         // Same content under the exempted file path.
-        let masked = mask(src);
-        let raw: Vec<&str> = src.lines().collect();
-        let test_lines = mark_test_lines(&masked);
-        let ctx = FileCtx {
-            rel_path: "crates/lp/src/mip.rs",
-            crate_name: "qcpa-lp",
-            region: Region::Lib,
-            masked: &masked,
-            raw_lines: &raw,
-            test_lines: &test_lines,
-            allows: &[],
-        };
-        assert_eq!(count(&scan_file(&ctx), RuleId::WallClock, false), 0);
+        let f = with_ctx(
+            "crates/lp/src/mip.rs",
+            "qcpa-lp",
+            Region::Lib,
+            src,
+            |ctx, _| scan_file(ctx),
+        );
+        assert_eq!(count(&f, RuleId::WallClock, false), 0);
     }
 
     #[test]
@@ -651,6 +739,82 @@ mod tests {
             let f = ctx_findings(krate, Region::Lib, src);
             assert_eq!(count(&f, RuleId::Spawn, false), 1, "{krate}");
         }
+    }
+
+    #[test]
+    fn rng_from_seed_field_is_clean() {
+        let src = "pub fn go(cfg: &Cfg) -> u64 {\n    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 3);\n    let mut b = ChaCha8Rng::seed_from_u64(mix(self.seed, id));\n    let mut c = ChaCha8Rng::seed_from_u64(qcpa_par::stream_seed(base, 1));\n    let mut d = ChaCha8Rng::seed_from_u64(0x5A);\n    rng.next()\n}\n";
+        let f = ctx_findings("qcpa-core", Region::Lib, src);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0, "{f:?}");
+    }
+
+    #[test]
+    fn rng_from_wall_clock_fires() {
+        let src = "pub fn go() -> u64 {\n    let nonce = now_nanos();\n    let mut rng = ChaCha8Rng::seed_from_u64(nonce);\n    rng.next()\n}\n";
+        let f = ctx_findings("qcpa-core", Region::Lib, src);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 1);
+        assert_eq!(f[0].line, 3);
+        // The same call in a test block, an integration test, or a
+        // `fn` definition of the constructor is not checked.
+        let test_block = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        let f = ctx_findings("qcpa-core", Region::Lib, &test_block);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0);
+        let f = ctx_findings("qcpa-core", Region::Test, src);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0);
+        let def = "pub fn from_seed(n: usize) -> Self { todo() }\n";
+        let f = ctx_findings("qcpa-sim", Region::Lib, def);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0);
+    }
+
+    #[test]
+    fn rng_argument_span_crosses_lines() {
+        let seeded = "let plan = FaultPlan::from_seed(\n    seed,\n    cluster.len(),\n    DURATION,\n    &cfg,\n);\n";
+        let f = ctx_findings("qcpa-bench", Region::Lib, seeded);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0, "{f:?}");
+        // Only the balanced span counts: a `seed` after the closing
+        // parenthesis does not launder the call.
+        let tainted = "let plan = FaultPlan::from_seed(\n    nonce(),\n    n,\n).with(seed);\n";
+        let f = ctx_findings("qcpa-bench", Region::Lib, tainted);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 1);
+        assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn rng_calls_in_strings_and_comments_are_silent() {
+        let src = "// ChaCha8Rng::seed_from_u64(nonce) in prose\nlet s = \"from_seed(nonce)\";\n/* seed_from_u64(\n nonce) */\n";
+        let f = ctx_findings("qcpa-core", Region::Lib, src);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0);
+    }
+
+    #[test]
+    fn rng_taint_is_suppressible() {
+        let src = "// audit:allow(rng-taint): a fixed nonce is the point here\nlet r = ChaCha8Rng::seed_from_u64(nonce);\n";
+        let f = ctx_findings("qcpa-core", Region::Lib, src);
+        assert_eq!(count(&f, RuleId::RngTaint, true), 1);
+        assert_eq!(count(&f, RuleId::RngTaint, false), 0);
+    }
+
+    #[test]
+    fn env_drift_both_directions() {
+        let src = "pub fn knob() -> Option<String> {\n    std::env::var(\"QCPA_UNDOCUMENTED\").ok()\n}\npub fn log() -> bool {\n    std::env::var(\"QCPA_LOG\").is_ok()\n}\n#[cfg(test)]\nmod tests {\n    const K: &str = \"QCPA_TEST_ONLY\";\n}\n";
+        let sites = with_ctx(
+            "crates/t/src/lib.rs",
+            "qcpa-t",
+            Region::Lib,
+            src,
+            |ctx, _| env_key_sites(ctx),
+        );
+        assert_eq!(sites.len(), 3);
+        let readme = "Set `QCPA_LOG`.\n\n| Knob | Meaning |\n| --- | --- |\n| `QCPA_DEAD_KNOB` | gone |\n| `QCPA_TEST_ONLY` | read by a test |\n";
+        let fs = env_doc_drift(&sites, Some(readme));
+        assert_eq!(fs.len(), 2, "{fs:?}");
+        assert!(fs
+            .iter()
+            .any(|f| f.file == "crates/t/src/lib.rs" && f.snippet.contains("QCPA_UNDOCUMENTED")));
+        assert!(fs
+            .iter()
+            .any(|f| f.file == "README.md" && f.snippet.contains("QCPA_DEAD_KNOB")));
+        assert!(env_doc_drift(&sites, None).is_empty());
     }
 
     #[test]

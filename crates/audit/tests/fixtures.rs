@@ -38,10 +38,16 @@ fn corpus_fires_every_rule_at_least_once() {
 fn corpus_finding_counts_are_exact() {
     let report = run(&fixture("tree")).expect("fixture tree scans");
     // Totals pin the negatives too: tokens inside comments, strings and
-    // raw strings, the QCPA_-keyed env read, and the documented unsafe
-    // block must all stay silent.
-    assert_eq!(count(&report, "hash-iter", false), 4);
-    assert_eq!(count(&report, "hash-iter", true), 3);
+    // raw strings, the QCPA_-keyed env read, the documented unsafe
+    // block and the seeded multi-line `from_seed(` call must all stay
+    // silent.
+    //
+    // hash-iter: four in the core crate (one suppressed) plus one in
+    // the storage crate, which the rule skipped while it covered only a
+    // list of deterministic crates; it now covers every crate but the
+    // auditor, so a hash-ordered float merge anywhere is a finding.
+    assert_eq!(count(&report, "hash-iter", false), 5);
+    assert_eq!(count(&report, "hash-iter", true), 4);
     assert_eq!(count(&report, "wall-clock", false), 1);
     assert_eq!(count(&report, "entropy", false), 1);
     assert_eq!(count(&report, "spawn", false), 1);
@@ -49,18 +55,15 @@ fn corpus_finding_counts_are_exact() {
     assert_eq!(count(&report, "unsafe-audit", false), 2);
     assert_eq!(count(&report, "env-access", false), 1);
     assert_eq!(count(&report, "allow-syntax", false), 2);
-    // Semantic rules: one deliberate violation each in the semantic
-    // fixture crate (rng-taint twice: one suppressed) and the env-drift
-    // pair (undocumented key + dead README knob row).
+    // rng-taint twice (one suppressed); env-doc-drift on the
+    // undocumented key and on the dead README knob row.
     assert_eq!(count(&report, "rng-taint", false), 2);
     assert_eq!(count(&report, "rng-taint", true), 1);
-    assert_eq!(count(&report, "ordered-reduction", false), 1);
     assert_eq!(count(&report, "env-doc-drift", false), 2);
-    assert_eq!(count(&report, "panic-path", false), 1);
 }
 
 #[test]
-fn semantic_findings_land_where_expected() {
+fn env_doc_drift_lands_on_both_sides() {
     let report = run(&fixture("tree")).expect("fixture tree scans");
     let drift: Vec<&str> = report
         .findings
@@ -70,24 +73,9 @@ fn semantic_findings_land_where_expected() {
         .collect();
     assert!(drift.contains(&"README.md"), "dead knob row: {drift:?}");
     assert!(
-        drift.contains(&"crates/semantic/src/lib.rs"),
+        drift.contains(&"crates/core/src/lib.rs"),
         "undocumented key: {drift:?}"
     );
-    let hot = report
-        .findings
-        .iter()
-        .find(|f| f.rule == "panic-path")
-        .expect("hot panic site");
-    assert!(hot.file.ends_with("crates/core/src/lib.rs"));
-    assert!(hot.snippet.contains("unwrap"));
-    assert!(hot.unsuppressed(), "no baseline → over budget → fails");
-    let core = report.panic_hygiene.get("qcpa-core").expect("core stats");
-    assert_eq!(core.hot_sites, 1);
-    let sem = report
-        .panic_hygiene
-        .get("qcpa-semantic")
-        .expect("semantic fixture stats");
-    assert_eq!(sem.hot_sites, 0, "no hot entry point in that crate");
 }
 
 #[test]
@@ -169,4 +157,13 @@ fn workspace_tree_audits_clean() {
         "unsuppressed audit findings in the workspace:\n{}",
         bad.join("\n")
     );
+}
+
+/// The report must be byte-identical across reruns on the same tree
+/// (the canonical JSON never embeds wall time or iteration order).
+#[test]
+fn report_is_byte_deterministic_across_reruns() {
+    let a = run(&fixture("tree")).expect("first run").to_json();
+    let b = run(&fixture("tree")).expect("second run").to_json();
+    assert_eq!(a, b);
 }

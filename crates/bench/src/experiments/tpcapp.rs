@@ -78,7 +78,7 @@ pub fn fig4f() -> std::io::Result<()> {
     // overhead on one node too) — this is why the paper's column-based
     // allocation has the best *speedup* while trailing slightly in
     // absolute throughput.
-    let mut base = std::collections::HashMap::new();
+    let mut base = std::collections::BTreeMap::new();
     for s in [
         Strategy::FullReplication,
         Strategy::TableBased,

@@ -199,34 +199,6 @@ impl Drop for Csv {
         if let Some(sha) = qcpa_obs::export::git_sha(std::path::Path::new(".")) {
             meta.push(("git_sha", sha));
         }
-        // Stamp the sidecar with the static-analysis state of the tree
-        // the numbers came from (best effort: absent sources — e.g. an
-        // installed binary run outside the repo — just omit the keys).
-        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        let mut rule_counts: Vec<(String, String)> = Vec::new();
-        if let Some(root) = qcpa_audit::discover_root(&cwd) {
-            if let Ok(report) = qcpa_audit::run_with_timing(&root) {
-                meta.push(("audit_schema_version", report.schema_version.to_string()));
-                meta.push(("audit_unsuppressed", report.unsuppressed.to_string()));
-                let panic_sites: u32 = report.panic_hygiene.values().map(|s| s.sites).sum();
-                meta.push(("audit_panic_sites", panic_sites.to_string()));
-                // Per-rule finding counts (schema v2): only rules that
-                // fired, keyed `audit_rule_<name>`, in the report's
-                // deterministic rule order.
-                for (rule, stat) in &report.rule_stats {
-                    if stat.findings > 0 {
-                        rule_counts.push((format!("audit_rule_{rule}"), stat.findings.to_string()));
-                    }
-                }
-                if let Some(timing) = &report.timing_ms {
-                    let total: f64 = timing.values().sum();
-                    meta.push(("audit_analysis_ms", format!("{total:.3}")));
-                }
-            }
-        }
-        for (k, v) in &rule_counts {
-            meta.push((k.as_str(), v.clone()));
-        }
         for (k, v) in &self.meta {
             meta.push((k.as_str(), v.clone()));
         }

@@ -50,16 +50,12 @@ awk '
     { echo "BTreeSet<FragmentId> in production code: use FragSet" >&2; exit 1; }
 
 # The static-analysis gate: exits nonzero on any unsuppressed finding.
-# Two layers run in every tier — the lexical token rules (hash-ordered
-# iteration in deterministic crates, wall-clock reads, ambient entropy,
-# thread spawns, undocumented unsafe, panic-hygiene ratchet regressions,
-# off-surface env reads; DESIGN.md §11) and the semantic AST/call-graph
-# rules (RNG seeds that do not derive from a seed, hash-ordered float
-# reductions, env-surface ↔ README bijection, hot-path panic
-# reachability; DESIGN.md §16). `--timings` prints the per-phase
-# analysis cost.
-echo "== qcpa-audit (static analysis: lexical + semantic) =="
-cargo run -q -p qcpa-audit -- --timings
+# One lexical pass in every tier (DESIGN.md §11): hash-ordered
+# collections, wall-clock reads, ambient entropy, RNGs not built from a
+# seed, thread spawns, undocumented unsafe, panic-hygiene ratchet
+# regressions, off-surface env reads and env keys missing from README.
+echo "== qcpa-audit (static analysis) =="
+cargo run -q -p qcpa-audit
 
 # The allocator's parent-recorded fingerprints, including the
 # benchmark's scale_alloc instance, and its heap-allocation budget: both
