@@ -25,6 +25,10 @@
 //!   loop replaced, pins it (and the same report read off the
 //!   all-disabled `run_open_resilient` report) across six fault
 //!   scenarios × six propagation settings.
+//! * **Resilient goldens** — `run_open_resilient` with its mechanisms
+//!   on (deadlines, retries, bounded queues under every overload
+//!   policy, breakers), on the golden cluster and on an 8-way fully
+//!   replicated one, pinned by report and trace-tree fingerprints.
 
 use proptest::prelude::*;
 use qcpa::core::allocation::Allocation;
@@ -39,10 +43,10 @@ use qcpa::sim::fault::{
     run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan, FaultReport,
     LayeredFaultConfig,
 };
-use qcpa::sim::resilience::run_open_resilient;
+use qcpa::sim::resilience::{run_open_resilient, run_open_resilient_traced};
 use qcpa::sim::{
-    backend_components, run_open_sharded, OpenReport, QueueKind, Request, RequestStream,
-    ResilienceConfig, ResilienceReport, Scheduler, SimConfig, UpdatePropagation,
+    backend_components, run_open_sharded, OpenReport, OverloadPolicy, QueueKind, Request,
+    RequestStream, ResilienceConfig, ResilienceReport, Scheduler, SimConfig, UpdatePropagation,
 };
 use qcpa_obs::Tracer;
 use rand::SeedableRng;
@@ -368,14 +372,19 @@ fn golden_cluster() -> (Catalog, Classification, Allocation, Vec<Request>) {
         }
     }
     alloc.fragments[3].insert(t[4]);
-    // The stream's frequencies are its own: the zero-weight class still
-    // receives 8 % of the arrivals.
+    let reqs = golden_requests(&cls, 190.0);
+    (cat, cls, alloc, reqs)
+}
+
+/// Two seconds of Poisson arrivals at `rate` over the golden classes.
+/// The stream's frequencies are its own: the zero-weight class still
+/// receives 8 % of the arrivals.
+fn golden_requests(cls: &Classification, rate: f64) -> Vec<Request> {
     let freq = vec![22.0, 14.0, 10.0, 22.0, 14.0, 10.0, 8.0];
     let kinds: Vec<QueryKind> = cls.classes.iter().map(|c| c.kind).collect();
     let stream = RequestStream::new(freq, kinds, vec![0.02; cls.len()]);
     let mut rng = ChaCha8Rng::seed_from_u64(0x601D);
-    let reqs = stream.sample_poisson(190.0, 2.0, 0.1, &mut rng);
-    (cat, cls, alloc, reqs)
+    stream.sample_poisson(rate, 2.0, 0.1, &mut rng)
 }
 
 /// The golden fault scenarios, one plan each.
@@ -564,5 +573,272 @@ fn fault_reports_match_recorded_goldens() {
     assert_eq!(
         computed, FAULT_GOLDENS,
         "fault reports drifted from the recorded goldens; computed table:\n{computed:#018x?}"
+    );
+}
+
+/// FNV-1a over every field of a [`ResilienceReport`]: responses,
+/// aggregates, busy time and utilization by bits, goodput, every
+/// counter, the per-class completions, the repair account and the
+/// availability timeline.
+fn resilience_fingerprint(r: &ResilienceReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(r.responses.len() as u64);
+    for &(arrival, response) in &r.responses {
+        eat(arrival.to_bits());
+        eat(response.to_bits());
+    }
+    for x in [
+        r.mean_response,
+        r.p95_response,
+        r.p99_response,
+        r.goodput,
+        r.repair_pause_secs,
+    ] {
+        eat(x.to_bits());
+    }
+    for (b, u) in r.busy.iter().zip(&r.utilization) {
+        eat(b.to_bits());
+        eat(u.to_bits());
+    }
+    for n in [
+        r.offered,
+        r.completed,
+        r.shed,
+        r.timed_out,
+        r.lost,
+        r.retries,
+        r.timeouts,
+        r.shed_victims,
+        r.browned_out,
+        r.redispatched,
+        r.breaker_opens,
+        r.breaker_half_opens,
+        r.breaker_closes,
+        r.degraded_fallbacks,
+        r.breaker_overrides,
+        r.unroutable,
+        r.crashes,
+        r.recoveries,
+        r.gray_windows,
+        r.partitions,
+        r.heals,
+        r.repairs,
+        r.reroute_failures,
+    ] {
+        eat(n as u64);
+    }
+    for &n in &r.per_class_completed {
+        eat(n as u64);
+    }
+    eat(r.repair_moved_bytes);
+    eat(u64::from(r.post_repair_safety_ok));
+    for &(t, n) in &r.availability {
+        eat(t.to_bits());
+        eat(n as u64);
+    }
+    h
+}
+
+/// The golden classes fully replicated on 8 backends, at a rate where
+/// update legs alone keep every backend 92 % busy: each update fans out
+/// to all 8 replicas, so a crash voids one of 8 live ROWA legs.
+fn full_replication_cluster() -> (Catalog, Classification, Allocation, Vec<Request>) {
+    let (cat, cls, _, _) = golden_cluster();
+    let alloc = Allocation::full_replication(&cls, &ClusterSpec::homogeneous(8));
+    let reqs = golden_requests(&cls, 165.0);
+    (cat, cls, alloc, reqs)
+}
+
+/// One layered plan per golden cluster: crashes with recovery, a gray
+/// window and a partition episode, overlapping.
+fn resilient_plan(n: usize) -> FaultPlan {
+    let crash = |backend, at| FaultEvent::Crash { backend, at };
+    let recover = |backend, at| FaultEvent::Recover {
+        backend,
+        at,
+        catchup_cost: 0.05,
+    };
+    let degrade = |backend, at| FaultEvent::Degrade {
+        backend,
+        at,
+        factor: 3.0,
+    };
+    let restore = |backend, at| FaultEvent::Restore { backend, at };
+    let (events, side) = if n == 4 {
+        (
+            vec![
+                degrade(1, 0.3),
+                crash(0, 0.6),
+                FaultEvent::Partition { id: 0, at: 0.7 },
+                restore(1, 1.0),
+                FaultEvent::Heal { id: 0, at: 1.1 },
+                recover(0, 1.2),
+                crash(3, 1.4),
+                recover(3, 1.7),
+            ],
+            vec![2],
+        )
+    } else {
+        (
+            vec![
+                crash(0, 0.5),
+                degrade(2, 0.6),
+                FaultEvent::Partition { id: 0, at: 0.7 },
+                crash(5, 0.9),
+                FaultEvent::Heal { id: 0, at: 1.0 },
+                restore(2, 1.2),
+                recover(0, 1.3),
+                recover(5, 1.6),
+            ],
+            vec![6, 7],
+        )
+    };
+    FaultPlan::with_partitions(events, n, vec![side]).expect("resilient plan is valid")
+}
+
+/// The active configurations the goldens cover: the standard preset,
+/// and 3-deep queues with a 0.1 s deadline under each overload policy
+/// (brownout with the latency trip wire armed).
+fn resilient_configs() -> [(&'static str, ResilienceConfig); 4] {
+    let capped = |overload| ResilienceConfig {
+        queue_cap: 3,
+        overload,
+        deadline: 0.1,
+        ..ResilienceConfig::standard()
+    };
+    [
+        ("standard", ResilienceConfig::standard()),
+        ("reject", capped(OverloadPolicy::Reject)),
+        (
+            "shed_lowest_weight",
+            capped(OverloadPolicy::ShedLowestWeight),
+        ),
+        (
+            "brownout",
+            ResilienceConfig {
+                slow_trip: 0.03,
+                ..capped(OverloadPolicy::Brownout)
+            },
+        ),
+    ]
+}
+
+/// `(report, trace tree)` fingerprints of `run_open_resilient` per
+/// cluster (golden, then full replication on 8) × [`resilient_configs`]
+/// × `sim_config(0..3)` (ROWA, primary copy, lazy), the tree traced at
+/// sample rate 1.0. Recorded from the fault-aware loop while it kept
+/// every leg of a run in an arena.
+const RESILIENT_GOLDENS: [[(u64, u64); 3]; 8] = [
+    [
+        (0xafc75fbd56c90e9a, 0xa4f1411ef9c1f1e9),
+        (0xd6951d98f0bcc16e, 0xd67f9d5bad66986e),
+        (0x979621bfcba3b79f, 0xd121a542ab3ee904),
+    ],
+    [
+        (0x59ed9110a89a97c5, 0x6d4bc86ffae104ad),
+        (0xc72bf18f0cbc2b72, 0xc3e0447ffdb111d9),
+        (0xd5688a5b2189ffa9, 0x7e7f8bd24925f885),
+    ],
+    [
+        (0x0a6c98dd4311e67f, 0x0df6d0f76019c899),
+        (0x2c4dd2d5f4d20d70, 0xa143e3dab4f38fd9),
+        (0x3cc8b5d87ef86375, 0x0acb5b614475f054),
+    ],
+    [
+        (0x9107991e0ff172ca, 0x6fe34ae735b80912),
+        (0x9a9a619bd864d87c, 0xc7e11a60d5765ae5),
+        (0xe9a8a5299fa080ee, 0x8019989ee45bdf4c),
+    ],
+    [
+        (0x3c7b4ef0e92d4acd, 0x050f4e0ad03df3d5),
+        (0xdb41d348beecbbf1, 0x469fcd49b626da85),
+        (0x5302f07fee5185bd, 0x3e06e0c5e417a469),
+    ],
+    [
+        (0x98a856627f4e7878, 0x903ee9ef54f3f1e6),
+        (0x1d71a09e542bbce1, 0x9ad471f2f487f218),
+        (0x636f68754d07c46e, 0x6b1ed6e687d0dfd1),
+    ],
+    [
+        (0x43c6e2723a1c520e, 0xcbd9deff1f5edb77),
+        (0xc26882f357bb3c5a, 0x223c673a0b131535),
+        (0x833cb64d630d407d, 0x87b9728454e82345),
+    ],
+    [
+        (0x084e0a0bce79cf09, 0x2c4daa6832657958),
+        (0x3f132a1d0c438065, 0x4bb174321142c0da),
+        (0x3e7357ebc34f36b9, 0x6dc805178dee75df),
+    ],
+];
+
+#[test]
+fn resilient_reports_match_recorded_goldens() {
+    let fcfg = FaultConfig::default();
+    let mut computed = [[(0u64, 0u64); 3]; 8];
+    // Per cluster: what the runs exercised, summed over configs and
+    // propagation modes.
+    let mut exercised = [[0usize; 6]; 2];
+    for (c, (cat, cls, alloc, reqs)) in [golden_cluster(), full_replication_cluster()]
+        .into_iter()
+        .enumerate()
+    {
+        let n = alloc.n_backends();
+        let cluster = ClusterSpec::homogeneous(n);
+        let plan = resilient_plan(n);
+        for (k, (name, rcfg)) in resilient_configs().iter().enumerate() {
+            for p in 0..3u8 {
+                let cfg = sim_config(p);
+                let rep = run_open_resilient(
+                    &alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, &plan, &fcfg, rcfg,
+                );
+                let mut tracer = Tracer::new(0x601D, 1.0);
+                let traced = run_open_resilient_traced(
+                    &alloc,
+                    &cls,
+                    &cluster,
+                    &cat,
+                    &reqs,
+                    0.0,
+                    &cfg,
+                    &plan,
+                    &fcfg,
+                    rcfg,
+                    Some(&mut tracer),
+                );
+                let fp = resilience_fingerprint(&rep);
+                assert_eq!(
+                    resilience_fingerprint(&traced),
+                    fp,
+                    "{name} on {n} backends, propagation {p}: tracing changed the report"
+                );
+                assert!(rep.conserved() && rep.lost == 0, "{name}: conservation");
+                for (sum, n) in exercised[c].iter_mut().zip([
+                    rep.redispatched,
+                    rep.timeouts,
+                    rep.retries,
+                    rep.shed_victims,
+                    rep.browned_out,
+                    rep.breaker_opens,
+                ]) {
+                    *sum += n;
+                }
+                computed[c * 4 + k][usize::from(p)] = (fp, tracer.into_tree().fingerprint());
+            }
+        }
+    }
+    // Crash re-dispatch, deadline cancellation, retries, eviction,
+    // brownout and the breaker all fire on both clusters.
+    assert!(
+        exercised.iter().flatten().all(|&n| n > 0),
+        "a mechanism never fired: {exercised:?}"
+    );
+    assert_eq!(
+        computed, RESILIENT_GOLDENS,
+        "resilient reports drifted from the recorded goldens; computed table:\n{computed:#018x?}"
     );
 }
