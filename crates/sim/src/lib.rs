@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod baseline;
 pub mod chaos;
 pub mod engine;
@@ -54,7 +53,6 @@ pub mod resilience;
 pub mod scheduler;
 pub mod service;
 
-pub use arena::{LegArena, LegList, LegRef};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use engine::{
     run_batch, run_open, run_open_sharded, run_open_traced, BatchReport, OpenReport, SimConfig,

@@ -63,7 +63,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::arena::{LegArena, LegList, LegRef};
 use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
 use crate::fault::{reroute, FaultConfig, FaultEvent, FaultPlan, FaultStats};
 use crate::queue::{CalendarQueue, EventQueue};
@@ -477,18 +476,49 @@ impl Breakers {
     }
 }
 
-/// One per-backend work unit of a request.
+/// One per-backend work unit of a traced request, kept only so its span
+/// tree can be drawn at the end of the run.
 #[derive(Debug, Clone, Copy)]
 struct RLeg {
     /// Backend the leg ran on (the export track).
     backend: usize,
     end: f64,
     svc: f64,
-    /// Voided by a crash (work after the crash refunded).
+    /// Voided by a crash or a shed (work after it refunded).
     voided: bool,
     /// Cancelled by its deadline (never completes the request).
     cancelled: bool,
-    primary: bool,
+}
+
+/// What a leg is to its request. Reads and ROWA updates complete on the
+/// latest end over their live legs, other propagation modes on the
+/// primary leg; a request is re-dispatched once no leg that could
+/// complete it is live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A read leg that runs to completion — the only leg of a read that
+    /// can be live, and the only kind [`OverloadPolicy::ShedLowestWeight`]
+    /// may evict.
+    Read,
+    /// A read leg cancelled by its deadline: it completes nothing.
+    Cancelled,
+    /// The primary leg of a primary-copy or lazy update. Only the
+    /// latest dispatch's primary can be live.
+    Primary,
+    /// A non-primary leg of a primary-copy or lazy update: replication
+    /// duty that completes nothing.
+    Duty,
+    /// A ROWA update leg. A ROWA update is re-dispatched only once all
+    /// its live legs are voided, so its live legs all belong to its
+    /// latest dispatch.
+    Rowa,
+}
+
+impl Role {
+    /// Whether the leg, while live, counts toward completing its request.
+    fn completes(self) -> bool {
+        matches!(self, Role::Read | Role::Primary | Role::Rowa)
+    }
 }
 
 /// Terminal classification of a request; `Pending` resolves to
@@ -500,33 +530,52 @@ enum Outcome {
     TimedOut,
 }
 
+/// Per-request state. A leg neither voided nor cancelled is *live*; of a
+/// request's legs only the live ones whose [`Role::completes`] matter,
+/// and a finished leg stays live for good (a crash at `at` voids only
+/// legs ending after `at`, and events replay in time order).
 #[derive(Debug, Clone, Copy)]
 struct RReq {
     arrival: f64,
-    class: ClassId,
-    kind: QueryKind,
     service: f64,
-    /// Chain head in the run's shared [`LegArena`].
-    legs: LegList,
+    /// Latest end over the live completing legs; `-∞` when there is none.
+    end: f64,
+    /// Latest end over the live ROWA legs that have left the pending
+    /// queues — the part of `end` no queue holds any more.
+    done: f64,
+    class: ClassId,
+    /// Live completing legs.
+    live: u32,
     attempts: u32,
+    kind: QueryKind,
     retry_pending: bool,
     outcome: Outcome,
+    /// Admitted by the tracer: its legs are kept in
+    /// [`Engine::traced`].
+    traced: bool,
+}
+
+impl RReq {
+    /// Completion time under the response rule of
+    /// [`crate::engine::run_open`]; `None` if no live leg completes the
+    /// request.
+    fn completion(&self) -> Option<f64> {
+        (self.live > 0).then_some(self.end)
+    }
 }
 
 /// Entry of a backend's bounded pending queue, in non-decreasing `end`
 /// order (per-backend dispatch times are monotone; shed victims leave
 /// capacity holes rather than compacting the schedule, mirroring crash
-/// voiding).
+/// voiding). It is the only record of a leg in flight.
 #[derive(Debug, Clone, Copy)]
 struct QEntry {
     end: f64,
     start: f64,
-    req: usize,
-    leg: LegRef,
-    weight: f64,
-    /// Only not-yet-started read legs may be evicted by
-    /// [`OverloadPolicy::ShedLowestWeight`].
-    sheddable: bool,
+    /// Work booked for the leg.
+    svc: f64,
+    req: u32,
+    role: Role,
 }
 
 /// Packs a retry's `(sequence, request)` pair into the event queue's
@@ -683,12 +732,16 @@ pub(crate) struct Engine<'a> {
     free_at: Vec<f64>,
     busy: Vec<f64>,
     /// Per backend: the legs still running or waiting, oldest first —
-    /// the only in-flight index (admission bound, shed victims, crash
+    /// the only record of a leg (admission bound, shed victims, crash
     /// voiding). Finished entries are dropped at every push, so it
     /// stays O(in-flight) however long the run.
     queues: Vec<VecDeque<QEntry>>,
     arena: Vec<RReq>,
-    leg_arena: LegArena<RLeg>,
+    /// Every leg of the tracer-admitted requests, in dispatch order.
+    traced: Vec<(u32, RLeg)>,
+    /// The routing table of the allocation as given, reused whenever
+    /// every backend is routable again before any online repair.
+    initial: Scheduler,
     breakers: Breakers,
     retries: CalendarQueue,
     retry_seq: u64,
@@ -701,9 +754,23 @@ pub(crate) struct Engine<'a> {
 /// Entries are in non-decreasing `end` order and dispatch times never
 /// go back, so what is dropped can no longer be voided, shed or
 /// counted against the bound.
-fn drop_finished(q: &mut VecDeque<QEntry>, t: f64) {
-    while q.front().is_some_and(|e| e.end <= t) {
+fn drop_finished(q: &mut VecDeque<QEntry>, reqs: &mut [RReq], t: f64) {
+    while let Some(e) = q.front() {
+        if e.end > t {
+            break;
+        }
+        retire(reqs, e);
         q.pop_front();
+    }
+}
+
+/// Records a live leg leaving its pending queue without being voided:
+/// no crash can reach it any more, so a ROWA leg's end moves to its
+/// request's `done`.
+fn retire(reqs: &mut [RReq], e: &QEntry) {
+    if e.role == Role::Rowa {
+        let r = &mut reqs[e.req as usize];
+        r.done = r.done.max(e.end);
     }
 }
 
@@ -719,44 +786,59 @@ impl Engine<'_> {
     /// with the mark name and time, so repeated marks on one request
     /// stay distinct.
     fn trace_mark(&mut self, idx: usize, name: &'static str, t: f64) {
+        if !self.arena[idx].traced {
+            return;
+        }
         let track = self.free_at.len() as u32;
         if let Some(tr) = self.tracer.as_deref_mut() {
-            if tr.admit(idx as u64) {
-                let salt = name
-                    .bytes()
-                    .fold(t.to_bits(), |a, b| a.rotate_left(7) ^ u64::from(b));
-                let id = tr.span_id(idx as u64, salt);
-                tr.tree.mark(
-                    id,
-                    None,
-                    "resilience",
-                    name,
-                    track,
-                    t,
-                    vec![("request", (idx as u64).into())],
-                );
-            }
+            let salt = name
+                .bytes()
+                .fold(t.to_bits(), |a, b| a.rotate_left(7) ^ u64::from(b));
+            let id = tr.span_id(idx as u64, salt);
+            tr.tree.mark(
+                id,
+                None,
+                "resilience",
+                name,
+                track,
+                t,
+                vec![("request", (idx as u64).into())],
+            );
         }
     }
 
     /// Records the backoff interval of a scheduled retry for `idx` as a
     /// span on the fault track.
     fn trace_backoff(&mut self, idx: usize, from: f64, until: f64, attempt: u32) {
+        if !self.arena[idx].traced {
+            return;
+        }
         let track = self.free_at.len() as u32;
         if let Some(tr) = self.tracer.as_deref_mut() {
-            if tr.admit(idx as u64) {
-                let s = tr.tree.begin(
-                    tr.span_id(idx as u64, 0x4000_0000_0000_0000 | u64::from(attempt)),
-                    None,
-                    "resilience",
-                    "backoff",
-                    track,
-                    from,
-                );
-                tr.tree.arg(s, "request", idx as u64);
-                tr.tree.arg(s, "attempt", attempt);
-                tr.tree.end(s, until);
-            }
+            let s = tr.tree.begin(
+                tr.span_id(idx as u64, 0x4000_0000_0000_0000 | u64::from(attempt)),
+                None,
+                "resilience",
+                "backoff",
+                track,
+                from,
+            );
+            tr.tree.arg(s, "request", idx as u64);
+            tr.tree.arg(s, "attempt", attempt);
+            tr.tree.end(s, until);
+        }
+    }
+
+    /// Marks voided the traced leg `e` of backend `b`'s queue stands for.
+    /// Two of a request's legs can share a backend, an end and a role
+    /// only if the later one has no work; a crash voids both, and a
+    /// shed victim is a request's one live read leg.
+    fn trace_void(&mut self, b: usize, e: &QEntry) {
+        let cancelled = e.role == Role::Cancelled;
+        if let Some((_, leg)) = self.traced.iter_mut().rev().find(|(r, l)| {
+            *r == e.req && l.backend == b && l.end == e.end && l.cancelled == cancelled && !l.voided
+        }) {
+            leg.voided = true;
         }
     }
 
@@ -852,7 +934,7 @@ impl Engine<'_> {
     fn admit_read(&mut self, idx: usize, class: ClassId, b: usize, t: f64) -> Option<f64> {
         let rcfg = self.run.rcfg;
         let q = &mut self.queues[b];
-        drop_finished(q, t);
+        drop_finished(q, &mut self.arena, t);
         if rcfg.queue_cap == 0 || q.len() < rcfg.queue_cap {
             return Some(1.0);
         }
@@ -862,31 +944,40 @@ impl Engine<'_> {
                 None
             }
             OverloadPolicy::ShedLowestWeight => {
-                let w_in = self.run.cls.classes[class.idx()].weight;
+                let classes = &self.run.cls.classes;
+                let arena = &self.arena;
+                let weight = |e: &QEntry| classes[arena[e.req as usize].class.idx()].weight;
+                let w_in = classes[class.idx()].weight;
                 let victim = q
                     .iter()
                     .enumerate()
-                    .filter(|(_, e)| e.sheddable && e.start > t)
+                    .filter(|(_, e)| e.role == Role::Read && e.start > t)
                     .min_by(|(_, x), (_, y)| {
-                        x.weight
-                            .partial_cmp(&y.weight)
+                        weight(x)
+                            .partial_cmp(&weight(y))
                             .expect("class weights are finite")
                             .then(x.req.cmp(&y.req))
                     })
                     .map(|(i, e)| (i, *e));
                 match victim {
-                    Some((vi, ve)) if ve.weight < w_in => {
+                    Some((vi, ve)) if weight(&ve) < w_in => {
                         q.remove(vi);
                         // The victim never started: refund its whole
                         // reservation but leave `free_at` untouched — a
                         // capacity hole, the same discipline as crash
                         // voiding.
                         self.busy[b] -= ve.end - ve.start;
-                        self.leg_arena.get_mut(ve.leg).voided = true;
-                        self.arena[ve.req].outcome = Outcome::Shed;
+                        let vr = ve.req as usize;
+                        let r = &mut self.arena[vr];
+                        r.live -= 1;
+                        r.end = f64::NEG_INFINITY;
+                        r.outcome = Outcome::Shed;
+                        if r.traced {
+                            self.trace_void(b, &ve);
+                        }
                         self.tally.shed += 1;
                         self.tally.shed_victims += 1;
-                        self.trace_mark(ve.req, "shed_victim", t);
+                        self.trace_mark(vr, "shed_victim", t);
                         Some(1.0)
                     }
                     _ => {
@@ -914,32 +1005,43 @@ impl Engine<'_> {
         self.trace_mark(idx, "shed", t);
     }
 
-    /// Books `leg` of request `idx`, dispatched at `t` and starting at
-    /// `start`: charges its work, advances the backend's release time,
-    /// chains it to the request and enters it in the pending queue.
-    /// Only a read leg that will run to completion may later be evicted
-    /// by [`OverloadPolicy::ShedLowestWeight`].
-    fn book(&mut self, idx: usize, t: f64, start: f64, leg: RLeg) {
-        let b = leg.backend;
-        self.free_at[b] = leg.end;
-        self.busy[b] += leg.svc;
+    /// Books a leg of request `idx` on backend `b`, dispatched at `t`,
+    /// starting at `start` and performing `svc` seconds of work: charges
+    /// the work, advances the backend's release time, counts the leg
+    /// toward its request and enters it in the pending queue.
+    fn book(&mut self, idx: usize, t: f64, b: usize, start: f64, svc: f64, role: Role) {
+        let end = start + svc;
+        self.free_at[b] = end;
+        self.busy[b] += svc;
         let r = &mut self.arena[idx];
-        let sheddable = r.kind == QueryKind::Read && !leg.cancelled;
-        let weight = self.run.cls.classes[r.class.idx()].weight;
-        let lref = self.leg_arena.push(&mut r.legs, leg);
+        if role.completes() {
+            r.live += 1;
+            r.end = r.end.max(end);
+        }
+        if r.traced {
+            self.traced.push((
+                idx as u32,
+                RLeg {
+                    backend: b,
+                    end,
+                    svc,
+                    voided: false,
+                    cancelled: role == Role::Cancelled,
+                },
+            ));
+        }
         // A leg cancelled before it started occupies no queue slot.
-        if leg.cancelled && leg.svc <= 0.0 {
+        if role == Role::Cancelled && svc <= 0.0 {
             return;
         }
         let q = &mut self.queues[b];
-        drop_finished(q, t);
+        drop_finished(q, &mut self.arena, t);
         q.push_back(QEntry {
-            end: leg.end,
+            end,
             start,
-            req: idx,
-            leg: lref,
-            weight,
-            sheddable,
+            svc,
+            req: idx as u32,
+            role,
         });
     }
 
@@ -971,29 +1073,18 @@ impl Engine<'_> {
                 let start = self.free_at[b].max(t);
                 let end = start + svc;
                 let deadline = t + self.run.rcfg.deadline;
-                let mut leg = RLeg {
-                    backend: b,
-                    end,
-                    svc,
-                    voided: false,
-                    cancelled: false,
-                    primary: true,
-                };
                 if end > deadline {
                     // Cancel at the deadline: charge only the work
                     // performed. Nothing was queued behind this leg
                     // yet, so releasing the backend early is exact.
                     let performed = (deadline - start).clamp(0.0, svc);
-                    leg.end = start + performed;
-                    leg.svc = performed;
-                    leg.cancelled = true;
-                    self.book(idx, t, start, leg);
+                    self.book(idx, t, b, start, performed, Role::Cancelled);
                     self.breakers.on_timeout(b, t, performed);
                     self.tally.timeouts += 1;
                     self.trace_mark(idx, "leg_timeout", deadline);
                     self.retry_or_expire(idx, deadline);
                 } else {
-                    self.book(idx, t, start, leg);
+                    self.book(idx, t, b, start, svc, Role::Read);
                     self.breakers.on_dispatch_ok(b, t, svc, end);
                 }
             }
@@ -1017,21 +1108,17 @@ impl Engine<'_> {
                 };
                 for i in 0..n_targets {
                     let b = self.scheduler.route_update(class)[i];
-                    let mult = match propagation {
-                        UpdatePropagation::Lazy { batching_discount } if i > 0 => batching_discount,
-                        _ => sync,
+                    let (mult, role) = match propagation {
+                        UpdatePropagation::Rowa => (sync, Role::Rowa),
+                        _ if i == 0 => (sync, Role::Primary),
+                        UpdatePropagation::Lazy { batching_discount } => {
+                            (batching_discount, Role::Duty)
+                        }
+                        _ => (sync, Role::Duty),
                     };
                     let svc = self.profile.effective(b, service) * mult * self.slow[b];
                     let start = self.free_at[b].max(t);
-                    let leg = RLeg {
-                        backend: b,
-                        end: start + svc,
-                        svc,
-                        voided: false,
-                        cancelled: false,
-                        primary: i == 0,
-                    };
-                    self.book(idx, t, start, leg);
+                    self.book(idx, t, b, start, svc, role);
                 }
             }
         }
@@ -1074,12 +1161,44 @@ impl Engine<'_> {
     /// in arrival order and the number of legs voided.
     fn void_pending(&mut self, backend: usize, at: f64) -> (Vec<usize>, usize) {
         let mut reqs: Vec<usize> = Vec::new();
-        for qe in std::mem::take(&mut self.queues[backend]) {
-            if qe.end > at {
-                let leg = self.leg_arena.get_mut(qe.leg);
-                leg.voided = true;
-                self.busy[backend] -= (leg.end - at).min(leg.svc);
-                reqs.push(qe.req);
+        // ROWA requests that lost the leg holding their latest end but
+        // keep other live legs.
+        let mut stale: Vec<usize> = Vec::new();
+        for e in std::mem::take(&mut self.queues[backend]) {
+            if e.end <= at {
+                retire(&mut self.arena, &e);
+                continue;
+            }
+            self.busy[backend] -= (e.end - at).min(e.svc);
+            let ri = e.req as usize;
+            let r = &mut self.arena[ri];
+            if e.role.completes() {
+                r.live -= 1;
+                if r.live == 0 {
+                    r.end = f64::NEG_INFINITY;
+                } else if e.end == r.end {
+                    stale.push(ri);
+                }
+            }
+            if r.traced {
+                self.trace_void(backend, &e);
+            }
+            reqs.push(ri);
+        }
+        // Only ROWA requests have several live legs: recompute their
+        // latest end from the legs still queued and those retired.
+        stale.sort_unstable();
+        stale.dedup();
+        for &ri in &stale {
+            self.arena[ri].end = self.arena[ri].done;
+        }
+        if !stale.is_empty() {
+            for e in self.queues.iter().flatten() {
+                let ri = e.req as usize;
+                if e.role == Role::Rowa && stale.binary_search(&ri).is_ok() {
+                    let r = &mut self.arena[ri];
+                    r.end = r.end.max(e.end);
+                }
             }
         }
         let voided = reqs.len();
@@ -1089,31 +1208,28 @@ impl Engine<'_> {
     }
 
     /// Whether a crash that voided some of `ri`'s legs must re-dispatch
-    /// it: reads and ROWA updates once every live leg is voided, other
-    /// propagation modes once the primary leg is. A request with a
-    /// scheduled retry (which will re-dispatch it) or a terminal state
-    /// stays as it is.
+    /// it: once no live leg can complete it — for reads and ROWA updates
+    /// every live leg is voided, for other propagation modes the primary
+    /// leg. A request with a scheduled retry (which will re-dispatch it)
+    /// or a terminal state stays as it is.
     fn needs_redispatch(&self, ri: usize) -> bool {
         let r = &self.arena[ri];
-        if r.outcome != Outcome::Pending || r.retry_pending {
-            return false;
-        }
-        let mut legs = self.leg_arena.iter(r.legs).filter(|l| !l.cancelled);
-        match (r.kind, self.run.cfg.propagation) {
-            (QueryKind::Read, _) | (QueryKind::Update, UpdatePropagation::Rowa) => {
-                legs.all(|l| l.voided)
-            }
-            (QueryKind::Update, _) => legs.filter(|l| l.primary).last().is_none_or(|l| l.voided),
-        }
+        r.outcome == Outcome::Pending && !r.retry_pending && r.live == 0
     }
 
-    /// Rebuilds routing, the service profile and the spare-capacity
-    /// view for the current reachability, repairing the allocation
-    /// online when a weighted class lost its last routable replica. A
-    /// failed reroute keeps the previous routing table.
+    /// Rebuilds routing for the current reachability, repairing the
+    /// allocation online when a weighted class lost its last routable
+    /// replica. A failed reroute keeps the previous routing table. The
+    /// service profile and the spare-capacity view depend only on the
+    /// allocation, so only a repair rebuilds them.
     fn reroute(&mut self, at: f64) {
         let run = self.run;
         let routable: Vec<bool> = (0..self.alive.len()).map(|b| self.routable(b)).collect();
+        let repairs = self.stats.tally.repairs;
+        if repairs == 0 && routable.iter().all(|&r| r) {
+            self.scheduler = self.initial.clone();
+            return;
+        }
         if let Ok(s) = reroute(
             at,
             &mut self.current,
@@ -1127,9 +1243,11 @@ impl Engine<'_> {
         ) {
             self.scheduler = s;
         }
-        self.profile =
-            ServiceProfile::new(&self.current, run.cluster, run.catalog, run.cfg.locality);
-        self.spare = robust::spare_room(&self.current, run.cluster);
+        if self.stats.tally.repairs > repairs {
+            self.profile =
+                ServiceProfile::new(&self.current, run.cluster, run.catalog, run.cfg.locality);
+            self.spare = robust::spare_room(&self.current, run.cluster);
+        }
     }
 
     /// Applies one fault event to the run state — the only place a
@@ -1167,7 +1285,9 @@ impl Engine<'_> {
                 self.alive[backend] = true;
                 self.stats.recoveries += 1;
                 self.free_at[backend] = at + catchup_cost;
-                self.queues[backend].clear();
+                for e in self.queues[backend].drain(..) {
+                    retire(&mut self.arena, &e);
+                }
                 self.breakers.on_recover(backend, at);
                 self.mark(
                     "recover",
@@ -1271,35 +1391,25 @@ impl Engine<'_> {
                     "arrivals must be sorted"
                 );
                 let idx = self.arena.len();
+                let traced = self
+                    .tracer
+                    .as_deref()
+                    .is_some_and(|tr| tr.admit(idx as u64));
                 self.arena.push(RReq {
                     arrival: r.arrival,
-                    class: r.class,
-                    kind: r.kind,
                     service: r.service,
-                    legs: LegList::new(),
+                    end: f64::NEG_INFINITY,
+                    done: f64::NEG_INFINITY,
+                    class: r.class,
+                    live: 0,
                     attempts: 0,
+                    kind: r.kind,
                     retry_pending: false,
                     outcome: Outcome::Pending,
+                    traced,
                 });
                 self.dispatch(idx, r.arrival);
             }
-        }
-    }
-
-    /// A pending request's completion time under the response rule of
-    /// [`crate::engine::run_open`], over its live (neither voided nor
-    /// cancelled) legs: reads complete on their last leg, ROWA updates
-    /// when every replica leg has ended, other propagation modes on the
-    /// primary leg. `None` if no live leg answers the request.
-    fn completion_of(&self, r: &RReq) -> Option<f64> {
-        let live = self
-            .leg_arena
-            .iter(r.legs)
-            .filter(|l| !l.voided && !l.cancelled);
-        match (r.kind, self.run.cfg.propagation) {
-            (QueryKind::Read, _) => live.last().map(|l| l.end),
-            (QueryKind::Update, UpdatePropagation::Rowa) => live.map(|l| l.end).reduce(f64::max),
-            (QueryKind::Update, _) => live.filter(|l| l.primary).last().map(|l| l.end),
         }
     }
 
@@ -1326,30 +1436,30 @@ impl Engine<'_> {
         }
 
         let mut finals = Vec::with_capacity(self.arena.len());
+        // Stable: each request's legs stay in dispatch order.
+        self.traced.sort_by_key(|&(r, _)| r);
+        let mut traced = self.traced.as_slice();
         for (idx, r) in self.arena.iter().enumerate() {
             let fin = match r.outcome {
                 Outcome::Shed => RFinal::Shed,
                 Outcome::TimedOut => RFinal::TimedOut,
-                Outcome::Pending => self
-                    .completion_of(r)
-                    .map_or(RFinal::Lost, RFinal::Completed),
+                Outcome::Pending => r.completion().map_or(RFinal::Lost, RFinal::Completed),
             };
-            if let Some(tr) = tracer.as_deref_mut() {
-                if tr.admit(idx as u64) {
+            if r.traced {
+                let n = traced
+                    .iter()
+                    .take_while(|&&(ri, _)| ri as usize == idx)
+                    .count();
+                let legs;
+                (legs, traced) = traced.split_at(n);
+                if let Some(tr) = tracer.as_deref_mut() {
                     let outcome = match fin {
                         RFinal::Completed(_) => "completed",
                         RFinal::Shed => "shed",
                         RFinal::TimedOut => "timed_out",
                         RFinal::Lost => "lost",
                     };
-                    trace_resilient_request(
-                        tr,
-                        idx as u64,
-                        r,
-                        &self.leg_arena,
-                        outcome,
-                        fault_track,
-                    );
+                    trace_resilient_request(tr, idx as u64, r, legs, outcome, fault_track);
                 }
             }
             finals.push((r.arrival, r.class, fin));
@@ -1369,13 +1479,13 @@ impl Engine<'_> {
 
 /// Records a sampled request's finalize-time span tree: a `request`
 /// root stamped with its terminal outcome and one `leg` child per
-/// dispatched leg (cancelled and voided legs annotated), reconstructed
-/// from the engine arena exactly as the finalize scan sees it.
+/// dispatched leg (cancelled and voided legs annotated), in dispatch
+/// order. `legs` are the request's entries of [`Engine::traced`].
 fn trace_resilient_request(
     tr: &mut qcpa_obs::Tracer,
     req: u64,
     r: &RReq,
-    leg_arena: &LegArena<RLeg>,
+    legs: &[(u32, RLeg)],
     outcome: &'static str,
     fault_track: u32,
 ) {
@@ -1383,10 +1493,7 @@ fn trace_resilient_request(
         QueryKind::Read => "read",
         QueryKind::Update => "update",
     };
-    let track = leg_arena
-        .iter(r.legs)
-        .next()
-        .map_or(fault_track, |l| l.backend as u32);
+    let track = legs.first().map_or(fault_track, |(_, l)| l.backend as u32);
     let root = tr
         .tree
         .begin(tr.span_id(req, 0), None, "request", name, track, r.arrival);
@@ -1395,7 +1502,7 @@ fn trace_resilient_request(
     tr.tree.arg(root, "outcome", outcome);
     tr.tree.arg(root, "attempts", r.attempts);
     let mut end = r.arrival;
-    for (i, leg) in leg_arena.iter(r.legs).enumerate() {
+    for (i, (_, leg)) in legs.iter().enumerate() {
         let s = tr.tree.begin(
             tr.span_id(req, 1 + i as u64),
             Some(root),
@@ -1529,6 +1636,10 @@ pub(crate) fn resilient_core<'a>(
         "fault plan validated for a different cluster size"
     );
     run.rcfg.validate();
+    assert!(
+        u32::try_from(requests.len()).is_ok(),
+        "request indices must fit in 32 bits"
+    );
 
     if let Some(tr) = tracer.as_deref_mut() {
         if tr.enabled() {
@@ -1541,10 +1652,11 @@ pub(crate) fn resilient_core<'a>(
     let mut breakers = Breakers::new(n, run.rcfg);
     breakers.log_enabled = tracer.as_ref().is_some_and(|tr| tr.enabled());
 
+    let scheduler = Scheduler::new(run.alloc, run.cls);
     let mut eng = Engine {
         run: *run,
         current: run.alloc.clone(),
-        scheduler: Scheduler::new(run.alloc, run.cls),
+        scheduler: scheduler.clone(),
         profile: ServiceProfile::new(run.alloc, run.cluster, run.catalog, run.cfg.locality),
         spare: robust::spare_room(run.alloc, run.cluster),
         alive: vec![true; n],
@@ -1554,7 +1666,8 @@ pub(crate) fn resilient_core<'a>(
         busy: vec![0.0; n],
         queues: vec![VecDeque::new(); n],
         arena: Vec::with_capacity(requests.len()),
-        leg_arena: LegArena::with_capacity(requests.len() * 2),
+        traced: Vec::new(),
+        initial: scheduler,
         breakers,
         retries: CalendarQueue::new(),
         retry_seq: 0,
@@ -1835,6 +1948,60 @@ mod tests {
             .finals
             .iter()
             .all(|f| matches!(f.2, RFinal::Completed(_))));
+    }
+
+    #[test]
+    fn rowa_update_completes_on_a_retired_leg_when_its_latest_is_voided() {
+        // A read makes backend 0 busy until t = 1; an update at t = 0.1
+        // then ends at 0.6 on backend 1 and at 1.5 on backend 0. A read
+        // at t = 0.7 retires the finished leg from backend 1's queue, and
+        // a crash of backend 0 at 1.2 voids the later leg: the update
+        // keeps one live leg, so it completes at 0.6 without a
+        // re-dispatch.
+        let mut cat = Catalog::new();
+        let a = cat.add_table("A", 1_000);
+        let cls = Classification::from_classes(vec![
+            QueryClass::read(0, [a], 0.5),
+            QueryClass::update(1, [a], 0.5),
+        ])
+        .unwrap();
+        let cluster = ClusterSpec::homogeneous(2);
+        let alloc = Allocation::full_replication(&cls, &cluster);
+        let req = |class, kind, service, arrival| Request {
+            class: ClassId(class),
+            kind,
+            service,
+            arrival,
+        };
+        let reqs = vec![
+            req(0, QueryKind::Read, 1.0, 0.0),
+            req(1, QueryKind::Update, 0.5, 0.1),
+            req(0, QueryKind::Read, 0.1, 0.7),
+        ];
+        let run = |events| {
+            run_open_faults(
+                &alloc,
+                &cls,
+                &cluster,
+                &cat,
+                &reqs,
+                0.0,
+                &SimConfig::default(),
+                &FaultPlan::new(events, 2).unwrap(),
+                &FaultConfig::default(),
+            )
+        };
+        let healthy = run(Vec::new());
+        let crashed = run(vec![FaultEvent::Crash {
+            backend: 0,
+            at: 1.2,
+        }]);
+        assert_eq!(crashed.redispatched, 0);
+        assert_eq!(crashed.completed, 3);
+        let (arrival, response) = crashed.responses[1];
+        assert_eq!(arrival, 0.1);
+        assert!((response - 0.5).abs() < 1e-12, "response {response}");
+        assert!((healthy.responses[1].1 - 1.4).abs() < 1e-12);
     }
 
     #[test]

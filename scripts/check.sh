@@ -11,7 +11,8 @@
 #                               # suite, resilience + multilevel
 #                               # conformance, the sim differential
 #                               # suite, the release allocator goldens,
-#                               # the allocation audit, the quick
+#                               # the allocation audit, the fault-loop
+#                               # heap budget, the quick
 #                               # allocator-bench corner and the
 #                               # benchmark-crate smoke
 set -euo pipefail
@@ -60,14 +61,16 @@ cargo run -q -p qcpa-audit
 # The allocator's parent-recorded fingerprints, including the
 # benchmark's scale_alloc instance, and its heap-allocation budget: both
 # release-only (the debug build cross-checks every transfer against a
-# full normalize).
-run_allocator_goldens() {
+# full normalize). Then the fault-aware loop's peak-heap budget.
+run_release_goldens() {
     echo "== allocator goldens (release) =="
     cargo test -q --release --test allocator_golden -- --include-ignored
     echo "== allocator heap-allocation audit (release) =="
     cargo test -q --release --test alloc_audit -- --include-ignored
     echo "== DeltaCost vs normalize above the debug guard (release) =="
     cargo test -q --release --test delta_differential -- --include-ignored
+    echo "== fault-loop peak-heap budget (release) =="
+    cargo test -q --release --test fault_memory
 }
 
 # benchmark/ is its own workspace, so `cargo test` never builds it: a
@@ -134,7 +137,7 @@ if [[ "$FAST" == "1" ]]; then
     cargo test -q --test conformance multilevel
     echo "== sim differential suite =="
     cargo test -q --test sim_equivalence
-    run_allocator_goldens
+    run_release_goldens
     run_smokes 8
     echo "Fast checks passed."
     exit 0
@@ -145,7 +148,7 @@ fi
 echo "== cargo test =="
 cargo test -q --workspace
 
-run_allocator_goldens
+run_release_goldens
 
 run_smokes 64
 
