@@ -84,6 +84,10 @@ pub fn segment_day(trace: &TraceWorkload, threshold: f64) -> Vec<Segment> {
             end: w[1] as f64 * step,
         });
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "`cuts` is non-empty past the early return"
+    )]
     segments.push(Segment {
         start: *cuts.last().expect("non-empty") as f64 * step,
         end: cuts[0] as f64 * step, // wraps past midnight

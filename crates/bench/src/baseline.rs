@@ -20,7 +20,6 @@ use qcpa_core::allocation::{AllocCost, Allocation};
 use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
-use qcpa_core::journal::QueryKind;
 use qcpa_core::memetic::MemeticConfig;
 use qcpa_core::{BackendId, ClassId, EPS};
 use rand::seq::SliceRandom;
@@ -30,6 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// The old sequential full-recompute `memetic::optimize`: shared RNG,
 /// full normalize+cost per candidate, clone-per-probe local search.
+#[expect(clippy::expect_used, reason = "the population is never empty")]
 pub fn optimize(
     initial: Allocation,
     cls: &Classification,
@@ -148,6 +148,10 @@ fn split_share<R: Rng>(alloc: &mut Allocation, cls: &Classification, rng: &mut R
     alloc.assign[c][to] += half;
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "`pick` indexes the spread classes; shares are finite"
+)]
 fn consolidate<R: Rng>(alloc: &mut Allocation, cls: &Classification, rng: &mut R) {
     let spread: Vec<usize> = cls
         .read_ids()
@@ -177,6 +181,10 @@ fn consolidate<R: Rng>(alloc: &mut Allocation, cls: &Classification, rng: &mut R
     alloc.assign[c][best] = total;
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "n >= 2 backends with positive capacity; `pick` indexes the hot classes"
+)]
 fn rebalance<R: Rng>(
     alloc: &mut Allocation,
     cls: &Classification,
@@ -299,6 +307,7 @@ fn swap_update_replicas(
     improved
 }
 
+#[expect(clippy::expect_used, reason = "room is a difference of finite loads")]
 fn evacuate(
     alloc: &Allocation,
     cls: &Classification,
@@ -396,11 +405,6 @@ fn shift_and_backfill(
     }
     cand.normalize(cls, cluster);
     Some(cand)
-}
-
-#[allow(dead_code)]
-fn is_read(cls: &Classification, c: ClassId) -> bool {
-    cls.classes[c.idx()].kind == QueryKind::Read
 }
 
 #[cfg(test)]

@@ -50,23 +50,8 @@ use qcpa_workloads::tpcapp::tpcapp;
 use serde::Value;
 
 use crate::baseline;
-use crate::harness::{f2, Csv};
+use crate::harness::{best_of, f2, quick, Csv};
 use crate::{history, Strategy};
-
-/// Seconds for the fastest of `repeats` runs of `f` (min, the standard
-/// wall-clock benchmark estimator: least noise-inflated).
-fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let start = Instant::now();
-    let mut out = f();
-    best = best.min(start.elapsed().as_secs_f64());
-    for _ in 1..repeats {
-        let start = Instant::now();
-        out = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
 
 /// The host's CPU model from `/proc/cpuinfo` (`"unknown"` elsewhere).
 fn cpu_model() -> String {
@@ -88,8 +73,16 @@ fn cpu_model() -> String {
 
 /// Runs both engines and the ladder, and writes the CSV, sidecar, and
 /// `BENCH_allocator.json`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the allocator bench measures host time by design"
+)]
+#[expect(
+    clippy::panic,
+    reason = "an invalid allocation is an allocator bug the bench must surface"
+)]
 pub fn run() -> std::io::Result<()> {
-    let quick = std::env::var_os("QCPA_BENCH_QUICK").is_some();
+    let quick = quick();
     println!("== Allocator engine wall-clock speedup (TPC-App, 16 backends) ==");
 
     let w = tpcapp(100);

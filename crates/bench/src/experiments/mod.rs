@@ -1,6 +1,11 @@
 //! One module per experiment family; every `run()` prints the paper's
 //! rows and writes `results/<id>.csv`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "an experiment stops on an invalid allocation: the allocators promise valid ones"
+)]
+
 pub mod ablations;
 pub mod allocbench;
 pub mod autoscale;

@@ -38,7 +38,7 @@ const SATURATION_RPS: f64 = 6.6;
 /// Goodput and tail latency per (policy, rate) cell under faults.
 pub fn fig_resilience() -> std::io::Result<()> {
     println!("== Resilience: goodput and tails under overload + faults ==");
-    let quick = std::env::var_os("QCPA_BENCH_QUICK").is_some();
+    let quick = crate::harness::quick();
     let duration: f64 = if quick { 15.0 } else { 60.0 };
     let seed = 42u64;
 

@@ -23,7 +23,6 @@
 //! but never compare against full-size ones.
 
 use std::path::Path;
-use std::time::Instant;
 
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::greedy;
@@ -33,7 +32,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
 
-use crate::harness::{f2, Csv};
+use crate::harness::{best_of, f2, quick, Csv};
 use crate::{history, Strategy};
 
 /// Journal cost unit → seconds (matches `bench_allocator`).
@@ -53,23 +52,9 @@ fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Seconds for the fastest of `repeats` runs of `f`.
-fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let start = Instant::now();
-    let mut out = f();
-    best = best.min(start.elapsed().as_secs_f64());
-    for _ in 1..repeats {
-        let start = Instant::now();
-        out = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
-
 /// Runs the sweep, writes the CSV + trace, appends to `BENCH_sim.json`.
 pub fn run() -> std::io::Result<()> {
-    let quick = std::env::var_os("QCPA_BENCH_QUICK").is_some();
+    let quick = quick();
     println!("== Simulator throughput (open-loop events/sec) ==");
 
     // Quick mode is the check.sh --fast corner: one 16-backend run over

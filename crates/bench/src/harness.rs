@@ -17,6 +17,36 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// True when `QCPA_BENCH_QUICK` is set: the trajectory benches run their
+/// small corner and append nothing.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "QCPA_BENCH_QUICK is the documented quick-corner knob"
+)]
+pub fn quick() -> bool {
+    std::env::var_os("QCPA_BENCH_QUICK").is_some()
+}
+
+/// Seconds for the fastest of `repeats` runs of `f` (min, the standard
+/// wall-clock benchmark estimator: least noise-inflated), and the last
+/// run's result.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks measure host time by design"
+)]
+pub fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let start = std::time::Instant::now();
+    let mut out = f();
+    best = best.min(start.elapsed().as_secs_f64());
+    for _ in 1..repeats {
+        let start = std::time::Instant::now();
+        out = f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    (best, out)
+}
+
 /// The allocation strategies compared throughout Section 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -144,6 +174,11 @@ impl Csv {
     /// Creates `results/<name>.csv` (directories included) with the
     /// given header columns, and starts a fresh metrics capture for the
     /// sidecar.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "QCPA_LOG is the documented event-filter knob; the run's host time goes in the \
+                  sidecar"
+    )]
     pub fn create(name: &str, header: &[&str]) -> std::io::Result<Self> {
         if std::env::var_os("QCPA_LOG").is_none() {
             qcpa_obs::set_filter("info");

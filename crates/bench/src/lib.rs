@@ -31,6 +31,7 @@
 //! | `run_all` | everything above in sequence |
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod baseline;

@@ -192,6 +192,10 @@ impl Cdbs {
     /// on partitioned tables are classified by the partitions their
     /// predicates touch, and reallocation places partitions
     /// independently.
+    #[expect(
+        clippy::panic,
+        reason = "constructor contract, like the asserts: partitioned tables exist in the schema"
+    )]
     pub fn with_partitioning(
         schema: Schema,
         tables: Vec<Table>,
@@ -446,6 +450,11 @@ impl Cdbs {
     /// exists, it just stops preferring sick backends.
     ///
     /// `online` must be non-empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "costs are sums of finite per-request costs; `online` is non-empty by contract \
+                  and `pool` falls back to it"
+    )]
     fn pick_read_backend(&self, online: &[usize]) -> usize {
         let healthy: Vec<usize> = online
             .iter()
@@ -467,11 +476,9 @@ impl Cdbs {
             .min_by(|&x, &y| {
                 self.cumulative_cost[x]
                     .partial_cmp(&self.cumulative_cost[y])
-                    // audit:allow(panic-hygiene): costs are sums of finite per-request costs, never NaN
                     .expect("costs are finite")
                     .then(x.cmp(&y))
             })
-            // audit:allow(panic-hygiene): `online` is non-empty by contract and `pool` falls back to it
             .expect("online capable set is non-empty")
     }
 
@@ -1155,8 +1162,11 @@ fn build_cdbs_catalog(
         let rows = table.len() as u64;
         let tid = catalog.add_table(def.name.clone(), def.row_width() * rows);
         if let Some(scheme) = scheme_for(partitions, &def.name) {
-            // audit:allow(panic-hygiene): free catalog builder has no error
-            // channel; `Cdbs::new` validates every scheme column up front
+            #[expect(
+                clippy::expect_used,
+                reason = "no error channel here; `Cdbs::with_partitioning` checks every scheme \
+                          column first"
+            )]
             let idx = def.column_index(&scheme.column).expect("scheme column");
             let mut counts = vec![0u64; scheme.n_parts()];
             for r in 0..table.len() {

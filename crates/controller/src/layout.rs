@@ -123,6 +123,10 @@ impl TableLayout {
 ///
 /// # Panics
 /// Panics if a fragment name does not match the schema.
+#[expect(
+    clippy::panic,
+    reason = "documented panic on a fragment the schema does not name"
+)]
 pub fn layout_from_allocation(
     alloc: &Allocation,
     catalog: &Catalog,

@@ -299,6 +299,7 @@ impl Allocation {
             let closure = cls.placement_fragments(u);
             let colocated = (0..n).find(|&b| needed[b].intersects(closure));
             let current = (0..n).find(|&b| self.assign[u.idx()][b] > EPS);
+            #[expect(clippy::expect_used, reason = "a cluster has at least one backend")]
             let target = colocated.or(current).unwrap_or_else(|| {
                 let per_load =
                     |b: usize| needed[b].len() as f64 / cluster.load(BackendId(b as u32));
@@ -390,6 +391,10 @@ impl PartialOrd for AllocCost {
 }
 
 impl Ord for AllocCost {
+    #[expect(
+        clippy::expect_used,
+        reason = "scales are finite: loads over positive capacities"
+    )]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         if approx_eq(self.scale, other.scale) {
             self.bytes.cmp(&other.bytes)
@@ -847,7 +852,10 @@ impl DeltaCost {
     ///
     /// `c` must be a read class (update shares are derived, never moved)
     /// and `amount` must not exceed `alloc.assign[c][from]`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one move: allocation, its inputs, class, both backends, amount"
+    )]
     pub fn transfer(
         &mut self,
         alloc: &mut Allocation,

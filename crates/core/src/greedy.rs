@@ -161,6 +161,7 @@ impl<'a> GreedyState<'a> {
             (own + self.closure_weight[c]) * self.placement_size[c] as f64
         };
         let mut work = std::mem::take(&mut self.work);
+        #[expect(clippy::expect_used, reason = "weights and sizes are finite")]
         work.sort_by(|a, b| {
             key(b)
                 .partial_cmp(&key(a))
@@ -255,6 +256,7 @@ impl<'a> GreedyState<'a> {
                 // least-loaded eligible backend so the class is still
                 // hosted somewhere (a replica hosted everywhere is done).
                 None => {
+                    #[expect(clippy::expect_used, reason = "backend capacities are positive")]
                     let fallback = (0..self.cluster.len())
                         .filter(|&b| !(entry.replica && self.hosts(b, c)))
                         .min_by(|&x, &y| {

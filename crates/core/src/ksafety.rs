@@ -365,6 +365,7 @@ pub fn repair_report(
         for c in &cls.classes {
             let mut hosted = alloc.capable_backends(cls, c.id).len();
             while hosted < target {
+                #[expect(clippy::expect_used, reason = "backend capacities are positive")]
                 let candidate = cluster
                     .ids()
                     .filter(|&b| !cls.fragment_set(c.id).is_subset(&alloc.fragments[b.idx()]))

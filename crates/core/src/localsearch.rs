@@ -205,7 +205,10 @@ fn swap_tracked(
 /// the current scale. Commits the transfers if the cost strictly
 /// improves on `base_cost`; otherwise rolls every transfer back and
 /// leaves the allocation untouched. Returns whether it committed.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a move needs the allocation, its tracker, its inputs and scratch"
+)]
 fn evacuate(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,
@@ -246,6 +249,7 @@ fn evacuate(
                 .filter(|&rb| rb != b && cls.fragment_set(r).is_subset(&alloc.fragments[rb])),
         );
         let room = &scratch.room;
+        #[expect(clippy::expect_used, reason = "room is a difference of finite loads")]
         scratch
             .receivers
             .sort_by(|&x, &y| room[y].partial_cmp(&room[x]).expect("room is finite"));
@@ -292,7 +296,10 @@ fn evacuate(
 /// the pair. The receiving backend may gain fragments. Commits if the
 /// cost strictly improves on `base_cost`, rolls back otherwise; returns
 /// whether it committed.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a move needs the allocation, its tracker, its inputs and scratch"
+)]
 fn shift_and_backfill(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,

@@ -193,7 +193,11 @@ struct Individual {
 /// an invariant (k-safety hardening) after each mutation or improvement
 /// and re-costs the candidate in full (repairs add spare replicas the
 /// incremental tracker does not model).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the shared loop takes both front-ends' inputs, repair and profile"
+)]
+#[expect(clippy::expect_used, reason = "the population is never empty")]
 fn run_generations(
     initial: Allocation,
     cls: &Classification,
@@ -373,6 +377,7 @@ fn timed<T>(
 /// acceptance-rate convergence signal. Both slices must be sorted by
 /// cost.
 fn acceptance_rate(population: &[Individual], offspring: &[Individual]) -> f64 {
+    #[expect(clippy::expect_used, reason = "the population is never empty")]
     let worst_parent = population.last().expect("population is never empty").cost;
     let accepted = offspring
         .iter()
@@ -543,6 +548,10 @@ fn split_share<R: Rng>(
 
 /// Collapses a read class spread over several backends onto the backend
 /// currently holding its largest share.
+#[expect(
+    clippy::expect_used,
+    reason = "`pick` indexes the spread classes; shares are finite"
+)]
 fn consolidate<R: Rng>(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,
@@ -595,6 +604,10 @@ fn consolidate<R: Rng>(
 
 /// Moves a random share from the most loaded backend (relative to its
 /// performance) to the least loaded one.
+#[expect(
+    clippy::expect_used,
+    reason = "n >= 2 backends with positive capacity; `pick` indexes the hot classes"
+)]
 fn rebalance<R: Rng>(
     alloc: &mut Allocation,
     tracker: &mut DeltaCost,

@@ -81,6 +81,10 @@ pub fn rebalance_reads(alloc: &mut Allocation, cls: &Classification, cluster: &C
     };
     for _ in 0..200 {
         let n = alloc.n_backends();
+        #[expect(
+            clippy::expect_used,
+            reason = "a cluster has at least one backend, each of positive capacity"
+        )]
         let hot = (0..n)
             .max_by(|&x, &y| {
                 ratio(alloc, x)
@@ -156,6 +160,10 @@ pub fn flexible_weight(
 /// Spare replicas are *kept* (no garbage collection) — they are the
 /// headroom; update classes overlapping the spares are re-synchronized
 /// per Eq. 10, which is the throughput price of the robustness.
+#[expect(
+    clippy::expect_used,
+    reason = "shares are finite and backend capacities positive"
+)]
 pub fn robustify(
     alloc: &mut Allocation,
     cls: &Classification,

@@ -18,6 +18,7 @@
 //! best incumbent with a bound (see [`mip::MipStatus`]).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod mip;

@@ -66,6 +66,10 @@ pub struct MipOutcome {
 
 /// Solves `min c·x` over the LP with the listed variables restricted to
 /// {0, 1}.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock budget bounds search time, never what a found solution means"
+)]
 pub fn solve_binary(lp: &LinearProgram, binaries: &[usize], cfg: &MipConfig) -> MipOutcome {
     let start = Instant::now();
     let mut best_x: Option<Vec<f64>> = None;
@@ -112,6 +116,7 @@ pub fn solve_binary(lp: &LinearProgram, binaries: &[usize], cfg: &MipConfig) -> 
         }
 
         // Most fractional binary.
+        #[expect(clippy::expect_used, reason = "LP solutions are finite")]
         let frac = binaries
             .iter()
             .map(|&b| (b, (x[b] - x[b].round()).abs()))

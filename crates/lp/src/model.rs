@@ -266,6 +266,10 @@ pub fn optimal_allocation(
     // fragments' placement variables.
     for (kr, &r) in cls.read_ids().iter().enumerate() {
         for f in &cls.classes[r.idx()].fragments {
+            #[expect(
+                clippy::expect_used,
+                reason = "`VarMap::new` maps every referenced fragment"
+            )]
             let j = vm.frag_index[f.idx()].expect("referenced fragment is mapped");
             for i in 0..vm.n_backends {
                 lp.add(Constraint::ge(
@@ -277,6 +281,10 @@ pub fn optimal_allocation(
     }
     for (ku, &u) in cls.update_ids().iter().enumerate() {
         for f in &cls.classes[u.idx()].fragments {
+            #[expect(
+                clippy::expect_used,
+                reason = "`VarMap::new` maps every referenced fragment"
+            )]
             let j = vm.frag_index[f.idx()].expect("referenced fragment is mapped");
             for i in 0..vm.n_backends {
                 lp.add(Constraint::ge(

@@ -10,8 +10,10 @@
 //! for the Appendix-B allocation models, whose tractable instances are
 //! small (the paper itself caps the optimal allocation at 7 backends).
 
-// Dense tableau arithmetic reads more clearly with explicit indices.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "dense tableau arithmetic reads more clearly with explicit indices"
+)]
 
 /// Relational operator of a constraint row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,6 +191,7 @@ impl Tableau {
         let mut slack_idx = 0usize;
         let mut art_idx = 0usize;
         for (i, mut row) in rows.into_iter().enumerate() {
+            #[expect(clippy::expect_used, reason = "every row ends with its rhs")]
             let rhs = row.pop().expect("row has rhs");
             row.resize(total, 0.0);
             match slack_sign[i] {

@@ -20,6 +20,7 @@
 //!   workload into one robust allocation (Section 5).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod elastic;

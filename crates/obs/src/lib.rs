@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # qcpa-obs — observability for the QCPA workspace
 //!
 //! Zero-dependency (std-only) tracing and metrics, cheap enough to stay

@@ -255,6 +255,10 @@ pub struct Registry {
     series: Mutex<BTreeMap<String, Vec<f64>>>,
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a poisoned lock means another thread panicked mid-update"
+)]
 impl Registry {
     /// An empty registry (the process-wide one is [`global`]).
     pub fn new() -> Self {

@@ -18,9 +18,10 @@
 //! [`PhaseProfile::fingerprint`] therefore folds only the deterministic
 //! fields — that is what the conformance harness pins across reruns.
 //!
-//! Wall-clock note: `Instant::now` lives here, inside `qcpa-obs` (a
-//! wall-clock-exempt crate per the audit rules); deterministic crates
-//! call [`PhaseProfile::time`] and never touch the clock themselves.
+//! Wall-clock note: `Instant::now` lives here, inside `qcpa-obs`, under
+//! reasoned `#[expect(clippy::disallowed_methods)]`s; deterministic
+//! crates call [`PhaseProfile::time`] and never touch the clock
+//! themselves.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -66,6 +67,10 @@ impl PhaseProfile {
     }
 
     /// Times `f` under `phase` (one call, `work` units).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase profiling measures host time by design"
+    )]
     pub fn time<T>(&mut self, phase: &'static str, work: u64, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
@@ -76,6 +81,10 @@ impl PhaseProfile {
     /// Starts a clock for a phase timed across non-lexical scopes;
     /// finish with [`PhaseProfile::stop`].
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase profiling measures host time by design"
+    )]
     pub fn start(&self) -> Instant {
         Instant::now()
     }

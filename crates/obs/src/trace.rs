@@ -12,6 +12,11 @@
 //! `target=level` entries with an optional bare default level) and can
 //! be replaced programmatically with [`set_filter`].
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a poisoned lock means another thread panicked mid-update"
+)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -198,6 +203,10 @@ fn filter_slot() -> &'static Mutex<Filter> {
     FILTER.get_or_init(|| Mutex::new(Filter::off()))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "QCPA_LOG is the documented event-filter knob"
+)]
 fn init_from_env() -> u8 {
     let filter = match std::env::var("QCPA_LOG") {
         Ok(spec) => Filter::parse(&spec),
@@ -246,6 +255,10 @@ fn event_buffer() -> &'static Mutex<VecDeque<Event>> {
     BUF.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the obs clock measures host time; simulated time never reads it"
+)]
 fn start_instant() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
     *START.get_or_init(Instant::now)
@@ -346,6 +359,10 @@ impl Drop for SpanGuard {
 }
 
 /// Starts a span over the enclosing scope.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "spans time host work; simulated time never reads them"
+)]
 pub fn span(target: &'static str, name: &'static str) -> SpanGuard {
     SpanGuard {
         target,

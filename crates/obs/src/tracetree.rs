@@ -91,6 +91,10 @@ impl Sampler {
     /// Reads the sampling rate from `QCPA_TRACE_SAMPLE` (a float in
     /// `[0, 1]`; absent or unparsable means 0 — tracing off).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "QCPA_TRACE_SAMPLE is the documented sampling knob"
+    )]
     pub fn from_env(seed: u64) -> Self {
         let rate = std::env::var("QCPA_TRACE_SAMPLE")
             .ok()
@@ -293,7 +297,10 @@ impl TraceTree {
     }
 
     /// Records an instant mark.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a mark is one span record: ids, parent, names, track, time"
+    )]
     pub fn mark(
         &mut self,
         id: u64,

@@ -8,6 +8,7 @@
 //! provenance. The crate spawns no threads.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 /// The machine's available hardware parallelism (1 when unknown).

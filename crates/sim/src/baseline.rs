@@ -104,7 +104,10 @@ pub fn run_open_baseline(
 }
 
 /// The preserved baseline `run_open_traced`. See the module docs.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_baseline_traced(
     alloc: &Allocation,
     cls: &Classification,

@@ -53,8 +53,11 @@ impl ChaosConfig {
     /// Applies `QCPA_CHAOS_RUNS` (unset or unparsable leaves the run
     /// count untouched).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "QCPA_CHAOS_RUNS is the documented chaos-sweep knob"
+    )]
     pub fn env_overrides(mut self) -> Self {
-        // audit:allow(env-access): documented chaos-sweep knob.
         if let Some(runs) = std::env::var("QCPA_CHAOS_RUNS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -142,6 +145,10 @@ fn draw_scenario(seed: u64) -> Scenario {
             QueryKind::Update
         });
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "weights are normalized by construction above"
+    )]
     let cls = Classification::from_classes(classes).expect("generated weights are normalized");
     let cluster = ClusterSpec::homogeneous(n_backends);
     let service = vec![0.02f64; kinds.len()];

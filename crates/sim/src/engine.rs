@@ -280,7 +280,10 @@ pub(crate) fn nearest_rank(values: &mut [f64], q: f64) -> f64 {
 /// Records a sampled single-backend request as a
 /// `request → queue → service` span tree. Span ids derive from
 /// `(seed, request, attempt)` with attempts 0/1/2 for the three spans.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one leg span: tracer, request, name, class, backend and three instants"
+)]
 pub(crate) fn trace_leg(
     tr: &mut qcpa_obs::Tracer,
     req: u64,
@@ -401,7 +404,10 @@ pub fn run_open(
 /// [`run_open`] under the name the frozen `benchmark/` crate still
 /// calls; `_shards` is ignored. It goes with that crate's next
 /// interface change (ROADMAP.md, item 1).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_sharded(
     alloc: &Allocation,
     cls: &Classification,
@@ -421,7 +427,10 @@ pub fn run_open_sharded(
 /// the sim clock. `None` — or a tracer with `QCPA_TRACE_SAMPLE=0` —
 /// costs nothing per request (the sampling check is hoisted out of the
 /// loop).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_traced(
     alloc: &Allocation,
     cls: &Classification,
@@ -448,7 +457,10 @@ pub fn run_open_traced(
 /// [`run_open_traced`] with an explicit event-queue implementation —
 /// the entry point the differential suite uses to pit the calendar
 /// queue every other entry point runs on against the reference heap.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_with(
     alloc: &Allocation,
     cls: &Classification,
@@ -504,7 +516,10 @@ pub(crate) struct CoreOutcome {
 /// outcomes plus per-backend busy seconds. All statistics,
 /// histogramming, and registry traffic live in
 /// [`finish_open_report`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub(crate) fn open_loop_core(
     scheduler: &Scheduler,
     profile: &ServiceProfile,

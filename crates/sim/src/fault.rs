@@ -581,6 +581,10 @@ impl FaultPlan {
     /// `min_alive` routable backends, overlapping windows/partitions).
     /// Dropped starts naturally drop their matching ends. Shared by both
     /// seeded generators so the crash layer filters identically.
+    #[expect(
+        clippy::expect_used,
+        reason = "the state machine keeps only events that validate"
+    )]
     fn finish_seeded(
         mut cand: Vec<FaultEvent>,
         n_backends: usize,
@@ -885,7 +889,10 @@ impl RepairTally {
 /// and not partitioned away), repairing the allocation online when a
 /// weighted class lost its last routable replica. Called by the
 /// fault-aware loop after every event that changes reachability.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a repair reads the run's inputs and updates its queues and tally"
+)]
 pub(crate) fn reroute(
     at: f64,
     current: &mut Allocation,
@@ -1064,7 +1071,10 @@ impl FaultStats {
 /// events past the last arrival are drained at the end (they can still
 /// void queued work). With an empty plan the responses equal
 /// [`crate::engine::run_open`]'s exactly.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_faults(
     alloc: &Allocation,
     cls: &Classification,
@@ -1096,7 +1106,10 @@ pub fn run_open_faults(
 /// per sampled request with one `leg` span per dispatch, and fault
 /// events and re-dispatches as instant marks on a dedicated track
 /// (`tid` = cluster size).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_faults_traced(
     alloc: &Allocation,
     cls: &Classification,

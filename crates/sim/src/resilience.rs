@@ -891,6 +891,7 @@ impl Engine<'_> {
         }
         let free_at = &self.free_at;
         let pending = |b: usize| (free_at[b] - t).max(0.0);
+        #[expect(clippy::expect_used, reason = "pending work is finite")]
         let by_pending = |&a: &usize, &b: &usize| {
             pending(a)
                 .partial_cmp(&pending(b))
@@ -948,6 +949,7 @@ impl Engine<'_> {
                 let arena = &self.arena;
                 let weight = |e: &QEntry| classes[arena[e.req as usize].class.idx()].weight;
                 let w_in = classes[class.idx()].weight;
+                #[expect(clippy::expect_used, reason = "class weights are finite")]
                 let victim = q
                     .iter()
                     .enumerate()
@@ -1531,7 +1533,10 @@ fn trace_resilient_request(
 /// sorted by arrival time. With [`ResilienceConfig::default`] every
 /// layer is inert and the run is what [`crate::fault::run_open_faults`]
 /// reports.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_resilient(
     alloc: &Allocation,
     cls: &Classification,
@@ -1565,7 +1570,10 @@ pub fn run_open_resilient(
 /// become instant marks on a dedicated track (`tid == cluster size`).
 /// `None` — and `Some` with a zero sampling rate — leave the simulated
 /// results bit-identical to the untraced run.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
+)]
 pub fn run_open_resilient_traced(
     alloc: &Allocation,
     cls: &Classification,

@@ -153,6 +153,7 @@ impl Scheduler {
     /// times) instead of materializing a per-request vector. Only the
     /// class's eligible backends are probed — O(targets), not
     /// O(backends).
+    #[expect(clippy::expect_used, reason = "pending work is finite")]
     pub fn route_read_with<F: Fn(usize) -> f64>(&self, c: ClassId, pending: F) -> Option<usize> {
         self.read_targets[c.idx()].iter().copied().min_by(|&a, &b| {
             pending(a)
@@ -167,6 +168,7 @@ impl Scheduler {
     /// skipped. Returns `None` when *every* eligible backend is blocked —
     /// the caller then decides whether to fall back to
     /// [`Self::capable_read_targets`] or override the breaker.
+    #[expect(clippy::expect_used, reason = "pending work is finite")]
     pub fn route_read_filtered<F, G>(&self, c: ClassId, pending: F, blocked: G) -> Option<usize>
     where
         F: Fn(usize) -> f64,

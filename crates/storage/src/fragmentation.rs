@@ -45,6 +45,7 @@ impl FragmentData {
 ///
 /// # Panics
 /// Panics if a column does not exist.
+#[expect(clippy::panic, reason = "documented panic on an unknown column")]
 pub fn extract_vertical(table: &Table, columns: &[&str]) -> FragmentData {
     let pk = table.def.primary_key().name.as_str();
     let mut names: Vec<&str> = Vec::with_capacity(columns.len() + 1);

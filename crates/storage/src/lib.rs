@@ -26,6 +26,7 @@
 //!   fragment [`qcpa_core::fragment::Catalog`].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -81,7 +81,10 @@ impl Predicate {
     }
 
     /// `NOT self`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a combinator named after the SQL keyword, not `std::ops::Not`"
+    )]
     pub fn not(self) -> Self {
         Predicate::Not(Box::new(self))
     }

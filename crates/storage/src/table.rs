@@ -112,6 +112,10 @@ impl ColumnData {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented panic of `Table::append` on a mistyped value"
+    )]
     fn push(&mut self, v: Value) {
         match (self, v) {
             (ColumnData::I64(c), Value::I64(v)) => c.push(v),
@@ -132,6 +136,10 @@ impl ColumnData {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented panic of `Table::update` on a mistyped value"
+    )]
     fn set(&mut self, i: usize, v: Value) {
         match (self, v) {
             (ColumnData::I64(c), Value::I64(v)) => c[i] = v,
@@ -338,6 +346,7 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the column does not exist.
+    #[expect(clippy::panic, reason = "documented panic on an unknown column")]
     pub fn update(&mut self, predicate: Option<&Predicate>, column: &str, value: Value) -> usize {
         let idx = self
             .def

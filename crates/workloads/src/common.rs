@@ -24,6 +24,11 @@ pub struct ClassifiedWorkload {
 /// # Panics
 /// Panics if the journal is empty (workload generators always produce
 /// non-empty journals).
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic on an empty journal; every entry re-derives a class key \
+              `from_journal` produced"
+)]
 pub fn classify_and_stream(
     journal: &Journal,
     catalog: &Catalog,

@@ -60,6 +60,10 @@ impl HPartWorkload {
         assert!(hot_read + hot_write < 1.0, "leave weight for cold reads");
         let n_cold = self.parts.len() - 1;
         let cold_each = (1.0 - hot_read - hot_write) / n_cold as f64;
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor builds at least one partition"
+        )]
         let hot = *self.parts.last().expect("at least one partition");
         let mut j = Journal::new();
         j.record_many(
@@ -82,6 +86,7 @@ impl HPartWorkload {
 
     /// Classification at partition granularity ([`Granularity::Fragment`]
     /// — the journal references horizontal fragments directly).
+    #[expect(clippy::expect_used, reason = "`journal` always records classes")]
     pub fn classify_horizontal(&self, journal: &Journal) -> Classification {
         Classification::from_journal(journal, &self.catalog, Granularity::Fragment)
             .expect("journal is non-empty")
@@ -89,6 +94,7 @@ impl HPartWorkload {
 
     /// Classification at table granularity — the partitions coarsen to
     /// the whole `orders` table (the baseline the extension beats).
+    #[expect(clippy::expect_used, reason = "`journal` always records classes")]
     pub fn classify_table(&self, journal: &Journal) -> Classification {
         Classification::from_journal(journal, &self.catalog, Granularity::Table)
             .expect("journal is non-empty")

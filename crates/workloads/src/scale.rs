@@ -42,6 +42,7 @@ pub struct ScaledWorkload {
 ///
 /// Deterministic: identical `(n_fragments, seed)` → identical instance.
 #[must_use]
+#[expect(clippy::panic, reason = "weights are normalized by construction above")]
 pub fn clustered(n_fragments: usize, seed: u64) -> ScaledWorkload {
     let n_clusters = n_fragments.div_ceil(CLUSTER).max(1);
     let n = n_clusters * CLUSTER;

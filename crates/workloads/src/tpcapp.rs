@@ -87,6 +87,7 @@ impl TpcAppWorkload {
     pub fn journal(&self, total_requests: u64) -> Journal {
         let mut j = Journal::new();
         for i in &self.interactions {
+            #[expect(clippy::panic, reason = "the catalog is built from these column lists")]
             let frags: Vec<FragmentId> = i
                 .columns
                 .iter()

@@ -68,6 +68,7 @@ impl TpchWorkload {
     pub fn journal(&self, per_query: u64) -> Journal {
         let mut j = Journal::new();
         for q in &self.queries {
+            #[expect(clippy::panic, reason = "the catalog is built from these column lists")]
             let frags: Vec<FragmentId> = q
                 .columns
                 .iter()

@@ -128,6 +128,10 @@ impl TraceWorkload {
 
     /// Classification of the window's workload (table granularity —
     /// the trace has no column information, as in the paper).
+    #[expect(
+        clippy::expect_used,
+        reason = "a window journal records every class at least once"
+    )]
     pub fn classification_for_window(&self, start: f64, end: f64) -> Classification {
         Classification::from_journal(
             &self.journal_for_window(start, end),
@@ -142,6 +146,10 @@ impl TraceWorkload {
     /// index 0–4 (A–E). Classifications sort classes by fragment set,
     /// so the order differs from the trace's A–E order — requests must
     /// carry the *classification's* class ids to be routed correctly.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition: `cls` comes from this trace"
+    )]
     pub fn class_order(&self, cls: &Classification) -> Vec<usize> {
         cls.classes
             .iter()

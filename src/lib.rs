@@ -28,6 +28,7 @@
 //! for the paper-versus-measured record of every figure and table.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use qcpa_autoscale as autoscale;
 pub use qcpa_controller as controller;

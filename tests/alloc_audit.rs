@@ -38,6 +38,10 @@ struct CountingAlloc;
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe `GlobalAlloc` trait"
+)]
 // SAFETY: every method delegates verbatim to the `System` allocator and
 // only adds relaxed atomic counter bumps, so the `GlobalAlloc` contract
 // (layout handling, pointer validity, thread safety) is exactly

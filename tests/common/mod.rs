@@ -2,7 +2,10 @@
 //! `conformance`): random workloads over random catalogs, materialized
 //! into the core model types.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite that includes this module uses a different subset"
+)]
 
 use proptest::prelude::*;
 use qcpa::core::classify::{Classification, QueryClass};

@@ -39,6 +39,10 @@ fn grow(by: u64) {
     PEAK.fetch_max(now, Ordering::Relaxed);
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe `GlobalAlloc` trait"
+)]
 // SAFETY: every method delegates verbatim to the `System` allocator and
 // only adds relaxed atomic counter updates, so the `GlobalAlloc`
 // contract (layout handling, pointer validity, thread safety) is
