@@ -11,12 +11,13 @@
 
 use qcpa_sim::chaos::{run_chaos, ChaosConfig};
 
-use crate::harness::Csv;
+use crate::harness::{self, Csv};
 
 /// Sweeps randomized layered fault schedules and gates the invariants.
 pub fn fig_chaos() -> std::io::Result<()> {
     println!("== Chaos: layered fault schedules vs. simulator invariants ==");
-    let cfg = ChaosConfig::default().env_overrides();
+    let mut cfg = ChaosConfig::default();
+    cfg.runs = harness::chaos_runs().unwrap_or(cfg.runs);
     let report = run_chaos(&cfg);
 
     let mut csv = Csv::create(

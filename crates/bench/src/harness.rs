@@ -27,6 +27,19 @@ pub fn quick() -> bool {
     std::env::var_os("QCPA_BENCH_QUICK").is_some()
 }
 
+/// `QCPA_CHAOS_RUNS`, clamped to at least one schedule: how many
+/// schedules `fig_chaos` sweeps. `None` when unset or unparsable.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "QCPA_CHAOS_RUNS is the documented chaos-sweep knob"
+)]
+pub fn chaos_runs() -> Option<usize> {
+    std::env::var("QCPA_CHAOS_RUNS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|runs| runs.max(1))
+}
+
 /// Seconds for the fastest of `repeats` runs of `f` (min, the standard
 /// wall-clock benchmark estimator: least noise-inflated), and the last
 /// run's result.
@@ -155,7 +168,7 @@ pub fn jitter_journal(journal: &Journal, amount: f64, rng: &mut ChaCha8Rng) -> J
 }
 
 /// Tiny CSV writer: creates `results/<name>.csv`, writes the header and
-/// rows, and echoes nothing (binaries print their own tables).
+/// rows, and echoes nothing (experiments print their own tables).
 ///
 /// On drop it also writes a `results/<name>.metrics.json` sidecar: the
 /// experiment name, wall time, git SHA and any [`Csv::meta`] entries,
@@ -209,7 +222,7 @@ impl Csv {
         self.meta.push((key.to_string(), value.to_string()));
     }
 
-    /// The file path (for the binaries' closing message).
+    /// The file path (for the experiments' closing message).
     pub fn path(&self) -> &std::path::Path {
         &self.path
     }

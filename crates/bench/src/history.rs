@@ -12,7 +12,7 @@
 //!
 //! Each entry is one run's summary object (the bench defines its own
 //! fields); entries append in run order, so the file is the per-PR
-//! trajectory of the bench and `bench_trend` can diff the last two
+//! trajectory of the bench and [`trend`] can diff the last two
 //! *comparable* entries (same key fields — quick mode, series, cluster
 //! size) and fail on a throughput regression.
 //!
@@ -127,6 +127,181 @@ pub fn last_two<'v>(history: &'v [Value], keys: &[&[&str]]) -> Option<(&'v Value
         .rev()
         .find(|e| comparable(e, newest, keys))?;
     Some((prev, newest))
+}
+
+/// The entries of `history` that `producer` appended, by their
+/// `config.bench` tag; all of them for `None`. Untagged entries predate
+/// the tag and belong to `bench_sim`, the file's first producer.
+fn select(history: &[Value], producer: Option<&str>) -> Vec<Value> {
+    let Some(producer) = producer else {
+        return history.to_vec();
+    };
+    history
+        .iter()
+        .filter(|e| match get(e, "config").and_then(|c| get(c, "bench")) {
+            Some(Value::Str(s)) => s == producer,
+            Some(_) => false,
+            None => producer == "bench_sim",
+        })
+        .cloned()
+        .collect()
+}
+
+/// Comparability keys of the allocator trajectory.
+const ALLOCATOR_KEYS: &[&[&str]] = &[
+    &["config", "quick"],
+    &["config", "population"],
+    &["config", "iterations"],
+    &["config", "series"],
+];
+
+struct Trend {
+    file: &'static str,
+    metric: &'static [&'static str],
+    /// `true` when larger metric values are better (throughput,
+    /// speedup ratios); `false` for wall-clock seconds.
+    higher_is_better: bool,
+    /// Allowed relative loss between consecutive comparable runs.
+    tolerance: f64,
+    keys: &'static [&'static [&'static str]],
+    /// The producer whose entries the trend compares, when several
+    /// append into one file (`BENCH_sim.json` holds both `bench_sim`
+    /// and `fig_resilience` rows).
+    producer: Option<&'static str>,
+}
+
+const TRENDS: &[Trend] = &[
+    Trend {
+        file: "BENCH_allocator.json",
+        metric: &["timings_secs", "delta"],
+        higher_is_better: false,
+        tolerance: 0.20,
+        keys: ALLOCATOR_KEYS,
+        producer: None,
+    },
+    Trend {
+        file: "BENCH_allocator.json",
+        metric: &["speedups", "delta_vs_baseline"],
+        higher_is_better: true,
+        tolerance: 0.15,
+        keys: ALLOCATOR_KEYS,
+        producer: None,
+    },
+    Trend {
+        file: "BENCH_sim.json",
+        metric: &["events_per_sec"],
+        higher_is_better: true,
+        tolerance: 0.20,
+        keys: &[
+            &["config", "quick"],
+            &["config", "target_events"],
+            &["config", "rate_per_backend"],
+        ],
+        producer: Some("bench_sim"),
+    },
+    // Resilience-path goodput: the fig_resilience canonical cell
+    // (highest rate × Reject). Gates retry/breaker/admission overhead.
+    Trend {
+        file: "BENCH_sim.json",
+        metric: &["goodput_rps"],
+        higher_is_better: true,
+        tolerance: 0.20,
+        keys: &[
+            &["config", "quick"],
+            &["config", "seed"],
+            &["config", "rate_mult"],
+            &["config", "policy"],
+        ],
+        producer: Some("fig_resilience"),
+    },
+];
+
+/// Checks one trajectory; returns `Err(reason)` on regression.
+fn check(trend: &Trend, history: &[Value]) -> Result<String, String> {
+    let metric_name = trend.metric.join(".");
+    let Some((prev, newest)) = last_two(history, trend.keys) else {
+        return Ok(format!(
+            "{}: {} entr{}, <2 comparable — nothing to diff",
+            trend.file,
+            history.len(),
+            if history.len() == 1 { "y" } else { "ies" }
+        ));
+    };
+    let (Some(a), Some(b)) = (get_f64(prev, trend.metric), get_f64(newest, trend.metric)) else {
+        return Ok(format!(
+            "{}: {metric_name} missing in an entry — skipping",
+            trend.file
+        ));
+    };
+    if a <= 0.0 || b <= 0.0 {
+        return Ok(format!(
+            "{}: non-positive {metric_name} ({a} -> {b}) — skipping",
+            trend.file
+        ));
+    }
+    // Express both directions as a ratio ≥/≤ 1 (bigger = better).
+    let ratio = if trend.higher_is_better { b / a } else { a / b };
+    let verdict = format!(
+        "{}: {metric_name} {a:.4} -> {b:.4} (x{ratio:.3}, tolerance {:.0}%)",
+        trend.file,
+        trend.tolerance * 100.0
+    );
+    if ratio < 1.0 - trend.tolerance {
+        Err(format!(
+            "{verdict} — REGRESSION beyond {:.0}% tolerance",
+            trend.tolerance * 100.0
+        ))
+    } else {
+        Ok(verdict)
+    }
+}
+
+/// The bench-trajectory gate: diffs the last two comparable entries of
+/// each tracked `BENCH_*.json` trajectory and fails when a metric
+/// regressed past its tolerance. Fewer than two comparable entries
+/// (fresh clone, first run after a config change) passes with a note,
+/// so the gate only ever compares like with like.
+///
+/// Tracked trajectories:
+///
+/// * `BENCH_allocator.json`: `timings_secs.delta` (wall seconds, lower
+///   is better, 20% tolerance), plus the speedup ratio
+///   `speedups.delta_vs_baseline` (higher is better, 15% tolerance).
+///   Comparable when population / iterations / quick mode / `series`
+///   all match; entries without a `series` predate the serial engine
+///   and compare with nothing new.
+/// * `BENCH_sim.json`: `events_per_sec` (higher is better, 20%
+///   tolerance), comparable when duration / rate / quick mode match,
+///   and `fig_resilience`'s canonical-cell `goodput_rps`.
+///
+/// # Errors
+/// I/O or parse failures, or a regressed trajectory.
+pub fn trend() -> io::Result<()> {
+    println!("== Bench trajectory gate ==");
+    let mut failures = 0usize;
+    for trend in TRENDS {
+        let path = Path::new(trend.file);
+        if !path.exists() {
+            println!("{}: absent — skipping", trend.file);
+            continue;
+        }
+        let history = select(&load_history(path)?, trend.producer);
+        match check(trend, &history) {
+            Ok(msg) => println!("{msg}"),
+            Err(msg) => {
+                eprintln!("{msg}");
+                failures += 1;
+            }
+        }
+    }
+    if failures > 0 {
+        return Err(io::Error::other(format!(
+            "{failures} bench trajector{} regressed",
+            if failures == 1 { "y" } else { "ies" }
+        )));
+    }
+    println!("trajectories healthy");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -128,9 +128,9 @@ pub fn rebalance_reads(alloc: &mut Allocation, cls: &Classification, cluster: &C
 
 /// The read weight on backend `b` that is *flexible*: carried by
 /// classes at least one other backend could also serve. The paper's
-/// Section 5 criterion — "if each backend contains query classes that
-/// can be (partially) shifted to another backend, the total allocation
-/// is robust" — measures exactly this.
+/// Section 5 robustness condition — "if each backend contains query
+/// classes that can be (partially) shifted to another backend, the total
+/// allocation is robust" — measures exactly this.
 pub fn flexible_weight(
     alloc: &Allocation,
     cls: &Classification,

@@ -49,25 +49,6 @@ impl Default for ChaosConfig {
     }
 }
 
-impl ChaosConfig {
-    /// Applies `QCPA_CHAOS_RUNS` (unset or unparsable leaves the run
-    /// count untouched).
-    #[must_use]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "QCPA_CHAOS_RUNS is the documented chaos-sweep knob"
-    )]
-    pub fn env_overrides(mut self) -> Self {
-        if let Some(runs) = std::env::var("QCPA_CHAOS_RUNS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            self.runs = runs.max(1);
-        }
-        self
-    }
-}
-
 /// Outcome of a chaos sweep.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -379,14 +360,5 @@ mod tests {
         let b = run_chaos(&cfg);
         assert_eq!(a.violation_count, b.violation_count);
         assert_eq!(a.schedules_with_faults, b.schedules_with_faults);
-    }
-
-    #[test]
-    fn env_override_parses() {
-        // Not touching the environment (tests run concurrently): the
-        // builder contract is pinned instead.
-        let cfg = ChaosConfig::default();
-        assert_eq!(cfg.runs, 64);
-        assert!(ChaosConfig { runs: 3, seed: 1 }.env_overrides().runs >= 1);
     }
 }

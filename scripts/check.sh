@@ -98,29 +98,28 @@ run_benchmark_smoke() {
     rm -f "$log"
 }
 
-# The end-to-end smokes every tier runs after its tests; the tiers
-# differ only in how many schedules the chaos soak sweeps.
+# The end-to-end smokes every tier runs after its tests, each one row of
+# the `qcpa-bench` command table; the tiers differ only in how many
+# schedules the chaos soak sweeps.
 run_smokes() {
     local chaos_runs=$1
     echo "== allocator bench corner (quick, paper-scale instance) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_allocator
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench -- bench_allocator
     # Exits nonzero if any run violates the conservation law
     # (completed + shed + timed_out == offered).
     echo "== resilience sweep smoke (fails on any lost request) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin fig_resilience
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench -- fig_resilience
     # Randomized layered fault schedules (crashes, zone failures, gray
     # windows, partitions); exits nonzero on any invariant violation:
     # conservation, post-repair k-safety, trace stability.
     echo "== chaos soak ($chaos_runs layered schedules, fails on any violation) =="
-    QCPA_CHAOS_RUNS=$chaos_runs cargo run --release -q -p qcpa-bench --bin fig_chaos
-    echo "== trace exporter smoke (byte-stable, parseable) =="
-    cargo run --release -q -p qcpa-bench --bin trace_smoke
+    QCPA_CHAOS_RUNS=$chaos_runs cargo run --release -q -p qcpa-bench -- fig_chaos
     # Appends a quick-keyed entry to BENCH_sim.json (quick entries only
     # ever compare against each other).
     echo "== simulator throughput corner (quick, 16 backends / 20k events) =="
-    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench --bin bench_sim
+    QCPA_BENCH_QUICK=1 cargo run --release -q -p qcpa-bench -- bench_sim
     echo "== bench trajectory gate =="
-    cargo run --release -q -p qcpa-bench --bin bench_trend
+    cargo run --release -q -p qcpa-bench -- bench_trend
     run_benchmark_smoke
 }
 

@@ -10,12 +10,22 @@
 //! * The `QCPA_*` env surface matches README.md both ways: each key that
 //!   library code names is mentioned there, and each knob-table row
 //!   names a key that some library source (tests included) names.
+//! * Every `qcpa-bench <name>` / `qcpa-bench -- <name>` invocation in
+//!   the docs and `scripts/check.sh` names a row of
+//!   `qcpa_bench::COMMANDS`.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
+/// The files whose `qcpa-bench` invocations must name a command.
+const BENCH_DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+    "scripts/check.sh",
+];
 const CRATE_ROOT_ATTRS: [&str; 2] = [
     "#![forbid(unsafe_code)]",
     "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]",
@@ -273,5 +283,30 @@ fn env_keys_match_the_readme() {
     assert!(
         dead.is_empty(),
         "README knob rows no library source names: {dead:?}"
+    );
+}
+
+#[test]
+fn bench_invocations_name_a_command() {
+    let (mut checked, mut unknown) = (0, Vec::new());
+    for doc in BENCH_DOCS {
+        let text = fs::read_to_string(Path::new(ROOT).join(doc)).unwrap();
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for i in (0..words.len()).filter(|&i| words[i] == "qcpa-bench") {
+            let name = match &words[i + 1..] {
+                ["--", name, ..] | [name, ..] => name.trim_end_matches(['`', ',', '.', ')']),
+                [] => "",
+            };
+            // `<name>` and `<id>` are placeholders in prose.
+            if !name.starts_with('<') && qcpa_bench::command(name).is_none() {
+                unknown.push(format!("{doc}: qcpa-bench {name}"));
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no qcpa-bench invocations found");
+    assert!(
+        unknown.is_empty(),
+        "invocations naming no qcpa_bench::COMMANDS row: {unknown:?}"
     );
 }

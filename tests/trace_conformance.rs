@@ -12,7 +12,8 @@
 //!   change the allocation;
 //! * **Export stability** — on a pinned fixture, the Perfetto
 //!   (Chrome trace-event) JSON is byte-stable across reruns and parses
-//!   back as a non-empty JSON array of event objects.
+//!   back as a non-empty JSON array of event objects, and the folded
+//!   stacks of traces and phase profiles are `stack count` lines.
 
 use proptest::prelude::*;
 use qcpa::core::classify::Classification;
@@ -41,6 +42,15 @@ fn requests(cls: &Classification, seed: u64, rate: f64, duration: f64) -> Vec<Re
     let stream = RequestStream::new(freq, kinds, service);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     stream.sample_poisson(rate, duration, 0.0, &mut rng)
+}
+
+/// Whether every line of a folded-stack export is `stack count`: a
+/// non-empty `;`-joined stack, one space, an integer weight.
+fn is_folded(folded: &str) -> bool {
+    folded.lines().all(|l| {
+        l.rsplit_once(' ')
+            .is_some_and(|(stack, n)| !stack.is_empty() && n.parse::<u64>().is_ok())
+    })
 }
 
 /// One traced open-loop run; returns `(responses, tree fingerprint)`.
@@ -190,6 +200,9 @@ proptest! {
         prop_assert_eq!(&a2, &a1, "profiled rerun diverged");
         prop_assert_eq!(p1.fingerprint(), p2.fingerprint(),
             "profile fingerprint unstable across reruns");
+        // Folded weights are wall-clock µs, so only the format is pinned.
+        let folded = qcpa_obs::perfetto::profile_to_folded(&p1, "optimize");
+        prop_assert!(is_folded(&folded), "profile folded stacks malformed:\n{}", folded);
     }
 }
 
@@ -235,6 +248,10 @@ fn perfetto_export_is_byte_stable_and_parses() {
     let (json_b, folded_b) = render();
     assert_eq!(json_a, json_b, "Perfetto JSON not byte-stable");
     assert_eq!(folded_a, folded_b, "folded stacks not byte-stable");
+    assert!(
+        !folded_a.is_empty() && is_folded(&folded_a),
+        "folded stacks malformed:\n{folded_a}"
+    );
 
     let parsed = serde_json::parse_value_str(&json_a).expect("trace JSON parses");
     let events = parsed.as_array().expect("trace JSON is an array");
