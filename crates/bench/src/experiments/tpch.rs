@@ -144,8 +144,8 @@ pub fn fig4b() -> std::io::Result<()> {
 
 /// Figure 4(c): degree of replication (Eq. 28) for full replication,
 /// table-based, column-based, and the LP-optimal column-based
-/// allocation (computed up to [`FIG4C_OPT_MAX`] backends, with
-/// [`FIG4C_OPT_SECS`] seconds of branch & bound per point).
+/// allocation (computed up to `FIG4C_OPT_MAX` backends, with
+/// `FIG4C_OPT_SECS` seconds of branch & bound per point).
 pub fn fig4c() -> std::io::Result<()> {
     println!("== Figure 4(c): TPC-H degree of replication ==");
     let w = tpch(1.0);

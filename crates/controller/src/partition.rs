@@ -1,7 +1,7 @@
 //! Range partitioning and predicate analysis for the controller.
 //!
 //! Section 3.1's third classification option groups queries "based on
-//! their predicates and, thus, create[s] a horizontal partitioning".
+//! their predicates and, thus, create\[s\] a horizontal partitioning".
 //! For the running system that means: a [`PartitionScheme`] splits a
 //! table into ranges over one integer column, and
 //! [`PartitionScheme::touched`] maps a request's predicate to the set

@@ -428,7 +428,7 @@ impl Ord for AllocCost {
 /// A backend's derived state is a union over its resident read classes
 /// (the Eq. 8/10 closure distributes over unions), so a rebuild ORs the
 /// classification's placement sets and the rows of a per-instance
-/// [`CostIndex`], shared by clones, straight into the allocation's
+/// `CostIndex`, shared by clones, straight into the allocation's
 /// [`FragSet`] words: `R·(W + Wu) + C` word operations per rebuilt
 /// backend (`R` resident read classes, `C` classes with a share, `W` /
 /// `Wu` words per fragment / update-class row), plus a size lookup or
@@ -450,7 +450,7 @@ impl Ord for AllocCost {
 ///
 /// `normalize` step 2 — anchoring update classes that no read-needed set
 /// overlaps — is its one global step. For a fixed orphan set its
-/// skip/chain structure is static ([`OrphanStatic`]), so a transfer
+/// skip/chain structure is static (`OrphanStatic`), so a transfer
 /// refreshes the two touched backends' colocated bits and replays the
 /// anchors in class order, rebuilding any backend an anchor leaves or
 /// joins. A transfer that changes *which* classes are orphans, or an

@@ -1,4 +1,4 @@
-//! Exporters: render a [`Snapshot`](crate::metrics::Snapshot) (plus
+//! Exporters: render a [`Snapshot`] (plus
 //! optional run metadata and captured events) as JSON or CSV.
 //!
 //! `qcpa-obs` is dependency-free, so the JSON emission here is a small

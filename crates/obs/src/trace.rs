@@ -3,7 +3,7 @@
 //! The hot-path contract: when a `(level, target)` pair is filtered
 //! out, [`enabled`] is one relaxed atomic load plus (only when some
 //! filter is active at all) a scan of a small target table — and the
-//! [`event!`] macro evaluates **none** of its field expressions and
+//! [`event!`](crate::event!) macro evaluates **none** of its field expressions and
 //! allocates nothing. Captured events go to a bounded in-memory ring
 //! buffer drained with [`drain_events`].
 //!
@@ -269,7 +269,7 @@ pub fn now() -> Duration {
     start_instant().elapsed()
 }
 
-/// Appends a pre-built event to the buffer. Use the [`event!`] macro
+/// Appends a pre-built event to the buffer. Use the [`event!`](crate::event!) macro
 /// instead so fields are only built when the filter passes.
 pub fn emit(
     level: Level,

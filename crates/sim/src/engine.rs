@@ -14,7 +14,6 @@ use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
 use qcpa_core::journal::QueryKind;
 
-use crate::queue::{EventQueue, QueueKind, SimQueue};
 use crate::request::Request;
 use crate::scheduler::Scheduler;
 use crate::service::{LocalityModel, ServiceProfile};
@@ -176,90 +175,6 @@ pub fn run_batch(
         busy,
         n_requests: requests.len(),
         unroutable,
-    }
-}
-
-/// An index over the per-backend release times (`free_at`) answering
-/// "which backend has the least pending work right now?" in O(log n)
-/// instead of a full scan, for reads whose eligible set is the whole
-/// cluster (e.g. full replication).
-///
-/// Time only moves forward in [`run_open`] (arrivals are sorted) and
-/// release times only grow, which admits a two-tier structure:
-///
-/// * `idle` — backends already free at the current time. They all have
-///   zero pending work, so the scheduler's tie-break (lowest index)
-///   makes the answer `idle.first()`.
-/// * `queue` — a lazy min-queue of `(free_at_bits, backend)` events for
-///   the rest, running on the pluggable [`SimQueue`] (binary heap or
-///   calendar queue, see [`crate::queue`]). Entries are never removed
-///   on update; a popped entry that disagrees with the live `free_at`
-///   value is stale and skipped. Keys are the raw IEEE bits, whose
-///   order matches the numeric order for the non-negative release
-///   times, and the backend index doubles as the FIFO tie-break `seq`,
-///   reproducing the scheduler's lowest-index rule exactly.
-///
-/// Since the index only ever answers full-cluster reads, the open-loop
-/// core builds it *lazily*: workloads where no read class is eligible
-/// on every backend (any partial allocation) never pay the per-leg
-/// `touch` — which is what made update fan-out O(log n) per leg before
-/// the rewrite.
-struct PendingIndex {
-    idle: std::collections::BTreeSet<usize>,
-    queue: SimQueue,
-}
-
-impl PendingIndex {
-    fn new(free_at: &[f64], kind: QueueKind) -> Self {
-        let mut queue = SimQueue::with_capacity(kind, free_at.len() * 2);
-        for (b, &f) in free_at.iter().enumerate() {
-            queue.push(f.to_bits(), b as u64);
-        }
-        Self {
-            idle: std::collections::BTreeSet::new(),
-            queue,
-        }
-    }
-
-    /// Moves every backend whose release time has passed `t` into the
-    /// idle tier. Amortized O(log n): each queued entry is popped once.
-    fn advance(&mut self, free_at: &[f64], t: f64) {
-        while let Some((bits, b)) = self.queue.peek() {
-            let b = b as usize;
-            if bits != free_at[b].to_bits() {
-                self.queue.pop(); // stale entry superseded by a later push
-            } else if f64::from_bits(bits) <= t {
-                self.queue.pop();
-                self.idle.insert(b);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// The backend with the least pending work, ties to the lowest
-    /// index — matching the scheduler's least-pending rule over the full
-    /// cluster. Call [`Self::advance`] first.
-    fn least_pending(&mut self, free_at: &[f64]) -> Option<usize> {
-        if let Some(&b) = self.idle.first() {
-            return Some(b);
-        }
-        while let Some((bits, b)) = self.queue.peek() {
-            let b = b as usize;
-            if bits != free_at[b].to_bits() {
-                self.queue.pop();
-            } else {
-                return Some(b);
-            }
-        }
-        None
-    }
-
-    /// Records that backend `b` was dispatched work and now frees at
-    /// `new_free` (which never decreases).
-    fn touch(&mut self, b: usize, new_free: f64) {
-        self.idle.remove(&b);
-        self.queue.push(new_free.to_bits(), b as u64);
     }
 }
 
@@ -439,38 +354,7 @@ pub fn run_open_traced(
     requests: &[Request],
     warmup_backlog: f64,
     cfg: &SimConfig,
-    tracer: Option<&mut qcpa_obs::Tracer>,
-) -> OpenReport {
-    run_open_with(
-        alloc,
-        cls,
-        cluster,
-        catalog,
-        requests,
-        warmup_backlog,
-        cfg,
-        tracer,
-        QueueKind::Calendar,
-    )
-}
-
-/// [`run_open_traced`] with an explicit event-queue implementation —
-/// the entry point the differential suite uses to pit the calendar
-/// queue every other entry point runs on against the reference heap.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
-)]
-pub fn run_open_with(
-    alloc: &Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    catalog: &Catalog,
-    requests: &[Request],
-    warmup_backlog: f64,
-    cfg: &SimConfig,
     mut tracer: Option<&mut qcpa_obs::Tracer>,
-    kind: QueueKind,
 ) -> OpenReport {
     let _span = qcpa_obs::span("sim", "run_open");
     if let Some(tr) = tracer.as_deref_mut() {
@@ -490,7 +374,6 @@ pub fn run_open_with(
         requests,
         warmup_backlog,
         cfg,
-        kind,
         tracer,
     );
     finish_open_report(requests, &outcomes, busy)
@@ -516,10 +399,6 @@ pub(crate) struct CoreOutcome {
 /// outcomes plus per-backend busy seconds. All statistics,
 /// histogramming, and registry traffic live in
 /// [`finish_open_report`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
-)]
 pub(crate) fn open_loop_core(
     scheduler: &Scheduler,
     profile: &ServiceProfile,
@@ -527,7 +406,6 @@ pub(crate) fn open_loop_core(
     requests: &[Request],
     warmup_backlog: f64,
     cfg: &SimConfig,
-    kind: QueueKind,
     mut tracer: Option<&mut qcpa_obs::Tracer>,
 ) -> (Vec<CoreOutcome>, Vec<f64>) {
     let mut free_at = vec![warmup_backlog.max(0.0); n];
@@ -536,16 +414,12 @@ pub(crate) fn open_loop_core(
 
     // Per-class dispatch tables, hoisted out of the per-request loop.
     let nc = scheduler.n_classes();
-    // Whether a read class's eligible set is the whole cluster — the
-    // only case the pending index answers.
-    let mut full_set = vec![false; nc];
     // An update's service multiplier on its primary (first) and
     // secondary legs, resolving the propagation-protocol match once.
     let mut first_mult = vec![1.0f64; nc];
     let mut rest_mult = vec![1.0f64; nc];
     for c in 0..nc {
         let id = qcpa_core::ClassId(c as u32);
-        full_set[c] = scheduler.read_targets(id).len() == n;
         let targets = scheduler.route_update(id);
         let sync = match cfg.propagation {
             UpdatePropagation::Rowa => 1.0 + cfg.rowa_overhead * (targets.len() as f64 - 1.0),
@@ -558,12 +432,6 @@ pub(crate) fn open_loop_core(
         };
     }
     let rowa_response = matches!(cfg.propagation, UpdatePropagation::Rowa);
-    // The index is only consulted for full-cluster reads; when no class
-    // can ask, skip its per-leg maintenance entirely.
-    let mut index = full_set
-        .iter()
-        .any(|&f| f)
-        .then(|| PendingIndex::new(&free_at, kind));
     // Hoisted tracer gate: a disabled sampler (`QCPA_TRACE_SAMPLE=0`,
     // the production setting) costs nothing per request.
     let trace_on = tracer.as_deref().is_some_and(|tr| tr.enabled());
@@ -576,24 +444,12 @@ pub(crate) fn open_loop_core(
         let cid = r.class.idx();
         match r.kind {
             QueryKind::Read => {
-                // Full-cluster eligible set: answer from the index in
-                // O(log n). Restricted set: probe just those targets.
-                let routed = match index.as_mut() {
-                    Some(idx) if full_set[cid] => {
-                        idx.advance(&free_at, t);
-                        idx.least_pending(&free_at)
-                    }
-                    _ => scheduler.route_read_with(r.class, |b| (free_at[b] - t).max(0.0)),
-                };
-                if let Some(b) = routed {
+                if let Some(b) = scheduler.route_read_at(r.class, &free_at, t) {
                     let svc = profile.effective(b, r.service);
                     let queue_delay = (free_at[b] - t).max(0.0);
                     let begin = free_at[b].max(t);
                     let done = begin + svc;
                     free_at[b] = done;
-                    if let Some(idx) = index.as_mut() {
-                        idx.touch(b, done);
-                    }
                     busy[b] += svc;
                     outcomes.push(CoreOutcome {
                         arrival: t,
@@ -625,9 +481,6 @@ pub(crate) fn open_loop_core(
                 let begin0 = free_at[b0].max(t);
                 let done_primary = begin0 + svc0;
                 free_at[b0] = done_primary;
-                if let Some(idx) = index.as_mut() {
-                    idx.touch(b0, done_primary);
-                }
                 busy[b0] += svc0;
                 let mut done_all = t.max(done_primary);
                 if trace_this {
@@ -639,9 +492,6 @@ pub(crate) fn open_loop_core(
                     let begin = free_at[b].max(t);
                     let done = begin + svc;
                     free_at[b] = done;
-                    if let Some(idx) = index.as_mut() {
-                        idx.touch(b, done);
-                    }
                     busy[b] += svc;
                     done_all = done_all.max(done);
                     if trace_this {
@@ -896,45 +746,6 @@ mod tests {
             (bucketed - exact).abs() / exact < 0.05,
             "histogram {bucketed} vs nearest-rank {exact}"
         );
-    }
-
-    /// The queue/idle-set index answers exactly like a naive full scan
-    /// with the scheduler's tie-break, across growing time and random
-    /// dispatches — on both event-queue implementations.
-    #[test]
-    fn pending_index_matches_linear_scan() {
-        use rand::Rng;
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let n = 8;
-            let mut rng = ChaCha8Rng::seed_from_u64(42);
-            let mut free_at = vec![0.5f64; n];
-            let mut index = PendingIndex::new(&free_at, kind);
-            let mut t = 0.0;
-            for _ in 0..2_000 {
-                t += rng.gen_range(0.0..0.02);
-                index.advance(&free_at, t);
-                let fast = index.least_pending(&free_at).unwrap();
-                let naive = (0..n)
-                    .min_by(|&a, &b| {
-                        let pa = (free_at[a] - t).max(0.0);
-                        let pb = (free_at[b] - t).max(0.0);
-                        pa.partial_cmp(&pb).unwrap().then(a.cmp(&b))
-                    })
-                    .unwrap();
-                assert_eq!(fast, naive, "kind={kind:?} t={t}");
-                // Dispatch to the chosen backend, sometimes to a random
-                // one too (update fan-out touches non-minimal backends).
-                let done = free_at[fast].max(t) + rng.gen_range(0.001..0.05);
-                free_at[fast] = done;
-                index.touch(fast, done);
-                if rng.gen_bool(0.3) {
-                    let b = rng.gen_range(0..n);
-                    let done = free_at[b].max(t) + rng.gen_range(0.001..0.05);
-                    free_at[b] = done;
-                    index.touch(b, done);
-                }
-            }
-        }
     }
 
     #[test]

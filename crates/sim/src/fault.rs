@@ -829,9 +829,9 @@ pub struct FaultConfig {
     pub repair_k: usize,
 }
 
-/// Why [`reroute`] could not produce a routing table. Callers keep the
+/// Why `reroute` could not produce a routing table. Callers keep the
 /// previous scheduler (a deterministic degraded mode) and the failure
-/// is tallied in [`RepairTally::failures`] — the chaos harness asserts
+/// is tallied in `RepairTally::failures` — the chaos harness asserts
 /// it never actually happens under generated plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RerouteError {

@@ -25,7 +25,8 @@
 //! deadlines, admission control and circuit breaking on top — all inert
 //! under [`ResilienceConfig::default`]. [`fault::run_open_faults`] is
 //! that loop run with every layer off, reported as a
-//! [`fault::FaultReport`]. Both loops are serial.
+//! [`fault::FaultReport`]. Both loops are serial, and both route a read
+//! by one least-pending key, [`Scheduler::pending_at`].
 //!
 //! The optional [`service::LocalityModel`] reproduces the caching
 //! effect the paper observes: backends storing a smaller share of the
@@ -48,7 +49,6 @@ pub mod baseline;
 pub mod chaos;
 pub mod engine;
 pub mod fault;
-pub mod queue;
 pub mod request;
 pub mod resilience;
 pub mod scheduler;
@@ -63,7 +63,6 @@ pub use fault::{
     run_open_faults, run_open_faults_traced, FaultConfig, FaultEvent, FaultInjectionConfig,
     FaultPlan, FaultReport, InvalidFaultPlan, LayeredFaultConfig, RerouteError,
 };
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind, SimQueue};
 pub use request::{Request, RequestStream};
 pub use resilience::{
     run_open_resilient, run_open_resilient_traced, OverloadPolicy, ResilienceConfig,

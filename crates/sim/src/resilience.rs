@@ -2,7 +2,7 @@
 //! [`FaultPlan`], plus deadlines, deterministic retry/backoff,
 //! admission control, circuit breaking, and degraded-mode routing.
 //!
-//! There is one such loop ([`resilient_core`]). It applies the plan's
+//! There is one such loop (`resilient_core`). It applies the plan's
 //! events (crash voiding and re-dispatch, recovery catch-up, gray
 //! windows, partitions, online repair — semantics in [`crate::fault`])
 //! and layers on top the failure handling a production CDBS controller
@@ -50,7 +50,8 @@
 //! under any valid fault plan (`lost` exists only to make a violation
 //! visible instead of silent).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
@@ -65,7 +66,6 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
 use crate::fault::{reroute, FaultConfig, FaultEvent, FaultPlan, FaultStats};
-use crate::queue::{CalendarQueue, EventQueue};
 use crate::request::Request;
 use crate::scheduler::Scheduler;
 use crate::service::ServiceProfile;
@@ -578,16 +578,6 @@ struct QEntry {
     role: Role,
 }
 
-/// Packs a retry's `(sequence, request)` pair into the event queue's
-/// payload word. The sequence is unique and monotone, so ordering by
-/// the packed word reproduces the old `(at_bits, seq, req)` replay
-/// order exactly; both halves stay within 32 bits for any realistic
-/// run (debug-asserted at the push site).
-fn pack_retry(seq: u64, req: usize) -> u64 {
-    debug_assert!(seq < (1 << 32) && req < (1 << 32));
-    (seq << 32) | req as u64
-}
-
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Tally {
     retries: usize,
@@ -743,7 +733,9 @@ pub(crate) struct Engine<'a> {
     /// every backend is routable again before any online repair.
     initial: Scheduler,
     breakers: Breakers,
-    retries: CalendarQueue,
+    /// Scheduled retries as `(at_bits, seq, request)`, earliest first:
+    /// `seq` is unique and monotone, so equal times replay FIFO.
+    retries: BinaryHeap<Reverse<(u64, u64, u32)>>,
     retry_seq: u64,
     tally: Tally,
     stats: FaultStats,
@@ -850,8 +842,11 @@ impl Engine<'_> {
         if attempts <= self.run.rcfg.max_retries {
             let delay = self.run.rcfg.backoff(idx as u64, attempts);
             self.retry_seq += 1;
-            self.retries
-                .push((from + delay).to_bits(), pack_retry(self.retry_seq, idx));
+            self.retries.push(Reverse((
+                (from + delay).to_bits(),
+                self.retry_seq,
+                idx as u32,
+            )));
             self.arena[idx].retry_pending = true;
             self.tally.retries += 1;
             self.trace_backoff(idx, from, from + delay, attempts);
@@ -867,16 +862,12 @@ impl Engine<'_> {
     /// only when the class has no capable backend at all.
     fn pick_read_backend(&mut self, idx: usize, class: ClassId, t: f64) -> Option<usize> {
         if !self.breakers.enabled() {
-            let free_at = &self.free_at;
-            return self
-                .scheduler
-                .route_read_with(class, |b| (free_at[b] - t).max(0.0));
+            return self.scheduler.route_read_at(class, &self.free_at, t);
         }
         for &b in self.scheduler.read_targets(class) {
             self.breakers.resolve(b, t);
         }
-        let free_at = &self.free_at;
-        let pending = |b: usize| (free_at[b] - t).max(0.0);
+        let pending = self.scheduler.pending_at(class, &self.free_at, t);
         if let Some(b) = self
             .scheduler
             .route_read_filtered(class, pending, |b| self.breakers.is_blocked(b))
@@ -889,8 +880,7 @@ impl Engine<'_> {
         for &b in self.scheduler.capable_read_targets(class) {
             self.breakers.resolve(b, t);
         }
-        let free_at = &self.free_at;
-        let pending = |b: usize| (free_at[b] - t).max(0.0);
+        let pending = self.scheduler.pending_at(class, &self.free_at, t);
         #[expect(clippy::expect_used, reason = "pending work is finite")]
         let by_pending = |&a: &usize, &b: &usize| {
             pending(a)
@@ -919,9 +909,7 @@ impl Engine<'_> {
         // Nothing healthy anywhere: overriding the breaker beats
         // dropping the request — shedding is the admission policy's
         // decision, not the breaker's.
-        let routed = self
-            .scheduler
-            .route_read_with(class, |b| (self.free_at[b] - t).max(0.0));
+        let routed = self.scheduler.route_read_at(class, &self.free_at, t);
         if routed.is_some() {
             self.tally.breaker_overrides += 1;
             self.trace_mark(idx, "breaker_override", t);
@@ -1366,15 +1354,10 @@ impl Engine<'_> {
         loop {
             let ta = requests.get(req_i).map_or(f64::INFINITY, |r| r.arrival);
             let te = events.get(ev_i).map_or(f64::INFINITY, FaultEvent::at);
-            // Nothing is ever scheduled while deadlines and retries are
-            // off, and peeking an empty calendar is not free.
-            let tr = if self.retries.is_empty() {
-                f64::INFINITY
-            } else {
-                self.retries
-                    .peek()
-                    .map_or(f64::INFINITY, |(bits, _)| f64::from_bits(bits))
-            };
+            let tr = self
+                .retries
+                .peek()
+                .map_or(f64::INFINITY, |Reverse((bits, ..))| f64::from_bits(*bits));
             if ta.is_infinite() && te.is_infinite() && tr.is_infinite() {
                 break;
             }
@@ -1382,8 +1365,8 @@ impl Engine<'_> {
                 self.apply_fault(&events[ev_i]);
                 ev_i += 1;
             } else if tr <= ta {
-                if let Some((bits, packed)) = self.retries.pop() {
-                    self.dispatch((packed & 0xFFFF_FFFF) as usize, f64::from_bits(bits));
+                if let Some(Reverse((bits, _, req))) = self.retries.pop() {
+                    self.dispatch(req as usize, f64::from_bits(bits));
                 }
             } else {
                 let r = &requests[req_i];
@@ -1677,7 +1660,7 @@ pub(crate) fn resilient_core<'a>(
         traced: Vec::new(),
         initial: scheduler,
         breakers,
-        retries: CalendarQueue::new(),
+        retries: BinaryHeap::new(),
         retry_seq: 0,
         tally: Tally::default(),
         stats: FaultStats::new(n),

@@ -163,6 +163,37 @@ impl Scheduler {
         })
     }
 
+    /// The least-pending key of a read of class `c` arriving at `t`,
+    /// given per-backend release times `free_at`: the one rule both
+    /// open loops route reads by. Smaller is less pending; ties go to
+    /// the lowest index in the routing comparators.
+    ///
+    /// A class readable on every backend is keyed by its release time
+    /// `free_at[b].max(t)`; every other class by its remaining work
+    /// `(free_at[b] - t).max(0.0)`. The two agree except where the
+    /// subtraction rounds two release times to one value, and the split
+    /// is the order the frozen [`crate::baseline`] oracle defines.
+    pub fn pending_at<'a>(
+        &self,
+        c: ClassId,
+        free_at: &'a [f64],
+        t: f64,
+    ) -> impl Fn(usize) -> f64 + Copy + 'a {
+        let everywhere = self.read_targets[c.idx()].len() == free_at.len();
+        move |b| {
+            if everywhere {
+                free_at[b].max(t)
+            } else {
+                (free_at[b] - t).max(0.0)
+            }
+        }
+    }
+
+    /// [`Self::route_read_with`] under the [`Self::pending_at`] key.
+    pub fn route_read_at(&self, c: ClassId, free_at: &[f64], t: f64) -> Option<usize> {
+        self.route_read_with(c, self.pending_at(c, free_at, t))
+    }
+
     /// Like [`Self::route_read_with`], but backends for which `blocked`
     /// returns `true` (e.g. open-circuit in the resilience runtime) are
     /// skipped. Returns `None` when *every* eligible backend is blocked —

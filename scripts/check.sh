@@ -3,10 +3,11 @@
 # tests.
 #
 # Usage:
-#   ./scripts/check.sh          # full gate (fmt, clippy, every test,
-#                               # release goldens, smokes, bench)
+#   ./scripts/check.sh          # full gate (fmt, clippy, rustdoc,
+#                               # every test, release goldens,
+#                               # smokes, bench)
 #   ./scripts/check.sh --fast   # inner-loop tier: fmt + clippy +
-#                               # the source-policy test +
+#                               # rustdoc + the source-policy test +
 #                               # lib/unit tests, the storage property
 #                               # suite, the controller end-to-end
 #                               # suite, resilience + multilevel
@@ -32,6 +33,11 @@ cargo fmt --all --check
 # Each exception is a reasoned `#[expect]` at its site.
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links are checked too, so a link left dangling at a deleted
+# or private item fails the gate.
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Fragment sets have one representation, `FragSet`. Fails on any
 # `BTreeSet<FragmentId>` outside comments and `#[cfg(test)]` items in

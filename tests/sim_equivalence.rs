@@ -7,9 +7,10 @@
 //! `OpenReport`s — every `f64` compared by `to_bits`, never by
 //! tolerance — across every axis of the rewrite:
 //!
-//! * **Queue implementation** — `run_open_with` under both
-//!   [`QueueKind::Heap`] and [`QueueKind::Calendar`] must equal the
-//!   baseline (which has its own frozen `BinaryHeap` index);
+//! * **Read rule** — `run_open` routes every read by
+//!   `Scheduler::pending_at` and must equal the baseline (which keeps
+//!   its own frozen pending index) on greedy and fully replicated
+//!   allocations alike;
 //! * **Tracing** — traced runs must return the untraced report and
 //!   produce the same trace-tree fingerprint as the baseline engine;
 //! * **Benchmark shims** — `run_open_sharded` equals the baseline at
@@ -38,15 +39,15 @@ use qcpa::core::fragment::Catalog;
 use qcpa::core::greedy;
 use qcpa::core::journal::QueryKind;
 use qcpa::sim::baseline::{run_open_baseline, run_open_baseline_traced};
-use qcpa::sim::engine::run_open_with;
 use qcpa::sim::fault::{
     run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan, FaultReport,
     LayeredFaultConfig,
 };
 use qcpa::sim::resilience::{run_open_resilient, run_open_resilient_traced};
 use qcpa::sim::{
-    backend_components, run_open_sharded, OpenReport, OverloadPolicy, QueueKind, Request,
-    RequestStream, ResilienceConfig, ResilienceReport, Scheduler, SimConfig, UpdatePropagation,
+    backend_components, run_open, run_open_sharded, run_open_traced, OpenReport, OverloadPolicy,
+    Request, RequestStream, ResilienceConfig, ResilienceReport, Scheduler, SimConfig,
+    UpdatePropagation,
 };
 use qcpa_obs::Tracer;
 use rand::SeedableRng;
@@ -114,13 +115,14 @@ fn requests(cls: &Classification, n: usize, seed: u64, jitter: f64) -> Vec<Reque
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The rewritten engine equals the preserved baseline bit for bit,
-    /// under both event-queue implementations, traced and untraced,
-    /// with identical trace trees.
+    /// traced and untraced, with identical trace trees, on a greedy and
+    /// a fully replicated allocation (where every read class is
+    /// readable on every backend).
     #[test]
-    fn rewritten_engine_matches_baseline_under_both_queues(
+    fn rewritten_engine_matches_baseline(
         w in workload_strategy(),
         n in 2usize..6,
         seed in 0u64..1_000,
@@ -130,7 +132,6 @@ proptest! {
     ) {
         let (catalog, Some(cls)) = materialize(&w) else { return Ok(()) };
         let cluster = ClusterSpec::homogeneous(n);
-        let alloc = greedy::allocate(&cls, &catalog, &cluster);
         let reqs = requests(&cls, n, seed, if jit { 0.15 } else { 0.0 });
         if reqs.is_empty() {
             return Ok(());
@@ -138,36 +139,31 @@ proptest! {
         let cfg = sim_config(propagation);
         let warmup = if warm { 0.05 } else { 0.0 };
 
-        let mut oracle_tr = Tracer::new(seed, 1.0);
-        let oracle = run_open_baseline_traced(
-            &alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg,
-            Some(&mut oracle_tr),
-        );
-        let oracle_fp = oracle_tr.into_tree().fingerprint();
-        assert_open_bit_identical(
-            &oracle,
-            &run_open_baseline(&alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg),
-            "baseline traced vs untraced",
-        );
-
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let plain = run_open_with(
-                &alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg, None, kind,
+        for alloc in [
+            greedy::allocate(&cls, &catalog, &cluster),
+            Allocation::full_replication(&cls, &cluster),
+        ] {
+            let mut oracle_tr = Tracer::new(seed, 1.0);
+            let oracle = run_open_baseline_traced(
+                &alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg,
+                Some(&mut oracle_tr),
             );
-            assert_open_bit_identical(&oracle, &plain, &format!("baseline vs {kind:?}"));
+            let oracle_fp = oracle_tr.into_tree().fingerprint();
+            assert_open_bit_identical(
+                &oracle,
+                &run_open_baseline(&alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg),
+                "baseline traced vs untraced",
+            );
+
+            let plain = run_open(&alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg);
+            assert_open_bit_identical(&oracle, &plain, "baseline vs run_open");
 
             let mut tr = Tracer::new(seed, 1.0);
-            let traced = run_open_with(
-                &alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg,
-                Some(&mut tr), kind,
+            let traced = run_open_traced(
+                &alloc, &cls, &cluster, &catalog, &reqs, warmup, &cfg, Some(&mut tr),
             );
-            assert_open_bit_identical(&oracle, &traced, &format!("baseline vs traced {kind:?}"));
-            prop_assert_eq!(
-                tr.into_tree().fingerprint(),
-                oracle_fp,
-                "trace fingerprint diverged under {:?}",
-                kind
-            );
+            assert_open_bit_identical(&oracle, &traced, "baseline vs run_open_traced");
+            prop_assert_eq!(tr.into_tree().fingerprint(), oracle_fp, "trace fingerprint diverged");
         }
     }
 
@@ -227,10 +223,11 @@ proptest! {
         }
     }
 
-    /// Degenerate configurations collapse exactly: an empty fault plan
-    /// reproduces `run_open`, and a faulted run replays itself bit for
-    /// bit. (That the all-disabled resilience default reproduces
-    /// `run_open_faults` is pinned against recorded goldens in
+    /// Degenerate configurations collapse exactly, on a greedy and a
+    /// fully replicated allocation: an empty fault plan reproduces
+    /// `run_open`, and a faulted run replays itself bit for bit. (That
+    /// the all-disabled resilience default reproduces `run_open_faults`
+    /// is pinned against recorded goldens in
     /// `fault_reports_match_recorded_goldens`.)
     #[test]
     fn degenerate_fault_and_resilience_configs_collapse(
@@ -241,56 +238,64 @@ proptest! {
     ) {
         let (catalog, Some(cls)) = materialize(&w) else { return Ok(()) };
         let cluster = ClusterSpec::homogeneous(n);
-        let alloc = greedy::allocate(&cls, &catalog, &cluster);
         let reqs = requests(&cls, n, seed, 0.0);
         if reqs.is_empty() {
             return Ok(());
         }
         let cfg = sim_config(propagation);
 
-        // Empty plan ≡ run_open (and hence the baseline oracle).
-        let oracle =
-            run_open_baseline(&alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg);
-        let empty = FaultPlan::new(Vec::new(), n).expect("empty plan is valid");
-        let faults_empty = run_open_faults(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
-            &empty, &FaultConfig::default(),
-        );
-        prop_assert_eq!(faults_empty.responses.len(), oracle.responses.len());
-        for (x, y) in faults_empty.responses.iter().zip(&oracle.responses) {
-            prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "empty-plan arrival bits");
-            prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "empty-plan response bits");
-        }
-        for (x, y) in faults_empty.busy.iter().zip(&oracle.busy) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "empty-plan busy bits");
-        }
+        for alloc in [
+            greedy::allocate(&cls, &catalog, &cluster),
+            Allocation::full_replication(&cls, &cluster),
+        ] {
+            // Empty plan ≡ run_open (and hence the baseline oracle).
+            let oracle =
+                run_open_baseline(&alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg);
+            let empty = FaultPlan::new(Vec::new(), n).expect("empty plan is valid");
+            let faults_empty = run_open_faults(
+                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
+                &empty, &FaultConfig::default(),
+            );
+            prop_assert_eq!(faults_empty.responses.len(), oracle.responses.len());
+            for (x, y) in faults_empty.responses.iter().zip(&oracle.responses) {
+                prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "empty-plan arrival bits");
+                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "empty-plan response bits");
+            }
+            for (x, y) in faults_empty.busy.iter().zip(&oracle.busy) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "empty-plan busy bits");
+            }
 
-        // Replays under a *layered* plan (crash + gray window +
-        // partition episode) are exact.
-        let plan = FaultPlan::from_seed_layered(
-            seed,
-            n,
-            2.0,
-            &LayeredFaultConfig {
-                crashes: FaultInjectionConfig { crashes: 1, mttr: 0.5, ..Default::default() },
-                gray: 1,
-                gray_duration: 0.5,
-                partitions: 1,
-                partition_duration: 0.5,
-                ..LayeredFaultConfig::default()
-            },
-        );
-        let resilient = run_open_resilient(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
-            &plan, &FaultConfig::default(), &ResilienceConfig::default(),
-        );
-        let replay = run_open_resilient(
-            &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
-            &plan, &FaultConfig::default(), &ResilienceConfig::default(),
-        );
-        prop_assert_eq!(replay.responses.len(), resilient.responses.len());
-        for (x, y) in replay.responses.iter().zip(&resilient.responses) {
-            prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "replay response bits");
+            // Replays under a *layered* plan (crash + gray window +
+            // partition episode) are exact.
+            let plan = FaultPlan::from_seed_layered(
+                seed,
+                n,
+                2.0,
+                &LayeredFaultConfig {
+                    crashes: FaultInjectionConfig {
+                        crashes: 1,
+                        mttr: 0.5,
+                        ..Default::default()
+                    },
+                    gray: 1,
+                    gray_duration: 0.5,
+                    partitions: 1,
+                    partition_duration: 0.5,
+                    ..LayeredFaultConfig::default()
+                },
+            );
+            let resilient = run_open_resilient(
+                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
+                &plan, &FaultConfig::default(), &ResilienceConfig::default(),
+            );
+            let replay = run_open_resilient(
+                &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &cfg,
+                &plan, &FaultConfig::default(), &ResilienceConfig::default(),
+            );
+            prop_assert_eq!(replay.responses.len(), resilient.responses.len());
+            for (x, y) in replay.responses.iter().zip(&resilient.responses) {
+                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "replay response bits");
+            }
         }
     }
 
