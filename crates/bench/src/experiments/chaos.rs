@@ -1,6 +1,6 @@
 //! Chaos/soak sweep: randomized layered fault schedules (crashes,
-//! zone failures, gray windows, partitions) driven through both fault
-//! engines, asserting on every schedule the invariants the simulator
+//! zone failures, gray windows, partitions) driven through the
+//! fault-aware loop, asserting on every schedule the invariants the simulator
 //! promises — conservation (`lost ≡ 0`), post-repair k-safety,
 //! trace-fingerprint stability. The run *fails* (nonzero exit) on any
 //! violation.

@@ -7,7 +7,9 @@ use qcpa_core::classify::Granularity;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::ksafety;
 use qcpa_sim::engine::SimConfig;
-use qcpa_sim::fault::{run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan};
+use qcpa_sim::fault::{
+    run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan, LayeredFaultConfig,
+};
 use qcpa_workloads::common::classify_and_stream;
 use qcpa_workloads::tpch::tpch;
 use rand::SeedableRng;
@@ -41,13 +43,18 @@ pub fn fig_fault_availability() -> std::io::Result<()> {
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let reqs = cw.stream.sample_poisson(RATE, DURATION, 0.0, &mut rng);
-    let plan = FaultPlan::from_seed(
+    let plan = FaultPlan::from_seed_layered(
         seed,
         cluster.len(),
         DURATION,
-        &FaultInjectionConfig {
-            crashes: 2,
-            mttr: 20.0,
+        &LayeredFaultConfig {
+            crashes: FaultInjectionConfig {
+                crashes: 2,
+                mttr: 20.0,
+                ..Default::default()
+            },
+            gray: 0,
+            partitions: 0,
             ..Default::default()
         },
     );

@@ -14,7 +14,7 @@ use qcpa_core::classify::Granularity;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::ksafety;
 use qcpa_sim::engine::SimConfig;
-use qcpa_sim::fault::{FaultConfig, FaultInjectionConfig, FaultPlan};
+use qcpa_sim::fault::{FaultConfig, FaultInjectionConfig, FaultPlan, LayeredFaultConfig};
 use qcpa_sim::resilience::{run_open_resilient, OverloadPolicy, ResilienceConfig};
 use qcpa_workloads::common::classify_and_stream;
 use qcpa_workloads::tpch::tpch;
@@ -51,13 +51,18 @@ pub fn fig_resilience() -> std::io::Result<()> {
         .validate(&cw.classification, &cluster)
         .expect("k-safe allocation is valid");
 
-    let plan = FaultPlan::from_seed(
+    let plan = FaultPlan::from_seed_layered(
         seed,
         cluster.len(),
         duration,
-        &FaultInjectionConfig {
-            crashes: 2,
-            mttr: duration / 6.0,
+        &LayeredFaultConfig {
+            crashes: FaultInjectionConfig {
+                crashes: 2,
+                mttr: duration / 6.0,
+                ..Default::default()
+            },
+            gray: 0,
+            partitions: 0,
             ..Default::default()
         },
     );

@@ -2,9 +2,10 @@
 //!
 //! Each chaos run derives a fresh synthetic workload, allocation and
 //! layered fault schedule from a ChaCha8 seed, drives the loop through
-//! it with the resilience layers off ([`run_open_faults`]) and on
-//! ([`run_open_resilient`]), and asserts the robustness invariants the
-//! simulator promises under *every* schedule:
+//! it with the resilience layers off ([`run_open_resilient`] under
+//! [`ResilienceConfig::default`], the run [`crate::fault::run_open_faults`]
+//! reports), and asserts the robustness invariants the simulator
+//! promises under *every* schedule:
 //!
 //! 1. **Conservation** — every offered request reaches exactly one
 //!    terminal state and none is lost
@@ -19,12 +20,9 @@
 //! every broken schedule with its seed for offline replay.
 
 use crate::engine::SimConfig;
-use crate::fault::{
-    run_open_faults, run_open_faults_traced, FaultConfig, FaultInjectionConfig, FaultPlan,
-    LayeredFaultConfig,
-};
+use crate::fault::{FaultConfig, FaultInjectionConfig, FaultPlan, LayeredFaultConfig};
 use crate::request::RequestStream;
-use crate::resilience::{run_open_resilient, ResilienceConfig};
+use crate::resilience::{run_open_resilient, run_open_resilient_traced, ResilienceConfig};
 use qcpa_core::classify::{Classification, QueryClass};
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
@@ -228,43 +226,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             }
         };
 
-        // Invariant 1+2 with the resilience layers off.
-        let fr = run_open_faults(
-            &alloc,
-            &sc.cls,
-            &sc.cluster,
-            &sc.catalog,
-            &sc.requests,
-            0.0,
-            &sim,
-            &sc.plan,
-            &fcfg,
-        );
-        if fr.lost != 0 {
-            violate(&mut report, format!("fault run lost {} requests", fr.lost));
-        }
-        if fr.completed + fr.lost != sc.requests.len() {
-            violate(
-                &mut report,
-                format!(
-                    "fault conservation broke: {} + {} != {}",
-                    fr.completed,
-                    fr.lost,
-                    sc.requests.len()
-                ),
-            );
-        }
-        if fr.reroute_failures != 0 {
-            violate(
-                &mut report,
-                format!("{} reroutes failed", fr.reroute_failures),
-            );
-        }
-        if !fr.post_repair_safety_ok {
-            violate(&mut report, "post-repair k-safety violated".to_string());
-        }
-
-        // Invariant 1 with the resilience layers on.
+        // Invariants 1 and 2.
         let rr = run_open_resilient(
             &alloc,
             &sc.cls,
@@ -281,59 +243,52 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             violate(
                 &mut report,
                 format!(
-                    "resilience conservation broke: {}+{}+{}+{} != {}",
+                    "conservation broke: {}+{}+{}+{} != {}",
                     rr.completed, rr.shed, rr.timed_out, rr.lost, rr.offered
                 ),
             );
         }
         if rr.lost != 0 {
+            violate(&mut report, format!("run lost {} requests", rr.lost));
+        }
+        if rr.reroute_failures != 0 {
             violate(
                 &mut report,
-                format!("resilient run lost {} requests", rr.lost),
+                format!("{} reroutes failed", rr.reroute_failures),
             );
         }
         if !rr.post_repair_safety_ok {
-            violate(
-                &mut report,
-                "resilient post-repair k-safety violated".to_string(),
-            );
+            violate(&mut report, "post-repair k-safety violated".to_string());
         }
 
         // Invariant 3: tracing is stable and non-perturbing.
+        let traced = |tracer: &mut qcpa_obs::Tracer| {
+            run_open_resilient_traced(
+                &alloc,
+                &sc.cls,
+                &sc.cluster,
+                &sc.catalog,
+                &sc.requests,
+                0.0,
+                &sim,
+                &sc.plan,
+                &fcfg,
+                &rcfg,
+                Some(tracer),
+            )
+        };
         let mut t1 = qcpa_obs::Tracer::new(seed, 0.25);
-        let ft1 = run_open_faults_traced(
-            &alloc,
-            &sc.cls,
-            &sc.cluster,
-            &sc.catalog,
-            &sc.requests,
-            0.0,
-            &sim,
-            &sc.plan,
-            &fcfg,
-            Some(&mut t1),
-        );
+        let ft1 = traced(&mut t1);
         let mut t2 = qcpa_obs::Tracer::new(seed, 0.25);
-        let _ = run_open_faults_traced(
-            &alloc,
-            &sc.cls,
-            &sc.cluster,
-            &sc.catalog,
-            &sc.requests,
-            0.0,
-            &sim,
-            &sc.plan,
-            &fcfg,
-            Some(&mut t2),
-        );
+        let _ = traced(&mut t2);
         if t1.tree.fingerprint() != t2.tree.fingerprint() {
             violate(&mut report, "trace fingerprint unstable".to_string());
         }
-        let same = ft1.responses.len() == fr.responses.len()
+        let same = ft1.responses.len() == rr.responses.len()
             && ft1
                 .responses
                 .iter()
-                .zip(&fr.responses)
+                .zip(&rr.responses)
                 .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits());
         if !same {
             violate(&mut report, "tracing perturbed the run".to_string());

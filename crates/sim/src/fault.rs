@@ -9,11 +9,12 @@
 //! is deterministic: the same `(workload seed, fault seed)` pair
 //! replays the exact run, bit for bit.
 //!
-//! This module owns the plan (events, validation, seeded generators),
-//! the online-repair rerouting the loop calls on every routing change,
-//! and [`run_open_faults`]: the loop run with every resilience
-//! mechanism off ([`ResilienceConfig::default`]) and projected onto a
-//! [`FaultReport`] — completed requests become `responses`, a request
+//! This module owns the fault model once: the plan (events, validation,
+//! the one seeded generator [`FaultPlan::from_seed_layered`]), the
+//! liveness state machine that validation, the seeded filter and the
+//! loop all drive, and [`run_open_faults`]: the loop run with every
+//! resilience mechanism off ([`ResilienceConfig::default`]) and read as
+//! a [`FaultReport`] — completed requests become `responses`, a request
 //! that found no capable backend is `lost`.
 //!
 //! Semantics of a crash at time `T` on backend `d`:
@@ -63,16 +64,14 @@ use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
-use qcpa_core::{ksafety, BackendId};
-use qcpa_matching::physical::{move_cost, EtlCostModel};
+use qcpa_matching::physical::EtlCostModel;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::engine::{nearest_rank, SimConfig};
+use crate::engine::SimConfig;
 use crate::request::Request;
-use crate::resilience::{resilient_core, FaultRun, RCore, RFinal, ResilienceConfig};
-use crate::scheduler::Scheduler;
+use crate::resilience::{run_open_resilient, ResilienceConfig, ResilienceReport};
 
 /// One entry of a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +117,7 @@ pub enum FaultEvent {
         at: f64,
     },
     /// Network partition `id` activates at `at`: every backend in
-    /// [`FaultPlan::partition_side`]`(id)` becomes **unreachable** —
+    /// [`FaultPlan::partition_sides`]`()[id]` becomes **unreachable** —
     /// alive, in-flight legs still complete, but excluded from new
     /// routing until the matching [`FaultEvent::Heal`]. Unlike a crash
     /// nothing is voided and nothing is refunded: the replicas are cut
@@ -349,7 +348,7 @@ impl std::fmt::Display for InvalidFaultPlan {
 
 impl std::error::Error for InvalidFaultPlan {}
 
-/// Knobs for [`FaultPlan::from_seed`].
+/// The crash/recover layer of a [`LayeredFaultConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct FaultInjectionConfig {
     /// Crash events to attempt (invalid candidates — already-dead
@@ -380,14 +379,13 @@ impl Default for FaultInjectionConfig {
     }
 }
 
-/// Knobs for [`FaultPlan::from_seed_layered`]: the crash layer reuses
-/// [`FaultInjectionConfig`] verbatim, then gray windows, partitions and
-/// correlated zone failures stack on top. With every non-crash layer at
-/// zero the generated plan equals [`FaultPlan::from_seed`]'s exactly.
+/// Knobs for [`FaultPlan::from_seed_layered`]: the crash layer, then
+/// gray windows, partitions and correlated zone failures stacked on
+/// top. A crash-only plan sets `gray` and `partitions` to zero and
+/// leaves `zones` below 2.
 #[derive(Debug, Clone, Copy)]
 pub struct LayeredFaultConfig {
-    /// The independent crash/recover layer (drawn first, so crash-only
-    /// layered plans are bit-identical to `from_seed`).
+    /// The independent crash/recover layer, drawn first.
     pub crashes: FaultInjectionConfig,
     /// Gray-failure windows to attempt.
     pub gray: usize,
@@ -464,109 +462,33 @@ impl FaultPlan {
                 return Err(InvalidFaultPlan::BadPartitionSide { id: id as u32 });
             }
         }
-        let mut alive = vec![true; n_backends];
-        let mut cut = vec![false; n_backends];
-        let mut degraded = vec![false; n_backends];
-        let mut active = vec![false; partition_sides.len()];
-        // Backends both alive and reachable — the set routing can use.
-        let mut routable = n_backends;
+        let mut live = Liveness::new(n_backends, &partition_sides);
         let mut last_t = 0.0f64;
         for (index, e) in events.iter().enumerate() {
-            if let Some(b) = e.backend() {
-                if b >= n_backends {
-                    return Err(InvalidFaultPlan::UnknownBackend {
-                        index,
-                        backend: b,
-                        n_backends,
-                    });
-                }
+            if let Some(backend) = e.backend().filter(|&b| b >= n_backends) {
+                return Err(InvalidFaultPlan::UnknownBackend {
+                    index,
+                    backend,
+                    n_backends,
+                });
             }
-            let finite = match *e {
-                FaultEvent::Recover {
-                    at, catchup_cost, ..
-                } => at.is_finite() && at >= 0.0 && catchup_cost.is_finite() && catchup_cost >= 0.0,
-                _ => e.at().is_finite() && e.at() >= 0.0,
+            let cost = match *e {
+                FaultEvent::Recover { catchup_cost, .. } => catchup_cost,
+                _ => 0.0,
             };
-            if !finite {
+            if !(e.at().is_finite() && e.at() >= 0.0 && cost.is_finite() && cost >= 0.0) {
                 return Err(InvalidFaultPlan::NonFinite { index });
             }
             if e.at() < last_t {
                 return Err(InvalidFaultPlan::Unsorted { index });
             }
             last_t = e.at();
-            match *e {
-                FaultEvent::Crash { backend, .. } => {
-                    if !alive[backend] {
-                        return Err(InvalidFaultPlan::DoubleCrash { index, backend });
-                    }
-                    if !cut[backend] {
-                        if routable == 1 {
-                            return Err(InvalidFaultPlan::AllBackendsDown { index });
-                        }
-                        routable -= 1;
-                    }
-                    alive[backend] = false;
-                }
-                FaultEvent::Recover { backend, .. } => {
-                    if alive[backend] {
-                        return Err(InvalidFaultPlan::RecoverAlive { index, backend });
-                    }
-                    alive[backend] = true;
-                    if !cut[backend] {
-                        routable += 1;
-                    }
-                }
-                FaultEvent::Degrade {
-                    backend, factor, ..
-                } => {
-                    if !factor.is_finite() || factor < 1.0 {
-                        return Err(InvalidFaultPlan::BadDegradeFactor { index });
-                    }
-                    if degraded[backend] {
-                        return Err(InvalidFaultPlan::DoubleDegrade { index, backend });
-                    }
-                    degraded[backend] = true;
-                }
-                FaultEvent::Restore { backend, .. } => {
-                    if !degraded[backend] {
-                        return Err(InvalidFaultPlan::RestoreHealthy { index, backend });
-                    }
-                    degraded[backend] = false;
-                }
-                FaultEvent::Partition { id, .. } => {
-                    let Some(side) = partition_sides.get(id as usize) else {
-                        return Err(InvalidFaultPlan::UnknownPartition { index, id });
-                    };
-                    if active[id as usize] {
-                        return Err(InvalidFaultPlan::DoublePartition { index, id });
-                    }
-                    if let Some(&backend) = side.iter().find(|&&m| cut[m]) {
-                        return Err(InvalidFaultPlan::OverlappingPartitions { index, backend });
-                    }
-                    let losing = side.iter().filter(|&&m| alive[m]).count();
-                    if routable == losing {
-                        return Err(InvalidFaultPlan::AllBackendsDown { index });
-                    }
-                    routable -= losing;
-                    for &m in side {
-                        cut[m] = true;
-                    }
-                    active[id as usize] = true;
-                }
-                FaultEvent::Heal { id, .. } => {
-                    let Some(side) = partition_sides.get(id as usize) else {
-                        return Err(InvalidFaultPlan::UnknownPartition { index, id });
-                    };
-                    if !active[id as usize] {
-                        return Err(InvalidFaultPlan::HealUnpartitioned { index, id });
-                    }
-                    routable += side.iter().filter(|&&m| alive[m]).count();
-                    for &m in side {
-                        cut[m] = false;
-                    }
-                    active[id as usize] = false;
+            if let FaultEvent::Degrade { factor, .. } = *e {
+                if !factor.is_finite() || factor < 1.0 {
+                    return Err(InvalidFaultPlan::BadDegradeFactor { index });
                 }
             }
+            live.apply(index, e, 1)?;
         }
         Ok(FaultPlan {
             events,
@@ -575,122 +497,17 @@ impl FaultPlan {
         })
     }
 
-    /// Sorts candidates by `(time, variant rank, backend/id)` and runs
-    /// them through the liveness state machine, dropping candidates that
-    /// would not validate (already-dead backend, would breach
-    /// `min_alive` routable backends, overlapping windows/partitions).
-    /// Dropped starts naturally drop their matching ends. Shared by both
-    /// seeded generators so the crash layer filters identically.
-    #[expect(
-        clippy::expect_used,
-        reason = "the state machine keeps only events that validate"
-    )]
-    fn finish_seeded(
-        mut cand: Vec<FaultEvent>,
-        n_backends: usize,
-        partition_sides: Vec<Vec<usize>>,
-        min_alive: usize,
-    ) -> FaultPlan {
-        cand.sort_by_key(FaultEvent::sort_key);
-        let min_alive = min_alive.max(1);
-        let mut alive = vec![true; n_backends];
-        let mut cut = vec![false; n_backends];
-        let mut degraded = vec![false; n_backends];
-        let mut active = vec![false; partition_sides.len()];
-        let mut routable = n_backends;
-        let mut events = Vec::with_capacity(cand.len());
-        for e in cand {
-            match e {
-                FaultEvent::Crash { backend, .. } => {
-                    if alive[backend] && (cut[backend] || routable > min_alive) {
-                        alive[backend] = false;
-                        if !cut[backend] {
-                            routable -= 1;
-                        }
-                        events.push(e);
-                    }
-                }
-                FaultEvent::Recover { backend, .. } => {
-                    if !alive[backend] {
-                        alive[backend] = true;
-                        if !cut[backend] {
-                            routable += 1;
-                        }
-                        events.push(e);
-                    }
-                }
-                FaultEvent::Degrade { backend, .. } => {
-                    if !degraded[backend] {
-                        degraded[backend] = true;
-                        events.push(e);
-                    }
-                }
-                FaultEvent::Restore { backend, .. } => {
-                    if degraded[backend] {
-                        degraded[backend] = false;
-                        events.push(e);
-                    }
-                }
-                FaultEvent::Partition { id, .. } => {
-                    let side = &partition_sides[id as usize];
-                    let losing = side.iter().filter(|&&m| alive[m] && !cut[m]).count();
-                    if !active[id as usize]
-                        && side.iter().all(|&m| !cut[m])
-                        && routable - losing >= min_alive
-                    {
-                        routable -= losing;
-                        for &m in side {
-                            cut[m] = true;
-                        }
-                        active[id as usize] = true;
-                        events.push(e);
-                    }
-                }
-                FaultEvent::Heal { id, .. } => {
-                    if active[id as usize] {
-                        let side = &partition_sides[id as usize];
-                        routable += side.iter().filter(|&&m| alive[m]).count();
-                        for &m in side {
-                            cut[m] = false;
-                        }
-                        active[id as usize] = false;
-                        events.push(e);
-                    }
-                }
-            }
-        }
-        FaultPlan::with_partitions(events, n_backends, partition_sides)
-            .expect("state-machine-filtered plan is valid")
-    }
-
-    /// Derives a valid plan from a seed: `cfg.crashes` candidate crash
-    /// times uniform in `[0.1, 0.9) × duration` on uniformly drawn
-    /// backends, each optionally paired with a jittered recovery, then
-    /// filtered through the crash/recover state machine so the result
-    /// always validates. The RNG consumption is independent of which
-    /// candidates survive, so plans are stable under config tweaks that
-    /// do not change the draw count.
-    pub fn from_seed(
-        seed: u64,
-        n_backends: usize,
-        duration: f64,
-        cfg: &FaultInjectionConfig,
-    ) -> FaultPlan {
-        assert!(n_backends > 0, "need at least one backend");
-        assert!(duration > 0.0 && duration.is_finite());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let cand = draw_crashes(&mut rng, n_backends, duration, cfg);
-        FaultPlan::finish_seeded(cand, n_backends, Vec::new(), cfg.min_alive)
-    }
-
-    /// Derives a **layered** adversary from a seed: the crash layer is
-    /// drawn first with exactly [`FaultPlan::from_seed`]'s draws (so a
-    /// crash-only `LayeredFaultConfig` reproduces that plan bit for
-    /// bit), then gray windows, partition episodes and correlated zone
-    /// failures. Every layer draws a fixed number of RNG values per
+    /// Derives a valid plan from a seed, layer by layer: `crashes`
+    /// candidate crash times uniform in `[0.1, 0.9) × duration` on
+    /// uniformly drawn backends, each optionally paired with a jittered
+    /// recovery; then gray windows, partition episodes and correlated
+    /// zone failures. Every layer draws a fixed number of RNG values per
     /// attempted event — partition membership spends `n_backends` key
     /// draws regardless of the realized side size — so plans are stable
-    /// under config tweaks that do not change the draw counts.
+    /// under config tweaks that do not change the draw counts. The
+    /// liveness machine then drops every candidate that would not
+    /// validate (already-dead backend, overlapping windows or
+    /// partitions, fewer than `min_alive` routable backends left).
     pub fn from_seed_layered(
         seed: u64,
         n_backends: usize,
@@ -700,7 +517,21 @@ impl FaultPlan {
         assert!(n_backends > 0, "need at least one backend");
         assert!(duration > 0.0 && duration.is_finite());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut cand = draw_crashes(&mut rng, n_backends, duration, &cfg.crashes);
+        let crashes = &cfg.crashes;
+        let mut cand: Vec<FaultEvent> = Vec::with_capacity(crashes.crashes * 2);
+        for _ in 0..crashes.crashes {
+            let at = duration * rng.gen_range(0.1..0.9);
+            let backend = rng.gen_range(0..n_backends);
+            cand.push(FaultEvent::Crash { backend, at });
+            if crashes.recover {
+                let delay = crashes.mttr.max(0.0) * rng.gen_range(0.5..1.5);
+                cand.push(FaultEvent::Recover {
+                    backend,
+                    at: at + delay,
+                    catchup_cost: crashes.catchup_cost.max(0.0),
+                });
+            }
+        }
 
         for _ in 0..cfg.gray {
             let at = duration * rng.gen_range(0.1..0.9);
@@ -751,13 +582,37 @@ impl FaultPlan {
                     cand.push(FaultEvent::Recover {
                         backend,
                         at: at + delay,
-                        catchup_cost: cfg.crashes.catchup_cost.max(0.0),
+                        catchup_cost: crashes.catchup_cost.max(0.0),
                     });
                 }
             }
         }
 
-        FaultPlan::finish_seeded(cand, n_backends, sides, cfg.crashes.min_alive)
+        FaultPlan::filter_seeded(cand, n_backends, sides, crashes.min_alive)
+    }
+
+    /// Sorts candidates by `(time, variant rank, backend/id)` and keeps
+    /// each one the liveness machine accepts with `min_alive` (clamped
+    /// to at least 1) routable backends, dropping the rest (already-dead
+    /// backend, overlapping windows or partitions, too few routable
+    /// backends left). A dropped start drops its matching end with it.
+    #[expect(
+        clippy::expect_used,
+        reason = "the liveness machine keeps only events that validate"
+    )]
+    fn filter_seeded(
+        mut cand: Vec<FaultEvent>,
+        n_backends: usize,
+        partition_sides: Vec<Vec<usize>>,
+        min_alive: usize,
+    ) -> FaultPlan {
+        cand.sort_by_key(FaultEvent::sort_key);
+        let min_alive = min_alive.max(1);
+        let mut live = Liveness::new(n_backends, &partition_sides);
+        // A rejection only drops the candidate, so its index is moot.
+        cand.retain(|e| live.apply(0, e, min_alive).is_ok());
+        FaultPlan::with_partitions(cand, n_backends, partition_sides)
+            .expect("liveness-filtered plan is valid")
     }
 
     /// The validated events in time order.
@@ -775,11 +630,6 @@ impl FaultPlan {
         &self.partition_sides
     }
 
-    /// The backends partition `id` cuts off.
-    pub fn partition_side(&self, id: u32) -> &[usize] {
-        &self.partition_sides[id as usize]
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -792,30 +642,139 @@ impl FaultPlan {
     }
 }
 
-/// The crash layer's candidate draws — shared verbatim by
-/// [`FaultPlan::from_seed`] and [`FaultPlan::from_seed_layered`] so
-/// both consume the RNG identically.
-fn draw_crashes(
-    rng: &mut ChaCha8Rng,
-    n_backends: usize,
-    duration: f64,
-    cfg: &FaultInjectionConfig,
-) -> Vec<FaultEvent> {
-    let mut cand: Vec<FaultEvent> = Vec::with_capacity(cfg.crashes * 2);
-    for _ in 0..cfg.crashes {
-        let at = duration * rng.gen_range(0.1..0.9);
-        let backend = rng.gen_range(0..n_backends);
-        cand.push(FaultEvent::Crash { backend, at });
-        if cfg.recover {
-            let delay = cfg.mttr.max(0.0) * rng.gen_range(0.5..1.5);
-            cand.push(FaultEvent::Recover {
-                backend,
-                at: at + delay,
-                catchup_cost: cfg.catchup_cost.max(0.0),
-            });
+/// The liveness state a fault plan drives: per backend whether it is
+/// alive, cut off by an active partition, and inside a gray window,
+/// plus the active partitions and the count of *routable* backends
+/// (alive and not cut). [`Liveness::apply`] is the only code that
+/// changes it — plan validation, the seeded filter and the fault-aware
+/// loop all step the same machine.
+#[derive(Debug)]
+pub(crate) struct Liveness<'a> {
+    sides: &'a [Vec<usize>],
+    alive: Vec<bool>,
+    cut: Vec<bool>,
+    /// The gray-failure factor of a backend inside a window.
+    slow: Vec<Option<f64>>,
+    active: Vec<bool>,
+    routable: usize,
+}
+
+impl<'a> Liveness<'a> {
+    /// Every backend alive, reachable and healthy; `sides` is the plan's
+    /// partition-side table.
+    pub(crate) fn new(n_backends: usize, sides: &'a [Vec<usize>]) -> Self {
+        Liveness {
+            sides,
+            alive: vec![true; n_backends],
+            cut: vec![false; n_backends],
+            slow: vec![None; n_backends],
+            active: vec![false; sides.len()],
+            routable: n_backends,
         }
     }
-    cand
+
+    /// Whether new work may be routed to `b`: alive and not cut off.
+    pub(crate) fn routable(&self, b: usize) -> bool {
+        self.alive[b] && !self.cut[b]
+    }
+
+    /// How many backends are routable.
+    pub(crate) fn n_routable(&self) -> usize {
+        self.routable
+    }
+
+    /// The service multiplier of a leg dispatched to `b` now: the gray
+    /// window's factor, or exactly 1 (so healthy runs stay bit-exact).
+    pub(crate) fn slow(&self, b: usize) -> f64 {
+        self.slow[b].unwrap_or(1.0)
+    }
+
+    /// Applies `e`, the event at `index` of its list, unless it would
+    /// break the machine — crash a dead backend, recover a live one,
+    /// nest gray windows or partitions, name an unknown partition — or
+    /// leave fewer than `min_alive` backends routable (reported as
+    /// [`InvalidFaultPlan::AllBackendsDown`]). A rejected event leaves
+    /// the state as it was. Backends must be in range.
+    pub(crate) fn apply(
+        &mut self,
+        index: usize,
+        e: &FaultEvent,
+        min_alive: usize,
+    ) -> Result<(), InvalidFaultPlan> {
+        use InvalidFaultPlan as E;
+        let sides = self.sides;
+        let side = |id: u32| {
+            sides
+                .get(id as usize)
+                .ok_or(E::UnknownPartition { index, id })
+        };
+        match *e {
+            FaultEvent::Crash { backend, .. } => {
+                if !self.alive[backend] {
+                    return Err(E::DoubleCrash { index, backend });
+                }
+                if !self.cut[backend] {
+                    if self.routable <= min_alive {
+                        return Err(E::AllBackendsDown { index });
+                    }
+                    self.routable -= 1;
+                }
+                self.alive[backend] = false;
+            }
+            FaultEvent::Recover { backend, .. } => {
+                if self.alive[backend] {
+                    return Err(E::RecoverAlive { index, backend });
+                }
+                self.alive[backend] = true;
+                if !self.cut[backend] {
+                    self.routable += 1;
+                }
+            }
+            FaultEvent::Degrade {
+                backend, factor, ..
+            } => {
+                if self.slow[backend].is_some() {
+                    return Err(E::DoubleDegrade { index, backend });
+                }
+                self.slow[backend] = Some(factor);
+            }
+            FaultEvent::Restore { backend, .. } => {
+                if self.slow[backend].take().is_none() {
+                    return Err(E::RestoreHealthy { index, backend });
+                }
+            }
+            FaultEvent::Partition { id, .. } => {
+                let side = side(id)?;
+                if self.active[id as usize] {
+                    return Err(E::DoublePartition { index, id });
+                }
+                if let Some(&backend) = side.iter().find(|&&m| self.cut[m]) {
+                    return Err(E::OverlappingPartitions { index, backend });
+                }
+                let losing = side.iter().filter(|&&m| self.alive[m]).count();
+                if self.routable - losing < min_alive {
+                    return Err(E::AllBackendsDown { index });
+                }
+                self.routable -= losing;
+                for &m in side {
+                    self.cut[m] = true;
+                }
+                self.active[id as usize] = true;
+            }
+            FaultEvent::Heal { id, .. } => {
+                let side = side(id)?;
+                if !self.active[id as usize] {
+                    return Err(E::HealUnpartitioned { index, id });
+                }
+                self.routable += side.iter().filter(|&&m| self.alive[m]).count();
+                for &m in side {
+                    self.cut[m] = false;
+                }
+                self.active[id as usize] = false;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Driver knobs for [`run_open_faults`].
@@ -829,150 +788,9 @@ pub struct FaultConfig {
     pub repair_k: usize,
 }
 
-/// Why `reroute` could not produce a routing table. Callers keep the
-/// previous scheduler (a deterministic degraded mode) and the failure
-/// is tallied in `RepairTally::failures` — the chaos harness asserts
-/// it never actually happens under generated plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RerouteError {
-    /// No backend is both alive and reachable — nothing to repair onto.
-    NoRoutableBackend,
-    /// The online repair ran but some weighted class still has no
-    /// capable routable backend.
-    RepairIncomplete,
-}
-
-impl std::fmt::Display for RerouteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RerouteError::NoRoutableBackend => {
-                write!(f, "no backend is both alive and reachable")
-            }
-            RerouteError::RepairIncomplete => {
-                write!(f, "online repair left a weighted class unroutable")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RerouteError {}
-
-/// Running account of [`reroute`]'s online repairs across a fault run.
-#[derive(Debug, Clone)]
-pub(crate) struct RepairTally {
-    /// Online repairs triggered by unroutable classes.
-    pub repairs: usize,
-    /// Total seconds the survivors were paused for repair ETL.
-    pub pause_secs: f64,
-    /// Total bytes the repairs re-replicated (Eq. 27).
-    pub moved_bytes: u64,
-    /// Reroutes that returned [`RerouteError`].
-    pub failures: usize,
-    /// False once any post-repair allocation missed the
-    /// `min(repair_k, survivors − 1)` safety level.
-    pub safety_ok: bool,
-}
-
-impl RepairTally {
-    pub(crate) fn new() -> Self {
-        RepairTally {
-            repairs: 0,
-            pause_secs: 0.0,
-            moved_bytes: 0,
-            failures: 0,
-            safety_ok: true,
-        }
-    }
-}
-
-/// Rebuilds routing for the current reachability (`routable[b]` = alive
-/// and not partitioned away), repairing the allocation online when a
-/// weighted class lost its last routable replica. Called by the
-/// fault-aware loop after every event that changes reachability.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a repair reads the run's inputs and updates its queues and tally"
-)]
-pub(crate) fn reroute(
-    at: f64,
-    current: &mut Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    catalog: &Catalog,
-    routable: &[bool],
-    fcfg: &FaultConfig,
-    free_at: &mut [f64],
-    tally: &mut RepairTally,
-) -> Result<Scheduler, RerouteError> {
-    let failed: Vec<usize> = (0..routable.len()).filter(|&b| !routable[b]).collect();
-    if failed.is_empty() {
-        return Ok(Scheduler::new(current, cls));
-    }
-    if let Some(s) = Scheduler::for_survivors(current, cls, cluster, &failed) {
-        return Ok(s);
-    }
-    // Some weighted class has no capable survivor: repair the
-    // surviving sub-allocation and graft the grown fragment sets
-    // back into the full-width allocation.
-    tally.repairs += 1;
-    let survivors: Vec<usize> = (0..routable.len()).filter(|&b| routable[b]).collect();
-    let failed_ids: Vec<BackendId> = failed.iter().map(|&b| BackendId(b as u32)).collect();
-    let Some(surv_cluster) = ksafety::surviving_cluster(cluster, &failed_ids) else {
-        tally.failures += 1;
-        return Err(RerouteError::NoRoutableBackend);
-    };
-    let mut restricted = current.restrict(&survivors);
-    let report = ksafety::repair_report(&mut restricted, cls, &surv_cluster, fcfg.repair_k);
-    let want = fcfg.repair_k.min(surv_cluster.len().saturating_sub(1));
-    if ksafety::class_safety(&restricted, cls) < want {
-        tally.safety_ok = false;
-    }
-    let before = current.clone();
-    for (nb, &b) in survivors.iter().enumerate() {
-        current.fragments[b] = restricted.fragments[nb].clone();
-    }
-    // Price the movement with Eq. 27 against the pre-repair state
-    // and the Figure 4(d) ETL phase model: serial preparation plus
-    // the slowest node's transfer + load.
-    let per_node: Vec<u64> = survivors
-        .iter()
-        .map(|&b| move_cost(current, b, &before, b, catalog))
-        .collect();
-    let moved: u64 = per_node.iter().sum();
-    let pause = if moved == 0 {
-        0.0
-    } else {
-        let slowest = per_node
-            .iter()
-            .map(|&bytes| {
-                bytes as f64 / fcfg.etl.transfer_bytes_per_sec
-                    + bytes as f64 / fcfg.etl.load_bytes_per_sec
-            })
-            .fold(0.0, f64::max);
-        fcfg.etl.fixed_overhead_secs + moved as f64 / fcfg.etl.prep_bytes_per_sec + slowest
-    };
-    for &b in &survivors {
-        free_at[b] = free_at[b].max(at) + pause;
-    }
-    tally.pause_secs += pause;
-    tally.moved_bytes += moved;
-    qcpa_obs::global().counter("sim.fault.repairs").inc();
-    qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "repair", {
-        "at" => at,
-        "moved_bytes" => moved,
-        "pause_secs" => pause,
-        "grants" => report.grants,
-    });
-    match Scheduler::for_survivors(current, cls, cluster, &failed) {
-        Some(s) => Ok(s),
-        None => {
-            tally.failures += 1;
-            Err(RerouteError::RepairIncomplete)
-        }
-    }
-}
-
-/// Result of an open-loop run under a fault plan.
+/// Result of an open-loop run under a fault plan: the
+/// [`ResilienceReport`] of a run with every resilience mechanism off,
+/// with every request that did not complete counted `lost`.
 #[derive(Debug, Clone)]
 pub struct FaultReport {
     /// `(arrival, response)` per completed request, in arrival order.
@@ -1038,38 +856,41 @@ impl FaultReport {
     }
 }
 
-/// Event-level statistics of a fault-driven run — everything applying
-/// the plan's events accumulates.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultStats {
-    pub crashes: usize,
-    pub recoveries: usize,
-    pub gray_windows: usize,
-    pub partitions: usize,
-    pub heals: usize,
-    pub tally: RepairTally,
-    pub availability: Vec<(f64, usize)>,
-}
-
-impl FaultStats {
-    pub(crate) fn new(n: usize) -> Self {
-        FaultStats {
-            crashes: 0,
-            recoveries: 0,
-            gray_windows: 0,
-            partitions: 0,
-            heals: 0,
-            tally: RepairTally::new(),
-            availability: vec![(0.0, n)],
+impl From<ResilienceReport> for FaultReport {
+    /// Reads a run as a fault report. With every mechanism off nothing
+    /// is shed, and a request times out only by finding no capable
+    /// backend: every terminal state but completion is `lost`.
+    fn from(r: ResilienceReport) -> Self {
+        FaultReport {
+            responses: r.responses,
+            mean_response: r.mean_response,
+            p95_response: r.p95_response,
+            busy: r.busy,
+            utilization: r.utilization,
+            completed: r.completed,
+            lost: r.shed + r.timed_out + r.lost,
+            redispatched: r.redispatched,
+            crashes: r.crashes,
+            recoveries: r.recoveries,
+            repairs: r.repairs,
+            repair_pause_secs: r.repair_pause_secs,
+            repair_moved_bytes: r.repair_moved_bytes,
+            gray_windows: r.gray_windows,
+            partitions: r.partitions,
+            heals: r.heals,
+            reroute_failures: r.reroute_failures,
+            post_repair_safety_ok: r.post_repair_safety_ok,
+            availability: r.availability,
         }
     }
 }
 
 /// Runs timed arrivals through the scheduler while applying `plan`'s
-/// crashes and recoveries. Requests must be sorted by arrival time;
-/// fault events scheduled at or before an arrival are applied first, and
-/// events past the last arrival are drained at the end (they can still
-/// void queued work). With an empty plan the responses equal
+/// fault events: [`run_open_resilient`] with every resilience mechanism
+/// off, read as a [`FaultReport`]. Requests must be sorted by arrival
+/// time; fault events scheduled at or before an arrival are applied
+/// first, and events past the last arrival are drained at the end (they
+/// can still void queued work). With an empty plan the responses equal
 /// [`crate::engine::run_open`]'s exactly.
 #[expect(
     clippy::too_many_arguments,
@@ -1086,7 +907,7 @@ pub fn run_open_faults(
     plan: &FaultPlan,
     fcfg: &FaultConfig,
 ) -> FaultReport {
-    run_open_faults_traced(
+    run_open_resilient(
         alloc,
         cls,
         cluster,
@@ -1096,117 +917,9 @@ pub fn run_open_faults(
         cfg,
         plan,
         fcfg,
-        None,
+        &ResilienceConfig::default(),
     )
-}
-
-/// [`run_open_faults`] with causal tracing: the tracer records the
-/// resilient core's span shape (see
-/// [`crate::resilience::run_open_resilient_traced`]) — a `request` root
-/// per sampled request with one `leg` span per dispatch, and fault
-/// events and re-dispatches as instant marks on a dedicated track
-/// (`tid` = cluster size).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the simulator entry-point signature: allocation, inputs, requests, configs"
-)]
-pub fn run_open_faults_traced(
-    alloc: &Allocation,
-    cls: &Classification,
-    cluster: &ClusterSpec,
-    catalog: &Catalog,
-    requests: &[Request],
-    warmup_backlog: f64,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    fcfg: &FaultConfig,
-    tracer: Option<&mut qcpa_obs::Tracer>,
-) -> FaultReport {
-    let _span = qcpa_obs::span("sim", "run_open_faults");
-    let run = FaultRun {
-        alloc,
-        cls,
-        cluster,
-        catalog,
-        warmup_backlog,
-        cfg,
-        plan,
-        fcfg,
-        rcfg: &ResilienceConfig::default(),
-    };
-    assemble_fault_report(requests, resilient_core(&run, requests, tracer).finish())
-}
-
-/// Projects a resilient core run with every mechanism off
-/// ([`ResilienceConfig::default`]) onto the public [`FaultReport`]. The
-/// histogram, mean and p95 replay in arrival order. Publishes the run's
-/// `sim.fault.*` counters.
-pub(crate) fn assemble_fault_report(requests: &[Request], core: RCore) -> FaultReport {
-    let RCore {
-        finals,
-        busy,
-        tally,
-        stats,
-        ..
-    } = core;
-    let mut responses = Vec::with_capacity(finals.len());
-    let mut resp_hist = qcpa_obs::Histogram::new();
-    for &(arrival, _, fin) in &finals {
-        if let RFinal::Completed(end) = fin {
-            resp_hist.record(end - arrival);
-            responses.push((arrival, end - arrival));
-        }
-    }
-    // Nothing is shed without a queue bound, and with a zero retry
-    // budget a request times out only by finding no capable backend —
-    // both terminal states are what this report calls lost.
-    let lost = finals.len() - responses.len();
-
-    let mut resp: Vec<f64> = responses.iter().map(|&(_, r)| r).collect();
-    let mean_response = if resp.is_empty() {
-        0.0
-    } else {
-        resp.iter().sum::<f64>() / resp.len() as f64
-    };
-    let p95_response = nearest_rank(&mut resp, 0.95);
-    let window = requests.last().map(|r| r.arrival).unwrap_or(0.0).max(1e-9);
-    let utilization: Vec<f64> = busy.iter().map(|b| b / window).collect();
-
-    let reg = qcpa_obs::global();
-    reg.counter("sim.fault.requests").add(requests.len() as u64);
-    reg.counter("sim.fault.lost").add(lost as u64);
-    reg.counter("sim.fault.redispatched")
-        .add(tally.redispatched as u64);
-    reg.counter("sim.fault.crashes").add(stats.crashes as u64);
-    reg.counter("sim.fault.recoveries")
-        .add(stats.recoveries as u64);
-    reg.counter("sim.fault.gray_windows")
-        .add(stats.gray_windows as u64);
-    reg.counter("sim.fault.partitions")
-        .add(stats.partitions as u64);
-    reg.merge_histogram("sim.fault.response_secs", &resp_hist);
-
-    FaultReport {
-        completed: responses.len(),
-        responses,
-        mean_response,
-        p95_response,
-        busy,
-        utilization,
-        lost,
-        redispatched: tally.redispatched,
-        crashes: stats.crashes,
-        recoveries: stats.recoveries,
-        repairs: stats.tally.repairs,
-        repair_pause_secs: stats.tally.pause_secs,
-        repair_moved_bytes: stats.tally.moved_bytes,
-        gray_windows: stats.gray_windows,
-        partitions: stats.partitions,
-        heals: stats.heals,
-        reroute_failures: stats.tally.failures,
-        post_repair_safety_ok: stats.tally.safety_ok,
-        availability: stats.availability,
-    }
+    .into()
 }
 
 #[cfg(test)]
@@ -1214,9 +927,26 @@ mod tests {
     use super::*;
     use crate::engine::run_open;
     use crate::request::RequestStream;
+    use proptest::prelude::*;
     use qcpa_core::classify::QueryClass;
-    use qcpa_core::greedy;
     use qcpa_core::journal::QueryKind;
+    use qcpa_core::{greedy, ksafety};
+
+    /// `crashes` crash/recover pairs (or bare crashes) and no other
+    /// fault layer.
+    fn crash_only(crashes: usize, recover: bool, min_alive: usize) -> LayeredFaultConfig {
+        LayeredFaultConfig {
+            crashes: FaultInjectionConfig {
+                crashes,
+                recover,
+                min_alive,
+                ..Default::default()
+            },
+            gray: 0,
+            partitions: 0,
+            ..Default::default()
+        }
+    }
 
     fn workload() -> (Catalog, Classification, RequestStream) {
         let mut cat = Catalog::new();
@@ -1276,12 +1006,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let reqs = stream.sample_poisson(120.0, 40.0, 0.0, &mut rng);
         let cfg = SimConfig::default();
-        let fic = FaultInjectionConfig {
-            crashes: 3,
-            ..Default::default()
-        };
-        let plan_a = FaultPlan::from_seed(99, 4, 40.0, &fic);
-        let plan_b = FaultPlan::from_seed(99, 4, 40.0, &fic);
+        let lcfg = crash_only(3, true, 1);
+        let plan_a = FaultPlan::from_seed_layered(99, 4, 40.0, &lcfg);
+        let plan_b = FaultPlan::from_seed_layered(99, 4, 40.0, &lcfg);
         assert_eq!(plan_a, plan_b);
         assert!(!plan_a.is_empty());
         let run = |plan: &FaultPlan| {
@@ -1403,17 +1130,7 @@ mod tests {
     #[test]
     fn from_seed_respects_min_alive() {
         for seed in 0..20 {
-            let plan = FaultPlan::from_seed(
-                seed,
-                4,
-                100.0,
-                &FaultInjectionConfig {
-                    crashes: 8,
-                    recover: false,
-                    min_alive: 2,
-                    ..Default::default()
-                },
-            );
+            let plan = FaultPlan::from_seed_layered(seed, 4, 100.0, &crash_only(8, false, 2));
             let mut n_alive = 4i64;
             for e in plan.events() {
                 match e {
@@ -1423,27 +1140,6 @@ mod tests {
                 }
                 assert!(n_alive >= 2, "seed {seed}");
             }
-        }
-    }
-
-    #[test]
-    fn crash_only_layered_plan_equals_from_seed() {
-        let fic = FaultInjectionConfig {
-            crashes: 3,
-            ..Default::default()
-        };
-        let layered = LayeredFaultConfig {
-            crashes: fic,
-            gray: 0,
-            partitions: 0,
-            zones: 0,
-            zone_failures: 0,
-            ..Default::default()
-        };
-        for seed in 0..20 {
-            let a = FaultPlan::from_seed(seed, 4, 60.0, &fic);
-            let b = FaultPlan::from_seed_layered(seed, 4, 60.0, &layered);
-            assert_eq!(a, b, "seed {seed}");
         }
     }
 
@@ -1729,5 +1425,92 @@ mod tests {
             })
             .collect();
         assert!(zones.windows(2).all(|w| w[0] == w[1]), "one zone only");
+    }
+
+    /// A seeded candidate list over `n` backends and `sides`, sorted as
+    /// the seeded filter sorts: crash/recover, degrade/restore and
+    /// partition/heal pairs, each sometimes missing its start or its
+    /// end; in-range backends and ids, degrade factors ≥ 1, and times
+    /// on a coarse grid so equal times and their tie order occur.
+    fn candidates(seed: u64, n: usize, sides: &[Vec<usize>]) -> Vec<FaultEvent> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let kinds = if sides.is_empty() { 2 } else { 3 };
+        let mut cand = Vec::new();
+        for _ in 0..rng.gen_range(1..7u32) {
+            let at = f64::from(rng.gen_range(0..8u32));
+            let end = at + f64::from(rng.gen_range(0..4u32));
+            let backend = rng.gen_range(0..n);
+            let id = rng.gen_range(0..sides.len().max(1)) as u32;
+            let pair = match rng.gen_range(0..kinds) {
+                0 => (
+                    FaultEvent::Crash { backend, at },
+                    FaultEvent::Recover {
+                        backend,
+                        at: end,
+                        catchup_cost: 0.5,
+                    },
+                ),
+                1 => (
+                    FaultEvent::Degrade {
+                        backend,
+                        at,
+                        factor: rng.gen_range(1.0..4.0),
+                    },
+                    FaultEvent::Restore { backend, at: end },
+                ),
+                _ => (
+                    FaultEvent::Partition { id, at },
+                    FaultEvent::Heal { id, at: end },
+                ),
+            };
+            match rng.gen_range(0..4u32) {
+                0 => cand.push(pair.0),
+                1 => cand.push(pair.1),
+                _ => cand.extend([pair.0, pair.1]),
+            }
+        }
+        cand.sort_by_key(FaultEvent::sort_key);
+        cand
+    }
+
+    /// `n_sides` seeded proper, non-empty, sorted subsets of `0..n`.
+    fn sides(seed: u64, n: usize, n_sides: usize) -> Vec<Vec<usize>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
+        (0..n_sides)
+            .map(|_| {
+                let size = rng.gen_range(1..n);
+                let mut keys: Vec<(u64, usize)> =
+                    (0..n).map(|b| (rng.gen_range(0..=u64::MAX), b)).collect();
+                keys.sort_unstable();
+                let mut side: Vec<usize> = keys[..size].iter().map(|&(_, b)| b).collect();
+                side.sort_unstable();
+                side
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Validation and the seeded filter step one liveness machine:
+        /// a sorted list validates iff the `min_alive = 1` filter keeps
+        /// all of it, and what the filter keeps at any `min_alive`
+        /// validates (its cross-check panics otherwise).
+        #[test]
+        fn validation_and_seeded_filter_agree(
+            seed in any::<u64>(),
+            n in 2usize..7,
+            n_sides in 0usize..3,
+        ) {
+            let sides = sides(seed, n, n_sides);
+            let cand = candidates(seed, n, &sides);
+            let valid = FaultPlan::with_partitions(cand.clone(), n, sides.clone()).is_ok();
+            let kept = FaultPlan::filter_seeded(cand.clone(), n, sides.clone(), 1);
+            prop_assert_eq!(valid, kept.len() == cand.len());
+            for min_alive in 0..=n {
+                let kept = FaultPlan::filter_seeded(cand.clone(), n, sides.clone(), min_alive);
+                prop_assert!(kept.len() <= cand.len());
+            }
+        }
     }
 }

@@ -24,9 +24,12 @@
 //! interleaves a [`fault::FaultPlan`] with the arrivals and layers
 //! deadlines, admission control and circuit breaking on top — all inert
 //! under [`ResilienceConfig::default`]. [`fault::run_open_faults`] is
-//! that loop run with every layer off, reported as a
-//! [`fault::FaultReport`]. Both loops are serial, and both route a read
-//! by one least-pending key, [`Scheduler::pending_at`].
+//! that loop run with every layer off, its report read as a
+//! [`fault::FaultReport`]. The fault model itself — one seeded plan
+//! generator and one liveness state machine that validation, the
+//! generator and the loop all step — lives in [`fault`]. Both loops are
+//! serial, and both route a read by one least-pending key,
+//! [`Scheduler::pending_at`].
 //!
 //! The optional [`service::LocalityModel`] reproduces the caching
 //! effect the paper observes: backends storing a smaller share of the
@@ -60,8 +63,8 @@ pub use engine::{
     UpdatePropagation,
 };
 pub use fault::{
-    run_open_faults, run_open_faults_traced, FaultConfig, FaultEvent, FaultInjectionConfig,
-    FaultPlan, FaultReport, InvalidFaultPlan, LayeredFaultConfig, RerouteError,
+    run_open_faults, FaultConfig, FaultEvent, FaultInjectionConfig, FaultPlan, FaultReport,
+    InvalidFaultPlan, LayeredFaultConfig,
 };
 pub use request::{Request, RequestStream};
 pub use resilience::{

@@ -40,9 +40,9 @@
 //!
 //! Every layer is inert under [`ResilienceConfig::default`] (infinite
 //! deadline, no retries, unbounded queues, breaker off): that run *is*
-//! [`crate::fault::run_open_faults`], which projects it onto a
-//! [`crate::fault::FaultReport`]. `tests/sim_equivalence.rs` pins the
-//! projection to recorded golden reports.
+//! [`crate::fault::run_open_faults`], which reads its report as a
+//! [`crate::fault::FaultReport`]. `tests/sim_equivalence.rs` pins both
+//! reports to recorded goldens.
 //!
 //! Every request ends in exactly one terminal state and the engine
 //! guarantees the conservation law
@@ -58,14 +58,15 @@ use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
 use qcpa_core::journal::QueryKind;
-use qcpa_core::{robust, ClassId, EPS};
+use qcpa_core::{ksafety, robust, BackendId, ClassId, EPS};
+use qcpa_matching::physical::move_cost;
 use qcpa_obs::trace::FieldValue;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
-use crate::fault::{reroute, FaultConfig, FaultEvent, FaultPlan, FaultStats};
+use crate::fault::{FaultConfig, FaultEvent, FaultPlan, Liveness};
 use crate::request::Request;
 use crate::scheduler::Scheduler;
 use crate::service::ServiceProfile;
@@ -578,18 +579,31 @@ struct QEntry {
     role: Role,
 }
 
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Tally {
+/// Every counter of a fault-aware run: what dispatch, admission and
+/// retries did, the fault events applied, and the online repairs'
+/// account. Fields mean what the [`ResilienceReport`] fields of the
+/// same names do.
+#[derive(Debug, Default)]
+struct Tally {
     retries: usize,
     timeouts: usize,
-    shed: usize,
     shed_victims: usize,
     browned_out: usize,
-    timed_out: usize,
-    pub(crate) redispatched: usize,
+    redispatched: usize,
     degraded_fallbacks: usize,
     breaker_overrides: usize,
     unroutable: usize,
+    crashes: usize,
+    recoveries: usize,
+    gray_windows: usize,
+    partitions: usize,
+    heals: usize,
+    repairs: usize,
+    repair_pause_secs: f64,
+    repair_moved_bytes: u64,
+    reroute_failures: usize,
+    post_repair_safety_ok: bool,
+    availability: Vec<(f64, usize)>,
 }
 
 /// Result of [`run_open_resilient`].
@@ -690,7 +704,7 @@ impl ResilienceReport {
 
 /// Everything a fault-aware run is parameterised by except its request
 /// stream — the arguments of [`run_open_resilient`], bundled so the
-/// core and the [`crate::fault`] projection hand one value around.
+/// engine holds one value.
 #[derive(Clone, Copy)]
 pub(crate) struct FaultRun<'a> {
     pub alloc: &'a Allocation,
@@ -713,12 +727,9 @@ pub(crate) struct Engine<'a> {
     scheduler: Scheduler,
     profile: ServiceProfile,
     spare: Vec<f64>,
-    alive: Vec<bool>,
-    /// Gray-failure service multiplier per backend; 1.0 when healthy.
-    /// Applied at dispatch, so `x * 1.0` keeps healthy runs bit-exact.
-    slow: Vec<f64>,
-    /// Backends cut off by an active partition: alive, but unroutable.
-    cut: Vec<bool>,
+    /// Which backends are alive, cut off or slowed, as the plan's
+    /// events so far leave them.
+    live: Liveness<'a>,
     free_at: Vec<f64>,
     busy: Vec<f64>,
     /// Per backend: the legs still running or waiting, oldest first —
@@ -738,7 +749,6 @@ pub(crate) struct Engine<'a> {
     retries: BinaryHeap<Reverse<(u64, u64, u32)>>,
     retry_seq: u64,
     tally: Tally,
-    stats: FaultStats,
     tracer: Option<&'a mut qcpa_obs::Tracer>,
 }
 
@@ -767,12 +777,6 @@ fn retire(reqs: &mut [RReq], e: &QEntry) {
 }
 
 impl Engine<'_> {
-    /// Whether new work may be routed to `b`: alive and not cut off by
-    /// an active partition.
-    fn routable(&self, b: usize) -> bool {
-        self.alive[b] && !self.cut[b]
-    }
-
     /// Records an instant mark for request `idx` at `t` on the fault
     /// track when the tracer admits the request. The span id is salted
     /// with the mark name and time, so repeated marks on one request
@@ -852,7 +856,6 @@ impl Engine<'_> {
             self.trace_backoff(idx, from, from + delay, attempts);
         } else {
             self.arena[idx].outcome = Outcome::TimedOut;
-            self.tally.timed_out += 1;
             self.trace_mark(idx, "timed_out", from);
         }
     }
@@ -893,7 +896,7 @@ impl Engine<'_> {
             .capable_read_targets(class)
             .iter()
             .copied()
-            .filter(|&b| self.routable(b) && !self.breakers.is_blocked(b))
+            .filter(|&b| self.live.routable(b) && !self.breakers.is_blocked(b))
             .collect();
         let pick = avail
             .iter()
@@ -965,7 +968,6 @@ impl Engine<'_> {
                         if r.traced {
                             self.trace_void(b, &ve);
                         }
-                        self.tally.shed += 1;
                         self.tally.shed_victims += 1;
                         self.trace_mark(vr, "shed_victim", t);
                         Some(1.0)
@@ -991,7 +993,6 @@ impl Engine<'_> {
 
     fn shed_incoming(&mut self, idx: usize, t: f64) {
         self.arena[idx].outcome = Outcome::Shed;
-        self.tally.shed += 1;
         self.trace_mark(idx, "shed", t);
     }
 
@@ -1059,7 +1060,7 @@ impl Engine<'_> {
                 let Some(mult) = self.admit_read(idx, class, b, t) else {
                     return;
                 };
-                let svc = self.profile.effective(b, service) * mult * self.slow[b];
+                let svc = self.profile.effective(b, service) * mult * self.live.slow(b);
                 let start = self.free_at[b].max(t);
                 let end = start + svc;
                 let deadline = t + self.run.rcfg.deadline;
@@ -1106,7 +1107,7 @@ impl Engine<'_> {
                         }
                         _ => (sync, Role::Duty),
                     };
-                    let svc = self.profile.effective(b, service) * mult * self.slow[b];
+                    let svc = self.profile.effective(b, service) * mult * self.live.slow(b);
                     let start = self.free_at[b].max(t);
                     self.book(idx, t, b, start, svc, role);
                 }
@@ -1214,37 +1215,106 @@ impl Engine<'_> {
     /// allocation, so only a repair rebuilds them.
     fn reroute(&mut self, at: f64) {
         let run = self.run;
-        let routable: Vec<bool> = (0..self.alive.len()).map(|b| self.routable(b)).collect();
-        let repairs = self.stats.tally.repairs;
-        if repairs == 0 && routable.iter().all(|&r| r) {
-            self.scheduler = self.initial.clone();
-            return;
-        }
-        if let Ok(s) = reroute(
-            at,
-            &mut self.current,
-            run.cls,
-            run.cluster,
-            run.catalog,
-            &routable,
-            run.fcfg,
-            &mut self.free_at,
-            &mut self.stats.tally,
-        ) {
+        let repairs = self.tally.repairs;
+        if let Some(s) = self.repaired_routing(at) {
             self.scheduler = s;
         }
-        if self.stats.tally.repairs > repairs {
+        if self.tally.repairs > repairs {
             self.profile =
                 ServiceProfile::new(&self.current, run.cluster, run.catalog, run.cfg.locality);
             self.spare = robust::spare_room(&self.current, run.cluster);
         }
     }
 
-    /// Applies one fault event to the run state — the only place a
-    /// [`FaultEvent`] changes liveness, reachability, service speed or
-    /// routing.
-    fn apply_fault(&mut self, e: &FaultEvent) {
+    /// The routing table for the backends routable now. When some
+    /// weighted class has no routable replica left, repairs the
+    /// surviving sub-allocation online, grafts the grown fragment sets
+    /// back into `current` and pauses every survivor for the
+    /// repair's ETL. `None` (tallied as a reroute failure) when no
+    /// backend is routable or the repair left a class unroutable.
+    fn repaired_routing(&mut self, at: f64) -> Option<Scheduler> {
+        let FaultRun {
+            cls,
+            cluster,
+            catalog,
+            fcfg,
+            ..
+        } = self.run;
+        let n = self.free_at.len();
+        if self.live.n_routable() == n {
+            return Some(if self.tally.repairs == 0 {
+                self.initial.clone()
+            } else {
+                Scheduler::new(&self.current, cls)
+            });
+        }
+        let failed: Vec<usize> = (0..n).filter(|&b| !self.live.routable(b)).collect();
+        if let Some(s) = Scheduler::for_survivors(&self.current, cls, cluster, &failed) {
+            return Some(s);
+        }
+        self.tally.repairs += 1;
+        let survivors: Vec<usize> = (0..n).filter(|&b| self.live.routable(b)).collect();
+        let failed_ids: Vec<BackendId> = failed.iter().map(|&b| BackendId(b as u32)).collect();
+        let Some(surv_cluster) = ksafety::surviving_cluster(cluster, &failed_ids) else {
+            self.tally.reroute_failures += 1;
+            return None;
+        };
+        let mut restricted = self.current.restrict(&survivors);
+        let report = ksafety::repair_report(&mut restricted, cls, &surv_cluster, fcfg.repair_k);
+        let want = fcfg.repair_k.min(surv_cluster.len().saturating_sub(1));
+        if ksafety::class_safety(&restricted, cls) < want {
+            self.tally.post_repair_safety_ok = false;
+        }
+        let before = self.current.clone();
+        for (nb, &b) in survivors.iter().enumerate() {
+            self.current.fragments[b] = restricted.fragments[nb].clone();
+        }
+        // Price the movement with Eq. 27 against the pre-repair state
+        // and the Figure 4(d) ETL phase model: serial preparation plus
+        // the slowest node's transfer + load.
+        let per_node: Vec<u64> = survivors
+            .iter()
+            .map(|&b| move_cost(&self.current, b, &before, b, catalog))
+            .collect();
+        let moved: u64 = per_node.iter().sum();
+        let pause = if moved == 0 {
+            0.0
+        } else {
+            let slowest = per_node
+                .iter()
+                .map(|&bytes| {
+                    bytes as f64 / fcfg.etl.transfer_bytes_per_sec
+                        + bytes as f64 / fcfg.etl.load_bytes_per_sec
+                })
+                .fold(0.0, f64::max);
+            fcfg.etl.fixed_overhead_secs + moved as f64 / fcfg.etl.prep_bytes_per_sec + slowest
+        };
+        for &b in &survivors {
+            self.free_at[b] = self.free_at[b].max(at) + pause;
+        }
+        self.tally.repair_pause_secs += pause;
+        self.tally.repair_moved_bytes += moved;
+        qcpa_obs::global().counter("sim.fault.repairs").inc();
+        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.fault", "repair", {
+            "at" => at,
+            "moved_bytes" => moved,
+            "pause_secs" => pause,
+            "grants" => report.grants,
+        });
+        let routed = Scheduler::for_survivors(&self.current, cls, cluster, &failed);
+        if routed.is_none() {
+            self.tally.reroute_failures += 1;
+        }
+        routed
+    }
+
+    /// Applies event `index` of the plan to the run state — the only
+    /// place a [`FaultEvent`] changes liveness, reachability, service
+    /// speed or routing.
+    fn apply_fault(&mut self, index: usize, e: &FaultEvent) {
         let at = e.at();
+        let applied = self.live.apply(index, e, 1);
+        debug_assert!(applied.is_ok(), "a validated plan applies cleanly");
         let subject = match *e {
             FaultEvent::Crash { backend, .. }
             | FaultEvent::Recover { backend, .. }
@@ -1259,8 +1329,7 @@ impl Engine<'_> {
         let mut voided_reqs = Vec::new();
         let reroutes = match *e {
             FaultEvent::Crash { backend, .. } => {
-                self.alive[backend] = false;
-                self.stats.crashes += 1;
+                self.tally.crashes += 1;
                 self.breakers.on_crash(backend, at);
                 let voided_legs;
                 (voided_reqs, voided_legs) = self.void_pending(backend, at);
@@ -1272,8 +1341,7 @@ impl Engine<'_> {
                 catchup_cost,
                 ..
             } => {
-                self.alive[backend] = true;
-                self.stats.recoveries += 1;
+                self.tally.recoveries += 1;
                 self.free_at[backend] = at + catchup_cost;
                 for e in self.queues[backend].drain(..) {
                     retire(&mut self.arena, &e);
@@ -1288,21 +1356,17 @@ impl Engine<'_> {
                 );
                 true
             }
-            FaultEvent::Degrade {
-                backend, factor, ..
-            } => {
+            FaultEvent::Degrade { factor, .. } => {
                 // Gray failure: the backend keeps serving (and keeps
                 // its breaker state), but every leg dispatched from now
                 // on takes `factor` times as long; legs already
                 // dispatched keep their committed service time. The
                 // breaker EWMA observes the slowdown and may trip on it.
-                self.slow[backend] = factor;
-                self.stats.gray_windows += 1;
+                self.tally.gray_windows += 1;
                 self.mark("degrade", subject, at, 2, Some(("factor", factor)));
                 false
             }
-            FaultEvent::Restore { backend, .. } => {
-                self.slow[backend] = 1.0;
+            FaultEvent::Restore { .. } => {
                 self.mark("restore", subject, at, 3, None::<(&str, u64)>);
                 false
             }
@@ -1311,19 +1375,13 @@ impl Engine<'_> {
                 // breaker trip — in-flight and queued legs on the cut
                 // side still complete; the side is only excluded from
                 // new routing until healed.
-                let side = self.run.plan.partition_side(id);
-                for &m in side {
-                    self.cut[m] = true;
-                }
-                self.stats.partitions += 1;
-                self.mark("partition", subject, at, 0, Some(("cut", side.len())));
+                let cut = self.run.plan.partition_sides()[id as usize].len();
+                self.tally.partitions += 1;
+                self.mark("partition", subject, at, 0, Some(("cut", cut)));
                 true
             }
-            FaultEvent::Heal { id, .. } => {
-                for &m in self.run.plan.partition_side(id) {
-                    self.cut[m] = false;
-                }
-                self.stats.heals += 1;
+            FaultEvent::Heal { .. } => {
+                self.tally.heals += 1;
                 self.mark("heal", subject, at, 1, None::<(&str, u64)>);
                 true
             }
@@ -1340,8 +1398,7 @@ impl Engine<'_> {
                 self.dispatch(ri, at);
             }
         }
-        let routable = (0..self.alive.len()).filter(|&b| self.routable(b)).count();
-        self.stats.availability.push((at, routable));
+        self.tally.availability.push((at, self.live.n_routable()));
     }
 
     /// Replays arrivals, retries and the fault schedule in one total
@@ -1362,7 +1419,7 @@ impl Engine<'_> {
                 break;
             }
             if te <= tr && te <= ta {
-                self.apply_fault(&events[ev_i]);
+                self.apply_fault(ev_i, &events[ev_i]);
                 ev_i += 1;
             } else if tr <= ta {
                 if let Some(Reverse((bits, _, req))) = self.retries.pop() {
@@ -1398,10 +1455,12 @@ impl Engine<'_> {
         }
     }
 
-    /// Closes the run: resolves every request to its terminal state
-    /// and, when tracing, records the breaker transition log and the
-    /// sampled per-request trees.
-    pub(crate) fn finish(mut self) -> RCore {
+    /// Closes the run: resolves every request to its terminal state,
+    /// assembles the report (histogram, percentiles and per-class
+    /// completions replay in arrival order), publishes the run's obs
+    /// counters and, when tracing, records the breaker transition log
+    /// and the sampled per-request trees.
+    pub(crate) fn finish(mut self) -> ResilienceReport {
         let fault_track = self.free_at.len() as u32;
         let mut tracer = self.tracer.take();
         if let Some(tr) = tracer.as_deref_mut() {
@@ -1420,15 +1479,35 @@ impl Engine<'_> {
             }
         }
 
-        let mut finals = Vec::with_capacity(self.arena.len());
+        let mut responses = Vec::with_capacity(self.arena.len());
+        let mut resp_hist = qcpa_obs::Histogram::new();
+        let mut per_class_completed = vec![0usize; self.run.cls.len()];
+        let (mut shed, mut timed_out, mut lost) = (0usize, 0usize, 0usize);
         // Stable: each request's legs stay in dispatch order.
         self.traced.sort_by_key(|&(r, _)| r);
         let mut traced = self.traced.as_slice();
         for (idx, r) in self.arena.iter().enumerate() {
-            let fin = match r.outcome {
-                Outcome::Shed => RFinal::Shed,
-                Outcome::TimedOut => RFinal::TimedOut,
-                Outcome::Pending => r.completion().map_or(RFinal::Lost, RFinal::Completed),
+            let outcome = match r.outcome {
+                Outcome::Shed => {
+                    shed += 1;
+                    "shed"
+                }
+                Outcome::TimedOut => {
+                    timed_out += 1;
+                    "timed_out"
+                }
+                Outcome::Pending => match r.completion() {
+                    Some(end) => {
+                        resp_hist.record(end - r.arrival);
+                        responses.push((r.arrival, end - r.arrival));
+                        per_class_completed[r.class.idx()] += 1;
+                        "completed"
+                    }
+                    None => {
+                        lost += 1;
+                        "lost"
+                    }
+                },
             };
             if r.traced {
                 let n = traced
@@ -1438,26 +1517,89 @@ impl Engine<'_> {
                 let legs;
                 (legs, traced) = traced.split_at(n);
                 if let Some(tr) = tracer.as_deref_mut() {
-                    let outcome = match fin {
-                        RFinal::Completed(_) => "completed",
-                        RFinal::Shed => "shed",
-                        RFinal::TimedOut => "timed_out",
-                        RFinal::Lost => "lost",
-                    };
                     trace_resilient_request(tr, idx as u64, r, legs, outcome, fault_track);
                 }
             }
-            finals.push((r.arrival, r.class, fin));
         }
 
-        RCore {
-            finals,
+        let mut resp: Vec<f64> = responses.iter().map(|&(_, r)| r).collect();
+        let mean_response = if resp.is_empty() {
+            0.0
+        } else {
+            resp.iter().sum::<f64>() / resp.len() as f64
+        };
+        let p95_response = nearest_rank(&mut resp, 0.95);
+        let p99_response = nearest_rank(&mut resp, 0.99);
+        let offered = self.arena.len();
+        let window = self.arena.last().map_or(0.0, |r| r.arrival).max(1e-9);
+        let utilization: Vec<f64> = self.busy.iter().map(|b| b / window).collect();
+        let goodput = responses.len() as f64 / window;
+        let breaker_opens: usize = self.breakers.opens.iter().sum();
+        let breaker_half_opens: usize = self.breakers.half_opens.iter().sum();
+        let breaker_closes: usize = self.breakers.closes.iter().sum();
+        let t = self.tally;
+
+        let reg = qcpa_obs::global();
+        for (name, n) in [
+            ("sim.resilience.offered", offered),
+            ("sim.resilience.completed", responses.len()),
+            ("sim.resilience.shed", shed),
+            ("sim.resilience.timed_out", timed_out),
+            ("sim.resilience.lost", lost),
+            ("sim.resilience.timeouts", t.timeouts),
+            ("sim.resilience.retries", t.retries),
+            ("sim.resilience.shed_victims", t.shed_victims),
+            ("sim.resilience.browned_out", t.browned_out),
+            ("sim.resilience.redispatched", t.redispatched),
+            ("sim.resilience.breaker_opens", breaker_opens),
+            ("sim.resilience.breaker_half_opens", breaker_half_opens),
+            ("sim.resilience.breaker_closes", breaker_closes),
+            ("sim.resilience.degraded_fallbacks", t.degraded_fallbacks),
+            ("sim.resilience.breaker_overrides", t.breaker_overrides),
+            ("sim.resilience.unroutable", t.unroutable),
+            ("sim.fault.crashes", t.crashes),
+            ("sim.fault.recoveries", t.recoveries),
+        ] {
+            reg.counter(name).add(n as u64);
+        }
+        reg.merge_histogram("sim.resilience.response_secs", &resp_hist);
+
+        ResilienceReport {
+            completed: responses.len(),
+            responses,
+            mean_response,
+            p95_response,
+            p99_response,
             busy: self.busy,
-            tally: self.tally,
-            breaker_opens: self.breakers.opens,
-            breaker_half_opens: self.breakers.half_opens,
-            breaker_closes: self.breakers.closes,
-            stats: self.stats,
+            utilization,
+            offered,
+            shed,
+            timed_out,
+            lost,
+            per_class_completed,
+            retries: t.retries,
+            timeouts: t.timeouts,
+            shed_victims: t.shed_victims,
+            browned_out: t.browned_out,
+            redispatched: t.redispatched,
+            breaker_opens,
+            breaker_half_opens,
+            breaker_closes,
+            degraded_fallbacks: t.degraded_fallbacks,
+            breaker_overrides: t.breaker_overrides,
+            unroutable: t.unroutable,
+            crashes: t.crashes,
+            recoveries: t.recoveries,
+            gray_windows: t.gray_windows,
+            partitions: t.partitions,
+            heals: t.heals,
+            repairs: t.repairs,
+            repair_pause_secs: t.repair_pause_secs,
+            repair_moved_bytes: t.repair_moved_bytes,
+            reroute_failures: t.reroute_failures,
+            post_repair_safety_ok: t.post_repair_safety_ok,
+            availability: t.availability,
+            goodput,
         }
     }
 }
@@ -1582,39 +1724,12 @@ pub fn run_open_resilient_traced(
         fcfg,
         rcfg,
     };
-    let core = resilient_core(&run, requests, tracer).finish();
-    assemble_resilience_report(requests, cls.len(), core)
-}
-
-/// Terminal state of one request in a [`resilient_core`] run.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RFinal {
-    /// Completed at this absolute time.
-    Completed(f64),
-    Shed,
-    TimedOut,
-    /// Never reached a terminal state — a conservation-law violation.
-    Lost,
-}
-
-/// Raw outcome of [`resilient_core`]: per-request terminal states in
-/// arrival order plus the run's counters, which the report views
-/// ([`assemble_resilience_report`], [`crate::fault`]) project.
-pub(crate) struct RCore {
-    /// `(arrival, class, final state)` per request, in arrival order.
-    pub finals: Vec<(f64, ClassId, RFinal)>,
-    pub busy: Vec<f64>,
-    pub tally: Tally,
-    /// Per-backend breaker transition counts (see [`Breakers`]).
-    pub breaker_opens: Vec<usize>,
-    pub breaker_half_opens: Vec<usize>,
-    pub breaker_closes: Vec<usize>,
-    pub stats: FaultStats,
+    resilient_core(&run, requests, tracer).finish()
 }
 
 /// The fault-aware open loop proper: builds the run state and replays
 /// `requests` against `run`'s fault plan (see [`Engine::replay`]);
-/// [`Engine::finish`] then yields the raw terminal states.
+/// [`Engine::finish`] then yields the report.
 pub(crate) fn resilient_core<'a>(
     run: &FaultRun<'a>,
     requests: &[Request],
@@ -1650,9 +1765,7 @@ pub(crate) fn resilient_core<'a>(
         scheduler: scheduler.clone(),
         profile: ServiceProfile::new(run.alloc, run.cluster, run.catalog, run.cfg.locality),
         spare: robust::spare_room(run.alloc, run.cluster),
-        alive: vec![true; n],
-        slow: vec![1.0f64; n],
-        cut: vec![false; n],
+        live: Liveness::new(n, run.plan.partition_sides()),
         free_at: vec![run.warmup_backlog.max(0.0); n],
         busy: vec![0.0; n],
         queues: vec![VecDeque::new(); n],
@@ -1662,146 +1775,21 @@ pub(crate) fn resilient_core<'a>(
         breakers,
         retries: BinaryHeap::new(),
         retry_seq: 0,
-        tally: Tally::default(),
-        stats: FaultStats::new(n),
+        tally: Tally {
+            post_repair_safety_ok: true,
+            availability: vec![(0.0, n)],
+            ..Tally::default()
+        },
         tracer,
     };
     eng.replay(requests);
     eng
 }
 
-/// Rebuilds the public [`ResilienceReport`] from raw terminal states —
-/// the histogram, percentiles and per-class tallies replay in arrival
-/// order. Publishes the run's obs counters.
-pub(crate) fn assemble_resilience_report(
-    requests: &[Request],
-    n_classes: usize,
-    core: RCore,
-) -> ResilienceReport {
-    let RCore {
-        finals,
-        busy,
-        tally,
-        breaker_opens,
-        breaker_half_opens,
-        breaker_closes,
-        stats,
-    } = core;
-    let mut responses = Vec::with_capacity(finals.len());
-    let mut resp_hist = qcpa_obs::Histogram::new();
-    let mut per_class_completed = vec![0usize; n_classes];
-    let mut shed = 0usize;
-    let mut timed_out = 0usize;
-    let mut lost = 0usize;
-    for &(arrival, class, fin) in &finals {
-        match fin {
-            RFinal::Completed(end) => {
-                resp_hist.record(end - arrival);
-                responses.push((arrival, end - arrival));
-                per_class_completed[class.idx()] += 1;
-            }
-            RFinal::Shed => shed += 1,
-            RFinal::TimedOut => timed_out += 1,
-            RFinal::Lost => lost += 1,
-        }
-    }
-    debug_assert_eq!(shed, tally.shed);
-    debug_assert_eq!(timed_out, tally.timed_out);
-
-    let mut resp: Vec<f64> = responses.iter().map(|&(_, r)| r).collect();
-    let mean_response = if resp.is_empty() {
-        0.0
-    } else {
-        resp.iter().sum::<f64>() / resp.len() as f64
-    };
-    let p95_response = nearest_rank(&mut resp, 0.95);
-    let p99_response = nearest_rank(&mut resp, 0.99);
-    let window = requests.last().map(|r| r.arrival).unwrap_or(0.0).max(1e-9);
-    let utilization: Vec<f64> = busy.iter().map(|b| b / window).collect();
-    let goodput = responses.len() as f64 / window;
-    let opens: usize = breaker_opens.iter().sum();
-    let half_opens: usize = breaker_half_opens.iter().sum();
-    let closes: usize = breaker_closes.iter().sum();
-
-    let reg = qcpa_obs::global();
-    reg.counter("sim.resilience.offered")
-        .add(requests.len() as u64);
-    reg.counter("sim.resilience.completed")
-        .add(responses.len() as u64);
-    reg.counter("sim.resilience.shed").add(shed as u64);
-    reg.counter("sim.resilience.timed_out")
-        .add(timed_out as u64);
-    reg.counter("sim.resilience.lost").add(lost as u64);
-    reg.counter("sim.resilience.timeouts")
-        .add(tally.timeouts as u64);
-    reg.counter("sim.resilience.retries")
-        .add(tally.retries as u64);
-    reg.counter("sim.resilience.shed_victims")
-        .add(tally.shed_victims as u64);
-    reg.counter("sim.resilience.browned_out")
-        .add(tally.browned_out as u64);
-    reg.counter("sim.resilience.redispatched")
-        .add(tally.redispatched as u64);
-    reg.counter("sim.resilience.breaker_opens")
-        .add(opens as u64);
-    reg.counter("sim.resilience.breaker_half_opens")
-        .add(half_opens as u64);
-    reg.counter("sim.resilience.breaker_closes")
-        .add(closes as u64);
-    reg.counter("sim.resilience.degraded_fallbacks")
-        .add(tally.degraded_fallbacks as u64);
-    reg.counter("sim.resilience.breaker_overrides")
-        .add(tally.breaker_overrides as u64);
-    reg.counter("sim.resilience.unroutable")
-        .add(tally.unroutable as u64);
-    reg.counter("sim.fault.crashes").add(stats.crashes as u64);
-    reg.counter("sim.fault.recoveries")
-        .add(stats.recoveries as u64);
-    reg.merge_histogram("sim.resilience.response_secs", &resp_hist);
-
-    ResilienceReport {
-        completed: responses.len(),
-        responses,
-        mean_response,
-        p95_response,
-        p99_response,
-        busy,
-        utilization,
-        offered: requests.len(),
-        shed,
-        timed_out,
-        lost,
-        per_class_completed,
-        retries: tally.retries,
-        timeouts: tally.timeouts,
-        shed_victims: tally.shed_victims,
-        browned_out: tally.browned_out,
-        redispatched: tally.redispatched,
-        breaker_opens: opens,
-        breaker_half_opens: half_opens,
-        breaker_closes: closes,
-        degraded_fallbacks: tally.degraded_fallbacks,
-        breaker_overrides: tally.breaker_overrides,
-        unroutable: tally.unroutable,
-        crashes: stats.crashes,
-        recoveries: stats.recoveries,
-        gray_windows: stats.gray_windows,
-        partitions: stats.partitions,
-        heals: stats.heals,
-        repairs: stats.tally.repairs,
-        repair_pause_secs: stats.tally.pause_secs,
-        repair_moved_bytes: stats.tally.moved_bytes,
-        reroute_failures: stats.tally.failures,
-        post_repair_safety_ok: stats.tally.safety_ok,
-        availability: stats.availability,
-        goodput,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{run_open_faults, FaultInjectionConfig};
+    use crate::fault::{run_open_faults, FaultInjectionConfig, LayeredFaultConfig};
     use crate::request::RequestStream;
     use qcpa_core::classify::QueryClass;
     use qcpa_core::greedy;
@@ -1824,6 +1812,19 @@ mod tests {
         (cat, cls, stream)
     }
 
+    /// `crashes` crash/recover pairs and no other fault layer.
+    fn crash_only(crashes: usize) -> LayeredFaultConfig {
+        LayeredFaultConfig {
+            crashes: FaultInjectionConfig {
+                crashes,
+                ..Default::default()
+            },
+            gray: 0,
+            partitions: 0,
+            ..Default::default()
+        }
+    }
+
     fn read_burst(n: usize, spacing: f64, service: f64, from: f64) -> Vec<Request> {
         (0..n)
             .map(|i| Request {
@@ -1836,30 +1837,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_matches_run_open_faults_exactly() {
+    fn disabled_config_is_inert_and_conserves() {
         let (cat, cls, stream) = workload();
         let cluster = ClusterSpec::homogeneous(4);
         let alloc = Allocation::full_replication(&cls, &cluster);
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let reqs = stream.sample_poisson(120.0, 40.0, 0.0, &mut rng);
-        let cfg = SimConfig::default();
-        let fic = FaultInjectionConfig {
-            crashes: 3,
-            ..Default::default()
-        };
-        let plan = FaultPlan::from_seed(99, 4, 40.0, &fic);
+        let plan = FaultPlan::from_seed_layered(99, 4, 40.0, &crash_only(3));
         assert!(!plan.is_empty());
-        let base = run_open_faults(
-            &alloc,
-            &cls,
-            &cluster,
-            &cat,
-            &reqs,
-            0.0,
-            &cfg,
-            &plan,
-            &FaultConfig::default(),
-        );
         let rep = run_open_resilient(
             &alloc,
             &cls,
@@ -1867,22 +1852,11 @@ mod tests {
             &cat,
             &reqs,
             0.0,
-            &cfg,
+            &SimConfig::default(),
             &plan,
             &FaultConfig::default(),
             &ResilienceConfig::default(),
         );
-        assert_eq!(rep.responses.len(), base.responses.len());
-        for (x, y) in rep.responses.iter().zip(&base.responses) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
-            assert_eq!(x.1.to_bits(), y.1.to_bits(), "at arrival {}", x.0);
-        }
-        for (x, y) in rep.busy.iter().zip(&base.busy) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(rep.availability, base.availability);
-        assert_eq!(rep.redispatched, base.redispatched);
-        assert_eq!(rep.shed + rep.timed_out + rep.lost, base.lost);
         assert!(rep.conserved());
         assert_eq!(rep.timeouts, 0);
         assert_eq!(rep.retries, 0);
@@ -1934,11 +1908,7 @@ mod tests {
             "update-only backend kept {} finished entries",
             eng.queues[1].len()
         );
-        let core = eng.finish();
-        assert!(core
-            .finals
-            .iter()
-            .all(|f| matches!(f.2, RFinal::Completed(_))));
+        assert_eq!(eng.finish().completed, reqs.len());
     }
 
     #[test]
@@ -2282,11 +2252,7 @@ mod tests {
         let alloc = greedy::allocate(&cls, &cat, &cluster);
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let reqs = stream.sample_poisson(150.0, 30.0, 0.0, &mut rng);
-        let fic = FaultInjectionConfig {
-            crashes: 2,
-            ..Default::default()
-        };
-        let plan = FaultPlan::from_seed(5, 3, 30.0, &fic);
+        let plan = FaultPlan::from_seed_layered(5, 3, 30.0, &crash_only(2));
         let rcfg = ResilienceConfig {
             deadline: 2.0,
             max_retries: 3,

@@ -12,7 +12,9 @@
 #                               # suite, the controller end-to-end
 #                               # suite, resilience + multilevel
 #                               # conformance, the sim differential
-#                               # suite, the release allocator goldens,
+#                               # suite, the fault-plan and
+#                               # fault-trace suites, the release
+#                               # allocator goldens,
 #                               # the allocation audit, the fault-loop
 #                               # heap budget, the quick
 #                               # allocator-bench corner and the
@@ -145,6 +147,12 @@ if [[ "$FAST" == "1" ]]; then
     cargo test -q --test conformance multilevel
     echo "== sim differential suite =="
     cargo test -q --test sim_equivalence
+    # The fault-plan consumers: crash/repair scenarios, partition
+    # routing and the traced fault runs.
+    echo "== fault-plan and fault-trace suites =="
+    cargo test -q --test failure_injection
+    cargo test -q --test partition_routing
+    cargo test -q --test trace_conformance
     run_release_goldens
     run_smokes 8
     echo "Fast checks passed."

@@ -35,7 +35,9 @@ use qcpa::core::journal::QueryKind;
 use qcpa::core::{greedy, ksafety, memetic, BackendId};
 use qcpa::lp::mip::MipStatus;
 use qcpa::lp::model::{optimal_allocation, OptimalConfig};
-use qcpa::sim::fault::{run_open_faults, FaultConfig, FaultInjectionConfig, FaultPlan};
+use qcpa::sim::fault::{
+    run_open_faults, FaultConfig, FaultInjectionConfig, FaultPlan, LayeredFaultConfig,
+};
 use qcpa::sim::resilience::{run_open_resilient, OverloadPolicy, ResilienceConfig};
 use qcpa::sim::{FaultReport, RequestStream, ResilienceReport, SimConfig};
 use rand::SeedableRng;
@@ -232,12 +234,17 @@ proptest! {
         let stream = request_stream(&cls);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let reqs = stream.sample_poisson(40.0, 8.0, 0.0, &mut rng);
-        let plan = FaultPlan::from_seed(
+        let plan = FaultPlan::from_seed_layered(
             seed,
             n,
             8.0,
-            &FaultInjectionConfig {
-                crashes: 2,
+            &LayeredFaultConfig {
+                crashes: FaultInjectionConfig {
+                    crashes: 2,
+                    ..Default::default()
+                },
+                gray: 0,
+                partitions: 0,
                 ..Default::default()
             },
         );
@@ -285,13 +292,18 @@ proptest! {
         let rate = 1.5 * n as f64 / 0.05;
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xbad_5eed);
         let reqs = stream.sample_poisson(rate, 4.0, 0.0, &mut rng);
-        let plan = FaultPlan::from_seed(
+        let plan = FaultPlan::from_seed_layered(
             seed,
             n,
             4.0,
-            &FaultInjectionConfig {
-                crashes: 2,
-                mttr: 1.0,
+            &LayeredFaultConfig {
+                crashes: FaultInjectionConfig {
+                    crashes: 2,
+                    mttr: 1.0,
+                    ..Default::default()
+                },
+                gray: 0,
+                partitions: 0,
                 ..Default::default()
             },
         );

@@ -4,9 +4,9 @@
 //!
 //! * Every crate inherits the workspace lints, and every library crate
 //!   root forbids `unsafe` and denies the panic lints.
-//! * Every RNG is keyed by a seed: a `seed_from_u64(` / `from_seed(`
-//!   call's balanced argument list holds a numeric literal or an
-//!   identifier containing `seed`.
+//! * Every RNG is keyed by a seed: a `seed_from_u64(` / `from_seed(` /
+//!   `from_seed_layered(` call's balanced argument list holds a numeric
+//!   literal or an identifier containing `seed`.
 //! * The `QCPA_*` env surface matches README.md both ways: each key that
 //!   library code names is mentioned there, and each knob-table row
 //!   names a key that some library source (tests included) names.
@@ -223,7 +223,7 @@ fn every_crate_inherits_the_workspace_lints() {
 fn every_rng_is_seeded() {
     let mut unseeded = Vec::new();
     for src in library_sources() {
-        for ctor in ["seed_from_u64(", "from_seed("] {
+        for ctor in ["seed_from_u64(", "from_seed(", "from_seed_layered("] {
             for (at, _) in src.code.match_indices(ctor) {
                 let before = &src.code[..at];
                 let is_call = !before.ends_with(|c: char| c.is_alphanumeric() || c == '_')

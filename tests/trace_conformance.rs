@@ -23,7 +23,7 @@ use qcpa::core::journal::QueryKind;
 use qcpa::core::{greedy, memetic};
 use qcpa::sim::engine::{run_open, run_open_traced, SimConfig};
 use qcpa::sim::fault::{
-    run_open_faults, run_open_faults_traced, FaultConfig, FaultInjectionConfig, FaultPlan,
+    run_open_faults, FaultConfig, FaultInjectionConfig, FaultPlan, FaultReport, LayeredFaultConfig,
 };
 use qcpa::sim::resilience::{run_open_resilient, run_open_resilient_traced, ResilienceConfig};
 use qcpa::sim::{Request, RequestStream};
@@ -128,11 +128,16 @@ proptest! {
         }
         // k-safe so crashes keep every fragment reachable.
         let alloc = qcpa::core::ksafety::allocate(&cls, &catalog, &cluster, 1);
-        let plan = FaultPlan::from_seed(
+        let plan = FaultPlan::from_seed_layered(
             seed,
             cluster.len(),
             3.0,
-            &FaultInjectionConfig { crashes: 1, mttr: 0.5, ..Default::default() },
+            &LayeredFaultConfig {
+                crashes: FaultInjectionConfig { crashes: 1, mttr: 0.5, ..Default::default() },
+                gray: 0,
+                partitions: 0,
+                ..Default::default()
+            },
         );
         let sim_cfg = SimConfig::default();
         let fcfg = FaultConfig::default();
@@ -143,10 +148,10 @@ proptest! {
         let mut fps = Vec::new();
         for _ in 0..2 {
             let mut tracer = Tracer::new(seed, 1.0);
-            let rep = run_open_faults_traced(
+            let rep: FaultReport = run_open_resilient_traced(
                 &alloc, &cls, &cluster, &catalog, &reqs, 0.0, &sim_cfg, &plan, &fcfg,
-                Some(&mut tracer),
-            );
+                &ResilienceConfig::default(), Some(&mut tracer),
+            ).into();
             prop_assert_eq!(&rep.responses, &plain.responses);
             prop_assert_eq!(rep.completed, plain.completed);
             fps.push(tracer.into_tree().fingerprint());
