@@ -5,6 +5,7 @@ use qcpa_core::classify::{Classification, Granularity};
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::{Catalog, FragSet, FragmentId, FragmentKind};
 use qcpa_core::greedy;
+use qcpa_core::health::{Breakers, Liveness};
 use qcpa_core::journal::{Journal, Query};
 use qcpa_core::memetic::{self, MemeticConfig};
 use qcpa_matching::elastic::{scale_in, scale_out};
@@ -18,7 +19,7 @@ use std::collections::VecDeque;
 use crate::layout::{layout_from_allocation, Footprint, TableLayout};
 use crate::partition::PartitionScheme;
 use crate::request::{referenced_columns, Request, WriteKind, WriteRequest};
-use crate::resilience::{BackendHealth, ControllerResilience};
+use crate::resilience::ControllerResilience;
 use qcpa_storage::engine::{AggFunc, QueryResult as QR, ScanQuery};
 use qcpa_storage::schema::TableDef;
 use qcpa_storage::types::Value;
@@ -148,28 +149,20 @@ pub struct Cdbs {
     allocation: Allocation,
     cumulative_cost: Vec<f64>,
     journal: Journal,
-    /// Backends currently failed: routing skips them, writes they miss
-    /// are replayed from the master copy on recovery.
-    offline: Vec<bool>,
-    /// Backends currently cut off by a network partition: unreachable
-    /// rather than dead. Routing skips them like offline backends and
-    /// missed writes defer into the same staleness ledgers, but their
-    /// health/breaker state is untouched — the node never failed.
-    cut: Vec<bool>,
+    /// Which backends are failed or cut off by a partition: routing
+    /// skips both until they are routable again and caught up.
+    live: Liveness,
     /// Resilience knobs (breaker thresholds, staleness-ledger cap).
     resilience: ControllerResilience,
-    /// Per-backend health: cost EWMA, consecutive failures, breaker.
-    health: Vec<BackendHealth>,
+    /// Per-backend circuit breakers on the `request_seq` clock.
+    breakers: Breakers,
     /// Monotone request counter — the controller's clock, used for
     /// breaker cooldowns.
     request_seq: u64,
     /// Per-backend staleness ledger: the writes an unroutable backend
-    /// missed, each with its analysis, replayed in order when the
-    /// backend catches up.
-    ledgers: Vec<VecDeque<(WriteRequest, Analysis)>>,
-    /// Set when a ledger exceeded the cap while the backend was down:
-    /// recovery must fall back to a full reload.
-    ledger_overflow: Vec<bool>,
+    /// missed, each with its analysis, replayed in order when it catches
+    /// up; `None` once it overflowed the cap (a full reload instead).
+    ledgers: Vec<Option<VecDeque<(WriteRequest, Analysis)>>>,
     /// Optional causal tracer ([`Cdbs::attach_tracer`]): sampled
     /// requests become span trees on the cost-weighted timeline.
     tracer: Option<qcpa_obs::Tracer>,
@@ -244,6 +237,7 @@ impl Cdbs {
                 store
             })
             .collect();
+        let resilience = ControllerResilience::default();
         Self {
             schema,
             master: tables,
@@ -254,13 +248,11 @@ impl Cdbs {
             allocation,
             cumulative_cost: vec![0.0; n_backends],
             journal: Journal::new(),
-            offline: vec![false; n_backends],
-            cut: vec![false; n_backends],
-            resilience: ControllerResilience::default(),
-            health: vec![BackendHealth::default(); n_backends],
+            live: Liveness::new(n_backends),
+            breakers: Breakers::new(n_backends, resilience.breaker(), "controller"),
+            resilience,
             request_seq: 0,
-            ledgers: vec![VecDeque::new(); n_backends],
-            ledger_overflow: vec![false; n_backends],
+            ledgers: vec![Some(VecDeque::new()); n_backends],
             tracer: None,
             trace_clock: 0.0,
         }
@@ -359,6 +351,7 @@ impl Cdbs {
     /// ledger cap). The constructor starts from
     /// [`ControllerResilience::default`].
     pub fn set_resilience(&mut self, cfg: ControllerResilience) {
+        self.breakers.set_config(cfg.breaker());
         self.resilience = cfg;
     }
 
@@ -371,26 +364,25 @@ impl Cdbs {
     /// alive but failing, and read routing avoids it until the cooldown
     /// (measured in controller requests) has elapsed.
     pub fn breaker_open(&self, b: usize) -> bool {
-        matches!(self.health[b].open_until_seq, Some(s) if self.request_seq < s)
+        self.breakers.blocked_at(b, self.now())
+    }
+
+    /// The breaker clock: the request sequence number.
+    fn now(&self) -> f64 {
+        self.request_seq as f64
     }
 
     /// Number of writes currently deferred for offline backend `b` in
     /// its staleness ledger (0 after an overflow — the entries were
     /// discarded and recovery will do a full reload).
     pub fn deferred_writes(&self, b: usize) -> usize {
-        self.ledgers[b].len()
+        self.ledgers[b].as_ref().map_or(0, VecDeque::len)
     }
 
     /// Whether backend `b`'s staleness ledger overflowed during the
     /// current offline episode.
     pub fn ledger_overflowed(&self, b: usize) -> bool {
-        self.ledger_overflow[b]
-    }
-
-    /// The EWMA of backend `b`'s observed per-request cost (rows
-    /// touched), or `None` before any observation.
-    pub fn backend_ewma_cost(&self, b: usize) -> Option<f64> {
-        self.health[b].seen.then_some(self.health[b].ewma_cost)
+        self.ledgers[b].is_none()
     }
 
     /// Records an externally observed failure of backend `b` (e.g. a
@@ -401,53 +393,15 @@ impl Cdbs {
     /// Panics if `b` is out of range.
     pub fn report_backend_failure(&mut self, b: usize) {
         assert!(b < self.backends.len(), "unknown backend {b}");
-        self.note_backend_failure(b);
-    }
-
-    /// Records a successful observation of backend `b`: folds the cost
-    /// into the health EWMA, resets the failure streak and closes an
-    /// open breaker (the half-open probe succeeded).
-    fn note_backend_success(&mut self, b: usize, cost: f64) {
-        let alpha = self.resilience.ewma_alpha;
-        let h = &mut self.health[b];
-        h.observe_cost(alpha, cost);
-        h.consec_failures = 0;
-        if h.open_until_seq.take().is_some() {
-            qcpa_obs::global()
-                .counter("controller.breaker.closes")
-                .inc();
-            qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "breaker_close", {
-                "backend" => b as u64,
-            });
-        }
-    }
-
-    /// Records a failed observation of backend `b`; after
-    /// `failure_threshold` consecutive failures the breaker opens for
-    /// `cooldown_requests` controller requests. A failure while the
-    /// cooldown has lapsed (half-open) re-trips immediately.
-    fn note_backend_failure(&mut self, b: usize) {
-        let threshold = self.resilience.failure_threshold;
-        let cooldown = self.resilience.cooldown_requests.max(1);
-        let seq = self.request_seq;
-        let h = &mut self.health[b];
-        h.consec_failures = h.consec_failures.saturating_add(1);
-        let open_now = matches!(h.open_until_seq, Some(s) if seq < s);
-        if threshold > 0 && h.consec_failures >= threshold && !open_now {
-            h.open_until_seq = Some(seq + cooldown);
-            qcpa_obs::global().counter("controller.breaker.opens").inc();
-            qcpa_obs::event!(qcpa_obs::Level::Warn, "controller", "breaker_open", {
-                "backend" => b as u64,
-                "consecutive_failures" => u64::from(h.consec_failures),
-            });
-        }
+        self.breakers.on_timeout(b, self.now(), 0.0);
     }
 
     /// Least-accumulated-work routing over the online capable backends,
     /// skipping open-circuit ones. Degraded mode: when *every*
     /// candidate is open-circuit the breaker is overridden rather than
     /// failing the read — the scheduler always serves when live data
-    /// exists, it just stops preferring sick backends.
+    /// exists, it just stops preferring sick backends. Returns the
+    /// backend and whether its breaker was overridden.
     ///
     /// `online` must be non-empty.
     #[expect(
@@ -455,7 +409,7 @@ impl Cdbs {
         reason = "costs are sums of finite per-request costs; `online` is non-empty by contract \
                   and `pool` falls back to it"
     )]
-    fn pick_read_backend(&self, online: &[usize]) -> usize {
+    fn pick_read_backend(&self, online: &[usize]) -> (usize, bool) {
         let healthy: Vec<usize> = online
             .iter()
             .copied()
@@ -471,7 +425,8 @@ impl Cdbs {
             }
             &healthy
         };
-        pool.iter()
+        let b = pool
+            .iter()
             .copied()
             .min_by(|&x, &y| {
                 self.cumulative_cost[x]
@@ -479,7 +434,8 @@ impl Cdbs {
                     .expect("costs are finite")
                     .then(x.cmp(&y))
             })
-            .expect("online capable set is non-empty")
+            .expect("online capable set is non-empty");
+        (b, healthy.is_empty())
     }
 
     /// Queues `w` on unroutable backend `b`'s staleness ledger. A ledger
@@ -487,38 +443,39 @@ impl Cdbs {
     /// discarded and the eventual catch-up downgrades to a full reload
     /// from the master copy.
     fn defer_write(&mut self, b: usize, w: &WriteRequest, an: &Analysis) {
-        if self.ledger_overflow[b] {
+        let cap = self.resilience.staleness_cap;
+        let Some(ledger) = &mut self.ledgers[b] else {
             return;
-        }
-        if self.ledgers[b].len() >= self.resilience.staleness_cap {
-            self.ledger_overflow[b] = true;
-            self.ledgers[b].clear();
+        };
+        if ledger.len() < cap {
+            ledger.push_back((w.clone(), an.clone()));
             qcpa_obs::global()
-                .counter("controller.ledger.overflows")
+                .counter("controller.ledger.deferred")
                 .inc();
-            qcpa_obs::event!(qcpa_obs::Level::Warn, "controller", "ledger_overflow", {
-                "backend" => b as u64,
-                "cap" => self.resilience.staleness_cap as u64,
-            });
             return;
         }
-        self.ledgers[b].push_back((w.clone(), an.clone()));
+        self.ledgers[b] = None;
         qcpa_obs::global()
-            .counter("controller.ledger.deferred")
+            .counter("controller.ledger.overflows")
             .inc();
+        qcpa_obs::event!(qcpa_obs::Level::Warn, "controller", "ledger_overflow", {
+            "backend" => b as u64,
+            "cap" => cap as u64,
+        });
     }
 
     /// Marks backend `b` as failed: routing skips it from now on. Its
     /// stored data is kept (the node is down, not wiped) but goes stale
     /// as writes proceed on the survivors; [`Cdbs::recover_backend`]
-    /// re-syncs it from the authoritative master copy.
+    /// re-syncs it from the authoritative master copy. Its breaker is
+    /// left alone: a failed node is unroutable, not open-circuit.
     ///
     /// # Panics
     /// Panics if `b` is out of range.
     pub fn fail_backend(&mut self, b: usize) {
         assert!(b < self.backends.len(), "unknown backend {b}");
-        if !self.offline[b] {
-            self.offline[b] = true;
+        if self.live.alive(b) {
+            self.live.crash(b);
             qcpa_obs::global().counter("controller.failures").inc();
             qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "fail_backend", {
                 "backend" => b as u64,
@@ -526,15 +483,10 @@ impl Cdbs {
         }
     }
 
-    /// Brings a failed backend back and routing includes it again.
-    ///
-    /// If the backend's staleness ledger held every write it missed
-    /// (no overflow), the ledger is replayed in order against its
-    /// stored fragments — no bulk data moves and `Ok(0)` is returned.
-    /// Otherwise (ledger overflow, or a replay error) every fragment of
-    /// its layout is dropped and reloaded from the master copy (the
-    /// catch-up ETL); the reloaded bytes are returned. Returns `Ok(0)`
-    /// if the backend was not offline.
+    /// Brings a failed backend back with fresh health; unless a partition
+    /// still cuts it off, it catches up (ledger replay, else reload) and
+    /// is routable again. Returns the bytes reloaded: `Ok(0)` after a
+    /// replay, while still cut off, or when `b` was not failed.
     ///
     /// # Errors
     /// [`CdbsError::Internal`] when the backend's layout references a
@@ -545,54 +497,55 @@ impl Cdbs {
     /// Panics if `b` is out of range.
     pub fn recover_backend(&mut self, b: usize) -> Result<u64, CdbsError> {
         assert!(b < self.backends.len(), "unknown backend {b}");
-        if !self.offline[b] {
+        if self.live.alive(b) {
             return Ok(0);
         }
-        let (replayed, moved) = self.catch_up(b)?;
-        self.offline[b] = false;
-        self.health[b] = BackendHealth::default();
-        match replayed {
-            Some(replayed) => {
-                qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
-                    "backend" => b as u64,
-                    "replayed" => replayed as u64,
-                    "moved_bytes" => 0u64,
-                });
-            }
-            None => {
-                qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
-                    "backend" => b as u64,
-                    "moved_bytes" => moved,
-                });
-            }
-        }
+        self.breakers.reset(b, self.now());
+        let moved = self.readmit(b, Liveness::recover)?;
+        qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "recover_backend", {
+            "backend" => b as u64,
+            "routable" => self.live.routable(b),
+            "moved_bytes" => moved,
+        });
         Ok(moved)
     }
 
+    /// Steps `b`'s liveness by `transition`; if that makes `b` routable,
+    /// catches it up (the one place a backend rejoins routing).
+    fn readmit(
+        &mut self,
+        b: usize,
+        transition: fn(&mut Liveness, usize) -> bool,
+    ) -> Result<u64, CdbsError> {
+        if transition(&mut self.live, b) {
+            self.catch_up(b)
+        } else {
+            Ok(0)
+        }
+    }
+
     /// Brings backend `b`'s stored fragments up to date with the master
-    /// copy — the one catch-up behind recovery, healing and
-    /// reallocation. A ledger that held every missed write is replayed
-    /// in order; after an overflow, or a replay error (ledger and
-    /// fragments disagree, possibly half-applied), everything `b` stores
-    /// is dropped and its layout reloaded. Returns the writes replayed
-    /// (`None` after a reload) and the bytes reloaded; `b`'s routing
-    /// flags and health are the caller's.
+    /// copy — the one catch-up, run by [`Cdbs::readmit`] when a recovery
+    /// or a heal makes `b` routable again (reallocation readmits every
+    /// backend through those two). A ledger that held every missed write is replayed in
+    /// order; after an overflow, or a replay error (ledger and fragments
+    /// disagree, possibly half-applied), everything `b` stores is
+    /// dropped and its layout reloaded. Returns the bytes reloaded.
     ///
     /// # Errors
     /// [`CdbsError::Internal`] when the layout names a table or
     /// partition scheme missing from the controller state.
-    fn catch_up(&mut self, b: usize) -> Result<(Option<usize>, u64), CdbsError> {
-        let overflowed = std::mem::take(&mut self.ledger_overflow[b]);
-        let deferred: Vec<(WriteRequest, Analysis)> = self.ledgers[b].drain(..).collect();
-        if !overflowed
-            && deferred
+    fn catch_up(&mut self, b: usize) -> Result<u64, CdbsError> {
+        if let Some(deferred) = self.ledgers[b].replace(VecDeque::new()) {
+            if deferred
                 .iter()
                 .all(|(w, an)| self.apply_write(b, w, an).is_ok())
-        {
-            qcpa_obs::global()
-                .counter("controller.ledger.replayed")
-                .add(deferred.len() as u64);
-            return Ok((Some(deferred.len()), 0));
+            {
+                qcpa_obs::global()
+                    .counter("controller.ledger.replayed")
+                    .add(deferred.len() as u64);
+                return Ok(0);
+            }
         }
         self.backends[b] = BackendStore::new();
         let (moved, _, _) = load_missing(
@@ -605,35 +558,29 @@ impl Cdbs {
         qcpa_obs::global()
             .counter("controller.recoveries.moved_bytes")
             .add(moved);
-        Ok((None, moved))
+        Ok(moved)
     }
 
     /// Indices of the currently failed backends.
     pub fn offline_backends(&self) -> Vec<usize> {
         (0..self.backends.len())
-            .filter(|&b| self.offline[b])
+            .filter(|&b| !self.live.alive(b))
             .collect()
-    }
-
-    /// Whether routing may target backend `b`: neither failed nor cut
-    /// off by a partition.
-    fn routable(&self, b: usize) -> bool {
-        !self.offline[b] && !self.cut[b]
     }
 
     /// Marks the backends of `side` as cut off by a network partition:
     /// routing skips them and writes they miss defer into their
-    /// staleness ledgers — exactly the offline machinery — but their
-    /// health and breaker state is untouched, because an unreachable
-    /// node is not a failed one. Already-cut backends are unaffected.
+    /// staleness ledgers — exactly the failed-backend machinery — but
+    /// their breaker state is untouched, because an unreachable node is
+    /// not a failed one. Already-cut backends are unaffected.
     ///
     /// # Panics
     /// Panics if any backend index is out of range.
     pub fn partition_backends(&mut self, side: &[usize]) {
         for &b in side {
             assert!(b < self.backends.len(), "unknown backend {b}");
-            if !self.cut[b] {
-                self.cut[b] = true;
+            if !self.live.is_cut(b) {
+                self.live.cut(b);
                 qcpa_obs::global().counter("controller.partitions").inc();
                 qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "partition_backend", {
                     "backend" => b as u64,
@@ -642,13 +589,11 @@ impl Cdbs {
         }
     }
 
-    /// Heals a partition: the backends of `side` become routable again
-    /// after catching up on the writes they missed. A backend whose
-    /// staleness ledger held every missed write replays it in order (no
-    /// bulk data movement); an overflowed or inconsistent ledger falls
-    /// back to a full reload from the master copy. Returns the total
-    /// bytes moved by such reloads (0 on the pure-replay path). Unlike
-    /// [`Cdbs::recover_backend`], breaker/health state is left alone.
+    /// Heals a partition: the backends of `side` are reachable again, and
+    /// each one not failed as well catches up on the writes it missed
+    /// (ledger replay, else reload) and is routable again. Returns the
+    /// bytes reloaded. Unlike [`Cdbs::recover_backend`], breakers are
+    /// left alone.
     ///
     /// # Errors
     /// [`CdbsError::Internal`] when a backend's layout references a
@@ -660,11 +605,10 @@ impl Cdbs {
         let mut moved_total = 0u64;
         for &b in side {
             assert!(b < self.backends.len(), "unknown backend {b}");
-            if !self.cut[b] {
+            if !self.live.is_cut(b) {
                 continue;
             }
-            let (_, moved) = self.catch_up(b)?;
-            self.cut[b] = false;
+            let moved = self.readmit(b, Liveness::uncut)?;
             moved_total += moved;
             qcpa_obs::global().counter("controller.heals").inc();
             qcpa_obs::event!(qcpa_obs::Level::Info, "controller", "heal_backend", {
@@ -677,7 +621,9 @@ impl Cdbs {
 
     /// Indices of the backends currently cut off by a partition.
     pub fn partitioned_backends(&self) -> Vec<usize> {
-        (0..self.backends.len()).filter(|&b| self.cut[b]).collect()
+        (0..self.backends.len())
+            .filter(|&b| self.live.is_cut(b))
+            .collect()
     }
 
     /// Backend `b`'s share of one write: the ROWA fan-out and the ledger
@@ -836,7 +782,7 @@ impl Cdbs {
         let live: Vec<usize> = holders
             .iter()
             .copied()
-            .filter(|&b| self.routable(b))
+            .filter(|&b| self.live.routable(b))
             .collect();
         if !live.is_empty() {
             return Ok((holders, live));
@@ -860,15 +806,22 @@ impl Cdbs {
     fn read(&mut self, q: &ScanQuery, an: &Analysis) -> Result<ExecOutcome, CdbsError> {
         let table = q.table.as_str();
         let (_, live) = self.route(table, an, TableLayout::holds_all)?;
-        let b = self.pick_read_backend(&live);
+        let (b, overridden) = self.pick_read_backend(&live);
+        let now = self.now();
         let (result, cost) = match self.scan_on(b, q, an) {
             Ok((result, rows)) => (result, rows.max(1.0)),
             Err(e) => {
-                self.note_backend_failure(b);
+                self.breakers.on_timeout(b, now, 0.0);
                 return Err(e);
             }
         };
-        self.note_backend_success(b, cost);
+        // A synchronous read is a probe that ends at its own instant; one
+        // served past an open breaker proved the backend well, so the
+        // breaker starts over closed.
+        self.breakers.on_dispatch_ok(b, now, cost, now);
+        if overridden {
+            self.breakers.reset(b, now);
+        }
         self.cumulative_cost[b] += cost;
         Ok(ExecOutcome {
             result: Some(result),
@@ -920,7 +873,7 @@ impl Cdbs {
         // *Propagate*: unroutable replicas missed the write; it waits in
         // their staleness ledgers for the catch-up.
         for b in holders {
-            if !self.routable(b) {
+            if !self.live.routable(b) {
                 self.defer_write(b, w, an);
             }
         }
@@ -963,12 +916,8 @@ impl Cdbs {
         // or cut off — catches up first: a stale fragment would otherwise
         // be kept as current.
         for b in 0..self.backends.len() {
-            if self.offline[b] {
-                self.recover_backend(b)?;
-            }
-            if self.cut[b] {
-                self.heal_partition(&[b])?;
-            }
+            self.recover_backend(b)?;
+            self.heal_partition(&[b])?;
         }
         // Fresh sizes: the data may have grown since boot.
         self.catalog = build_cdbs_catalog(&self.schema, &self.master, &self.partitions);
@@ -1003,18 +952,17 @@ impl Cdbs {
             self.cumulative_cost = keep.iter().map(|&b| self.cumulative_cost[b]).collect();
             shrunk
         };
-        while self.backends.len() < matched.n_backends() {
+        let n = matched.n_backends();
+        while self.backends.len() < n {
             self.backends.push(BackendStore::new());
             self.layouts.push(TableLayout::default());
             self.cumulative_cost.push(0.0);
         }
         // Everybody caught up above; health, breakers and ledgers start
         // clean on the new cluster.
-        self.offline = vec![false; matched.n_backends()];
-        self.cut = vec![false; matched.n_backends()];
-        self.health = vec![BackendHealth::default(); matched.n_backends()];
-        self.ledgers = vec![VecDeque::new(); matched.n_backends()];
-        self.ledger_overflow = vec![false; matched.n_backends()];
+        self.live = Liveness::new(n);
+        self.breakers = Breakers::new(n, self.resilience.breaker(), "controller");
+        self.ledgers = vec![Some(VecDeque::new()); n];
 
         // Physically realize the new layouts.
         let new_layouts = layout_from_allocation(&matched, &self.catalog, &self.schema);
@@ -1738,7 +1686,6 @@ mod tests {
         let out = cdbs.execute(&price_query()).unwrap();
         assert_eq!(out.backends, vec![0]);
         assert!(!cdbs.breaker_open(0));
-        assert!(cdbs.backend_ewma_cost(0).unwrap() > 0.0);
     }
 
     #[test]
@@ -1758,6 +1705,97 @@ mod tests {
         assert_eq!(out.backends, vec![0]);
         // The override's success closed the breaker.
         assert!(!cdbs.breaker_open(0));
+    }
+
+    /// Sets the price of items `ids` to `price`, one write each.
+    fn reprice(cdbs: &mut Cdbs, ids: std::ops::Range<i64>, price: f64) {
+        for i in ids {
+            let w = WriteRequest::update(
+                "item",
+                Some(Predicate::cmp("i_id", CmpOp::Eq, Value::I64(i))),
+                "i_price",
+                Value::F64(price),
+            );
+            cdbs.execute(&Request::Write(w)).unwrap();
+        }
+    }
+
+    /// Reads how many items cost `price`; asserts that backend 1 (idle:
+    /// every write was charged to backend 0) answered.
+    fn count_on_backend_1(cdbs: &mut Cdbs, price: f64) -> QueryResult {
+        let q = ScanQuery::all("item")
+            .filter(Predicate::cmp("i_price", CmpOp::Eq, Value::F64(price)))
+            .agg(AggFunc::Count, "i_id");
+        let out = cdbs.execute(&Request::Read(q)).unwrap();
+        assert_eq!(out.backends, vec![1]);
+        out.result.unwrap()
+    }
+
+    #[test]
+    fn heal_leaves_a_failed_backend_to_its_recovery() {
+        let (schema, tables) = bookshop();
+        let mut cdbs = Cdbs::new(schema, tables, 2);
+        cdbs.fail_backend(1);
+        cdbs.partition_backends(&[1]);
+        reprice(&mut cdbs, 0..2, 0.5);
+        assert_eq!(cdbs.heal_partition(&[1]).unwrap(), 0);
+        assert_eq!(cdbs.offline_backends(), vec![1]);
+        assert_eq!(
+            cdbs.deferred_writes(1),
+            2,
+            "a failed backend catches up later"
+        );
+        assert_eq!(cdbs.recover_backend(1).unwrap(), 0);
+        assert_eq!(cdbs.deferred_writes(1), 0);
+        assert_eq!(
+            count_on_backend_1(&mut cdbs, 0.5),
+            QueryResult::Scalar(Some(2.0))
+        );
+    }
+
+    #[test]
+    fn recovery_leaves_a_cut_backend_to_its_heal() {
+        let (schema, tables) = bookshop();
+        let mut cdbs = Cdbs::new(schema, tables, 2);
+        cdbs.partition_backends(&[1]);
+        cdbs.fail_backend(1);
+        reprice(&mut cdbs, 0..2, 0.5);
+        assert_eq!(cdbs.recover_backend(1).unwrap(), 0);
+        assert_eq!(cdbs.partitioned_backends(), vec![1]);
+        assert_eq!(cdbs.deferred_writes(1), 2, "a cut backend catches up later");
+        assert_eq!(cdbs.heal_partition(&[1]).unwrap(), 0);
+        assert_eq!(cdbs.deferred_writes(1), 0);
+        assert_eq!(
+            count_on_backend_1(&mut cdbs, 0.5),
+            QueryResult::Scalar(Some(2.0))
+        );
+    }
+
+    #[test]
+    fn overflowed_backend_failed_and_cut_reloads_once() {
+        let (schema, tables) = bookshop();
+        let mut cdbs = Cdbs::new(schema, tables, 2);
+        cdbs.set_resilience(ControllerResilience {
+            staleness_cap: 1,
+            ..ControllerResilience::default()
+        });
+        cdbs.fail_backend(1);
+        cdbs.partition_backends(&[1]);
+        reprice(&mut cdbs, 0..2, 0.5);
+        assert!(cdbs.ledger_overflowed(1));
+        assert_eq!(
+            cdbs.heal_partition(&[1]).unwrap(),
+            0,
+            "no reload while down"
+        );
+        assert!(cdbs.ledger_overflowed(1));
+        reprice(&mut cdbs, 2..4, 0.5);
+        assert!(cdbs.recover_backend(1).unwrap() > 0, "the one reload");
+        assert!(!cdbs.ledger_overflowed(1));
+        assert_eq!(
+            count_on_backend_1(&mut cdbs, 0.5),
+            QueryResult::Scalar(Some(4.0))
+        );
     }
 
     /// Backend 1 is cut off while every price changes, then the system

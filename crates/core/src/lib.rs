@@ -62,6 +62,7 @@ pub mod coarsen;
 pub mod error;
 pub mod fragment;
 pub mod greedy;
+pub mod health;
 pub mod journal;
 pub mod ksafety;
 pub mod localsearch;

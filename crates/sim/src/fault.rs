@@ -10,9 +10,10 @@
 //! replays the exact run, bit for bit.
 //!
 //! This module owns the fault model once: the plan (events, validation,
-//! the one seeded generator [`FaultPlan::from_seed_layered`]), the
-//! liveness state machine that validation, the seeded filter and the
-//! loop all drive, and [`run_open_faults`]: the loop run with every
+//! the one seeded generator [`FaultPlan::from_seed_layered`]), its
+//! grammar over the core liveness machine ([`qcpa_core::health`]) that
+//! validation, the seeded filter and the loop all drive, and
+//! [`run_open_faults`]: the loop run with every
 //! resilience mechanism off ([`ResilienceConfig::default`]) and read as
 //! a [`FaultReport`] — completed requests become `responses`, a request
 //! that found no capable backend is `lost`.
@@ -64,6 +65,7 @@ use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
+use qcpa_core::health::Liveness;
 use qcpa_matching::physical::EtlCostModel;
 use rand::Rng;
 use rand::SeedableRng;
@@ -462,7 +464,7 @@ impl FaultPlan {
                 return Err(InvalidFaultPlan::BadPartitionSide { id: id as u32 });
             }
         }
-        let mut live = Liveness::new(n_backends, &partition_sides);
+        let mut live = FaultState::new(n_backends, &partition_sides);
         let mut last_t = 0.0f64;
         for (index, e) in events.iter().enumerate() {
             if let Some(backend) = e.backend().filter(|&b| b >= n_backends) {
@@ -608,7 +610,7 @@ impl FaultPlan {
     ) -> FaultPlan {
         cand.sort_by_key(FaultEvent::sort_key);
         let min_alive = min_alive.max(1);
-        let mut live = Liveness::new(n_backends, &partition_sides);
+        let mut live = FaultState::new(n_backends, &partition_sides);
         // A rejection only drops the candidate, so its index is moot.
         cand.retain(|e| live.apply(0, e, min_alive).is_ok());
         FaultPlan::with_partitions(cand, n_backends, partition_sides)
@@ -642,55 +644,28 @@ impl FaultPlan {
     }
 }
 
-/// The liveness state a fault plan drives: per backend whether it is
-/// alive, cut off by an active partition, and inside a gray window,
-/// plus the active partitions and the count of *routable* backends
-/// (alive and not cut). [`Liveness::apply`] is the only code that
-/// changes it — plan validation, the seeded filter and the fault-aware
-/// loop all step the same machine.
-#[derive(Debug)]
-pub(crate) struct Liveness<'a> {
+/// The plan's grammar over the core [`Liveness`], plus the active
+/// partitions. [`FaultState::apply`] is the only sim code that steps it:
+/// validation, the seeded filter and the fault-aware loop all do.
+pub(crate) struct FaultState<'a> {
     sides: &'a [Vec<usize>],
-    alive: Vec<bool>,
-    cut: Vec<bool>,
-    /// The gray-failure factor of a backend inside a window.
-    slow: Vec<Option<f64>>,
     active: Vec<bool>,
-    routable: usize,
+    /// Which backends are alive, cut off or slowed.
+    pub(crate) live: Liveness,
 }
 
-impl<'a> Liveness<'a> {
-    /// Every backend alive, reachable and healthy; `sides` is the plan's
-    /// partition-side table.
+impl<'a> FaultState<'a> {
+    /// All backends healthy; `sides` is the plan's partition-side table.
     pub(crate) fn new(n_backends: usize, sides: &'a [Vec<usize>]) -> Self {
-        Liveness {
+        FaultState {
             sides,
-            alive: vec![true; n_backends],
-            cut: vec![false; n_backends],
-            slow: vec![None; n_backends],
             active: vec![false; sides.len()],
-            routable: n_backends,
+            live: Liveness::new(n_backends),
         }
     }
 
-    /// Whether new work may be routed to `b`: alive and not cut off.
-    pub(crate) fn routable(&self, b: usize) -> bool {
-        self.alive[b] && !self.cut[b]
-    }
-
-    /// How many backends are routable.
-    pub(crate) fn n_routable(&self) -> usize {
-        self.routable
-    }
-
-    /// The service multiplier of a leg dispatched to `b` now: the gray
-    /// window's factor, or exactly 1 (so healthy runs stay bit-exact).
-    pub(crate) fn slow(&self, b: usize) -> f64 {
-        self.slow[b].unwrap_or(1.0)
-    }
-
     /// Applies `e`, the event at `index` of its list, unless it would
-    /// break the machine — crash a dead backend, recover a live one,
+    /// break the grammar — crash a dead backend, recover a live one,
     /// nest gray windows or partitions, name an unknown partition — or
     /// leave fewer than `min_alive` backends routable (reported as
     /// [`InvalidFaultPlan::AllBackendsDown`]). A rejected event leaves
@@ -702,7 +677,8 @@ impl<'a> Liveness<'a> {
         min_alive: usize,
     ) -> Result<(), InvalidFaultPlan> {
         use InvalidFaultPlan as E;
-        let sides = self.sides;
+        let ensure = |ok: bool, err: E| if ok { Ok(()) } else { Err(err) };
+        let (sides, live) = (self.sides, &mut self.live);
         let side = |id: u32| {
             sides
                 .get(id as usize)
@@ -710,65 +686,46 @@ impl<'a> Liveness<'a> {
         };
         match *e {
             FaultEvent::Crash { backend, .. } => {
-                if !self.alive[backend] {
-                    return Err(E::DoubleCrash { index, backend });
-                }
-                if !self.cut[backend] {
-                    if self.routable <= min_alive {
-                        return Err(E::AllBackendsDown { index });
-                    }
-                    self.routable -= 1;
-                }
-                self.alive[backend] = false;
+                ensure(live.alive(backend), E::DoubleCrash { index, backend })?;
+                let last = live.routable(backend) && live.n_routable() <= min_alive;
+                ensure(!last, E::AllBackendsDown { index })?;
+                live.crash(backend);
             }
             FaultEvent::Recover { backend, .. } => {
-                if self.alive[backend] {
-                    return Err(E::RecoverAlive { index, backend });
-                }
-                self.alive[backend] = true;
-                if !self.cut[backend] {
-                    self.routable += 1;
-                }
+                ensure(!live.alive(backend), E::RecoverAlive { index, backend })?;
+                live.recover(backend);
             }
             FaultEvent::Degrade {
                 backend, factor, ..
             } => {
-                if self.slow[backend].is_some() {
-                    return Err(E::DoubleDegrade { index, backend });
-                }
-                self.slow[backend] = Some(factor);
+                ensure(!live.degraded(backend), E::DoubleDegrade { index, backend })?;
+                live.degrade(backend, factor);
             }
             FaultEvent::Restore { backend, .. } => {
-                if self.slow[backend].take().is_none() {
-                    return Err(E::RestoreHealthy { index, backend });
-                }
+                ensure(live.degraded(backend), E::RestoreHealthy { index, backend })?;
+                live.restore(backend);
             }
             FaultEvent::Partition { id, .. } => {
                 let side = side(id)?;
-                if self.active[id as usize] {
-                    return Err(E::DoublePartition { index, id });
-                }
-                if let Some(&backend) = side.iter().find(|&&m| self.cut[m]) {
+                ensure(!self.active[id as usize], E::DoublePartition { index, id })?;
+                if let Some(&backend) = side.iter().find(|&&m| live.is_cut(m)) {
                     return Err(E::OverlappingPartitions { index, backend });
                 }
-                let losing = side.iter().filter(|&&m| self.alive[m]).count();
-                if self.routable - losing < min_alive {
-                    return Err(E::AllBackendsDown { index });
-                }
-                self.routable -= losing;
+                let losing = side.iter().filter(|&&m| live.alive(m)).count();
+                ensure(
+                    losing + min_alive <= live.n_routable(),
+                    E::AllBackendsDown { index },
+                )?;
                 for &m in side {
-                    self.cut[m] = true;
+                    live.cut(m);
                 }
                 self.active[id as usize] = true;
             }
             FaultEvent::Heal { id, .. } => {
                 let side = side(id)?;
-                if !self.active[id as usize] {
-                    return Err(E::HealUnpartitioned { index, id });
-                }
-                self.routable += side.iter().filter(|&&m| self.alive[m]).count();
+                ensure(self.active[id as usize], E::HealUnpartitioned { index, id })?;
                 for &m in side {
-                    self.cut[m] = false;
+                    live.uncut(m);
                 }
                 self.active[id as usize] = false;
             }

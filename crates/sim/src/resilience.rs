@@ -25,11 +25,10 @@
 //!   overlapping replica), so they occupy queue slots but are never
 //!   shed and carry no deadline — the staleness story for unreachable
 //!   replicas lives in `qcpa-controller`'s deferred-write ledger.
-//! * **Circuit breaking** — per-backend health (an EWMA of observed leg
-//!   service times plus a consecutive-failure counter) feeds a breaker
-//!   consulted by [`Scheduler::route_read_filtered`]. After a
-//!   deterministic cooldown the breaker half-opens and admits one probe
-//!   at a time; `half_open_probes` consecutive successes close it.
+//! * **Circuit breaking** — the core breaker
+//!   ([`qcpa_core::health::Breakers`], shared with the controller), on
+//!   simulated seconds, feeds [`Scheduler::route_read_filtered`]; a
+//!   crash holds it open until recovery resets it.
 //! * **Degraded-mode routing** — when every allocation-preferred
 //!   replica of a class is open-circuit, reads fall back to any capable
 //!   replica (the fragment-covering superset), preferring backends with
@@ -57,6 +56,7 @@ use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::Classification;
 use qcpa_core::cluster::ClusterSpec;
 use qcpa_core::fragment::Catalog;
+use qcpa_core::health::{BreakerConfig, Breakers};
 use qcpa_core::journal::QueryKind;
 use qcpa_core::{ksafety, robust, BackendId, ClassId, EPS};
 use qcpa_matching::physical::move_cost;
@@ -66,7 +66,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::engine::{nearest_rank, SimConfig, UpdatePropagation};
-use crate::fault::{FaultConfig, FaultEvent, FaultPlan, Liveness};
+use crate::fault::{FaultConfig, FaultEvent, FaultPlan, FaultState};
 use crate::request::Request;
 use crate::scheduler::Scheduler;
 use crate::service::ServiceProfile;
@@ -191,9 +191,15 @@ impl ResilienceConfig {
         }
     }
 
-    /// Whether the circuit breaker participates in routing.
-    pub fn breaker_enabled(&self) -> bool {
-        self.breaker_failures > 0 || self.slow_trip.is_finite()
+    /// The breaker knobs, on the simulated clock (seconds).
+    pub fn breaker(&self) -> BreakerConfig {
+        BreakerConfig {
+            failures: self.breaker_failures,
+            cooldown: self.breaker_cooldown,
+            half_open_probes: self.half_open_probes,
+            ewma_alpha: self.ewma_alpha,
+            slow_trip: self.slow_trip,
+        }
     }
 
     /// The backoff delay (seconds) before retry `attempt` (1-based) of
@@ -241,240 +247,6 @@ pub(crate) fn mix(seed: u64, req: u64, attempt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Breaker state of one backend. Transitions are stamped eagerly with
-/// times (the analytic engine has no completion callbacks) and resolved
-/// lazily whenever the backend is next observed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BState {
-    Closed,
-    Open {
-        until: f64,
-    },
-    HalfOpen {
-        probe_end: Option<f64>,
-        successes: u32,
-    },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Health {
-    ewma: f64,
-    seen: bool,
-    consec: u32,
-    state: BState,
-}
-
-impl Health {
-    fn fresh() -> Self {
-        Health {
-            ewma: 0.0,
-            seen: false,
-            consec: 0,
-            state: BState::Closed,
-        }
-    }
-}
-
-/// Per-backend health + breaker bank. All methods are no-ops when the
-/// breaker is disabled by config.
-struct Breakers {
-    cfg: ResilienceConfig,
-    health: Vec<Health>,
-    /// Transition counters per backend, summed for the report.
-    opens: Vec<usize>,
-    half_opens: Vec<usize>,
-    closes: Vec<usize>,
-    /// Transition log `(time, backend, name)` drained into the tracer
-    /// at the end of a traced run; stays empty unless `log_enabled`.
-    log: Vec<(f64, usize, &'static str)>,
-    log_enabled: bool,
-}
-
-impl Breakers {
-    fn new(n: usize, cfg: &ResilienceConfig) -> Self {
-        Breakers {
-            cfg: *cfg,
-            health: vec![Health::fresh(); n],
-            opens: vec![0; n],
-            half_opens: vec![0; n],
-            closes: vec![0; n],
-            log: Vec::new(),
-            log_enabled: false,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.cfg.breaker_enabled()
-    }
-
-    fn note(&mut self, t: f64, b: usize, name: &'static str) {
-        if self.log_enabled {
-            self.log.push((t, b, name));
-        }
-    }
-
-    /// Advances `b`'s state machine to time `t`: an expired cooldown
-    /// half-opens the breaker; a probe whose leg has finished counts as
-    /// a success and may close it.
-    fn resolve(&mut self, b: usize, t: f64) {
-        if !self.enabled() {
-            return;
-        }
-        loop {
-            let h = &mut self.health[b];
-            match h.state {
-                BState::Open { until } if t >= until && until.is_finite() => {
-                    h.state = BState::HalfOpen {
-                        probe_end: None,
-                        successes: 0,
-                    };
-                    self.half_opens[b] += 1;
-                    self.note(t, b, "breaker_half_open");
-                    qcpa_obs::event!(qcpa_obs::Level::Debug, "sim.resilience", "breaker_half_open", {
-                        "backend" => b,
-                        "at" => t,
-                    });
-                }
-                BState::HalfOpen {
-                    probe_end: Some(pe),
-                    successes,
-                } if t >= pe => {
-                    let s = successes + 1;
-                    if s >= self.cfg.half_open_probes.max(1) {
-                        h.state = BState::Closed;
-                        h.consec = 0;
-                        self.closes[b] += 1;
-                        self.note(t, b, "breaker_close");
-                        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_close", {
-                            "backend" => b,
-                            "at" => t,
-                        });
-                    } else {
-                        h.state = BState::HalfOpen {
-                            probe_end: None,
-                            successes: s,
-                        };
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Whether routing should avoid `b` right now (call
-    /// [`Self::resolve`] first). Half-open admits one probe at a time.
-    fn is_blocked(&self, b: usize) -> bool {
-        if !self.enabled() {
-            return false;
-        }
-        match self.health[b].state {
-            BState::Closed => false,
-            BState::Open { .. } => true,
-            BState::HalfOpen { probe_end, .. } => probe_end.is_some(),
-        }
-    }
-
-    fn record(&mut self, b: usize, observed: f64) {
-        let h = &mut self.health[b];
-        if h.seen {
-            h.ewma = self.cfg.ewma_alpha * observed + (1.0 - self.cfg.ewma_alpha) * h.ewma;
-        } else {
-            h.ewma = observed;
-            h.seen = true;
-        }
-    }
-
-    fn trip(&mut self, b: usize, t: f64) {
-        let until = t + self.cfg.breaker_cooldown;
-        if !matches!(self.health[b].state, BState::Open { .. }) {
-            self.opens[b] += 1;
-            self.note(t, b, "breaker_open");
-        }
-        self.health[b].state = BState::Open { until };
-        qcpa_obs::event!(qcpa_obs::Level::Info, "sim.resilience", "breaker_open", {
-            "backend" => b,
-            "at" => t,
-            "until" => until,
-        });
-    }
-
-    /// A leg dispatched at `t` will finish by `end` within its
-    /// deadline. Consecutive failures reset at dispatch time (the
-    /// engine resolves outcomes at dispatch, so this is the natural —
-    /// and documented — observation point); a half-open breaker records
-    /// the leg as its in-flight probe.
-    fn on_dispatch_ok(&mut self, b: usize, t: f64, svc: f64, end: f64) {
-        if !self.enabled() {
-            return;
-        }
-        self.resolve(b, t);
-        self.record(b, svc);
-        let h = &mut self.health[b];
-        h.consec = 0;
-        if let BState::HalfOpen {
-            probe_end: None,
-            successes,
-        } = h.state
-        {
-            h.state = BState::HalfOpen {
-                probe_end: Some(end),
-                successes,
-            };
-        }
-        if matches!(self.health[b].state, BState::Closed)
-            && self.health[b].ewma > self.cfg.slow_trip
-        {
-            self.trip(b, t);
-        }
-    }
-
-    /// A leg dispatched at `t` was cancelled by its deadline after
-    /// `observed` seconds of occupancy.
-    fn on_timeout(&mut self, b: usize, t: f64, observed: f64) {
-        if !self.enabled() {
-            return;
-        }
-        self.resolve(b, t);
-        self.record(b, observed);
-        let h = &mut self.health[b];
-        h.consec += 1;
-        let tripping = match h.state {
-            BState::HalfOpen { .. } => true,
-            BState::Closed => {
-                (self.cfg.breaker_failures > 0 && h.consec >= self.cfg.breaker_failures)
-                    || h.ewma > self.cfg.slow_trip
-            }
-            BState::Open { .. } => false,
-        };
-        if tripping {
-            self.trip(b, t);
-        }
-    }
-
-    /// A crash holds the breaker open until recovery.
-    fn on_crash(&mut self, b: usize, at: f64) {
-        if !self.enabled() {
-            return;
-        }
-        if !matches!(self.health[b].state, BState::Open { .. }) {
-            self.opens[b] += 1;
-            self.note(at, b, "breaker_open");
-        }
-        self.health[b].state = BState::Open {
-            until: f64::INFINITY,
-        };
-    }
-
-    /// Recovery resets health entirely — the catch-up pause already
-    /// models the rejoin cost.
-    fn on_recover(&mut self, b: usize, at: f64) {
-        if self.enabled() && !matches!(self.health[b].state, BState::Closed) {
-            self.note(at, b, "breaker_reset");
-        }
-        self.health[b] = Health::fresh();
-    }
 }
 
 /// One per-backend work unit of a traced request, kept only so its span
@@ -727,9 +499,8 @@ pub(crate) struct Engine<'a> {
     scheduler: Scheduler,
     profile: ServiceProfile,
     spare: Vec<f64>,
-    /// Which backends are alive, cut off or slowed, as the plan's
-    /// events so far leave them.
-    live: Liveness<'a>,
+    /// The fault state as the plan's events so far leave it.
+    faults: FaultState<'a>,
     free_at: Vec<f64>,
     busy: Vec<f64>,
     /// Per backend: the legs still running or waiting, oldest first —
@@ -896,7 +667,7 @@ impl Engine<'_> {
             .capable_read_targets(class)
             .iter()
             .copied()
-            .filter(|&b| self.live.routable(b) && !self.breakers.is_blocked(b))
+            .filter(|&b| self.faults.live.routable(b) && !self.breakers.is_blocked(b))
             .collect();
         let pick = avail
             .iter()
@@ -1060,7 +831,7 @@ impl Engine<'_> {
                 let Some(mult) = self.admit_read(idx, class, b, t) else {
                     return;
                 };
-                let svc = self.profile.effective(b, service) * mult * self.live.slow(b);
+                let svc = self.profile.effective(b, service) * mult * self.faults.live.slow(b);
                 let start = self.free_at[b].max(t);
                 let end = start + svc;
                 let deadline = t + self.run.rcfg.deadline;
@@ -1107,7 +878,7 @@ impl Engine<'_> {
                         }
                         _ => (sync, Role::Duty),
                     };
-                    let svc = self.profile.effective(b, service) * mult * self.live.slow(b);
+                    let svc = self.profile.effective(b, service) * mult * self.faults.live.slow(b);
                     let start = self.free_at[b].max(t);
                     self.book(idx, t, b, start, svc, role);
                 }
@@ -1241,19 +1012,19 @@ impl Engine<'_> {
             ..
         } = self.run;
         let n = self.free_at.len();
-        if self.live.n_routable() == n {
+        if self.faults.live.n_routable() == n {
             return Some(if self.tally.repairs == 0 {
                 self.initial.clone()
             } else {
                 Scheduler::new(&self.current, cls)
             });
         }
-        let failed: Vec<usize> = (0..n).filter(|&b| !self.live.routable(b)).collect();
+        let failed: Vec<usize> = (0..n).filter(|&b| !self.faults.live.routable(b)).collect();
         if let Some(s) = Scheduler::for_survivors(&self.current, cls, cluster, &failed) {
             return Some(s);
         }
         self.tally.repairs += 1;
-        let survivors: Vec<usize> = (0..n).filter(|&b| self.live.routable(b)).collect();
+        let survivors: Vec<usize> = (0..n).filter(|&b| self.faults.live.routable(b)).collect();
         let failed_ids: Vec<BackendId> = failed.iter().map(|&b| BackendId(b as u32)).collect();
         let Some(surv_cluster) = ksafety::surviving_cluster(cluster, &failed_ids) else {
             self.tally.reroute_failures += 1;
@@ -1313,7 +1084,7 @@ impl Engine<'_> {
     /// speed or routing.
     fn apply_fault(&mut self, index: usize, e: &FaultEvent) {
         let at = e.at();
-        let applied = self.live.apply(index, e, 1);
+        let applied = self.faults.apply(index, e, 1);
         debug_assert!(applied.is_ok(), "a validated plan applies cleanly");
         let subject = match *e {
             FaultEvent::Crash { backend, .. }
@@ -1346,7 +1117,7 @@ impl Engine<'_> {
                 for e in self.queues[backend].drain(..) {
                     retire(&mut self.arena, &e);
                 }
-                self.breakers.on_recover(backend, at);
+                self.breakers.reset(backend, at);
                 self.mark(
                     "recover",
                     subject,
@@ -1398,7 +1169,9 @@ impl Engine<'_> {
                 self.dispatch(ri, at);
             }
         }
-        self.tally.availability.push((at, self.live.n_routable()));
+        self.tally
+            .availability
+            .push((at, self.faults.live.n_routable()));
     }
 
     /// Replays arrivals, retries and the fault schedule in one total
@@ -1465,7 +1238,7 @@ impl Engine<'_> {
         let mut tracer = self.tracer.take();
         if let Some(tr) = tracer.as_deref_mut() {
             if tr.enabled() {
-                for (i, &(t, b, name)) in self.breakers.log.iter().enumerate() {
+                for (i, &(t, b, name)) in self.breakers.log.iter().flatten().enumerate() {
                     tr.tree.mark(
                         tr.span_id(0x8000_0000_0000_0000 | b as u64, i as u64),
                         None,
@@ -1534,9 +1307,7 @@ impl Engine<'_> {
         let window = self.arena.last().map_or(0.0, |r| r.arrival).max(1e-9);
         let utilization: Vec<f64> = self.busy.iter().map(|b| b / window).collect();
         let goodput = responses.len() as f64 / window;
-        let breaker_opens: usize = self.breakers.opens.iter().sum();
-        let breaker_half_opens: usize = self.breakers.half_opens.iter().sum();
-        let breaker_closes: usize = self.breakers.closes.iter().sum();
+        let (breaker_opens, breaker_half_opens, breaker_closes) = self.breakers.transitions();
         let t = self.tally;
 
         let reg = qcpa_obs::global();
@@ -1755,8 +1526,11 @@ pub(crate) fn resilient_core<'a>(
             tr.tree.name_track(n as u32, "resilience");
         }
     }
-    let mut breakers = Breakers::new(n, run.rcfg);
-    breakers.log_enabled = tracer.as_ref().is_some_and(|tr| tr.enabled());
+    let mut breakers = Breakers::new(n, run.rcfg.breaker(), "sim.resilience");
+    breakers.log = tracer
+        .as_ref()
+        .filter(|tr| tr.enabled())
+        .map(|_| Vec::new());
 
     let scheduler = Scheduler::new(run.alloc, run.cls);
     let mut eng = Engine {
@@ -1765,7 +1539,7 @@ pub(crate) fn resilient_core<'a>(
         scheduler: scheduler.clone(),
         profile: ServiceProfile::new(run.alloc, run.cluster, run.catalog, run.cfg.locality),
         spare: robust::spare_room(run.alloc, run.cluster),
-        live: Liveness::new(n, run.plan.partition_sides()),
+        faults: FaultState::new(n, run.plan.partition_sides()),
         free_at: vec![run.warmup_backlog.max(0.0); n],
         busy: vec![0.0; n],
         queues: vec![VecDeque::new(); n],

@@ -513,7 +513,6 @@ mod golden {
             staleness_cap: 2,
             failure_threshold: 2,
             cooldown_requests: 5,
-            ..ControllerResilience::default()
         });
         s.cdbs.fail_backend(2);
         s.run(4, Mix::write);

@@ -13,6 +13,9 @@
 //! * Every `qcpa-bench <name>` / `qcpa-bench -- <name>` invocation in
 //!   the docs and `scripts/check.sh` names a row of
 //!   `qcpa_bench::COMMANDS`.
+//! * Backend fault and health state has one home, `qcpa_core::health`:
+//!   the simulator and the controller declare no `Vec<bool>` field named
+//!   `alive`, `offline` or `cut`, and no breaker-state enum.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -308,5 +311,39 @@ fn bench_invocations_name_a_command() {
     assert!(
         unknown.is_empty(),
         "invocations naming no qcpa_bench::COMMANDS row: {unknown:?}"
+    );
+}
+
+#[test]
+fn fault_state_lives_in_core() {
+    let own = ["sim", "controller"].map(|c| Path::new(ROOT).join("crates").join(c));
+    let mut found = Vec::new();
+    for src in library_sources()
+        .iter()
+        .filter(|s| own.iter().any(|d| s.path.starts_with(d)))
+    {
+        let mut hits: Vec<usize> = ["alive: Vec<bool>", "offline: Vec<bool>", "cut: Vec<bool>"]
+            .iter()
+            .flat_map(|field| src.code.match_indices(field).map(|(at, _)| at))
+            .filter(|&at| !src.code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+            .collect();
+        // An enum with a half-open variant, or with open and closed ones.
+        for (at, _) in src.code.match_indices("enum ") {
+            let body = src.code[at..].split('}').next().unwrap_or_default();
+            let words: Vec<&str> = body.split(|c: char| !c.is_alphanumeric()).collect();
+            let has = |w: &str| words.contains(&w);
+            if has("HalfOpen") || (has("Open") && has("Closed")) {
+                hits.push(at);
+            }
+        }
+        found.extend(
+            hits.into_iter()
+                .filter(|&at| !src.in_test(at))
+                .map(|at| src.line(at)),
+        );
+    }
+    assert!(
+        found.is_empty(),
+        "fault state outside qcpa_core::health: {found:?}"
     );
 }

@@ -1,11 +1,15 @@
 //! Property-based tests on the core invariants: random workloads and
 //! clusters must always yield valid allocations obeying the paper's
-//! bounds.
+//! bounds, and the fault-state machines the simulator and the controller
+//! share keep their books.
 
 use proptest::prelude::*;
+use qcpa::controller::ControllerResilience;
 use qcpa::core::allocation::Allocation;
 use qcpa::core::cluster::ClusterSpec;
+use qcpa::core::health::{BreakerConfig, Breakers, Liveness};
 use qcpa::core::{greedy, ksafety, memetic, robust};
+use qcpa::sim::resilience::ResilienceConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -235,6 +239,153 @@ proptest! {
                 &alloc, &cls, &cluster, c, cls.weight(c) * 0.5,
             );
             prop_assert!(after >= before - 1e-6, "{after} < {before}");
+        }
+    }
+}
+
+/// The breaker knobs both callers hand the core machine: the sim's
+/// active preset on seconds (and a variant with the slow trip armed),
+/// or the controller's mapping on its request clock.
+fn breaker_config(controller: bool, failures: u32, cooldown: u64) -> BreakerConfig {
+    if controller {
+        ControllerResilience {
+            failure_threshold: failures,
+            cooldown_requests: cooldown,
+            ..ControllerResilience::default()
+        }
+        .breaker()
+    } else {
+        ResilienceConfig {
+            breaker_failures: failures,
+            slow_trip: if cooldown.is_multiple_of(2) {
+                f64::INFINITY
+            } else {
+                0.75
+            },
+            ..ResilienceConfig::standard()
+        }
+        .breaker()
+    }
+}
+
+/// The controller's breaker before it ran on the core machine: a
+/// failure streak and the sequence number the breaker stays open until.
+#[derive(Default)]
+struct SeqBreaker {
+    consec: u32,
+    open_until: Option<u64>,
+}
+
+impl SeqBreaker {
+    fn open(&self, seq: u64) -> bool {
+        self.open_until.is_some_and(|s| seq < s)
+    }
+
+    fn fail(&mut self, seq: u64, threshold: u32, cooldown: u64) {
+        self.consec += 1;
+        if threshold > 0 && self.consec >= threshold && !self.open(seq) {
+            self.open_until = Some(seq + cooldown.max(1));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any sequence of liveness transitions over 1–6 backends keeps the
+    /// routable count equal to a recount, and each transition's report
+    /// says exactly whether `routable(b)` flipped — in the direction
+    /// the transition can move it.
+    #[test]
+    fn liveness_reports_match_a_recount(
+        n in 1usize..7,
+        ops in proptest::collection::vec((0u8..6, 0usize..6), 0..48),
+    ) {
+        let mut live = Liveness::new(n);
+        for (op, b) in ops {
+            let b = b % n;
+            let before = live.routable(b);
+            let flipped = match op {
+                0 => live.crash(b),
+                1 => live.recover(b),
+                2 => live.cut(b),
+                3 => live.uncut(b),
+                4 => {
+                    live.degrade(b, 2.0);
+                    false
+                }
+                _ => {
+                    live.restore(b);
+                    false
+                }
+            };
+            let after = live.routable(b);
+            prop_assert_eq!(flipped, before != after, "op {} on {}", op, b);
+            if flipped {
+                prop_assert_eq!(after, op % 2 == 1, "op {} moved {} the wrong way", op, b);
+            }
+            prop_assert_eq!(live.routable(b), live.alive(b) && !live.is_cut(b));
+            let recount = (0..n).filter(|&x| live.routable(x)).count();
+            prop_assert_eq!(live.n_routable(), recount);
+        }
+    }
+
+    /// For success, failure, crash and recover sequences at monotone
+    /// times, the pure `blocked_at(b, t)` agrees with an eager
+    /// `resolve(b, t)` then `is_blocked(b)`, under the sim's config and
+    /// under the controller's mapping. Under the mapping it also agrees
+    /// with the controller's breaker as it was before the merge.
+    #[test]
+    fn blocked_at_is_resolve_then_is_blocked(
+        n in 1usize..7,
+        controller in any::<bool>(),
+        failures in 0u32..4,
+        cooldown in 0u64..6,
+        ops in proptest::collection::vec((0u8..8, 0usize..6, 0u32..4, 0.0f64..2.0), 0..64),
+    ) {
+        let cfg = breaker_config(controller, failures, cooldown);
+        let mut br = Breakers::new(n, cfg, "test");
+        let mut old: Vec<SeqBreaker> = (0..n).map(|_| SeqBreaker::default()).collect();
+        let mut t = 0.0f64;
+        for (op, b, dt, svc) in ops {
+            let b = b % n;
+            // The controller's clock steps by whole requests (or not at
+            // all: probe misses arrive between requests).
+            t += if controller { f64::from(dt % 2) } else { f64::from(dt) * 0.75 };
+            let seq = t as u64;
+            for (x, before) in old.iter().enumerate() {
+                let mut eager = br.clone();
+                eager.resolve(x, t);
+                prop_assert_eq!(br.blocked_at(x, t), eager.is_blocked(x), "backend {} at {}", x, t);
+                if controller {
+                    prop_assert_eq!(br.blocked_at(x, t), before.open(seq), "backend {} at {}", x, seq);
+                }
+            }
+            // Successes and failures three ways in eight each, then a
+            // crash (the controller never opens a breaker on one: a
+            // failure instead) and a recovery's reset.
+            match (op, controller) {
+                (0..=2, true) => {
+                    // A served read; one served past an open breaker
+                    // resets it.
+                    let overridden = br.blocked_at(b, t);
+                    br.on_dispatch_ok(b, t, svc, t);
+                    if overridden {
+                        br.reset(b, t);
+                    }
+                    old[b] = SeqBreaker::default();
+                }
+                (0..=2, false) => br.on_dispatch_ok(b, t, svc, t + svc),
+                (6, false) => br.on_crash(b, t),
+                (3..=6, _) => {
+                    br.on_timeout(b, t, svc);
+                    old[b].fail(seq, failures, cooldown);
+                }
+                _ => {
+                    br.reset(b, t);
+                    old[b] = SeqBreaker::default();
+                }
+            }
         }
     }
 }
