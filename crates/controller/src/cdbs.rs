@@ -746,7 +746,9 @@ impl Cdbs {
 
     /// *Analyse*: resolves the request's table and its footprint on it —
     /// the referenced columns of a plain table, the partitions a
-    /// range-partitioned one is touched in.
+    /// range-partitioned one is touched in. A write whose row or value
+    /// does not fit the schema fails here, before any replica, the
+    /// master copy, a ledger or the journal sees it.
     fn analyse(&self, request: &Request) -> Result<Analysis, CdbsError> {
         let table = request.table();
         let mi = self
@@ -756,6 +758,12 @@ impl Cdbs {
             .position(|t| t.name == table)
             .ok_or_else(|| CdbsError::UnknownTable(table.to_string()))?;
         let def = &self.schema.tables[mi];
+        if let Request::Write(w) = request {
+            match &w.kind {
+                WriteKind::Insert(row) => def.check_row(row)?,
+                WriteKind::Update { column, value, .. } => def.check_value(column, value)?,
+            }
+        }
         let footprint = match (scheme_for(&self.partitions, table), request) {
             (None, _) => Footprint::Columns(referenced_columns(request, def)),
             (Some(scheme), Request::Read(q)) => {
@@ -1371,6 +1379,74 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(cdbs.journal().total(), 1);
+    }
+
+    /// Boots TPC-H on three backends, takes backend 2 down, and checks
+    /// that `write` fails with `expected` while the journal, the ledgers,
+    /// the master copy and every stored fragment stay as they were —
+    /// every column still the one shared allocation the boot loaded.
+    fn assert_rejected_untouched(write: WriteRequest, expected: &StorageError) {
+        let w = qcpa_workloads::tpch::tpch(1.0);
+        let tables = w.generate_tables(200);
+        let mut cdbs = Cdbs::new(w.schema, tables, 3);
+        cdbs.execute(&Request::Read(ScanQuery::all("region")))
+            .unwrap();
+        cdbs.fail_backend(2);
+        let (journal, master) = (cdbs.journal().total(), cdbs.master.clone());
+        let stores = cdbs.backends.clone();
+
+        let err = cdbs.execute(&Request::Write(write)).unwrap_err();
+        assert_eq!(err, CdbsError::Storage(expected.clone()));
+        assert_eq!(cdbs.journal().total(), journal);
+        assert!((0..3).all(|b| cdbs.deferred_writes(b) == 0));
+        let same = |a: &Table, b: &Table| {
+            a == b
+                && a.columns()
+                    .iter()
+                    .zip(b.columns())
+                    .all(|(x, y)| std::sync::Arc::ptr_eq(x, y))
+        };
+        assert!(master.iter().zip(&cdbs.master).all(|(a, b)| same(a, b)));
+        for (before, after) in stores.iter().zip(&cdbs.backends) {
+            let names: Vec<&str> = before.fragment_names().collect();
+            assert_eq!(after.fragment_names().collect::<Vec<_>>(), names);
+            for name in names {
+                assert!(same(
+                    before.table(name).unwrap(),
+                    after.table(name).unwrap()
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn short_insert_is_rejected_before_any_copy() {
+        assert_rejected_untouched(
+            WriteRequest::insert("region", vec![Value::I64(99)]),
+            &StorageError::RowArity {
+                table: "region".into(),
+                expected: 3,
+                got: 1,
+            },
+        );
+    }
+
+    #[test]
+    fn mistyped_update_is_rejected_before_any_copy() {
+        assert_rejected_untouched(
+            WriteRequest::update(
+                "region",
+                Some(Predicate::cmp("r_regionkey", CmpOp::Eq, Value::I64(1))),
+                "r_regionkey",
+                Value::Str("one".into()),
+            ),
+            &StorageError::TypeMismatch {
+                table: "region".into(),
+                column: "r_regionkey".into(),
+                expected: DataType::I64,
+                got: DataType::Str,
+            },
+        );
     }
 
     #[test]

@@ -2,19 +2,22 @@
 //!
 //! A [`BackendStore`] plays one backend DBMS of the CDBS: it holds the
 //! tables/fragments the allocation assigned to it, bulk-loads fragment
-//! data by adopting its column vectors, and executes scan queries a
-//! column at a time: the predicate becomes a selection vector
-//! ([`Table::select`]), an aggregate folds the selected rows of one
-//! typed column, a projection materializes them. Updates find their
-//! rows a row at a time ([`Table::update`]). The controller in
-//! `qcpa-controller` routes requests to stores per the allocation.
+//! data by adopting its column vectors — still shared with the master
+//! copy they were extracted from, until either side writes — and
+//! executes scan queries a column at a time: the predicate becomes a
+//! selection vector ([`Table::select`]), an aggregate folds the
+//! selected rows of one typed column, a projection materializes them.
+//! Inserts and updates are checked against the fragment's definition
+//! before they touch it; updates find their rows a row at a time
+//! ([`Table::update`]). The controller in `qcpa-controller` routes
+//! requests to stores per the allocation.
 
 use std::collections::BTreeMap;
 
 use crate::fragmentation::FragmentData;
 use crate::predicate::Predicate;
 use crate::table::{ColumnData, Table};
-use crate::types::Value;
+use crate::types::{DataType, Value};
 
 /// Errors from query execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +31,26 @@ pub enum StorageError {
         /// Missing column.
         column: String,
     },
+    /// A row to insert has the wrong number of values.
+    RowArity {
+        /// Table name.
+        table: String,
+        /// Columns of the table.
+        expected: usize,
+        /// Values in the row.
+        got: usize,
+    },
+    /// A value to store does not have its column's type.
+    TypeMismatch {
+        /// Table name.
+        table: String,
+        /// The column written.
+        column: String,
+        /// The column's type.
+        expected: DataType,
+        /// The value's type.
+        got: DataType,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -37,6 +60,23 @@ impl std::fmt::Display for StorageError {
             StorageError::NoSuchColumn { table, column } => {
                 write!(f, "column {column:?} not stored for table {table:?}")
             }
+            StorageError::RowArity {
+                table,
+                expected,
+                got,
+            } => write!(
+                f,
+                "row of {got} values for {table:?}, which has {expected} columns"
+            ),
+            StorageError::TypeMismatch {
+                table,
+                column,
+                expected,
+                got,
+            } => write!(
+                f,
+                "{got:?} value for column {column:?} of {table:?}, which holds {expected:?}"
+            ),
         }
     }
 }
@@ -157,8 +197,9 @@ impl BackendStore {
     }
 
     /// Bulk-loads fragment data, replacing any same-named fragment: the
-    /// store adopts the fragment's column vectors as they are. Returns
-    /// the loaded byte count (the quantity the ETL cost model prices).
+    /// store adopts the fragment's column vectors as they are, shared or
+    /// not. Returns the loaded byte count — the logical, schema-width
+    /// size the ETL cost model prices, whatever sharing saves the host.
     ///
     /// # Panics
     /// Panics if the columns do not match the fragment's definition in
@@ -238,16 +279,31 @@ impl BackendStore {
     }
 
     /// Inserts a row into a stored fragment.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchTable`] if the fragment is not stored here;
+    /// [`StorageError::RowArity`] or [`StorageError::TypeMismatch`] if
+    /// the row does not fit the fragment's definition
+    /// ([`TableDef::check_row`](crate::schema::TableDef::check_row)). A
+    /// rejected row changes nothing.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), StorageError> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        t.def.check_row(&row)?;
         t.append(row);
         Ok(())
     }
 
     /// Updates rows in a stored fragment; returns the rows changed.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchTable`] if the fragment is not stored here;
+    /// [`StorageError::NoSuchColumn`] or [`StorageError::TypeMismatch`]
+    /// if `value` cannot be stored in `column`
+    /// ([`TableDef::check_value`](crate::schema::TableDef::check_value)).
+    /// A rejected update changes nothing.
     pub fn update(
         &mut self,
         table: &str,
@@ -259,18 +315,15 @@ impl BackendStore {
             .tables
             .get_mut(table)
             .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        if t.def.column_index(column).is_none() {
-            return Err(StorageError::NoSuchColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-            });
-        }
+        t.def.check_value(column, &value)?;
         Ok(t.update(predicate, column, value))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::fragmentation::extract_full;
     use crate::predicate::CmpOp;
@@ -318,7 +371,7 @@ mod tests {
     fn bulk_load_rejects_ragged_columns() {
         let mut s = store_with_items();
         let mut f = extract_full(s.table("item").unwrap());
-        f.columns[1] = ColumnData::F64(vec![1.0]);
+        f.columns[1] = Arc::new(ColumnData::F64(vec![1.0]));
         s.bulk_load(f);
     }
 
@@ -404,6 +457,70 @@ mod tests {
         assert_eq!(changed, 1);
         let q = ScanQuery::all("item").agg(AggFunc::Count, "i_id");
         assert_eq!(s.execute(&q).unwrap(), QueryResult::Scalar(Some(21.0)));
+    }
+
+    #[test]
+    fn malformed_writes_are_rejected_untouched() {
+        let mut s = store_with_items();
+        let before = s.table("item").unwrap().clone();
+        assert_eq!(
+            s.insert("item", vec![Value::I64(99)]),
+            Err(StorageError::RowArity {
+                table: "item".into(),
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(
+            s.insert("item", vec![Value::I64(99), Value::I64(1)]),
+            Err(StorageError::TypeMismatch {
+                table: "item".into(),
+                column: "i_price".into(),
+                expected: DataType::F64,
+                got: DataType::I64
+            })
+        );
+        assert!(matches!(
+            s.update("item", None, "i_price", Value::Str("x".into())),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.update("item", None, "ghost", Value::F64(0.0)),
+            Err(StorageError::NoSuchColumn { .. })
+        ));
+        assert_eq!(s.table("item").unwrap(), &before);
+    }
+
+    #[test]
+    fn loaded_columns_stay_shared_until_written() {
+        let mut s = store_with_items();
+        let master = s.table("item").unwrap().clone();
+        let mut f = extract_full(&master);
+        f.def.name = "replica".into();
+        s.bulk_load(f);
+        let shared = |s: &BackendStore, c: usize| {
+            Arc::ptr_eq(
+                &s.table("replica").unwrap().columns()[c],
+                &master.columns()[c],
+            )
+        };
+        assert!(shared(&s, 0) && shared(&s, 1));
+        // A rejected write and one that matches no row keep both shared.
+        assert!(s.insert("replica", vec![Value::I64(1)]).is_err());
+        let none = Predicate::cmp("i_id", CmpOp::Lt, Value::I64(0));
+        assert_eq!(
+            s.update("replica", Some(&none), "i_price", Value::F64(0.0)),
+            Ok(0)
+        );
+        assert!(shared(&s, 0) && shared(&s, 1));
+        // A matching update unshares only the column it writes.
+        let one = Predicate::cmp("i_id", CmpOp::Eq, Value::I64(3));
+        assert_eq!(
+            s.update("replica", Some(&one), "i_price", Value::F64(0.0)),
+            Ok(1)
+        );
+        assert!(shared(&s, 0) && !shared(&s, 1));
+        assert_eq!(master.value(3, "i_price"), Some(Value::F64(3.0)));
     }
 
     #[test]

@@ -3,14 +3,21 @@
 //!
 //! A fragment travels as it is stored: a definition plus one typed
 //! vector per column. Extracting a vertical fragment (or a whole table)
-//! copies whole column vectors, extracting a horizontal one gathers the
-//! selected rows column by column, and
+//! shares the source's column vectors — it clones their [`Arc`]s, and
+//! the first later write to either side copies the column (see
+//! [`crate::table`]) — extracting a horizontal one gathers the selected
+//! rows column by column into new vectors, and
 //! [`BackendStore::bulk_load`](crate::engine::BackendStore::bulk_load)
-//! adopts the vectors — no value is boxed on the way.
+//! adopts the vectors — no value is boxed on the way. A fragment's
+//! [`FragmentData::byte_size`] is its logical, schema-width size
+//! whether or not its columns are shared: that is the quantity the ETL
+//! cost model prices.
 //!
 //! Vertical fragments always carry the primary key so the full rows can
 //! be losslessly reconstructed, exactly as Section 3.1 requires of
 //! column-based classification.
+
+use std::sync::Arc;
 
 use crate::predicate::Predicate;
 use crate::schema::TableDef;
@@ -24,13 +31,13 @@ pub struct FragmentData {
     pub def: TableDef,
     /// One column vector per column of `def`, in its order and of its
     /// type, all of one length.
-    pub columns: Vec<ColumnData>,
+    pub columns: Vec<Arc<ColumnData>>,
 }
 
 impl FragmentData {
     /// Number of rows in the fragment.
     pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Bytes of the materialized fragment per the schema widths.
@@ -70,7 +77,10 @@ pub fn extract_vertical(table: &Table, columns: &[&str]) -> FragmentData {
     let frag_name = format!("{}.{}", table.def.name, names.join("+"));
     FragmentData {
         def: TableDef::new(frag_name, defs),
-        columns: idx.iter().map(|&i| table.columns()[i].clone()).collect(),
+        columns: idx
+            .iter()
+            .map(|&i| Arc::clone(&table.columns()[i]))
+            .collect(),
     }
 }
 
@@ -83,7 +93,11 @@ pub fn extract_horizontal(table: &Table, predicate: &Predicate, part: u32) -> Fr
             format!("{}#{part}", table.def.name),
             table.def.columns.clone(),
         ),
-        columns: table.columns().iter().map(|c| c.gather(&rows)).collect(),
+        columns: table
+            .columns()
+            .iter()
+            .map(|c| Arc::new(c.gather(&rows)))
+            .collect(),
     }
 }
 

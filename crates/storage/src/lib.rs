@@ -11,10 +11,12 @@
 //!
 //! The engine is deliberately small but real: data actually lives in
 //! typed columnar vectors and is scanned, aggregated, extracted and
-//! loaded a column at a time, fragment extraction actually copies
-//! bytes, and fragment sizes are byte-accurate — which is what the
-//! allocation model (degree of replication, ETL matching costs,
-//! allocation duration) depends on.
+//! loaded a column at a time, and fragment sizes are byte-accurate —
+//! which is what the allocation model (degree of replication, ETL
+//! matching costs, allocation duration) depends on. Those sizes are
+//! logical: the master copy and the replicas loaded from it share
+//! column vectors copy-on-write, which saves the host memory and time
+//! but changes no size the model sees.
 //!
 //! * [`types`] — values and data types;
 //! * [`schema`] — column/table definitions with byte widths;

@@ -5,7 +5,8 @@
 //! so they are explicit per column (average width for variable-length
 //! strings, as catalog statistics would report).
 
-use crate::types::DataType;
+use crate::engine::StorageError;
+use crate::types::{DataType, Value};
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +74,53 @@ impl TableDef {
     /// The primary-key column.
     pub fn primary_key(&self) -> &ColumnDef {
         &self.columns[0]
+    }
+
+    /// Checks that `row` can be appended to a table of this definition:
+    /// one value per column, each of its column's type.
+    ///
+    /// # Errors
+    /// [`StorageError::RowArity`] on a wrong value count, else
+    /// [`StorageError::TypeMismatch`] for the first mistyped value.
+    pub fn check_row(&self, row: &[Value]) -> Result<(), StorageError> {
+        if row.len() != self.columns.len() {
+            return Err(StorageError::RowArity {
+                table: self.name.clone(),
+                expected: self.columns.len(),
+                got: row.len(),
+            });
+        }
+        self.columns
+            .iter()
+            .zip(row)
+            .try_for_each(|(c, v)| self.check_type(c, v))
+    }
+
+    /// Checks that `value` can be stored in `column`.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchColumn`] if the column does not exist, else
+    /// [`StorageError::TypeMismatch`] if the value has another type.
+    pub fn check_value(&self, column: &str, value: &Value) -> Result<(), StorageError> {
+        let c = self
+            .column_index(column)
+            .ok_or_else(|| StorageError::NoSuchColumn {
+                table: self.name.clone(),
+                column: column.to_string(),
+            })?;
+        self.check_type(&self.columns[c], value)
+    }
+
+    fn check_type(&self, c: &ColumnDef, v: &Value) -> Result<(), StorageError> {
+        if v.data_type() == c.ty {
+            return Ok(());
+        }
+        Err(StorageError::TypeMismatch {
+            table: self.name.clone(),
+            column: c.name.clone(),
+            expected: c.ty,
+            got: v.data_type(),
+        })
     }
 }
 

@@ -13,10 +13,20 @@
 //! through it (its doc says why).
 //!
 //! This is also how vertical fragmentation pays off in the paper: a
-//! column fragment is a contiguous typed vector, so extracting it is a
-//! copy and loading it is a move, not a shredding pass.
+//! column fragment is a contiguous typed vector, so extracting it hands
+//! the vector over and loading it adopts it, with no shredding pass.
+//!
+//! A table holds its columns behind [`Arc`]s, copy-on-write: the master
+//! copy and every replica loaded from it share each column vector until
+//! one of them writes it. [`Table::append`] and [`Table::update`] go
+//! through [`Arc::make_mut`], so the first writer of a shared column
+//! takes a private copy and nobody else sees the write; an update that
+//! matches no row leaves its column shared. Sharing changes host memory
+//! and time only: [`Table::byte_size`] is the logical, schema-width size
+//! either way.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::predicate::{CmpOp, Predicate};
 use crate::schema::TableDef;
@@ -202,14 +212,18 @@ impl ColumnData {
 pub struct Table {
     /// Definition (possibly a vertical fragment of the logical table).
     pub def: TableDef,
-    cols: Vec<ColumnData>,
+    cols: Vec<Arc<ColumnData>>,
     n_rows: usize,
 }
 
 impl Table {
     /// Creates an empty table for the definition.
     pub fn new(def: TableDef) -> Self {
-        let cols = def.columns.iter().map(|c| ColumnData::new(c.ty)).collect();
+        let cols = def
+            .columns
+            .iter()
+            .map(|c| Arc::new(ColumnData::new(c.ty)))
+            .collect();
         Self {
             def,
             cols,
@@ -219,19 +233,20 @@ impl Table {
 
     /// A table that adopts whole column vectors, one per column of the
     /// definition in its order — the bulk-load path: nothing is copied
-    /// or converted.
+    /// or converted, and a column shared with another table stays
+    /// shared.
     ///
     /// # Panics
     /// Panics on arity or type mismatch, or if the columns differ in
     /// length.
-    pub(crate) fn from_columns(def: TableDef, cols: Vec<ColumnData>) -> Self {
+    pub(crate) fn from_columns(def: TableDef, cols: Vec<Arc<ColumnData>>) -> Self {
         assert_eq!(
             cols.len(),
             def.columns.len(),
             "column arity mismatch for {}",
             def.name
         );
-        let n_rows = cols.first().map_or(0, ColumnData::len);
+        let n_rows = cols.first().map_or(0, |c| c.len());
         for (c, data) in def.columns.iter().zip(&cols) {
             assert_eq!(
                 data.data_type(),
@@ -266,7 +281,7 @@ impl Table {
         self.def.row_width() * self.n_rows as u64
     }
 
-    /// Appends a row.
+    /// Appends a row, unsharing every column it writes.
     ///
     /// # Panics
     /// Panics on arity or type mismatch.
@@ -278,19 +293,21 @@ impl Table {
             self.def.name
         );
         for (col, v) in self.cols.iter_mut().zip(row) {
-            col.push(v);
+            Arc::make_mut(col).push(v);
         }
         self.n_rows += 1;
     }
 
-    /// The column stores, in definition order.
-    pub(crate) fn columns(&self) -> &[ColumnData] {
+    /// The column stores, in definition order. A column this table
+    /// shares with another (the master copy and the replicas loaded
+    /// from it) is one allocation until either writes it.
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.cols
     }
 
     /// The column store with the given name.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
-        self.def.column_index(name).map(|i| &self.cols[i])
+        self.def.column_index(name).map(|i| &*self.cols[i])
     }
 
     /// Value at `(row, column-name)`.
@@ -331,7 +348,8 @@ impl Table {
     }
 
     /// In-place update: sets `column` to `value` on all rows matching
-    /// the predicate; returns the number of rows changed.
+    /// the predicate; returns the number of rows changed. Only an update
+    /// that matches a row unshares the column.
     ///
     /// The matching rows are found a row at a time through
     /// [`Predicate::eval`], as they were before scans became columnar.
@@ -345,7 +363,8 @@ impl Table {
     /// (CHANGES.md, PR 14; ROADMAP.md, open items).
     ///
     /// # Panics
-    /// Panics if the column does not exist.
+    /// Panics if the column does not exist, or if a row matches and
+    /// `value` is not of the column's type.
     #[expect(clippy::panic, reason = "documented panic on an unknown column")]
     pub fn update(&mut self, predicate: Option<&Predicate>, column: &str, value: Value) -> usize {
         let idx = self
@@ -358,8 +377,11 @@ impl Table {
                 .filter(|&r| p.eval(&|c| self.value(r, c)))
                 .collect(),
         };
-        for &r in &rows {
-            self.cols[idx].set(r, value.clone());
+        if !rows.is_empty() {
+            let col = Arc::make_mut(&mut self.cols[idx]);
+            for &r in &rows {
+                col.set(r, value.clone());
+            }
         }
         rows.len()
     }
@@ -372,7 +394,7 @@ impl Table {
             .collect();
         for &c in columns {
             let cells = out.iter_mut().zip(rows);
-            match &self.cols[c] {
+            match &*self.cols[c] {
                 ColumnData::I64(d) => cells.for_each(|(o, &r)| o.push(Value::I64(d[r]))),
                 ColumnData::F64(d) => cells.for_each(|(o, &r)| o.push(Value::F64(d[r]))),
                 ColumnData::Str(d) => cells.for_each(|(o, &r)| o.push(Value::Str(d[r].clone()))),
@@ -449,6 +471,31 @@ mod tests {
         assert_eq!(changed, 3);
         assert_eq!(t.value(0, "i_price"), Some(Value::F64(0.0)));
         assert_eq!(t.value(3, "i_price"), Some(Value::F64(4.5)));
+    }
+
+    #[test]
+    fn append_to_an_unshared_column_does_not_clone_it() {
+        let mut t = items();
+        let before: Vec<*const ColumnData> = t.columns().iter().map(Arc::as_ptr).collect();
+        t.append(vec![
+            Value::I64(10),
+            Value::F64(15.0),
+            Value::Str("item-10".into()),
+        ]);
+        let after: Vec<*const ColumnData> = t.columns().iter().map(Arc::as_ptr).collect();
+        assert_eq!(before, after);
+        assert_eq!(t.len(), 11);
+    }
+
+    #[test]
+    fn zero_match_update_does_not_clone() {
+        let mut t = items();
+        let replica = t.clone();
+        let none = Predicate::cmp("i_id", CmpOp::Gt, Value::I64(100));
+        assert_eq!(t.update(Some(&none), "i_price", Value::F64(0.0)), 0);
+        for (a, b) in t.columns().iter().zip(replica.columns()) {
+            assert!(Arc::ptr_eq(a, b));
+        }
     }
 
     #[test]

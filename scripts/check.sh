@@ -72,7 +72,8 @@ cargo test -q --test policy
 # The allocator's parent-recorded fingerprints, including the
 # benchmark's scale_alloc instance, and its heap-allocation budget: both
 # release-only (the debug build cross-checks every transfer against a
-# full normalize). Then the fault-aware loop's peak-heap budget.
+# full normalize). Then the peak-heap budgets of the fault-aware loop
+# and of replication.
 run_release_goldens() {
     echo "== allocator goldens (release) =="
     cargo test -q --release --test allocator_golden -- --include-ignored
@@ -82,6 +83,8 @@ run_release_goldens() {
     cargo test -q --release --test delta_differential -- --include-ignored
     echo "== fault-loop peak-heap budget (release) =="
     cargo test -q --release --test fault_memory
+    echo "== replication peak-heap budget (release) =="
+    cargo test -q --release --test boot_memory
 }
 
 # benchmark/ is its own workspace, so `cargo test` never builds it: a

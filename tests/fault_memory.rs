@@ -9,9 +9,6 @@
 //! to it, and a single test so no other thread allocates while it
 //! counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use qcpa::core::allocation::Allocation;
 use qcpa::core::classify::{Classification, QueryClass};
 use qcpa::core::cluster::ClusterSpec;
@@ -28,60 +25,10 @@ use rand_chacha::ChaCha8Rng;
 /// plus 10 %.
 const PEAK_BYTES_PER_REQUEST: u64 = 80;
 
-/// Tracks the bytes currently allocated and their high-water mark while
-/// delegating to the system allocator.
-struct PeakAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grow(by: u64) {
-    let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-#[expect(
-    unsafe_code,
-    reason = "a counting global allocator implements the unsafe `GlobalAlloc` trait"
-)]
-// SAFETY: every method delegates verbatim to the `System` allocator and
-// only adds relaxed atomic counter updates, so the `GlobalAlloc`
-// contract (layout handling, pointer validity, thread safety) is
-// exactly `System`'s.
-unsafe impl GlobalAlloc for PeakAlloc {
-    // SAFETY: forwards the caller's layout unchanged to `System.alloc`,
-    // whose safety preconditions are identical to this method's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grow(layout.size() as u64);
-        }
-        p
-    }
-
-    // SAFETY: `ptr`/`layout` were produced by `alloc`/`realloc` above,
-    // which return `System` pointers, so freeing through `System` is
-    // sound.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: same delegation argument as `dealloc` — the pointer came
-    // from `System`, and the layout/new_size contract is passed through
-    // untouched.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-            grow(new_size as u64);
-        }
-        p
-    }
-}
+mod peak_alloc;
 
 #[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
+static GLOBAL: peak_alloc::PeakAlloc = peak_alloc::PeakAlloc;
 
 #[test]
 fn fault_loop_peak_heap_stays_per_request() {
@@ -128,10 +75,9 @@ fn fault_loop_peak_heap_stays_per_request() {
     let cfg = SimConfig::default();
     let fcfg = FaultConfig::default();
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = peak_alloc::reset_peak();
     let rep = run_open_faults(&alloc, &cls, &cluster, &cat, &reqs, 0.0, &cfg, &plan, &fcfg);
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak = peak_alloc::peak() - before;
 
     assert_eq!(rep.completed, reqs.len(), "every request completes");
     assert_eq!(rep.crashes, 1);

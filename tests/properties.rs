@@ -1,7 +1,8 @@
 //! Property-based tests on the core invariants: random workloads and
 //! clusters must always yield valid allocations obeying the paper's
-//! bounds, and the fault-state machines the simulator and the controller
-//! share keep their books.
+//! bounds, the fault-state machines the simulator and the controller
+//! share keep their books, and the column vectors the master copy shares
+//! with its replicas never let one table see another's writes.
 
 use proptest::prelude::*;
 use qcpa::controller::ControllerResilience;
@@ -10,8 +11,15 @@ use qcpa::core::cluster::ClusterSpec;
 use qcpa::core::health::{BreakerConfig, Breakers, Liveness};
 use qcpa::core::{greedy, ksafety, memetic, robust};
 use qcpa::sim::resilience::ResilienceConfig;
+use qcpa::storage::engine::BackendStore;
+use qcpa::storage::fragmentation::{extract_full, extract_vertical};
+use qcpa::storage::predicate::{CmpOp, Predicate};
+use qcpa::storage::schema::{ColumnDef, TableDef};
+use qcpa::storage::table::Table;
+use qcpa::storage::types::{DataType, Value};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 mod common;
 use common::{materialize, workload_strategy};
@@ -384,6 +392,172 @@ proptest! {
                 _ => {
                     br.reset(b, t);
                     old[b] = SeqBreaker::default();
+                }
+            }
+        }
+    }
+}
+
+/// A table kept as plain rows: the deep-copied model of one stored
+/// table, which shares nothing with any other.
+#[derive(Clone)]
+struct RowModel {
+    def: TableDef,
+    rows: Vec<Vec<Value>>,
+}
+
+impl RowModel {
+    /// The model as a table of its own, built row by row.
+    fn table(&self) -> Table {
+        let mut t = Table::new(self.def.clone());
+        for row in &self.rows {
+            t.append(row.clone());
+        }
+        t
+    }
+
+    /// Sets column `c` to `v` where the key is below `below`; the
+    /// number of rows changed.
+    fn update(&mut self, below: i64, c: usize, v: &Value) -> usize {
+        let hit: Vec<&mut Vec<Value>> = self
+            .rows
+            .iter_mut()
+            .filter(|r| matches!(r[0], Value::I64(k) if k < below))
+            .collect();
+        let n = hit.len();
+        for r in hit {
+            r[c] = v.clone();
+        }
+        n
+    }
+}
+
+/// `rows` of a table defined by `from`, cut down to the columns of `to`.
+fn project_rows(rows: &[Vec<Value>], from: &TableDef, to: &TableDef) -> Vec<Vec<Value>> {
+    let idx: Vec<usize> = to
+        .columns
+        .iter()
+        .filter_map(|c| from.column_index(&c.name))
+        .collect();
+    rows.iter()
+        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
+        .collect()
+}
+
+/// A full row of the sharing test's source table, keyed `key`.
+fn source_row(key: i64, seed: u64) -> Vec<Value> {
+    vec![
+        Value::I64(key),
+        Value::I64((seed % 97) as i64),
+        Value::Str(format!("s{}", seed % 13)),
+        Value::F64((seed % 31) as f64 * 0.5),
+    ]
+}
+
+/// A value of column `c`'s type of the source table.
+fn source_value(c: usize, seed: u64) -> Value {
+    source_row(0, seed).swap_remove(c)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Sharing is unobservable: any sequence of whole and vertical
+    /// extracts of the master copy bulk-loaded into replicas,
+    /// interleaved with inserts, matching updates and updates matching
+    /// no row on the master or on one replica's fragment, leaves every
+    /// table equal to a deep-copied model of it built row by row.
+    #[test]
+    fn shared_columns_are_unobservable(
+        n0 in 0usize..12,
+        ops in proptest::collection::vec((0u8..5, 0usize..4, any::<u64>(), any::<u64>()), 1..40),
+    ) {
+        let def = TableDef::new(
+            "t",
+            vec![
+                ColumnDef::new("k", DataType::I64, 8),
+                ColumnDef::new("x", DataType::I64, 8),
+                ColumnDef::new("s", DataType::Str, 12),
+                ColumnDef::new("f", DataType::F64, 8),
+            ],
+        );
+        let mut model = RowModel { def: def.clone(), rows: Vec::new() };
+        let mut master = Table::new(def.clone());
+        for k in 0..n0 as i64 {
+            let row = source_row(k, k as u64 * 7);
+            master.append(row.clone());
+            model.rows.push(row);
+        }
+        let mut next_key = n0 as i64;
+        let mut stores = vec![BackendStore::new(); 3];
+        let mut models: Vec<BTreeMap<String, RowModel>> = vec![BTreeMap::new(); 3];
+        for (op, target, a, b) in ops {
+            // Target 0 is the master copy, 1..=3 a replica's fragment.
+            let replica = target.checked_sub(1);
+            let frag = replica.and_then(|r| {
+                let names: Vec<String> = models[r].keys().cloned().collect();
+                (!names.is_empty()).then(|| names[a as usize % names.len()].clone())
+            });
+            match (op, replica, frag) {
+                (0, Some(r), _) => {
+                    stores[r].bulk_load(extract_full(&master));
+                    models[r].insert("t".into(), model.clone());
+                }
+                (1, Some(r), _) => {
+                    // A non-empty subset of the non-key columns.
+                    let cols: Vec<&str> = ["x", "s", "f"]
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(i, _)| (a % 7 + 1) >> i & 1 == 1)
+                        .map(|(_, c)| c)
+                        .collect();
+                    let data = extract_vertical(&master, &cols);
+                    let rows = project_rows(&model.rows, &def, &data.def);
+                    let m = RowModel { def: data.def.clone(), rows };
+                    models[r].insert(data.def.name.clone(), m);
+                    stores[r].bulk_load(data);
+                }
+                (2, None, _) => {
+                    let row = source_row(next_key, b);
+                    next_key += 1;
+                    master.append(row.clone());
+                    model.rows.push(row);
+                }
+                (2, Some(r), Some(f)) => {
+                    let full = source_row(next_key, b);
+                    next_key += 1;
+                    let m = models[r].get_mut(&f).unwrap();
+                    let row = project_rows(&[full], &def, &m.def).remove(0);
+                    stores[r].insert(&f, row.clone()).unwrap();
+                    m.rows.push(row);
+                }
+                (3 | 4, _, f) if replica.is_none() || f.is_some() => {
+                    // Op 3 keys below some issued key; op 4 keys below
+                    // zero, which no row has.
+                    let below = if op == 3 { 1 + (a % next_key.max(1) as u64) as i64 } else { 0 };
+                    let m = match (replica, &f) {
+                        (Some(r), Some(f)) => models[r].get_mut(f).unwrap(),
+                        _ => &mut model,
+                    };
+                    // Every fragment has a column besides the key.
+                    let c = 1 + b as usize % (m.def.columns.len() - 1);
+                    let col = m.def.columns[c].name.clone();
+                    let v = source_value(def.column_index(&col).unwrap(), b >> 8);
+                    let want = m.update(below, c, &v);
+                    let p = Predicate::cmp("k", CmpOp::Lt, Value::I64(below));
+                    let got = match (replica, &f) {
+                        (Some(r), Some(f)) => stores[r].update(f, Some(&p), &col, v).unwrap(),
+                        _ => master.update(Some(&p), &col, v),
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                _ => continue,
+            }
+            prop_assert!(master == model.table(), "master copy diverged");
+            for (store, ms) in stores.iter().zip(&models) {
+                prop_assert_eq!(store.fragment_names().count(), ms.len());
+                for (name, m) in ms {
+                    prop_assert!(store.table(name) == Some(&m.table()), "fragment {} diverged", name);
                 }
             }
         }
