@@ -1,4 +1,13 @@
 //! The cluster database system: controller + backends, executable.
+//!
+//! Writes follow the paper's ROWA order with the write set resolved
+//! first: *analyse* finds an update's rows once, on the authoritative
+//! master copy ([`Table::write_set`]); every live replica storing the
+//! table as one column fragment, every staleness-ledger replay and the
+//! master itself then apply those row ids ([`BackendStore::update_rows`],
+//! [`Table::set_rows`]) without evaluating the predicate again. Only
+//! range-partition fragments, whose rows are a subset of the master's,
+//! still evaluate it, each on its own rows.
 
 use qcpa_core::allocation::Allocation;
 use qcpa_core::classify::{Classification, Granularity};
@@ -15,6 +24,7 @@ use qcpa_storage::schema::Schema;
 use qcpa_storage::table::Table;
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::layout::{layout_from_allocation, Footprint, TableLayout};
 use crate::partition::PartitionScheme;
@@ -127,14 +137,40 @@ pub struct ReallocationReport {
     pub allocation: Allocation,
 }
 
-/// A request resolved against schema and partitioning — what the
-/// *analyse* stage hands to every later one.
+/// A request resolved against schema, partitioning and the master copy
+/// — what the *analyse* stage hands to every later one, and what a
+/// staleness ledger keeps beside each write it defers.
+///
+/// An update's `rows` are row ids of the master copy, and they name the
+/// same rows on every stored copy of the table that is not a partition
+/// fragment. Every such copy — a vertical fragment, or a whole copy —
+/// is extracted from the master in master order ([`load_missing`]), and
+/// no write changes a row's position: inserts append, updates write in
+/// place. Each insert reaches every holder in the same order as it
+/// reaches the master — directly when the holder is routable, else
+/// through its ledger, replayed in order before it is routable again,
+/// or by a reload from the master after an overflow. So when a write is
+/// applied to a copy, that copy has taken exactly the writes the master
+/// had taken when the write was analysed, and row `r` of the copy is
+/// row `r` of the master. Partition fragments hold a subset of the
+/// master's rows at other positions, so they evaluate the predicate on
+/// their own rows.
 #[derive(Debug, Clone)]
 struct Analysis {
     /// The request's table: its index in the schema and the master copy.
     mi: usize,
     /// What the request touches of that table.
     footprint: Footprint,
+    /// An update's write set on the master copy, ascending; `None` for
+    /// reads and inserts.
+    rows: Option<Arc<[usize]>>,
+}
+
+impl Analysis {
+    /// The write set of an update.
+    fn rows(&self) -> Result<&[usize], CdbsError> {
+        internal(self.rows.as_deref(), "analyse resolves every update's rows")
+    }
 }
 
 /// A running cluster database system (Figure 3): master copy,
@@ -160,8 +196,9 @@ pub struct Cdbs {
     /// breaker cooldowns.
     request_seq: u64,
     /// Per-backend staleness ledger: the writes an unroutable backend
-    /// missed, each with its analysis, replayed in order when it catches
-    /// up; `None` once it overflowed the cap (a full reload instead).
+    /// missed, each with its analysis (an update's row ids included),
+    /// replayed in order when it catches up; `None` once it overflowed
+    /// the cap (a full reload instead).
     ledgers: Vec<Option<VecDeque<(WriteRequest, Analysis)>>>,
     /// Optional causal tracer ([`Cdbs::attach_tracer`]): sampled
     /// requests become span trees on the cost-weighted timeline.
@@ -527,10 +564,12 @@ impl Cdbs {
     /// Brings backend `b`'s stored fragments up to date with the master
     /// copy — the one catch-up, run by [`Cdbs::readmit`] when a recovery
     /// or a heal makes `b` routable again (reallocation readmits every
-    /// backend through those two). A ledger that held every missed write is replayed in
-    /// order; after an overflow, or a replay error (ledger and fragments
-    /// disagree, possibly half-applied), everything `b` stores is
-    /// dropped and its layout reloaded. Returns the bytes reloaded.
+    /// backend through those two). A ledger that held every missed write
+    /// is replayed in order, updates by the row ids their analysis
+    /// resolved; after an overflow, or a replay error (ledger and
+    /// fragments disagree, e.g. a row id past a fragment's end, possibly
+    /// half-applied), everything `b` stores is dropped and its layout
+    /// reloaded. Returns the bytes reloaded.
     ///
     /// # Errors
     /// [`CdbsError::Internal`] when the layout names a table or
@@ -627,22 +666,14 @@ impl Cdbs {
     }
 
     /// Backend `b`'s share of one write: the ROWA fan-out and the ledger
-    /// replay. Does *not* touch the master copy, the journal or the
-    /// balance state; returns the rows changed (≥ 1), or 0 when `b`'s
-    /// layout does not overlap the write at all.
+    /// replay, on a backend that holds all of the write's footprint
+    /// ([`Cdbs::write`] checks every holder first). Does *not* touch the
+    /// master copy, the journal or the balance state; returns the rows
+    /// changed (≥ 1).
     fn apply_write(&mut self, b: usize, w: &WriteRequest, an: &Analysis) -> Result<f64, CdbsError> {
         let table = w.table.as_str();
         let def = &self.schema.tables[an.mi];
         let (layout, store) = (&self.layouts[b], &mut self.backends[b]);
-        if !layout.holds_any(table, &an.footprint) {
-            return Ok(0.0);
-        }
-        if !layout.holds_all(table, &an.footprint) {
-            return Err(CdbsError::InconsistentLayout {
-                backend: b,
-                table: table.to_string(),
-            });
-        }
         let changed = match &an.footprint {
             Footprint::Parts(touched) if !layout.columns.contains_key(table) => {
                 let scheme = scheme_of(&self.partitions, table)?;
@@ -655,7 +686,7 @@ impl Cdbs {
                     layout.fragment_name(&self.schema, table),
                     "covering backend stores the table",
                 )?;
-                apply_column_write(store, w, &frag, def, &layout.columns[table])?
+                apply_column_write(store, w, an, &frag, def, &layout.columns[table])?
             }
         };
         Ok((changed as f64).max(1.0))
@@ -669,6 +700,25 @@ impl Cdbs {
     /// The recorded query history.
     pub fn journal(&self) -> &Journal {
         &self.journal
+    }
+
+    /// The authoritative master copy, one table per schema table in
+    /// schema order.
+    pub fn master(&self) -> &[Table] {
+        &self.master
+    }
+
+    /// Backend `b`'s store.
+    ///
+    /// # Panics
+    /// Panics if `b` is out of range.
+    pub fn backend(&self, b: usize) -> &BackendStore {
+        &self.backends[b]
+    }
+
+    /// Each backend's physical layout.
+    pub fn layouts(&self) -> &[TableLayout] {
+        &self.layouts
     }
 
     /// Per-backend stored bytes.
@@ -746,9 +796,12 @@ impl Cdbs {
 
     /// *Analyse*: resolves the request's table and its footprint on it —
     /// the referenced columns of a plain table, the partitions a
-    /// range-partitioned one is touched in. A write whose row or value
-    /// does not fit the schema fails here, before any replica, the
-    /// master copy, a ledger or the journal sees it.
+    /// range-partitioned one is touched in — and an update's write set,
+    /// once, on the master copy (the only place an update's rows are
+    /// found; [`Analysis`] says why every other copy can reuse them). A
+    /// write whose row or value does not fit the schema fails here,
+    /// before any replica, the master copy, a ledger or the journal sees
+    /// it.
     fn analyse(&self, request: &Request) -> Result<Analysis, CdbsError> {
         let table = request.table();
         let mi = self
@@ -758,10 +811,18 @@ impl Cdbs {
             .position(|t| t.name == table)
             .ok_or_else(|| CdbsError::UnknownTable(table.to_string()))?;
         let def = &self.schema.tables[mi];
+        let mut rows = None;
         if let Request::Write(w) = request {
             match &w.kind {
                 WriteKind::Insert(row) => def.check_row(row)?,
-                WriteKind::Update { column, value, .. } => def.check_value(column, value)?,
+                WriteKind::Update {
+                    predicate,
+                    column,
+                    value,
+                } => {
+                    def.check_value(column, value)?;
+                    rows = Some(self.master[mi].write_set(predicate.as_ref()).into());
+                }
             }
         }
         let footprint = match (scheme_for(&self.partitions, table), request) {
@@ -771,7 +832,11 @@ impl Cdbs {
             }
             (Some(scheme), Request::Write(w)) => Footprint::Parts(written_parts(scheme, def, w)?),
         };
-        Ok(Analysis { mi, footprint })
+        Ok(Analysis {
+            mi,
+            footprint,
+            rows,
+        })
     }
 
     /// *Route*: the backends whose layout `holds` the request's
@@ -866,12 +931,23 @@ impl Cdbs {
 
     /// A write: ROWA over the live backends holding any of the
     /// footprint, deferred for the unroutable ones, then applied to the
-    /// master copy.
+    /// master copy. A holder that stores only part of the footprint
+    /// would take only part of the write, so the write fails typed
+    /// before any copy, ledger or the journal sees it.
     fn write(&mut self, w: &WriteRequest, an: &Analysis) -> Result<ExecOutcome, CdbsError> {
         let table = w.table.as_str();
         // With no live replica the write fails rather than deferring
         // everywhere (zero durability).
         let (holders, targets) = self.route(table, an, TableLayout::holds_any)?;
+        if let Some(&b) = holders
+            .iter()
+            .find(|&&b| !self.layouts[b].holds_all(table, &an.footprint))
+        {
+            return Err(CdbsError::InconsistentLayout {
+                backend: b,
+                table: table.to_string(),
+            });
+        }
         let mut cost = 1.0f64;
         for &b in &targets {
             let changed = self.apply_write(b, w, an)?;
@@ -888,12 +964,8 @@ impl Cdbs {
         // *Apply*: keep the master copy authoritative.
         match &w.kind {
             WriteKind::Insert(row) => self.master[an.mi].append(row.clone()),
-            WriteKind::Update {
-                predicate,
-                column,
-                value,
-            } => {
-                self.master[an.mi].update(predicate.as_ref(), column, value.clone());
+            WriteKind::Update { column, value, .. } => {
+                self.master[an.mi].set_rows(an.rows()?, column, value.clone());
             }
         }
         Ok(ExecOutcome {
@@ -1219,10 +1291,12 @@ fn apply_partitioned_write(
 }
 
 /// *Serve*, for a write on the one fragment `frag` storing the columns
-/// `stored` of the table `def`; returns the rows changed.
+/// `stored` of the table `def`: an update sets the rows `an` resolved on
+/// the master copy. Returns the rows changed.
 fn apply_column_write(
     store: &mut BackendStore,
     w: &WriteRequest,
+    an: &Analysis,
     frag: &str,
     def: &TableDef,
     stored: &[String],
@@ -1240,11 +1314,9 @@ fn apply_column_write(
             store.insert(frag, projected)?;
             Ok(1)
         }
-        WriteKind::Update {
-            predicate,
-            column,
-            value,
-        } => Ok(store.update(frag, predicate.as_ref(), column, value.clone())?),
+        WriteKind::Update { column, value, .. } => {
+            Ok(store.update_rows(frag, an.rows()?, column, value.clone())?)
+        }
     }
 }
 
@@ -1382,9 +1454,7 @@ mod tests {
     }
 
     /// Boots TPC-H on three backends, takes backend 2 down, and checks
-    /// that `write` fails with `expected` while the journal, the ledgers,
-    /// the master copy and every stored fragment stay as they were —
-    /// every column still the one shared allocation the boot loaded.
+    /// that `write` fails with `expected`, untouched.
     fn assert_rejected_untouched(write: WriteRequest, expected: &StorageError) {
         let w = qcpa_workloads::tpch::tpch(1.0);
         let tables = w.generate_tables(200);
@@ -1392,13 +1462,24 @@ mod tests {
         cdbs.execute(&Request::Read(ScanQuery::all("region")))
             .unwrap();
         cdbs.fail_backend(2);
+        assert_write_rejected_untouched(&mut cdbs, write, &CdbsError::Storage(expected.clone()));
+    }
+
+    /// Checks that `write` fails with `expected` while the journal, the
+    /// ledgers, the master copy and every stored fragment stay as they
+    /// were — every column still the allocation it was before.
+    fn assert_write_rejected_untouched(cdbs: &mut Cdbs, write: WriteRequest, expected: &CdbsError) {
         let (journal, master) = (cdbs.journal().total(), cdbs.master.clone());
         let stores = cdbs.backends.clone();
+        let ledgers: Vec<_> = (0..cdbs.n_backends())
+            .map(|b| (cdbs.deferred_writes(b), cdbs.ledger_overflowed(b)))
+            .collect();
 
         let err = cdbs.execute(&Request::Write(write)).unwrap_err();
-        assert_eq!(err, CdbsError::Storage(expected.clone()));
+        assert_eq!(&err, expected);
         assert_eq!(cdbs.journal().total(), journal);
-        assert!((0..3).all(|b| cdbs.deferred_writes(b) == 0));
+        assert!((0..cdbs.n_backends())
+            .all(|b| (cdbs.deferred_writes(b), cdbs.ledger_overflowed(b)) == ledgers[b]));
         let same = |a: &Table, b: &Table| {
             a == b
                 && a.columns()
@@ -1447,6 +1528,38 @@ mod tests {
                 got: DataType::Str,
             },
         );
+    }
+
+    /// Bookshop on three backends where backend `partial` stores only
+    /// `item.i_id`: a price update overlaps it without being covered, so
+    /// it must fail before any copy takes it — whether that backend is
+    /// live or cut off.
+    fn partial_holder_rejects_update(partial: usize, cut: bool) {
+        let (schema, tables) = bookshop();
+        let mut cdbs = Cdbs::new(schema, tables, 3);
+        cdbs.layouts[partial]
+            .columns
+            .insert("item".into(), vec!["i_id".into()]);
+        if cut {
+            cdbs.partition_backends(&[partial]);
+        }
+        let w = WriteRequest::update(
+            "item",
+            Some(Predicate::cmp("i_id", CmpOp::Eq, Value::I64(1))),
+            "i_price",
+            Value::F64(-1.0),
+        );
+        let expected = CdbsError::InconsistentLayout {
+            backend: partial,
+            table: "item".into(),
+        };
+        assert_write_rejected_untouched(&mut cdbs, w, &expected);
+    }
+
+    #[test]
+    fn inconsistent_layout_is_rejected_before_any_replica() {
+        partial_holder_rejects_update(2, false);
+        partial_holder_rejects_update(0, true);
     }
 
     #[test]

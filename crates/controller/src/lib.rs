@@ -7,8 +7,10 @@
 //! fragmentation-specific input is the request's footprint (the
 //! referenced columns of a plain table, the touched partitions of a
 //! range-partitioned one): a read runs on the least-loaded live backend
-//! holding all of it, a write on every backend holding any of it (ROWA),
-//! and both enter the **query history** with their measured cost. One
+//! holding all of it, a write on every backend holding any of it (ROWA;
+//! an update's rows are found once, on the master copy, and applied by
+//! row id), and both enter the **query history** with their measured
+//! cost. One
 //! catch-up (replay the staleness ledger, else reload from the master
 //! copy) readmits a failed or cut-off backend on recovery, on healing
 //! and before a **reallocation** — classify the journal, allocate

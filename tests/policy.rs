@@ -16,6 +16,11 @@
 //! * Backend fault and health state has one home, `qcpa_core::health`:
 //!   the simulator and the controller declare no `Vec<bool>` field named
 //!   `alive`, `offline` or `cut`, and no breaker-state enum.
+//! * An update's rows are resolved once, on the master copy: the
+//!   controller's library code calls `.write_set(` exactly once, inside
+//!   `fn analyse`, and a store's predicate update `.update(` only inside
+//!   `fn apply_partitioned_write` — partition fragments are the one copy
+//!   whose row ids differ from the master's.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -345,5 +350,54 @@ fn fault_state_lives_in_core() {
     assert!(
         found.is_empty(),
         "fault state outside qcpa_core::health: {found:?}"
+    );
+}
+
+/// The name of the innermost `fn` of masked `code` whose body holds
+/// byte `at`.
+fn enclosing_fn(code: &str, at: usize) -> Option<&str> {
+    code[..at].rmatch_indices("fn ").find_map(|(start, _)| {
+        let name_at = start + 3;
+        let name_len = code[name_at..]
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(0);
+        let open = name_at + code[name_at..].find('{')?;
+        let mut depth = 0usize;
+        let close = code[open..].bytes().position(|c| {
+            depth = match c {
+                b'{' => depth + 1,
+                b'}' => depth - 1,
+                _ => depth,
+            };
+            depth == 0
+        })?;
+        (at < open + close).then(|| &code[name_at..name_at + name_len])
+    })
+}
+
+#[test]
+fn writes_resolve_once() {
+    let dir = Path::new(ROOT).join("crates/controller/src");
+    let (mut resolves, mut updates) = (Vec::new(), Vec::new());
+    for src in library_sources()
+        .iter()
+        .filter(|s| s.path.starts_with(&dir))
+    {
+        for (call, found) in [(".write_set(", &mut resolves), (".update(", &mut updates)] {
+            for (at, _) in src.code.match_indices(call) {
+                if !src.in_test(at) {
+                    let within = enclosing_fn(&src.code, at).unwrap_or("<none>");
+                    found.push((within.to_string(), src.line(at)));
+                }
+            }
+        }
+    }
+    assert!(
+        resolves.len() == 1 && resolves[0].0 == "analyse",
+        "an update's rows must be resolved exactly once, in `analyse`: {resolves:?}"
+    );
+    assert!(
+        !updates.is_empty() && updates.iter().all(|(f, _)| f == "apply_partitioned_write"),
+        "predicate updates outside the partition path: {updates:?}"
     );
 }
